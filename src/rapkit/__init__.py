@@ -11,13 +11,11 @@ scaling) with executable checks.
 
 from .analyze import ResourceReport, analytic_kv_projection, measure_forward, sweep
 from .budget import BudgetPlan, allocate, sensitivity_scan, uniform_plan
-from .factorize import (CompressedModel, RapFactorization, SvdFactorization,
-                        build_compressed, rap_prune, reconstructed_reference,
-                        svd_factor)
+from .factorize import (RapFactorization, SvdFactorization, build_compressed,
+                        rap_prune, reconstructed_reference, svd_factor)
 from .numcore import Matrix, Tape, grad, gradients
 from .recover import KdConfig, distill, kd_loss, merge_adapters, pretrain
-from .rope import (PairingScheme, RetainedIndex, RopeConfig, frequencies,
-                   rotate, rotate_indexed)
+from .rope import PairingScheme, RetainedIndex, RopeConfig, rotate, rotate_indexed
 from .scoring import (FisherEstimate, PairScoreTable, estimate_fisher,
                       magnitude_scores, pair_scores)
 from .toymodel import (AttentionModel, CalibrationSet, KvCache, ModelSpec,

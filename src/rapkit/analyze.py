@@ -198,7 +198,6 @@ def sweep(model: AttentionModel, methods, ratios, tokens, scores=None,
         for rho in ratios:
             if internal == "baseline":
                 compressed = build_compressed(model, "baseline", rho)
-                compressed.manifest = {"method": "baseline", "rho": rho}
             elif internal == "rap-hybrid":
                 if scores is None:
                     raise ValueError("sweep over rap needs pair scores")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,24 @@ BUDGET_MODES = ("adaptive", "uniform")
 
 class ValidationFailure(ValueError):
     pass
+
+
+# the JSON kind a config value of each type must have: ints count as
+# numbers, bools count as neither
+_JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
+               float: ("a number", (int, float)), dict: ("an object", dict),
+               tuple: ("a list", (list, tuple))}
+
+
+def _check_type(name: str, value, kind: type):
+    label, accepted = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationFailure(f"{name} must be {label}, got {value!r}")
+
+
+def _is_ratio(value) -> bool:
+    """Compression ratios, for rho and sweeps alike, as build_compressed takes them."""
+    return 0.0 <= value < 1.0
 
 
 @dataclass
@@ -58,20 +76,20 @@ class RunConfig:
             if not path.exists():
                 raise ValidationFailure(f"config file not found: {path}")
             data = json.loads(path.read_text())
+            _check_type("config", data, dict)
             model = data.get("model", {})
+            _check_type("model", model, dict)
             cfg.model_path = model.get("path")
             cfg.model_spec = model.get("spec")
-            kd = dict(data.get("kd", {}))
+            kd = data.get("kd", {})
+            _check_type("kd", kd, dict)
+            kd = dict(kd)
             cfg.kd_enabled = bool(kd.pop("enabled", True))
             cfg.kd = kd
             for key in ("method", "rho", "scoring", "budget", "seed", "out",
-                        "seq_len"):
+                        "seq_len", "calibration", "ratios"):
                 if key in data:
                     setattr(cfg, key, data[key])
-            if "calibration" in data:
-                cfg.calibration = dict(data["calibration"])
-            if "ratios" in data:
-                cfg.ratios = tuple(data["ratios"])
         for key in ("method", "rho", "scoring", "budget", "seed", "out"):
             value = getattr(args, key, None)
             if value is not None:
@@ -80,9 +98,28 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        for name, kind in (("method", str), ("rho", float), ("scoring", str),
+                           ("budget", str), ("seed", int), ("out", str),
+                           ("seq_len", int), ("calibration", dict), ("kd", dict),
+                           ("ratios", tuple)):
+            _check_type(name, getattr(self, name), kind)
+        for key, value in self.calibration.items():
+            _check_type(f"calibration.{key}", value, int)
+        kd_kinds = {f.name: type(f.default) for f in fields(recover.KdConfig)
+                    if f.name != "seed"}
+        for key, value in self.kd.items():
+            if key not in kd_kinds:
+                raise ValidationFailure(f"unknown kd setting {key!r}")
+            _check_type(f"kd.{key}", value, kd_kinds[key])
+        for i, ratio in enumerate(self.ratios):
+            _check_type(f"ratios[{i}]", ratio, float)
+        if self.model_path is not None:
+            _check_type("model.path", self.model_path, str)
+        if self.model_spec is not None:
+            _check_type("model.spec", self.model_spec, dict)
         if self.method not in CLI_METHODS:
             raise ValidationFailure(f"method must be one of {CLI_METHODS}")
-        if not 0.0 <= self.rho < 1.0:
+        if not _is_ratio(self.rho):
             raise ValidationFailure("rho must be in [0, 1)")
         if self.scoring not in SCORING_MODES:
             raise ValidationFailure(f"scoring must be one of {SCORING_MODES}")
@@ -90,8 +127,8 @@ class RunConfig:
             raise ValidationFailure(f"budget must be one of {BUDGET_MODES}")
         if self.model_path and not Path(self.model_path).exists():
             raise ValidationFailure(f"model file not found: {self.model_path}")
-        if any(not 0.0 < r <= 1.0 for r in self.ratios):
-            raise ValidationFailure("sweep ratios must be in (0, 1]")
+        if not all(_is_ratio(r) for r in self.ratios):
+            raise ValidationFailure("sweep ratios must be in [0, 1)")
         if self.seq_len < 2:
             raise ValidationFailure("seq_len must be at least 2")
         try:
@@ -237,24 +274,22 @@ def _sweep_reports(cfg: RunConfig, model, methods) -> list:
                          budget_mode=cfg.budget)
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def _write_reports(cfg: RunConfig, methods, stem: str) -> int:
     model = cfg.build_model()
-    reports = _sweep_reports(cfg, model, [cfg.method])
+    reports = _sweep_reports(cfg, model, methods)
     out = cfg.out_dir()
-    (out / "report.csv").write_text(analyze.reports_to_csv(reports))
-    (out / "report.json").write_text(analyze.reports_to_json(reports))
-    print(f"wrote {out / 'report.csv'}")
+    (out / f"{stem}.csv").write_text(analyze.reports_to_csv(reports))
+    (out / f"{stem}.json").write_text(analyze.reports_to_json(reports))
+    print(f"wrote {out / f'{stem}.csv'}")
     return EXIT_OK
+
+
+def cmd_report(cfg: RunConfig) -> int:
+    return _write_reports(cfg, [cfg.method], "report")
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    model = cfg.build_model()
-    reports = _sweep_reports(cfg, model, list(CLI_METHODS))
-    out = cfg.out_dir()
-    (out / "sweep.csv").write_text(analyze.reports_to_csv(reports))
-    (out / "sweep.json").write_text(analyze.reports_to_json(reports))
-    print(f"wrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    return _write_reports(cfg, list(CLI_METHODS), "sweep")
 
 
 def cmd_verify(cfg: RunConfig) -> int:

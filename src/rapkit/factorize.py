@@ -29,9 +29,6 @@ from .toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
 
 METHODS = ("baseline", "svd", "palu", "rap-hybrid")
 
-# the compressed container is the model itself; the alias names the contract
-CompressedModel = AttentionModel
-
 
 @dataclass
 class RapHeadFactorization:
@@ -186,7 +183,7 @@ def _absorb_output(w_o: np.ndarray, v_factors: list[SvdFactorization],
 
 def build_compressed(model: AttentionModel, method: str, rho: float,
                      scores: PairScoreTable | None = None,
-                     plan: BudgetPlan | None = None) -> CompressedModel:
+                     plan: BudgetPlan | None = None) -> AttentionModel:
     """Install a compression method into a fresh model at ratio ``rho``.
 
     ``svd`` and ``palu`` use uniform pair-aligned ranks (no adaptive budget,

@@ -2,10 +2,11 @@
 
 Matrices are plain 2-D, C-contiguous ``numpy.float64`` arrays. A :class:`Tape`
 records a fixed set of primitives (matmul, add, elementwise multiply, row
-softmax, paired rotation, column/row gathers, cross entropy) so that the
-gradient of any recorded scalar with respect to any registered leaf can be
-replayed. Every matmul recorded on a tape adds ``2 * rows * cols * inner`` to
-the tape's FLOPs counter, broken down by an optional tag.
+softmax, paired rotation, column/row gathers, row appends, cross entropy) so
+that the gradient of any recorded scalar with respect to any registered leaf
+can be replayed. Every matmul recorded on a tape adds
+``2 * rows * cols * inner`` to the tape's FLOPs counter, broken down by an
+optional tag.
 
 All reductions run in numpy's deterministic single-threaded order, so repeated
 runs over the same inputs are bitwise reproducible.
@@ -34,6 +35,32 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> Matri
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def softmax_rows(z: Matrix) -> Matrix:
+    e = np.exp(z - np.max(z, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def log_softmax_rows(z: Matrix) -> Matrix:
+    z = z - np.max(z, axis=1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+
+
+def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray,
+                 first: np.ndarray, second: np.ndarray) -> Matrix:
+    """Apply independent 2x2 rotations to column pairs of each row.
+
+    ``cos``/``sin`` have shape (rows, n_pairs); pair ``k`` couples columns
+    ``first[k]`` and ``second[k]``. The result is a copy of ``x``, so columns
+    outside any pair pass through untouched.
+    """
+    xa = x[:, first]
+    xb = x[:, second]
+    out = x.copy()
+    out[:, first] = xa * cos - xb * sin
+    out[:, second] = xa * sin + xb * cos
+    return out
 
 
 class Node:
@@ -130,9 +157,6 @@ class Tape:
 
         return self._record(out, (a, b), backward)
 
-    def sub(self, a: Node, b: Node) -> Node:
-        return self.add(a, self.scale(b, -1.0))
-
     def scale(self, a: Node, c: float) -> Node:
         out = a.value * c
 
@@ -197,9 +221,7 @@ class Tape:
         return self._record(out, tuple(parts), backward)
 
     def row_softmax(self, a: Node) -> Node:
-        z = a.value - np.max(a.value, axis=1, keepdims=True)
-        e = np.exp(z)
-        out = e / np.sum(e, axis=1, keepdims=True)
+        out = softmax_rows(a.value)
 
         def backward(g, acc):
             dot = np.sum(g * out, axis=1, keepdims=True)
@@ -208,9 +230,7 @@ class Tape:
         return self._record(out, (a,), backward)
 
     def row_log_softmax(self, a: Node) -> Node:
-        z = a.value - np.max(a.value, axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-        out = z - lse
+        out = log_softmax_rows(a.value)
         soft = np.exp(out)
 
         def backward(g, acc):
@@ -220,42 +240,37 @@ class Tape:
 
     def rotate_pairs(self, a: Node, cos: np.ndarray, sin: np.ndarray,
                      first: np.ndarray, second: np.ndarray) -> Node:
-        """Apply independent 2x2 rotations to column pairs of each row.
+        """Record :func:`rotate_pairs`.
 
-        ``cos``/``sin`` have shape (rows, n_pairs); pair ``k`` couples columns
-        ``first[k]`` and ``second[k]``. The rotation is orthogonal, so the
-        backward pass rotates the incoming gradient by the negated angles.
+        The rotation is orthogonal, so the backward pass rotates the incoming
+        gradient by the negated angles.
         """
-        xa = a.value[:, first]
-        xb = a.value[:, second]
-        out = a.value.copy()
-        out[:, first] = xa * cos - xb * sin
-        out[:, second] = xa * sin + xb * cos
+        out = rotate_pairs(a.value, cos, sin, first, second)
 
         def backward(g, acc):
-            ga = np.zeros_like(a.value)
-            gfa = g[:, first]
-            gfb = g[:, second]
-            ga[:, first] = gfa * cos + gfb * sin
-            ga[:, second] = -gfa * sin + gfb * cos
-            # columns outside any pair pass through untouched
-            covered = np.zeros(a.value.shape[1], dtype=bool)
-            covered[first] = True
-            covered[second] = True
-            if not covered.all():
-                ga[:, ~covered] = g[:, ~covered]
-            acc(a, ga)
+            acc(a, rotate_pairs(g, cos, -sin, first, second))
 
         return self._record(out, (a,), backward)
+
+    def append_rows(self, past: np.ndarray, new: Node) -> Node:
+        """``new`` stacked below the constant rows ``past`` (a growing cache).
+
+        Only the appended rows are differentiable; ``past`` was recorded on
+        an earlier tape, if at all.
+        """
+        t = past.shape[0]
+
+        def backward(g, acc):
+            acc(new, g[t:])
+
+        return self._record(np.vstack([past, new.value]), (new,), backward)
 
     def cross_entropy(self, logits: Node, labels: Sequence[int]) -> Node:
         """Mean next-token cross entropy: one row of logits per label."""
         labels = np.asarray(labels, dtype=np.intp)
         if labels.shape[0] != logits.value.shape[0]:
             raise ValueError("one label per logits row required")
-        z = logits.value - np.max(logits.value, axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-        logp = z - lse
+        logp = log_softmax_rows(logits.value)
         n = labels.shape[0]
         loss = -np.sum(logp[np.arange(n), labels]) / n
         soft = np.exp(logp)

@@ -12,13 +12,14 @@ indistinguishable from the adapter-attached one in eval mode.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Node, Tape, gradients
+from .numcore import Node, Tape, gradients, log_softmax_rows, softmax_rows
 from .toymodel import (AttentionLayer, AttentionModel, CalibrationSet,
-                       LinearMap, forward_prefill)
+                       LinearMap, forward_prefill, loss_forward)
 
 
 @dataclass(frozen=True)
@@ -91,71 +92,51 @@ class LoraLinear(LinearMap):
         return int(self.down.size + self.up.size)
 
 
-_ROLES = ("proj_q", "k_map", "v_map", "proj_o")
+# layer attribute -> the short role in weight names ("L0.q", "L0.k.lora_up")
+_ROLE_NAMES = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
+
+
+def _replace_maps(model: AttentionModel, make) -> AttentionModel:
+    """Copy of ``model`` whose four projections per layer are ``make(old map)``."""
+    layers = [AttentionLayer(**{r: make(getattr(layer, r)) for r in _ROLE_NAMES},
+                             k_recon=layer.k_recon, v_recon=layer.v_recon,
+                             k_retained=layer.k_retained)
+              for layer in model.layers]
+    return AttentionModel(model.spec, model.embedding, layers,
+                          method=model.method, manifest=model.manifest)
 
 
 def attach_adapters(model: AttentionModel, cfg: KdConfig) -> AttentionModel:
     """Fresh model whose four projections per layer carry zero-initialized adapters."""
     rng = np.random.default_rng(cfg.seed)
-    layers = []
-    for layer in model.layers:
-        wrapped = {}
-        for role in _ROLES:
-            base = getattr(layer, role).merged_weight()
-            wrapped[role] = LoraLinear(base, cfg.lora_rank, cfg.scaling,
-                                       cfg.dropout, rng)
-        layers.append(AttentionLayer(
-            wrapped["proj_q"], wrapped["k_map"], wrapped["v_map"], wrapped["proj_o"],
-            k_recon=layer.k_recon, v_recon=layer.v_recon,
-            k_retained=layer.k_retained))
-    return AttentionModel(model.spec, model.embedding, layers,
-                          method=model.method, manifest=model.manifest)
+    return _replace_maps(model, lambda m: LoraLinear(
+        m.merged_weight(), cfg.lora_rank, cfg.scaling, cfg.dropout, rng))
 
 
 def merge_adapters(model: AttentionModel) -> AttentionModel:
     """Fold every adapter into its base weight; plain maps pass through."""
-    layers = []
-    for layer in model.layers:
-        merged = {role: LinearMap(getattr(layer, role).merged_weight())
-                  for role in _ROLES}
-        layers.append(AttentionLayer(
-            merged["proj_q"], merged["k_map"], merged["v_map"], merged["proj_o"],
-            k_recon=layer.k_recon, v_recon=layer.v_recon,
-            k_retained=layer.k_retained))
-    return AttentionModel(model.spec, model.embedding, layers,
-                          method=model.method, manifest=model.manifest)
+    return _replace_maps(model, lambda m: LinearMap(m.merged_weight()))
+
+
+def _adapters(model: AttentionModel):
+    """(weight name, adapter) of every projection that carries one."""
+    for i, layer in enumerate(model.layers):
+        for role, short in _ROLE_NAMES.items():
+            m = getattr(layer, role)
+            if isinstance(m, LoraLinear):
+                yield f"L{i}.{short}", m
 
 
 def adapter_params(model: AttentionModel) -> int:
-    total = 0
-    for layer in model.layers:
-        for role in _ROLES:
-            m = getattr(layer, role)
-            if isinstance(m, LoraLinear):
-                total += m.adapter_param_count()
-    return total
+    return sum(m.adapter_param_count() for _, m in _adapters(model))
 
 
 def set_training(model: AttentionModel, training: bool):
-    for layer in model.layers:
-        for role in _ROLES:
-            m = getattr(layer, role)
-            if isinstance(m, LoraLinear):
-                m.training = training
+    for _, m in _adapters(model):
+        m.training = training
 
 
 # -- losses --------------------------------------------------------------------
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def kd_loss_parts(teacher_logits, student_logits, labels,
@@ -169,12 +150,12 @@ def kd_loss_parts(teacher_logits, student_logits, labels,
     n = student_logits.shape[0]
     if labels.shape[0] != n:
         raise ValueError("one label per row required")
-    logp = _log_softmax(student_logits)
+    logp = log_softmax_rows(student_logits)
     ce = float(-np.sum(logp[np.arange(n), labels]) / n)
     t = cfg.temperature
-    p_t = _softmax(teacher_logits / t)
-    logp_t = _log_softmax(teacher_logits / t)
-    logp_s = _log_softmax(student_logits / t)
+    p_t = softmax_rows(teacher_logits / t)
+    logp_t = log_softmax_rows(teacher_logits / t)
+    logp_s = log_softmax_rows(student_logits / t)
     kd = float(np.sum(p_t * (logp_t - logp_s)) / n)
     return ce, kd
 
@@ -191,8 +172,8 @@ def _kd_loss_node(tape: Tape, teacher_logits: np.ndarray, student_pred: Node,
     n = student_pred.value.shape[0]
     ce_node = tape.cross_entropy(student_pred, labels)
     t = cfg.temperature
-    p_t = _softmax(teacher_logits / t)
-    logp_t = _log_softmax(teacher_logits / t)
+    p_t = softmax_rows(teacher_logits / t)
+    logp_t = log_softmax_rows(teacher_logits / t)
     entropy_term = float(np.sum(p_t * logp_t) / n)
     logp_s = tape.row_log_softmax(tape.scale(student_pred, 1.0 / t))
     cross_term = tape.scale(tape.sum_all(tape.mul(tape.constant(p_t), logp_s)),
@@ -229,20 +210,9 @@ def trace_to_csv(trace: list[TraceRow]) -> str:
 
 def adapters_to_json(model: AttentionModel) -> str:
     """Serialize every attached adapter (for audit next to a checkpoint)."""
-    import json
-
-    payload = {}
-    role_names = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
-    for i, layer in enumerate(model.layers):
-        for role, short in role_names.items():
-            m = getattr(layer, role)
-            if isinstance(m, LoraLinear):
-                payload[f"L{i}.{short}"] = {
-                    "down": m.down.tolist(),
-                    "up": m.up.tolist(),
-                    "scaling": m.scaling,
-                    "dropout": m.dropout,
-                }
+    payload = {name: {"down": m.down.tolist(), "up": m.up.tolist(),
+                      "scaling": m.scaling, "dropout": m.dropout}
+               for name, m in _adapters(model)}
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -255,9 +225,7 @@ def distill(teacher: AttentionModel, student: AttentionModel,
     the batch in index order and the update is plain fixed-step SGD. Returns
     the adapter-carrying student (train in eval mode afterwards or merge).
     """
-    has_adapters = any(isinstance(getattr(layer, role), LoraLinear)
-                       for layer in student.layers for role in _ROLES)
-    if not has_adapters:
+    if not any(_adapters(student)):
         student = attach_adapters(student, cfg)
     trace: list[TraceRow] = []
     set_training(student, True)
@@ -316,27 +284,13 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
     must actually converge rather than just improve. ``only`` restricts the
     update to the named weights (e.g. ["L0.k"]) with the rest held fixed.
     """
-    from .numcore import gradients as _gradients
-    from .toymodel import loss_forward as _loss_forward
-
-    trained = AttentionModel(
-        model.spec, model.embedding.copy(),
-        [AttentionLayer(
-            LinearMap(layer.proj_q.merged_weight().copy()),
-            LinearMap(layer.k_map.merged_weight().copy()),
-            LinearMap(layer.v_map.merged_weight().copy()),
-            LinearMap(layer.proj_o.merged_weight().copy()),
-            k_recon=layer.k_recon, v_recon=layer.v_recon,
-            k_retained=layer.k_retained)
-         for layer in model.layers],
-        method=model.method, manifest=model.manifest)
+    trained = _replace_maps(model, lambda m: LinearMap(m.merged_weight().copy()))
+    trained.embedding = model.embedding.copy()
 
     weights = {"embedding": trained.embedding}
     for i, layer in enumerate(trained.layers):
-        weights[f"L{i}.q"] = layer.proj_q.weight
-        weights[f"L{i}.k"] = layer.k_map.weight
-        weights[f"L{i}.v"] = layer.v_map.weight
-        weights[f"L{i}.o"] = layer.proj_o.weight
+        for role, short in _ROLE_NAMES.items():
+            weights[f"L{i}.{short}"] = getattr(layer, role).weight
 
     names = sorted(weights) if only is None else sorted(only)
     if any(n not in weights for n in names):
@@ -346,8 +300,8 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
         picks = [(step * batch_size + j) % calib.count for j in range(batch_size)]
         acc = {name: np.zeros_like(weights[name]) for name in names}
         for seq_idx in picks:
-            loss, tape = _loss_forward(trained, list(calib.sequences[seq_idx]))
-            grads = _gradients(tape, loss, [tape.leaves[n] for n in names])
+            loss, tape = loss_forward(trained, list(calib.sequences[seq_idx]))
+            grads = gradients(tape, loss, [tape.leaves[n] for n in names])
             for name, g in zip(names, grads):
                 acc[name] += g
         norm = np.sqrt(sum(float(np.sum(acc[n] ** 2)) for n in names)) / batch_size
@@ -359,12 +313,8 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
 
 
 def _adapter_index(model: AttentionModel) -> dict[str, tuple[LoraLinear, str]]:
-    role_names = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
     index = {}
-    for i, layer in enumerate(model.layers):
-        for role, short in role_names.items():
-            m = getattr(layer, role)
-            if isinstance(m, LoraLinear):
-                index[f"L{i}.{short}.lora_down"] = (m, "down")
-                index[f"L{i}.{short}.lora_up"] = (m, "up")
+    for name, m in _adapters(model):
+        index[f"{name}.lora_down"] = (m, "down")
+        index[f"{name}.lora_up"] = (m, "up")
     return index

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import rotate_pairs
+
 ADJACENT = "adjacent"
 HALF_SPLIT = "half_split"
 
@@ -57,11 +59,13 @@ class PairingScheme:
     def column_arrays(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(first, second) column index arrays for all pairs at ``width``."""
         width = self.head_dim if width is None else width
-        n = width // 2
-        pairs = [self.pair_columns(p, width) for p in range(n)]
-        first = np.array([a for a, _ in pairs], dtype=np.intp)
-        second = np.array([b for _, b in pairs], dtype=np.intp)
-        return first, second
+        if width % 2 != 0:
+            raise ValueError("pair layout requires an even width")
+        if self.kind == ADJACENT:
+            return (np.arange(0, width, 2, dtype=np.intp),
+                    np.arange(1, width, 2, dtype=np.intp))
+        first = np.arange(width // 2, dtype=np.intp)
+        return first, first + width // 2
 
     def pairs(self) -> list[tuple[int, int]]:
         return [self.pair_columns(p) for p in range(self.num_pairs)]
@@ -133,39 +137,37 @@ class RetainedIndex:
         return b
 
 
-def frequencies(cfg: RopeConfig) -> np.ndarray:
-    return cfg.frequencies()
+def rotation_args(cfg: RopeConfig, cos: np.ndarray, sin: np.ndarray,
+                  retained: RetainedIndex | None = None) -> tuple:
+    """``(cos, sin, first, second)`` for :func:`numcore.rotate_pairs`.
+
+    ``cos``/``sin`` hold one column per original pair. With ``retained`` the
+    rotated matrix holds only those pairs (width 2m, original column order),
+    and each keeps the angle column of its ORIGINAL pair id.
+    """
+    if retained is None:
+        return (cos, sin) + cfg.scheme.column_arrays()
+    keep = np.asarray(retained.pairs, dtype=np.intp)
+    return ((cos[:, keep], sin[:, keep])
+            + cfg.scheme.column_arrays(width=2 * len(retained)))
+
+
+def _rotate(x, positions, cfg: RopeConfig, retained: RetainedIndex | None) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    width = cfg.head_dim if retained is None else 2 * len(retained)
+    if x.shape[1] != width:
+        raise ValueError(f"expected {width} columns, got {x.shape[1]}")
+    if len(positions) != x.shape[0]:
+        raise ValueError("one position per row required")
+    cos, sin = cfg.angle_tables(positions)
+    return rotate_pairs(x, *rotation_args(cfg, cos, sin, retained))
 
 
 def rotate(x, positions, cfg: RopeConfig) -> np.ndarray:
     """Rotate every pair of each row by its position-dependent angle."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != cfg.head_dim:
-        raise ValueError(f"expected {cfg.head_dim} columns, got {x.shape[1]}")
-    if len(positions) != x.shape[0]:
-        raise ValueError("one position per row required")
-    cos, sin = cfg.angle_tables(positions)
-    first, second = cfg.scheme.column_arrays()
-    out = np.empty_like(x)
-    out[:, first] = x[:, first] * cos - x[:, second] * sin
-    out[:, second] = x[:, first] * sin + x[:, second] * cos
-    return out
+    return _rotate(x, positions, cfg, None)
 
 
 def rotate_indexed(x, positions, cfg: RopeConfig, retained: RetainedIndex) -> np.ndarray:
     """Rotate a retained-pairs representation with its original frequencies."""
-    x = np.asarray(x, dtype=np.float64)
-    m = len(retained)
-    if x.shape[1] != 2 * m:
-        raise ValueError(f"expected {2 * m} columns for {m} retained pairs, got {x.shape[1]}")
-    if len(positions) != x.shape[0]:
-        raise ValueError("one position per row required")
-    cos, sin = cfg.angle_tables(positions)
-    keep = np.asarray(retained.pairs, dtype=np.intp)
-    cos = cos[:, keep]
-    sin = sin[:, keep]
-    first, second = cfg.scheme.column_arrays(width=2 * m)
-    out = np.empty_like(x)
-    out[:, first] = x[:, first] * cos - x[:, second] * sin
-    out[:, second] = x[:, first] * sin + x[:, second] * cos
-    return out
+    return _rotate(x, positions, cfg, retained)

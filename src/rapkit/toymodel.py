@@ -5,6 +5,11 @@ tied output head. There are no MLP blocks, biases, layer norms or residual
 streams; the compression machinery only touches attention projections, so
 anything else would add noise without coverage.
 
+Prefill and decode run the same per-layer step: it appends the n new rows at
+positions [t, t+n) to each kv head's cache and attends over the whole cache
+with a causal mask offset by t. Prefill is n = S on an empty cache, decode is
+n = 1, so decode reproduces the matching prefill row by construction.
+
 Each layer can run with full-dimension keys/values or with latent (compressed)
 ones:
 
@@ -12,8 +17,8 @@ ones:
 * key path ``rap``: cache stores index-rotated retained-pair latents, queries
   go through the absorbed projection, no reconstruction ever happens;
 * key path ``svd``: cache stores unrotated latents, every attention step
-  reconstructs keys to full width (the matmul is counted) and only then
-  rotates them;
+  reconstructs all cached keys to full width (the matmul is counted) and only
+  then rotates them;
 * value path ``full`` / ``latent``: latent values either get reconstructed per
   step (``v_recon`` present) or flow straight into an absorbed output
   projection.
@@ -32,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .numcore import Matrix, Node, Tape, as_matrix
-from .rope import PairingScheme, RetainedIndex, RopeConfig
+from .rope import PairingScheme, RetainedIndex, RopeConfig, rotation_args
 
 
 @dataclass(frozen=True)
@@ -209,30 +214,32 @@ class PrefillResult:
     attention_probs: list[list[Matrix]] = field(default_factory=list)
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n, n))
-    mask[np.triu_indices(n, k=1)] = -np.inf
+def _causal_mask(n: int, t: int) -> np.ndarray:
+    """Hides later rows from earlier ones: n new rows after t cached ones."""
+    mask = np.zeros((n, t + n))
+    mask[np.triu_indices(n, k=t + 1, m=t + n)] = -np.inf
     return mask
 
 
 def _rotate_node(tape: Tape, node: Node, cfg: RopeConfig, cos, sin,
                  retained: RetainedIndex | None) -> Node:
-    if retained is None:
-        first, second = cfg.scheme.column_arrays()
-        return tape.rotate_pairs(node, cos, sin, first, second)
-    keep = np.asarray(retained.pairs, dtype=np.intp)
-    first, second = cfg.scheme.column_arrays(width=2 * len(retained))
-    return tape.rotate_pairs(node, cos[:, keep], sin[:, keep], first, second)
+    return tape.rotate_pairs(node, *rotation_args(cfg, cos, sin, retained))
 
 
-def _layer_forward(model: AttentionModel, tape: Tape, x: Node, idx: int,
-                   cos, sin, mask_node: Node | None,
-                   cache: KvCache | None, probs_out: list | None) -> Node:
-    """Causal attention over the rows of ``x`` (prefill path)."""
+def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
+                cos, sin, mask_node: Node | None, cache: KvCache,
+                probs_out: list | None) -> Node:
+    """Append the rows of ``x`` to the layer's cache, then attend over all of it.
+
+    The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
+    cached ones; ``cos``/``sin`` cover positions [0, t+n) and ``mask_node``
+    (None for a single row) hides later new rows from earlier ones.
+    """
     spec = model.spec
     layer = model.layers[idx]
-    d = spec.head_dim
-    inv_sqrt_d = 1.0 / np.sqrt(d)
+    retained = layer.k_retained or [None] * spec.kv_heads
+    t = cache.length
+    inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
@@ -241,50 +248,42 @@ def _layer_forward(model: AttentionModel, tape: Tape, x: Node, idx: int,
     kw = k_all.value.shape[1] // spec.kv_heads
     vw = v_all.value.shape[1] // spec.kv_heads
 
-    k_rot_heads, v_use_heads = [], []
+    keys, values = [], []
     for g in range(spec.kv_heads):
+        hc = cache.heads[idx][g]
         k_g = tape.gather_cols(k_all, range(g * kw, (g + 1) * kw))
         if layer.k_mode == "svd":
+            # latents are cached unrotated: rebuild every cached key, then rotate
+            latents = tape.append_rows(hc.k, k_g)
+            hc.k = latents.value
             recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
-            k_full = tape.matmul(k_g, recon, tag="kv_proj")
-            k_rot = _rotate_node(tape, k_full, spec.rope, cos, sin, None)
-            store = k_g.value
-        elif layer.k_mode == "rap":
-            k_rot = _rotate_node(tape, k_g, spec.rope, cos, sin, layer.k_retained[g])
-            store = k_rot.value
+            k_full = tape.matmul(latents, recon, tag="kv_proj")
+            keys.append(_rotate_node(tape, k_full, spec.rope, cos, sin, None))
         else:
-            k_rot = _rotate_node(tape, k_g, spec.rope, cos, sin, None)
-            store = k_rot.value
-        k_rot_heads.append(k_rot)
+            k_new = _rotate_node(tape, k_g, spec.rope, cos[t:], sin[t:], retained[g])
+            keys.append(tape.append_rows(hc.k, k_new))
+            hc.k = keys[-1].value
 
         v_g = tape.gather_cols(v_all, range(g * vw, (g + 1) * vw))
+        v_cached = tape.append_rows(hc.v, v_g)
+        hc.v = v_cached.value
         if layer.v_recon is not None:
             recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
-            v_use = tape.matmul(v_g, recon_v, tag="kv_proj")
-        else:
-            v_use = v_g
-        v_use_heads.append(v_use)
+            v_cached = tape.matmul(v_cached, recon_v, tag="kv_proj")
+        values.append(v_cached)
 
-        if cache is not None:
-            hc = cache.heads[idx][g]
-            hc.k = np.vstack([hc.k, store])
-            hc.v = np.vstack([hc.v, v_g.value])
-
-    outs = []
-    layer_probs = [] if probs_out is not None else None
+    outs, layer_probs = [], []
     for h in range(spec.query_heads):
         g = h // spec.group_size
         q_h = tape.gather_cols(q_all, range(h * qw, (h + 1) * qw))
-        retained = layer.k_retained[g] if layer.k_mode == "rap" else None
-        q_rot = _rotate_node(tape, q_h, spec.rope, cos, sin, retained)
-        scores = tape.matmul(q_rot, tape.transpose(k_rot_heads[g]), tag="attn_score")
+        q_rot = _rotate_node(tape, q_h, spec.rope, cos[t:], sin[t:], retained[g])
+        scores = tape.matmul(q_rot, tape.transpose(keys[g]), tag="attn_score")
         scores = tape.scale(scores, inv_sqrt_d)
         if mask_node is not None:
             scores = tape.add(scores, mask_node)
         probs = tape.row_softmax(scores)
-        if layer_probs is not None:
-            layer_probs.append(probs.value)
-        outs.append(tape.matmul(probs, v_use_heads[g], tag="attn_value"))
+        layer_probs.append(probs.value)
+        outs.append(tape.matmul(probs, values[g], tag="attn_value"))
     if probs_out is not None:
         probs_out.append(layer_probs)
 
@@ -301,24 +300,30 @@ def _check_tokens(spec: ModelSpec, tokens) -> list[int]:
     return toks
 
 
-def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
-                    collect_probs: bool = False) -> PrefillResult:
-    """Run causal attention over the whole sequence, filling a fresh cache."""
+def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
+             probs_out: list | None) -> Node:
+    """Logits node of ``toks`` appended to ``cache`` at positions [t, t+n)."""
     spec = model.spec
-    toks = _check_tokens(spec, tokens)
-    tape = tape if tape is not None else Tape()
-    positions = list(range(len(toks)))
-    cos, sin = spec.rope.angle_tables(positions)
-    mask_node = tape.constant(_causal_mask(len(toks))) if len(toks) > 1 else None
+    t, n = cache.length, len(toks)
+    cos, sin = spec.rope.angle_tables(range(t + n))
+    mask_node = tape.constant(_causal_mask(n, t)) if n > 1 else None
 
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
+    for idx in range(spec.layers):
+        x = _layer_step(model, tape, x, idx, cos, sin, mask_node, cache, probs_out)
+    cache.length = t + n
+    return tape.matmul(x, tape.transpose(emb), tag="lm_head")
+
+
+def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
+                    collect_probs: bool = False) -> PrefillResult:
+    """Run causal attention over the whole sequence, filling a fresh cache."""
+    toks = _check_tokens(model.spec, tokens)
+    tape = tape if tape is not None else Tape()
     cache = KvCache(model)
-    cache.length = len(toks)
     probs_out: list | None = [] if collect_probs else None
-    for i in range(spec.layers):
-        x = _layer_forward(model, tape, x, i, cos, sin, mask_node, cache, probs_out)
-    logits_node = tape.matmul(x, tape.transpose(emb), tag="lm_head")
+    logits_node = _forward(model, cache, toks, tape, probs_out)
     return PrefillResult(logits_node.value.copy(), cache, tape, logits_node,
                          probs_out or [])
 
@@ -326,70 +331,11 @@ def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
 def forward_decode(model: AttentionModel, cache: KvCache, token: int,
                    tape: Tape | None = None) -> tuple[Matrix, KvCache]:
     """Append one token to the cache and return the next-token logits."""
-    spec = model.spec
     if cache.model is not model:
         raise ValueError("cache was built for a different model")
-    token = _check_tokens(spec, [token])[0]
+    toks = _check_tokens(model.spec, [token])
     tape = tape if tape is not None else Tape()
-    t = cache.length
-    cos_new, sin_new = spec.rope.angle_tables([t])
-    past_positions = list(range(t + 1))
-    cos_all, sin_all = spec.rope.angle_tables(past_positions)
-    d = spec.head_dim
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-
-    emb = tape.leaf(model.embedding, "embedding")
-    x = tape.gather_rows(emb, [token])
-    for idx, layer in enumerate(model.layers):
-        q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
-        k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
-        v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
-        qw = q_all.value.shape[1] // spec.query_heads
-        kw = k_all.value.shape[1] // spec.kv_heads
-        vw = v_all.value.shape[1] // spec.kv_heads
-
-        k_mats, v_mats = [], []
-        for g in range(spec.kv_heads):
-            hc = cache.heads[idx][g]
-            k_g = tape.gather_cols(k_all, range(g * kw, (g + 1) * kw))
-            if layer.k_mode == "svd":
-                hc.k = np.vstack([hc.k, k_g.value])
-                lat = tape.constant(hc.k)
-                recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
-                k_full = tape.matmul(lat, recon, tag="kv_proj")
-                k_mat = _rotate_node(tape, k_full, spec.rope, cos_all, sin_all, None)
-            else:
-                retained = layer.k_retained[g] if layer.k_mode == "rap" else None
-                k_new = _rotate_node(tape, k_g, spec.rope, cos_new, sin_new, retained)
-                hc.k = np.vstack([hc.k, k_new.value])
-                k_mat = tape.constant(hc.k)
-            k_mats.append(k_mat)
-
-            v_g = tape.gather_cols(v_all, range(g * vw, (g + 1) * vw))
-            hc.v = np.vstack([hc.v, v_g.value])
-            if layer.v_recon is not None:
-                lat_v = tape.constant(hc.v)
-                recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
-                v_mat = tape.matmul(lat_v, recon_v, tag="kv_proj")
-            else:
-                v_mat = tape.constant(hc.v)
-            v_mats.append(v_mat)
-
-        outs = []
-        for h in range(spec.query_heads):
-            g = h // spec.group_size
-            q_h = tape.gather_cols(q_all, range(h * qw, (h + 1) * qw))
-            retained = layer.k_retained[g] if layer.k_mode == "rap" else None
-            q_rot = _rotate_node(tape, q_h, spec.rope, cos_new, sin_new, retained)
-            scores = tape.matmul(q_rot, tape.transpose(k_mats[g]), tag="attn_score")
-            scores = tape.scale(scores, inv_sqrt_d)
-            probs = tape.row_softmax(scores)
-            outs.append(tape.matmul(probs, v_mats[g], tag="attn_value"))
-        merged = outs[0] if len(outs) == 1 else tape.concat_cols(outs)
-        x = layer.proj_o.apply(tape, merged, f"L{idx}.o", tag="attn_o")
-
-    logits_node = tape.matmul(x, tape.transpose(emb), tag="lm_head")
-    cache.length = t + 1
+    logits_node = _forward(model, cache, toks, tape, None)
     return logits_node.value.copy(), cache
 
 
@@ -539,6 +485,14 @@ def save_model(model: AttentionModel, path) -> None:
         fh.write(blob)
 
 
+def _numbered(arrays: dict[str, np.ndarray], prefix: str) -> list[np.ndarray]:
+    """arrays[prefix + "0"], arrays[prefix + "1"], ... up to the first gap."""
+    found = []
+    while f"{prefix}{len(found)}" in arrays:
+        found.append(arrays[f"{prefix}{len(found)}"])
+    return found
+
+
 def load_model(path) -> AttentionModel:
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
@@ -547,6 +501,10 @@ def load_model(path) -> AttentionModel:
         raise ValueError(f"unrecognized model file {path}")
     spec = spec_from_json(header["spec"])
     blob = raw[newline + 1:]
+    expected = 8 * sum(meta["rows"] * meta["cols"] for meta in header["arrays"])
+    if len(blob) != expected:
+        raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
+                         f"the header's arrays need {expected}")
     offset = 0
     arrays: dict[str, np.ndarray] = {}
     for meta in header["arrays"]:
@@ -562,23 +520,13 @@ def load_model(path) -> AttentionModel:
         retained = None
         if retained_meta is not None:
             retained = [RetainedIndex(tuple(p), spec.rope.scheme) for p in retained_meta]
-        k_recon = []
-        g = 0
-        while f"L{i}.k_b{g}" in arrays:
-            k_recon.append(arrays[f"L{i}.k_b{g}"])
-            g += 1
-        v_recon = []
-        g = 0
-        while f"L{i}.v_b{g}" in arrays:
-            v_recon.append(arrays[f"L{i}.v_b{g}"])
-            g += 1
         layers.append(AttentionLayer(
             proj_q=LinearMap(arrays[f"L{i}.q"]),
             k_map=LinearMap(arrays[f"L{i}.k"]),
             v_map=LinearMap(arrays[f"L{i}.v"]),
             proj_o=LinearMap(arrays[f"L{i}.o"]),
-            k_recon=k_recon or None,
-            v_recon=v_recon or None,
+            k_recon=_numbered(arrays, f"L{i}.k_b") or None,
+            v_recon=_numbered(arrays, f"L{i}.v_b") or None,
             k_retained=retained,
         ))
     return AttentionModel(spec, arrays["embedding"], layers, method=header["method"])

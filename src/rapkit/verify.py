@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rope import RetainedIndex, RopeConfig, rotate, rotate_indexed
-from .scoring import estimate_fisher
+from .scoring import _scores_from_matrix_stat, estimate_fisher
 from .toymodel import (AttentionLayer, AttentionModel, CalibrationSet,
                        LinearMap, mean_loss)
 
@@ -189,12 +189,8 @@ def check_loss_bound(model: AttentionModel, calib: CalibrationSet, layer: int,
     pruned = tuple(sorted(set(int(p) for p in pruned_pairs)))
     if fisher is None:
         fisher = estimate_fisher(model, calib, targets=[(layer, "k")])
-    stat = fisher.mean(layer, "k")
-    d = model.spec.head_dim
-    scheme = model.spec.rope.scheme
-    block = stat[:, head * d:(head + 1) * d]
-    col_sums = block.sum(axis=0)
-    sigma = np.array([col_sums[a] + col_sums[b] for a, b in scheme.pairs()])
+    sigma = _scores_from_matrix_stat(fisher.mean(layer, "k"), model.spec.rope.scheme,
+                                     "k", model.spec.head_dim)[head]
     bound = 0.5 * eps * eps * float(sigma[list(pruned)].sum()) if pruned else 0.0
 
     if pruned:

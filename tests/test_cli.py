@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import make_spec
-from rapkit.cli import main
+from rapkit.cli import RunConfig, ValidationFailure, main
 from rapkit.toymodel import (AttentionModel, LinearMap, forward_prefill,
                              load_model, save_model)
 
@@ -227,3 +228,27 @@ def test_distill_serializes_adapters(tmp_path):
     adapters = read_json(out / "adapters.json")
     assert set(adapters) == {f"L{i}.{r}" for i in range(2) for r in "qkvo"}
     assert all("down" in a and "up" in a for a in adapters.values())
+
+
+def test_config_value_of_wrong_type_exits_one_naming_the_field(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    for data, name in (({"rho": "0.3"}, "rho"), ({"seed": 4.5}, "seed"),
+                       ({"seq_len": True}, "seq_len"), ({"ratios": 0.3}, "ratios"),
+                       ({"ratios": [0.1, "0.2"]}, "ratios"),
+                       ({"calibration": {"count": "8"}}, "calibration"),
+                       ({"kd": {"steps": "3"}}, "kd"), ({"kd": {"bogus": 1}}, "kd"),
+                       ({"model": []}, "model"), ([0.3], "config")):
+        config.write_text(json.dumps(data))
+        assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err, (data, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_ratios_share_the_rho_predicate():
+    # build_compressed accepts [0, 1); validation must accept exactly that
+    with pytest.raises(ValidationFailure, match="ratios"):
+        RunConfig(ratios=(0.5, 1.0)).validate()
+    RunConfig(ratios=(0.0, 0.5)).validate()
+    with pytest.raises(ValidationFailure, match="rho"):
+        RunConfig(rho=1.0).validate()

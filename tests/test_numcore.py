@@ -152,6 +152,18 @@ def test_fd_rotate_pairs_partial_coverage(rng):
         t.constant(r))), arrays)
 
 
+def test_fd_append_rows(rng):
+    # the cached rows are constants; only the appended rows get a gradient
+    past = rng.normal(size=(4, 3))
+    arrays = {"a": rng.normal(size=(2, 3))}
+    r = rng.normal(size=(6, 3))
+    _fd_check(lambda t, lv: t.sum_all(t.mul(t.append_rows(past, lv["a"]),
+                                            t.constant(r))), arrays)
+    t = Tape()
+    stacked = t.append_rows(past, t.leaf(arrays["a"], "a"))
+    np.testing.assert_array_equal(stacked.value, np.vstack([past, arrays["a"]]))
+
+
 def test_fd_cross_entropy_and_means(rng):
     arrays = {"a": rng.normal(size=(4, 5))}
     labels = [0, 3, 1, 4]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapkit.rope import (ADJACENT, HALF_SPLIT, PairingScheme, RetainedIndex,
-                         RopeConfig, frequencies, rotate, rotate_indexed)
+                         RopeConfig, rotate, rotate_indexed)
 
 
 def cfg_for(kind: str, head_dim: int, base: float = 10000.0) -> RopeConfig:
@@ -18,22 +18,35 @@ def cfg_for(kind: str, head_dim: int, base: float = 10000.0) -> RopeConfig:
 
 def test_frequency_zero_exponent():
     for base in (2.0, 500.0, 10000.0):
-        assert frequencies(cfg_for(ADJACENT, 8, base))[0] == 1.0
+        assert cfg_for(ADJACENT, 8, base).frequencies()[0] == 1.0
 
 
 def test_frequency_known_value():
     # 10000 ** (-2/4) = 0.01
-    freqs = frequencies(cfg_for(ADJACENT, 4))
+    freqs = cfg_for(ADJACENT, 4).frequencies()
     assert freqs[1] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_frequencies_match_log_space_oracle():
     cfg = cfg_for(HALF_SPLIT, 128)
-    got = frequencies(cfg)
+    got = cfg.frequencies()
     expected = np.array([np.exp(-2.0 * j * np.log(10000.0) / 128)
                          for j in range(64)])
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert np.all(np.diff(got) < 0)  # strictly decreasing for base > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ADJACENT, HALF_SPLIT]), st.integers(1, 64),
+       st.integers(0, 64))
+def test_column_arrays_match_pair_columns(kind, half_dim, half_width):
+    scheme = PairingScheme(kind, 2 * half_dim)
+    for width in (None, 2 * half_width):
+        n = scheme.num_pairs if width is None else half_width
+        first, second = scheme.column_arrays(width)
+        expected = [scheme.pair_columns(p, width) for p in range(n)]
+        assert first.dtype == second.dtype == np.intp
+        assert list(zip(first.tolist(), second.tolist())) == expected
 
 
 def test_odd_head_dim_rejected():

@@ -212,3 +212,17 @@ def test_spec_validation():
         make_spec(query_heads=3, kv_heads=2)
     with pytest.raises(ValueError):
         make_spec(head_dim=7)
+
+
+def test_load_model_rejects_trailing_and_missing_bytes(tmp_path):
+    model = AttentionModel.build(make_spec(seed=21))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    raw = path.read_bytes()
+    expected = len(raw) - raw.index(b"\n") - 1
+    for name, data in (("long.bin", raw + b"\0" * 8), ("short.bin", raw[:-8])):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        actual = len(data) - raw.index(b"\n") - 1
+        with pytest.raises(ValueError, match=rf"{name}.*{actual}.*{expected}"):
+            load_model(bad)
