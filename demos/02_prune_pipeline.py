@@ -37,7 +37,7 @@ for (layer, side), ratio in sorted(plan.ratios.items()):
 print(f"  mean ratio {plan.mean_ratio:.3f}, after rounding "
       f"{plan.mean_effective_ratio:.3f} (residual {plan.rounding_error:+.3f})")
 
-student = build_compressed(teacher, "rap-hybrid", rho, scores=table, plan=plan)
+student = build_compressed(teacher, "rap", rho, scores=table, plan=plan)
 pruned_loss = mean_loss(student, calib)
 print(f"\npruned calibration CE: {pruned_loss:.4f} "
       f"(teacher {teacher_loss:.4f})")

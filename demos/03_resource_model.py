@@ -38,7 +38,7 @@ reports = sweep(model, ["baseline", "svd", "palu", "rap"], [0.25, 0.5],
                 tokens, scores=table)
 print(reports_to_csv(reports))
 
-rap_half = [r for r in reports if r.method == "rap-hybrid" and r.rho == 0.5][0]
+rap_half = [r for r in reports if r.method == "rap" and r.rho == 0.5][0]
 print("rho=0.5 keeps exactly 2 of 4 pairs, so measured == analytic:")
 print(f"  measured {rap_half.flops_kvproj_measured:.1f} vs "
       f"analytic {rap_half.flops_kvproj_analytic:.1f} FLOPs/head/token")

@@ -19,6 +19,9 @@ by S * kv_heads * layers, which matches the closed form with H = query_heads
 since the input width is the model dimension); attention-block FLOPs
 normalize per query head per token (totals divided by S * query_heads *
 layers). Only matmuls count; softmax and rotations are free.
+
+Methods are named as in ``factorize.METHODS`` throughout, and a report carries
+the ``method`` of the model it measured.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from .toymodel import AttentionModel, ModelSpec, forward_prefill
-
-ANALYTIC_METHODS = ("baseline", "svd", "palu", "rap")
 
 CSV_COLUMNS = ("method", "rho", "kv_entries", "params_attn", "params_attn_rel",
                "params_total", "flops_kvproj_analytic", "flops_kvproj_measured",
@@ -39,7 +40,7 @@ def method_factors(method: str, r: float, heads: int) -> dict[str, float]:
     """Per-method multipliers applied to the baseline triple."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"retained ratio must be in (0, 1], got {r}")
-    if method in ("rap", "rap-hybrid"):
+    if method == "rap":
         return {"kv_cache": r, "params": r, "flops": r}
     if method == "svd":
         return {"kv_cache": r, "params": r + r / heads, "flops": r + r / heads}
@@ -110,7 +111,7 @@ def analytic_attention_params(method: str, r: float, spec: ModelSpec) -> float:
         return float(q_full + o_full + 2 * kv_lat + 2 * recon)
     if method == "palu":
         return float(q_full + r * o_full + 2 * kv_lat + recon)
-    if method in ("rap", "rap-hybrid"):
+    if method == "rap":
         return float(r * (q_full + o_full) + 2 * kv_lat)
     raise ValueError(f"unknown method {method!r}")
 
@@ -133,25 +134,23 @@ def measure_forward(model: AttentionModel, tokens) -> ResourceReport:
 
     rho = float(model.manifest["rho"]) if model.manifest else 0.0
     r = 1.0 - rho
-    name = "baseline" if model.method in ("baseline", "reference") else model.method
-    analytic_name = "rap" if name == "rap-hybrid" else name
-    analytic = analytic_kv_projection(analytic_name, r, heads=spec.query_heads,
+    analytic = analytic_kv_projection(model.method, r, heads=spec.query_heads,
                                       head_dim=spec.head_dim, seq_len=1)
-    analytic_cache = analytic_kv_projection(analytic_name, r,
+    analytic_cache = analytic_kv_projection(model.method, r,
                                             heads=spec.query_heads,
                                             head_dim=spec.head_dim,
                                             seq_len=s)["kv_cache"]
 
     params_attn = model.attention_params()
     return ResourceReport(
-        method=name,
+        method=model.method,
         rho=rho,
         r=r,
         seq_len=s,
         kv_entries=result.cache.entries(),
         kv_entries_analytic=analytic_cache * spec.layers * spec.kv_heads,
         params_attn=params_attn,
-        params_attn_analytic=analytic_attention_params(analytic_name, r, spec),
+        params_attn_analytic=analytic_attention_params(model.method, r, spec),
         params_attn_rel=params_attn / baseline_attention_params(spec),
         params_total=model.total_params(),
         flops_kvproj_analytic=analytic["flops"],
@@ -188,25 +187,13 @@ def reports_to_json(reports) -> str:
 
 def sweep(model: AttentionModel, methods, ratios, tokens, scores=None,
           budget_mode: str = "uniform") -> list[ResourceReport]:
-    """One measured+analytic report per (method, rho), rows in given order."""
-    from .budget import allocate, uniform_plan
+    """One measured+analytic report per (method, rho), rows in given order;
+    with ``scores``, each ratio's plan is ``allocate(scores, rho, budget_mode)``."""
+    from .budget import allocate
     from .factorize import build_compressed
 
-    reports = []
-    for method in methods:
-        internal = "rap-hybrid" if method == "rap" else method
-        for rho in ratios:
-            if internal == "baseline":
-                compressed = build_compressed(model, "baseline", rho)
-            elif internal == "rap-hybrid":
-                if scores is None:
-                    raise ValueError("sweep over rap needs pair scores")
-                plan = (allocate(scores, rho, budget_mode)
-                        if budget_mode == "adaptive"
-                        else uniform_plan(scores.num_pairs, model.spec.layers, rho))
-                compressed = build_compressed(model, internal, rho,
-                                              scores=scores, plan=plan)
-            else:
-                compressed = build_compressed(model, internal, rho)
-            reports.append(measure_forward(compressed, tokens))
-    return reports
+    plans = ({rho: allocate(scores, rho, budget_mode) for rho in ratios}
+             if scores is not None else {})
+    return [measure_forward(build_compressed(model, method, rho, scores=scores,
+                                             plan=plans.get(rho)), tokens)
+            for method in methods for rho in ratios]

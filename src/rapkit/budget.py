@@ -161,7 +161,7 @@ def sensitivity_scan(model, calib, probe_ratio: float = 0.5,
                      groups=None) -> dict[tuple[int, str], float]:
     """Loss delta from compressing each (layer, side) group alone.
 
-    Every probe builds a hybrid model whose only non-trivial budget is the
+    Every probe builds a rap model whose only non-trivial budget is the
     probed group; the delta is the mean calibration loss change. ``groups``
     restricts the scan to the named (layer, side) targets.
     """
@@ -182,7 +182,7 @@ def sensitivity_scan(model, calib, probe_ratio: float = 0.5,
         ratios = {g: (probe_ratio if g == group else 0.0) for g in scores.groups()}
         plan = BudgetPlan(probe_ratio, "probe", scores.num_pairs,
                           dict(ratios), dict(ratios))
-        probed = build_compressed(model, "rap-hybrid", probe_ratio,
+        probed = build_compressed(model, "rap", probe_ratio,
                                   scores=scores, plan=plan)
         deltas[group] = mean_loss(probed, calib) - base_loss
     return deltas

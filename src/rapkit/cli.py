@@ -25,9 +25,8 @@ EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 EXIT_DIVERGENCE = 3
 
-CLI_METHODS = ("baseline", "svd", "palu", "rap")
 SCORING_MODES = ("fisher", "magnitude")
-BUDGET_MODES = ("adaptive", "uniform")
+BUDGET_MODES = (budget.ADAPTIVE, budget.UNIFORM)
 
 
 class ValidationFailure(ValueError):
@@ -35,15 +34,16 @@ class ValidationFailure(ValueError):
 
 
 # the JSON kind a config value of each type must have: ints count as
-# numbers, bools count as neither
+# numbers, bools count only as booleans
 _JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
                float: ("a number", (int, float)), dict: ("an object", dict),
-               tuple: ("a list", (list, tuple))}
+               tuple: ("a list", (list, tuple)), bool: ("a boolean", bool)}
+CALIBRATION_KEYS = ("count", "window", "seed")
 
 
 def _check_type(name: str, value, kind: type):
     label, accepted = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValidationFailure(f"{name} must be {label}, got {value!r}")
 
 
@@ -84,7 +84,7 @@ class RunConfig:
             kd = data.get("kd", {})
             _check_type("kd", kd, dict)
             kd = dict(kd)
-            cfg.kd_enabled = bool(kd.pop("enabled", True))
+            cfg.kd_enabled = kd.pop("enabled", True)
             cfg.kd = kd
             for key in ("method", "rho", "scoring", "budget", "seed", "out",
                         "seq_len", "calibration", "ratios"):
@@ -103,7 +103,10 @@ class RunConfig:
                            ("seq_len", int), ("calibration", dict), ("kd", dict),
                            ("ratios", tuple)):
             _check_type(name, getattr(self, name), kind)
+        _check_type("kd.enabled", self.kd_enabled, bool)
         for key, value in self.calibration.items():
+            if key not in CALIBRATION_KEYS:
+                raise ValidationFailure(f"unknown calibration setting {key!r}")
             _check_type(f"calibration.{key}", value, int)
         kd_kinds = {f.name: type(f.default) for f in fields(recover.KdConfig)
                     if f.name != "seed"}
@@ -117,8 +120,12 @@ class RunConfig:
             _check_type("model.path", self.model_path, str)
         if self.model_spec is not None:
             _check_type("model.spec", self.model_spec, dict)
-        if self.method not in CLI_METHODS:
-            raise ValidationFailure(f"method must be one of {CLI_METHODS}")
+            try:
+                toymodel.spec_from_json(self.model_spec)
+            except ValueError as exc:
+                raise ValidationFailure(f"bad model.spec: {exc}") from exc
+        if self.method not in factorize.METHODS:
+            raise ValidationFailure(f"method must be one of {factorize.METHODS}")
         if not _is_ratio(self.rho):
             raise ValidationFailure("rho must be in [0, 1)")
         if self.scoring not in SCORING_MODES:
@@ -136,13 +143,14 @@ class RunConfig:
         except ValueError as exc:
             raise ValidationFailure(f"bad kd settings: {exc}") from exc
 
-    @property
-    def internal_method(self) -> str:
-        return "rap-hybrid" if self.method == "rap" else self.method
-
     def build_model(self) -> toymodel.AttentionModel:
         if self.model_path:
-            return toymodel.load_model(self.model_path)
+            model = toymodel.load_model(self.model_path)
+            if model.method != "baseline":
+                raise ValidationFailure(
+                    f"model.path {self.model_path} holds a {model.method!r} "
+                    "checkpoint; the pipeline starts from a baseline model")
+            return model
         if self.model_spec:
             return toymodel.AttentionModel.build(
                 toymodel.spec_from_json(self.model_spec))
@@ -151,9 +159,9 @@ class RunConfig:
     def build_calibration(self, vocab: int) -> toymodel.CalibrationSet:
         return toymodel.markov_calibration(
             vocab,
-            count=int(self.calibration.get("count", 16)),
-            window=int(self.calibration.get("window", 64)),
-            seed=int(self.calibration.get("seed", self.seed)),
+            count=self.calibration.get("count", 16),
+            window=self.calibration.get("window", 64),
+            seed=self.calibration.get("seed", self.seed),
         )
 
     def kd_config(self) -> recover.KdConfig:
@@ -173,8 +181,23 @@ def _compute_scores(cfg: RunConfig, model) -> scoring.PairScoreTable:
     return scoring.pair_scores(scoring.estimate_fisher(model, calib), scheme)
 
 
-def _load_scores(path: Path) -> scoring.PairScoreTable:
-    return scoring.PairScoreTable.from_json(path.read_text())
+def _load_scores(path: Path, model) -> scoring.PairScoreTable:
+    """A score table from the score command, checked against ``model``."""
+    table = scoring.PairScoreTable.from_json(path.read_text())
+    spec = model.spec
+    for name, got, want in (("head_dim", table.head_dim, spec.head_dim),
+                            ("pairing", table.pairing, spec.rope.scheme.kind)):
+        if got != want:
+            raise ValidationFailure(
+                f"{path}: scores have {name} {got!r}, the model has {want!r}")
+    expected = {(l, s, h) for l, s in scoring.default_targets(model)
+                for h in range(spec.kv_heads)}
+    for label, keys in (("missing", expected - set(table.keys())),
+                        ("unexpected", set(table.keys()) - expected)):
+        if keys:
+            raise ValidationFailure(f"{path}: {label} score keys " + ", ".join(
+                f"{l}.{s}.{h}" for l, s, h in sorted(keys)))
+    return table
 
 
 def _score_summary(table: scoring.PairScoreTable) -> dict:
@@ -201,26 +224,20 @@ def cmd_score(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_plan(cfg: RunConfig, model, table) -> budget.BudgetPlan:
-    if cfg.budget == "uniform":
-        return budget.uniform_plan(table.num_pairs, model.spec.layers, cfg.rho)
-    return budget.allocate(table, cfg.rho, budget.ADAPTIVE)
-
-
 def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
               plan_path: str | None = None) -> int:
     model = cfg.build_model()
-    table = (_load_scores(Path(scores_path)) if scores_path
+    table = (_load_scores(Path(scores_path), model) if scores_path
              else _compute_scores(cfg, model))
     try:
         if plan_path:
             plan = budget.BudgetPlan.from_json(Path(plan_path).read_text())
         else:
-            plan = _build_plan(cfg, model, table)
+            plan = budget.allocate(table, cfg.rho, cfg.budget)
     except budget.InfeasibleBudget as exc:
         print(f"error: infeasible budget: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    compressed = factorize.build_compressed(model, cfg.internal_method, cfg.rho,
+    compressed = factorize.build_compressed(model, cfg.method, cfg.rho,
                                             scores=table, plan=plan)
     out = cfg.out_dir()
     toymodel.save_model(compressed, out / "compressed.model")
@@ -239,9 +256,9 @@ def cmd_distill(cfg: RunConfig) -> int:
         student = toymodel.load_model(checkpoint)
     else:
         table = _compute_scores(cfg, teacher)
-        plan = _build_plan(cfg, teacher, table)
-        student = factorize.build_compressed(teacher, cfg.internal_method,
-                                             cfg.rho, scores=table, plan=plan)
+        plan = budget.allocate(table, cfg.rho, cfg.budget)
+        student = factorize.build_compressed(teacher, cfg.method, cfg.rho,
+                                             scores=table, plan=plan)
     calib = cfg.build_calibration(teacher.spec.vocab)
     kd_cfg = cfg.kd_config()
     if not cfg.kd_enabled or kd_cfg.steps == 0:
@@ -289,16 +306,17 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    return _write_reports(cfg, list(CLI_METHODS), "sweep")
+    return _write_reports(cfg, list(factorize.METHODS), "sweep")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     model = cfg.build_model()
     table = _compute_scores(cfg, model)
-    plan = _build_plan(cfg, model, table)
-    compressed = factorize.build_compressed(model, "rap-hybrid",
-                                            cfg.rho if cfg.rho > 0 else 0.3,
-                                            scores=table, plan=plan)
+    # nothing is pruned at ratio 0, which would make every check trivial
+    rho = cfg.rho or 0.3
+    plan = budget.allocate(table, rho, cfg.budget)
+    compressed = factorize.build_compressed(model, "rap", rho, scores=table,
+                                            plan=plan)
     calib = cfg.build_calibration(model.spec.vocab)
     rng = np.random.default_rng(cfg.seed)
 
@@ -318,8 +336,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks["quadratic_bound"] = {"ratio": quad.ratio,
                                  "passed": abs(quad.ratio - 1.0) <= 1e-9}
 
-    ref = factorize.reconstructed_reference(model, "rap-hybrid", cfg.rho or 0.3,
-                                            scores=table, plan=plan)
+    ref = factorize.reconstructed_reference(model, "rap", rho, scores=table,
+                                            plan=plan)
     tokens = list(calib.sequences[0][:16])
     lat = toymodel.forward_prefill(compressed, tokens).logits
     full = toymodel.forward_prefill(ref, tokens).logits
@@ -351,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--rho", type=float, help="KV-cache compression ratio")
-        p.add_argument("--method", choices=CLI_METHODS)
+        p.add_argument("--method", choices=factorize.METHODS)
         p.add_argument("--scoring", choices=SCORING_MODES)
         p.add_argument("--budget", choices=BUDGET_MODES)
         p.add_argument("--seed", type=int)

@@ -7,13 +7,15 @@ Three compressed methods are built here, all per kv head:
   stay as parameters).
 * ``palu``: like ``svd`` for keys, but the value-side second factor is folded
   into the output projection, so values never get reconstructed.
-* ``rap-hybrid``: keys keep whole rotation pairs chosen by score (the second
-  factor is a 0/1 expansion kept in index form and absorbed into the query
+* ``rap``: keys keep whole rotation pairs chosen by score (the second factor
+  is a 0/1 expansion kept in index form and absorbed into the query
   projection); values go through the ``palu``-style absorbed SVD.
 
-Ranks are pair-aligned everywhere: a ratio converts to an integer pair count
-``m`` and latent widths are ``2m`` for every method, which keeps the measured
-FLOPs comparison across methods a pure reconstruction-overhead story.
+``METHODS`` names these and ``baseline``, from the CLI flag to manifests and
+checkpoints. Every rank comes from a budget plan, uniform for ``svd`` and
+``palu``: a ratio converts to an integer pair count ``m`` per (layer, side)
+and latent widths are ``2m`` for every method, which keeps the measured FLOPs
+comparison across methods a pure reconstruction-overhead story.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BudgetPlan, round_half_up, uniform_plan
+from .budget import BudgetPlan, uniform_plan
 from .rope import RetainedIndex
 from .scoring import PairScoreTable
 from .toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
 
-METHODS = ("baseline", "svd", "palu", "rap-hybrid")
+METHODS = ("baseline", "svd", "palu", "rap")
 
 
 @dataclass
@@ -121,10 +123,6 @@ def absorb_into_query(w_q: np.ndarray, layer_heads: list[RapHeadFactorization],
     return np.ascontiguousarray(np.concatenate(parts, axis=1))
 
 
-def _pair_count(rho: float, num_pairs: int) -> int:
-    return max(1, round_half_up((1.0 - rho) * num_pairs))
-
-
 @dataclass
 class _LayerBuild:
     """The factors one layer's compression is assembled from."""
@@ -141,28 +139,24 @@ def _plan_builds(model: AttentionModel, method: str, rho: float,
                  plan: BudgetPlan | None) -> tuple[BudgetPlan, list[_LayerBuild]]:
     spec = model.spec
     d = spec.head_dim
-    if method == "rap-hybrid":
-        if plan is None:
-            plan = uniform_plan(d // 2, spec.layers, rho)
-        if scores is None:
-            raise ValueError("rap-hybrid needs pair scores to choose retained pairs")
-        rap = rap_prune(model, scores, plan)
-    else:
+    if method != "rap" or plan is None:
         plan = uniform_plan(d // 2, spec.layers, rho)
+    if method == "rap" and scores is None:
+        raise ValueError("rap needs pair scores to choose retained pairs")
+    rap = rap_prune(model, scores, plan) if method == "rap" else None
 
     builds = []
     for i, layer in enumerate(model.layers):
         w_k = layer.k_map.merged_weight()
         w_v = layer.v_map.merged_weight()
-        if method == "rap-hybrid":
+        if rap is not None:
             k_rap, k_q, k_svd = rap.heads[i], rap.absorbed_q[i], None
-            v_rank = 2 * plan.retained_pairs(i, "v")
         else:
-            rank = 2 * _pair_count(rho, d // 2)
+            k_rank = 2 * plan.retained_pairs(i, "k")
             k_rap, k_q = None, None
-            k_svd = [svd_factor(w_k[:, g * d:(g + 1) * d], rank)
+            k_svd = [svd_factor(w_k[:, g * d:(g + 1) * d], k_rank)
                      for g in range(spec.kv_heads)]
-            v_rank = rank
+        v_rank = 2 * plan.retained_pairs(i, "v")
         v_svd = [svd_factor(w_v[:, g * d:(g + 1) * d], v_rank)
                  for g in range(spec.kv_heads)]
         builds.append(_LayerBuild(k_rap, k_q, k_svd, v_svd,
@@ -187,7 +181,7 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
     """Install a compression method into a fresh model at ratio ``rho``.
 
     ``svd`` and ``palu`` use uniform pair-aligned ranks (no adaptive budget,
-    no whitening); ``rap-hybrid`` follows the plan for both the key pair
+    no whitening); ``rap`` follows the plan for both the key pair
     budget and the value rank, and needs scores to choose which pairs stay.
     """
     if method not in METHODS:
@@ -241,7 +235,7 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
         manifest_layers.append(entry)
 
     manifest = {"method": method, "rho": rho, "layers": manifest_layers}
-    if method == "rap-hybrid":
+    if method == "rap":
         manifest["retained_fraction_mean"] = float(np.mean(
             [len(b.retained) / (d // 2)
              for build in builds for b in build.k_rap]))
@@ -270,7 +264,6 @@ def reconstructed_reference(model: AttentionModel, method: str, rho: float,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     spec = model.spec
-    d = spec.head_dim
     _, builds = _plan_builds(model, method, rho, scores, plan)
     layers = []
     for layer, build in zip(model.layers, builds):
@@ -283,4 +276,4 @@ def reconstructed_reference(model: AttentionModel, method: str, rho: float,
         w_v = np.concatenate([f.a @ f.b for f in build.v_svd], axis=1)
         layers.append(AttentionLayer(layer.proj_q, LinearMap(w_k),
                                      LinearMap(w_v), layer.proj_o))
-    return AttentionModel(spec, model.embedding, layers, method="reference")
+    return AttentionModel(spec, model.embedding, layers)

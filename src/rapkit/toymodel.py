@@ -428,7 +428,27 @@ def _spec_to_json(spec: ModelSpec) -> dict:
     }
 
 
+_INTEGER, _NUMBER = (int, "an integer"), ((int, float), "a number")
+# the JSON fields of a spec, with the types they accept; bools are not numbers
+_SPEC_FIELDS = {"layers": _INTEGER, "query_heads": _INTEGER, "kv_heads": _INTEGER,
+                "head_dim": _INTEGER, "vocab": _INTEGER, "theta_base": _NUMBER,
+                "pairing": (str, "a string"), "seed": _INTEGER}
+
+
 def spec_from_json(data: dict) -> ModelSpec:
+    """The spec ``_spec_to_json`` wrote; ``seed`` may be left out (42).
+
+    A missing, mistyped or unknown field raises a ValueError naming it.
+    """
+    for key in data:
+        if key not in _SPEC_FIELDS:
+            raise ValueError(f"unknown field spec.{key}")
+    for key, (kind, label) in _SPEC_FIELDS.items():
+        if key not in data:
+            if key != "seed":
+                raise ValueError(f"spec.{key} is missing")
+        elif isinstance(data[key], bool) or not isinstance(data[key], kind):
+            raise ValueError(f"spec.{key} must be {label}, got {data[key]!r}")
     scheme = PairingScheme(data["pairing"], data["head_dim"])
     return ModelSpec(
         layers=data["layers"],
@@ -493,6 +513,52 @@ def _numbered(arrays: dict[str, np.ndarray], prefix: str) -> list[np.ndarray]:
     return found
 
 
+def _expected_shapes(spec: ModelSpec, retained_pairs,
+                     given: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
+    """The shape of every array a checkpoint of ``spec`` holds.
+
+    Latent widths come from the header: the retained pair count for rap keys,
+    the reconstruction rows for svd latents, the value map's width otherwise.
+    """
+    dim, d, kv = spec.model_dim, spec.head_dim, spec.kv_heads
+    shapes = {"embedding": (spec.vocab, dim)}
+    for i, retained in enumerate(retained_pairs):
+        k_recon = f"L{i}.k_b0" in given and not retained
+        v_recon = f"L{i}.v_b0" in given
+        k_width = (2 * len(retained[0]) if retained
+                   else given[f"L{i}.k_b0"][0] if k_recon else d)
+        v_width = (given[f"L{i}.v_b0"][0] if v_recon
+                   else given.get(f"L{i}.v", (dim, kv * d))[1] // kv)
+        shapes[f"L{i}.q"] = (dim, spec.query_heads * (k_width if retained else d))
+        shapes[f"L{i}.k"] = (dim, kv * k_width)
+        shapes.update({f"L{i}.k_b{g}": (k_width, d) for g in range(kv) if k_recon})
+        shapes[f"L{i}.v"] = (dim, kv * v_width)
+        shapes.update({f"L{i}.v_b{g}": (v_width, d) for g in range(kv) if v_recon})
+        shapes[f"L{i}.o"] = (spec.query_heads * (d if v_recon else v_width), dim)
+    return shapes
+
+
+def _check_header(path, spec: ModelSpec, header: dict) -> None:
+    """Raise a ValueError naming ``path`` and the header field that does not
+    fit ``spec``: the retained pair lists or an array's shape."""
+    retained = header["retained_pairs"]
+    if len(retained) != spec.layers:
+        raise ValueError(f"{path}: retained_pairs has {len(retained)} layers, "
+                         f"the spec has {spec.layers}")
+    for i, heads in enumerate(retained):
+        if heads is not None and (len(heads) != spec.kv_heads
+                                  or len({len(p) for p in heads}) != 1):
+            raise ValueError(f"{path}: retained_pairs[{i}] must hold "
+                             f"{spec.kv_heads} lists of one length, got {heads}")
+    given = {meta["name"]: (meta["rows"], meta["cols"]) for meta in header["arrays"]}
+    want = _expected_shapes(spec, retained, given)
+    for name in sorted(want.keys() | given.keys()):
+        if want.get(name) != given.get(name):
+            raise ValueError(f"{path}: array {name} has shape "
+                             f"{given.get(name, 'none')}, the spec needs "
+                             f"{want.get(name, 'none')}")
+
+
 def load_model(path) -> AttentionModel:
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
@@ -505,6 +571,7 @@ def load_model(path) -> AttentionModel:
     if len(blob) != expected:
         raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
                          f"the header's arrays need {expected}")
+    _check_header(path, spec, header)
     offset = 0
     arrays: dict[str, np.ndarray] = {}
     for meta in header["arrays"]:

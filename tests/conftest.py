@@ -4,6 +4,11 @@ import pytest
 from rapkit.rope import PairingScheme, RopeConfig
 from rapkit.toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
 
+# The rap method as a parametrize case. Its test id stays "rap-hybrid", the
+# method's earlier name, so every parametrized test keeps the id it is tracked
+# under.
+RAP_CASE = pytest.param("rap", id="rap-hybrid")
+
 
 def make_spec(layers=2, query_heads=4, kv_heads=2, head_dim=8, vocab=64,
               pairing="adjacent", theta_base=10000.0, seed=42) -> ModelSpec:

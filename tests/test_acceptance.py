@@ -69,7 +69,7 @@ def test_criterion_01_commutativity_exactness():
 
 def test_criterion_02_zero_compression_equivalence():
     spec, model, calib, table = default_scored_model()
-    compressed = build_compressed(model, "rap-hybrid", 0.0, scores=table)
+    compressed = build_compressed(model, "rap", 0.0, scores=table)
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(32):
@@ -87,9 +87,9 @@ def test_criterion_03_latent_path_equivalence():
     worst = 0.0
     for rho in (0.1, 0.2, 0.3, 0.4, 0.5):
         plan = allocate(table, rho, "adaptive")
-        compressed = build_compressed(model, "rap-hybrid", rho,
+        compressed = build_compressed(model, "rap", rho,
                                       scores=table, plan=plan)
-        reference = reconstructed_reference(model, "rap-hybrid", rho,
+        reference = reconstructed_reference(model, "rap", rho,
                                             scores=table, plan=plan)
         tokens = rng.integers(0, spec.vocab, size=12).tolist()
         lat = forward_prefill(compressed, tokens).logits
@@ -125,7 +125,7 @@ def test_criterion_05_rap_linear_scaling():
     ok = True
     details = []
     for rho in (0.1, 0.2, 0.3, 0.4, 0.5):
-        compressed = build_compressed(model, "rap-hybrid", rho, scores=table)
+        compressed = build_compressed(model, "rap", rho, scores=table)
         rep = measure_forward(compressed, list(range(16)))
         param_err = abs(rep.params_attn / base_params - (1 - rho))
         flops_err = abs(rep.flops_kvproj_measured / base_flops - (1 - rho))
@@ -142,8 +142,8 @@ def test_criterion_06_method_ordering_and_break_even():
     for rho in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7):
         flops = {m: measure_forward(build_compressed(model, m, rho, scores=table),
                                     tokens).flops_kvproj_total
-                 for m in ("svd", "palu", "rap-hybrid")}
-        ordered = ordered and flops["rap-hybrid"] < flops["palu"] < flops["svd"]
+                 for m in ("svd", "palu", "rap")}
+        ordered = ordered and flops["rap"] < flops["palu"] < flops["svd"]
     svd_even = abs(method_factors("svd", 0.5, 1)["params"] - 1.0)
     palu_even = abs(method_factors("palu", 2.0 / 3.0, 1)["params"] - 1.0)
     ok = ordered and svd_even <= 1e-12 and palu_even <= 1e-12
@@ -285,7 +285,7 @@ def test_criterion_11_kd_recovery():
         model = AttentionModel.build(spec)
         calib = markov_calibration(spec.vocab, count=8, window=32, seed=seed)
         table = pair_scores(estimate_fisher(model, calib), spec.rope.scheme)
-        student = build_compressed(model, "rap-hybrid", 0.3, scores=table)
+        student = build_compressed(model, "rap", 0.3, scores=table)
         before = mean_loss(student, calib)
         trained, _ = distill(model, student, calib,
                              KdConfig(steps=200, seed=seed))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_spec
+from conftest import RAP_CASE, make_spec
 from rapkit.analyze import (CSV_COLUMNS, analytic_kv_projection,
                             baseline_attention_params, baseline_kv_entries,
                             measure_forward, method_factors, reports_to_csv,
@@ -24,7 +24,7 @@ FLOPS_TABLE_M = {
 }
 
 
-def toy_setup(seed=42, rho=0.3, method="rap-hybrid", budget="uniform"):
+def toy_setup(seed=42, rho=0.3, method="rap", budget="uniform"):
     spec = make_spec(seed=seed)
     model = AttentionModel.build(spec)
     calib = markov_calibration(spec.vocab, count=6, window=24, seed=seed)
@@ -94,7 +94,7 @@ def test_baseline_measured_equals_analytic_exactly():
     assert report.params_attn_rel == 1.0
 
 
-@pytest.mark.parametrize("method", ["svd", "palu", "rap-hybrid"])
+@pytest.mark.parametrize("method", ["svd", "palu", RAP_CASE])
 def test_measured_equals_analytic_at_integral_pair_counts(method):
     # rho=0.5 on head_dim 8 gives m=2 of 4 pairs: exactly representable
     spec, model, table, compressed = toy_setup(rho=0.5, method=method)
@@ -110,7 +110,7 @@ def test_rap_attention_params_scale_exactly_with_kept_fraction():
         assert report.kv_entries == (1 - rho) * baseline_kv_entries(spec, 8)
 
 
-@pytest.mark.parametrize("method", ["baseline", "svd", "palu", "rap-hybrid"])
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu", RAP_CASE])
 def test_analytic_params_match_measured_at_integral_ranks(method):
     spec, model, table, compressed = toy_setup(rho=0.5, method=method)
     report = measure_forward(compressed, list(range(8)))
@@ -131,7 +131,7 @@ def test_rap_linear_scaling_within_one_pair_slack():
 
 def test_svd_excess_flops_equal_reconstruction_terms():
     """svd minus rap at equal ranks is exactly the K and V reconstructions."""
-    spec, model, table, rap = toy_setup(rho=0.5, method="rap-hybrid")
+    spec, model, table, rap = toy_setup(rho=0.5, method="rap")
     svd = build_compressed(model, "svd", 0.5)
     s = 12
     tokens = list(range(s))
@@ -156,7 +156,7 @@ def test_decode_reconstruction_cost_grows_with_context():
         forward_decode(compressed, result.cache, 1, tape=tape)
         return tape.flops_by_tag["kv_proj"]
 
-    for method, grows in (("svd", True), ("palu", True), ("rap-hybrid", False)):
+    for method, grows in (("svd", True), ("palu", True), ("rap", False)):
         compressed = build_compressed(model, method, 0.5, scores=table)
         short, long = step_cost(compressed, 4), step_cost(compressed, 16)
         if grows:
@@ -170,10 +170,10 @@ def test_measured_ordering_at_every_ratio():
     tokens = list(range(10))
     for rho in (0.1, 0.2, 0.3, 0.4, 0.5):
         flops = {}
-        for method in ("svd", "palu", "rap-hybrid"):
+        for method in ("svd", "palu", "rap"):
             compressed = build_compressed(model, method, rho, scores=table)
             flops[method] = measure_forward(compressed, tokens).flops_kvproj_total
-        assert flops["rap-hybrid"] < flops["palu"] < flops["svd"]
+        assert flops["rap"] < flops["palu"] < flops["svd"]
 
 
 # -- sweep and serialization -------------------------------------------------------
@@ -209,7 +209,7 @@ def test_csv_schema_and_formatting():
     assert fields[2].isdigit() and fields[3].isdigit() and fields[5].isdigit()
     payload = json.loads(reports_to_json(reports))
     assert payload[0]["method"] == "baseline"
-    assert payload[1]["method"] == "rap-hybrid"
+    assert payload[1]["method"] == "rap"
 
 
 def test_analytic_table_to_three_decimals_via_report_units():

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import make_spec
 from rapkit.cli import RunConfig, ValidationFailure, main
+from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, forward_prefill,
-                             load_model, save_model)
+                             load_model, save_model, spec_from_json)
 
 
 def run(args):
@@ -82,7 +83,7 @@ def test_manifest_audit_at_thirty_percent(tmp_path):
     out = tmp_path / "out"
     assert run(["prune", "--out", out, "--rho", "0.3", "--budget", "uniform"]) == 0
     manifest = read_json(out / "manifest.json")
-    assert manifest["method"] == "rap-hybrid"
+    assert manifest["method"] == "rap"
     slack = 1.0 / 4  # one pair of four per head
     assert abs(manifest["retained_fraction_mean"] - 0.7) <= slack
     budget = read_json(out / "budget.json")
@@ -114,7 +115,7 @@ def test_sweep_contains_every_method(tmp_path):
     assert run(["sweep", "--out", out]) == 0
     rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
     methods = {row.split(",")[0] for row in rows}
-    assert methods == {"baseline", "svd", "palu", "rap-hybrid"}
+    assert methods == {"baseline", "svd", "palu", "rap"}
     assert len(rows) == 4 * 5  # four methods, five default ratios
 
 
@@ -252,3 +253,82 @@ def test_sweep_ratios_share_the_rho_predicate():
     RunConfig(ratios=(0.0, 0.5)).validate()
     with pytest.raises(ValidationFailure, match="rho"):
         RunConfig(rho=1.0).validate()
+
+
+def test_compressed_checkpoint_is_rejected_as_base_model(tmp_path, capsys):
+    assert run(["prune", "--out", tmp_path / "p", "--rho", "0.3"]) == 0
+    compressed = tmp_path / "p" / "compressed.model"
+    legacy = tmp_path / "legacy.model"
+    legacy.write_bytes(compressed.read_bytes().replace(
+        b'"method": "rap"', b'"method": "rap-hybrid"', 1))
+    config = tmp_path / "c.json"
+    for path, method in ((compressed, "rap"), (legacy, "rap-hybrid")):
+        config.write_text(json.dumps({"model": {"path": str(path)},
+                                      "out": str(tmp_path / "o"),
+                                      "kd": {"steps": 0}}))
+        for command in ("report", "prune", "verify", "distill"):
+            assert run([command, "--config", config]) == 1
+            err = capsys.readouterr().err
+            assert "model.path" in err and repr(method) in err, (command, err)
+
+
+def test_prune_rejects_scores_that_do_not_fit_the_model(tmp_path, capsys):
+    small = AttentionModel.build(make_spec(head_dim=4))
+    fitting = json.loads(magnitude_scores(
+        AttentionModel.build(make_spec()), make_spec().rope.scheme).to_json())
+    half_split, missing, extra = (json.loads(json.dumps(fitting)) for _ in range(3))
+    half_split["pairing"] = "half_split"
+    del missing["scores"]["1.v.1"]
+    extra["scores"]["2.k.0"] = extra["scores"]["1.k.0"]
+    cases = ((magnitude_scores(small, small.spec.rope.scheme).to_json(), "head_dim"),
+             (json.dumps(half_split), "pairing"), (json.dumps(missing), "1.v.1"),
+             (json.dumps(extra), "2.k.0"))
+    scores = tmp_path / "scores.json"
+    for text, name in cases:
+        scores.write_text(text)
+        assert run(["prune", "--out", tmp_path / "o", "--rho", "0.3",
+                    "--scores", scores]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err, (name, err)
+    assert not (tmp_path / "o" / "compressed.model").exists()
+
+
+DEFAULT_SPEC_JSON = {"layers": 2, "query_heads": 4, "kv_heads": 2, "head_dim": 8,
+                     "vocab": 64, "theta_base": 10000.0, "pairing": "adjacent",
+                     "seed": 42}
+
+
+def test_model_spec_fields_are_checked_by_name(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    for key, value, name in (("seed", "x", "spec.seed"),
+                             ("pairing", None, "spec.pairing"),
+                             ("layers", 2.0, "spec.layers"),
+                             ("kv_heads", True, "spec.kv_heads"),
+                             ("theta_base", "1e4", "spec.theta_base"),
+                             ("heads", 4, "spec.heads")):
+        spec = dict(DEFAULT_SPEC_JSON)
+        if value is None:
+            del spec[key]
+        else:
+            spec[key] = value
+        config.write_text(json.dumps({"model": {"spec": spec}}))
+        assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err, (key, err)
+    assert not (tmp_path / "o").exists()
+    spec = dict(DEFAULT_SPEC_JSON, theta_base=10000)
+    del spec["seed"]
+    assert spec_from_json(spec) == make_spec()
+
+
+def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    for data, names in (({"kd": {"enabled": "no"}}, ("kd.enabled",)),
+                        ({"calibration": {"cnt": 4}}, ("calibration", "cnt"))):
+        config.write_text(json.dumps(data))
+        assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(n in err for n in names), err
+    assert not (tmp_path / "o").exists()
+    RunConfig(kd_enabled=False, calibration={"count": 4, "window": 8,
+                                             "seed": 1}).validate()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_spec
+from conftest import RAP_CASE, make_spec
 from rapkit.budget import allocate, uniform_plan
 from rapkit.factorize import (build_compressed, rap_prune,
                               reconstructed_reference, svd_factor, top_pairs)
@@ -219,7 +219,7 @@ def test_value_absorption_associativity(rng):
 # -- build_compressed -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["baseline", "svd", "palu", "rap-hybrid"])
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu", RAP_CASE])
 def test_zero_compression_reproduces_baseline_logits(method, rng):
     spec = make_spec(seed=10)
     model = AttentionModel.build(spec)
@@ -231,7 +231,7 @@ def test_zero_compression_reproduces_baseline_logits(method, rng):
     np.testing.assert_allclose(got, base, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("method", ["svd", "palu", "rap-hybrid"])
+@pytest.mark.parametrize("method", ["svd", "palu", RAP_CASE])
 @pytest.mark.parametrize("rho", [0.1, 0.25, 0.5])
 def test_latent_forward_equals_reconstructed_reference(method, rho, rng):
     spec = make_spec(seed=30, pairing="half_split")
@@ -246,7 +246,7 @@ def test_latent_forward_equals_reconstructed_reference(method, rho, rng):
     np.testing.assert_allclose(lat, ref, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("method", ["svd", "palu", "rap-hybrid"])
+@pytest.mark.parametrize("method", ["svd", "palu", RAP_CASE])
 def test_decode_matches_prefill_for_latent_caches(method):
     spec = make_spec(seed=33)
     model = AttentionModel.build(spec)
@@ -269,17 +269,17 @@ def test_svd_forward_flops_exceed_rap_at_equal_ratio():
     table = fisher_table(model)
     tokens = list(range(16))
     flops = {}
-    for method in ("svd", "palu", "rap-hybrid"):
+    for method in ("svd", "palu", "rap"):
         compressed = build_compressed(model, method, 0.3, scores=table)
         flops[method] = forward_prefill(compressed, tokens).tape.flops_by_tag["kv_proj"]
-    assert flops["rap-hybrid"] < flops["palu"] < flops["svd"]
+    assert flops["rap"] < flops["palu"] < flops["svd"]
 
 
 def test_cache_stores_latent_widths():
     spec = make_spec(seed=12)
     model = AttentionModel.build(spec)
     table = fisher_table(model)
-    compressed = build_compressed(model, "rap-hybrid", 0.5, scores=table)
+    compressed = build_compressed(model, "rap", 0.5, scores=table)
     result = forward_prefill(compressed, list(range(8)))
     m = compressed.layers[0].k_retained[0]
     hc = result.cache.heads[0][0]
@@ -299,11 +299,11 @@ def test_compressed_checkpoint_roundtrip(tmp_path):
     spec = make_spec(seed=44, pairing="half_split")
     model = AttentionModel.build(spec)
     table = magnitude_scores(model, spec.rope.scheme)
-    compressed = build_compressed(model, "rap-hybrid", 0.3, scores=table)
+    compressed = build_compressed(model, "rap", 0.3, scores=table)
     path = tmp_path / "compressed.model"
     save_model(compressed, path)
     loaded = load_model(path)
-    assert loaded.method == "rap-hybrid"
+    assert loaded.method == "rap"
     for a, b in zip(compressed.layers, loaded.layers):
         assert [r.pairs for r in a.k_retained] == [r.pairs for r in b.k_retained]
     tokens = [1, 2, 3, 4, 5]

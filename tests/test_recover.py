@@ -21,7 +21,7 @@ def pruned_student(seed=42, rho=0.3):
     model = AttentionModel.build(spec)
     calib = markov_calibration(spec.vocab, count=8, window=32, seed=seed)
     table = pair_scores(estimate_fisher(model, calib), spec.rope.scheme)
-    student = build_compressed(model, "rap-hybrid", rho, scores=table)
+    student = build_compressed(model, "rap", rho, scores=table)
     return model, student, calib
 
 

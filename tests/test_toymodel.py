@@ -1,10 +1,14 @@
 """Toy LM forward paths against a cache-free straight-line reimplementation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import identity_model, make_spec
+from rapkit.factorize import build_compressed
 from rapkit.rope import rotate
+from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, forward_decode,
                              forward_prefill, load_model, loss_ce,
                              markov_calibration, save_model)
@@ -226,3 +230,38 @@ def test_load_model_rejects_trailing_and_missing_bytes(tmp_path):
         actual = len(data) - raw.index(b"\n") - 1
         with pytest.raises(ValueError, match=rf"{name}.*{actual}.*{expected}"):
             load_model(bad)
+
+
+def _rewrite_header(path, target, edit):
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    edit(header)
+    target.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[newline:])
+
+
+def test_load_model_checks_the_header_against_the_spec(tmp_path):
+    model = AttentionModel.build(make_spec(seed=21))
+    compressed = build_compressed(model, "rap", 0.5,
+                                  scores=magnitude_scores(model, model.spec.rope.scheme))
+    path = tmp_path / "rap.model"
+    save_model(compressed, path)
+
+    def swap_shape(name):
+        def edit(header):
+            meta = next(m for m in header["arrays"] if m["name"] == name)
+            meta["rows"], meta["cols"] = meta["cols"], meta["rows"]
+        return edit
+
+    for name, edit, field in (
+            ("layers.bin", lambda h: h["retained_pairs"].pop(), "retained_pairs"),
+            ("heads.bin", lambda h: h["retained_pairs"][1].pop(), r"retained_pairs\[1\]"),
+            ("q.bin", swap_shape("L0.q"), "L0.q"),
+            ("embedding.bin", swap_shape("embedding"), "embedding")):
+        bad = tmp_path / name
+        _rewrite_header(path, bad, edit)
+        with pytest.raises(ValueError, match=rf"{name}.*{field}"):
+            load_model(bad)
+    for method in ("baseline", "svd", "palu"):
+        save_model(build_compressed(model, method, 0.5), path)
+        assert load_model(path).method == method

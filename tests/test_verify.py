@@ -22,7 +22,7 @@ def built_rap_model(seed=3, rho=0.3, pairing="adjacent"):
     model = AttentionModel.build(spec)
     calib = markov_calibration(spec.vocab, count=5, window=20, seed=seed)
     table = pair_scores(estimate_fisher(model, calib), spec.rope.scheme)
-    return build_compressed(model, "rap-hybrid", rho, scores=table), calib, table
+    return build_compressed(model, "rap", rho, scores=table), calib, table
 
 
 # -- commutativity ----------------------------------------------------------------
