@@ -124,8 +124,16 @@ ATTENTION_TAGS = ("attn_q", "kv_proj", "attn_score", "attn_value", "attn_o")
 
 
 def measure_forward(model: AttentionModel, tokens) -> ResourceReport:
-    """Instrumented prefill: counters, cache dims and parameter counts."""
+    """Instrumented prefill: counters, cache dims and parameter counts.
+
+    The analytic columns need the compression ratio, which a compressed model
+    carries only in its ``manifest``; a compressed model without one (such as
+    a loaded checkpoint) raises a ValueError. A baseline model has rho 0.
+    """
     spec = model.spec
+    if model.method != "baseline" and not model.manifest:
+        raise ValueError(f"measure_forward needs the manifest of a {model.method} "
+                         f"model for its rho; a loaded checkpoint has none")
     result = forward_prefill(model, tokens)
     s = len(list(tokens))
     tags = result.tape.flops_by_tag

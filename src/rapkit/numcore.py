@@ -4,9 +4,13 @@ Matrices are plain 2-D, C-contiguous ``numpy.float64`` arrays. A :class:`Tape`
 records a fixed set of primitives (matmul, add, elementwise multiply, row
 softmax, paired rotation, column/row gathers, row appends, cross entropy) so
 that the gradient of any recorded scalar with respect to any registered leaf
-can be replayed. Every matmul recorded on a tape adds
-``2 * rows * cols * inner`` to the tape's FLOPs counter, broken down by an
-optional tag.
+can be replayed. Every matmul run on a tape adds ``2 * rows * cols * inner``
+to the tape's FLOPs counter, broken down by an optional tag.
+
+A non-recording tape (``Tape(record=False)``) runs the same primitives to the
+same values bit for bit and counts the same FLOPs, but keeps nothing: no
+node, no parent, no backward closure. Inference runs on it, so a forward pass
+that needs no gradient holds no intermediate past its last use.
 
 All reductions run in numpy's deterministic single-threaded order, so repeated
 runs over the same inputs are bitwise reproducible.
@@ -90,9 +94,15 @@ class Tape:
     Leaves registered through :meth:`leaf` are deduplicated by name, so a
     weight used twice in one pass (e.g. a tied embedding) accumulates gradient
     from both uses into a single node.
+
+    With ``record=False`` the tape only counts FLOPs: ``nodes`` and ``leaves``
+    stay empty, every primitive returns an unrecorded node (``idx`` -1), and
+    :meth:`leaf` wraps its value as it is, without coercing or checking it.
+    Model weights are checked once, when the model is built or loaded.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.flops: int = 0
@@ -101,12 +111,16 @@ class Tape:
     # -- node creation -----------------------------------------------------
 
     def _record(self, value, parents=(), backward=None, grad_enabled=True, name=None) -> Node:
+        if not self.record:
+            return Node(-1, value, name=name)
         node = Node(len(self.nodes), value, tuple(parents), backward, grad_enabled, name)
         self.nodes.append(node)
         return node
 
     def leaf(self, value, name: str) -> Node:
         """Register (or fetch) a differentiable input by name."""
+        if not self.record:
+            return Node(-1, value, name=name)
         if name in self.leaves:
             existing = self.leaves[name]
             if existing.value is not value and not np.array_equal(existing.value, value):
@@ -252,18 +266,23 @@ class Tape:
 
         return self._record(out, (a,), backward)
 
-    def append_rows(self, past: np.ndarray, new: Node) -> Node:
-        """``new`` stacked below the constant rows ``past`` (a growing cache).
+    def append_rows(self, buffer: np.ndarray, t: int, new: Node) -> Node:
+        """Write ``new`` into rows [t, t+n) of ``buffer``; the result is rows
+        [0, t+n), a view of ``buffer`` (a growing cache written in place).
 
-        Only the appended rows are differentiable; ``past`` was recorded on
-        an earlier tape, if at all.
+        Only the appended rows are differentiable; rows [0, t) were written
+        earlier, on this tape or another. ``buffer`` must hold t+n rows.
         """
-        t = past.shape[0]
+        n = new.value.shape[0]
+        if t + n > buffer.shape[0]:
+            raise ValueError(f"append_rows: rows [{t}, {t + n}) do not fit "
+                             f"a buffer of {buffer.shape[0]}")
+        buffer[t:t + n] = new.value
 
         def backward(g, acc):
             acc(new, g[t:])
 
-        return self._record(np.vstack([past, new.value]), (new,), backward)
+        return self._record(buffer[:t + n], (new,), backward)
 
     def cross_entropy(self, logits: Node, labels: Sequence[int]) -> Node:
         """Mean next-token cross entropy: one row of logits per label."""
@@ -300,6 +319,8 @@ class Tape:
 
     def backward_from(self, output: Node) -> dict[int, np.ndarray]:
         """Gradients of a recorded 1x1 scalar w.r.t. every reachable node."""
+        if not self.record:
+            raise ValueError("a non-recording tape keeps no nodes to differentiate")
         if output.value.shape != (1, 1):
             raise ValueError("backward_from expects a scalar (1x1) output node")
         grads: dict[int, np.ndarray] = {output.idx: np.ones((1, 1))}
@@ -327,7 +348,7 @@ def grad(tape: Tape, output: Node, leaf: Node) -> Matrix:
 def gradients(tape: Tape, output: Node, leaves: Iterable[Node]) -> list[Matrix]:
     leaves = list(leaves)
     for leaf in leaves:
-        if leaf.idx >= len(tape.nodes) or tape.nodes[leaf.idx] is not leaf:
+        if not 0 <= leaf.idx < len(tape.nodes) or tape.nodes[leaf.idx] is not leaf:
             raise ValueError("leaf is not a node of this tape")
     table = tape.backward_from(output)
     return [table.get(leaf.idx, np.zeros_like(leaf.value)) for leaf in leaves]

@@ -201,6 +201,13 @@ class DistillationDiverged(RuntimeError):
         self.trace = trace
 
 
+class PretrainDiverged(RuntimeError):
+    def __init__(self, step: int, name: str):
+        super().__init__(f"weight {name} became non-finite at step {step}")
+        self.step = step
+        self.name = name
+
+
 def trace_to_csv(trace: list[TraceRow]) -> str:
     lines = ["step,ce,kd,total"]
     for row in trace:
@@ -283,6 +290,7 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
     stability across seeds; heavy-ball momentum is available for runs that
     must actually converge rather than just improve. ``only`` restricts the
     update to the named weights (e.g. ["L0.k"]) with the rest held fixed.
+    An update that leaves a weight non-finite raises :class:`PretrainDiverged`.
     """
     trained = _replace_maps(model, lambda m: LinearMap(m.merged_weight().copy()))
     trained.embedding = model.embedding.copy()
@@ -309,6 +317,8 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
         for name in names:
             velocity[name] = momentum * velocity[name] + scale * acc[name]
             weights[name] -= velocity[name]
+            if not np.all(np.isfinite(weights[name])):
+                raise PretrainDiverged(step, name)
     return trained
 
 

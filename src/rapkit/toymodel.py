@@ -10,6 +10,16 @@ positions [t, t+n) to each kv head's cache and attends over the whole cache
 with a causal mask offset by t. Prefill is n = S on an empty cache, decode is
 n = 1, so decode reproduces the matching prefill row by construction.
 
+Each kv head caches its keys and values in row buffers written in place. A
+pass that needs more rows than a buffer holds first grows it to the larger of
+the rows needed and twice its capacity, copying the cached rows once; so a
+prefill of S rows fills buffers of S rows exactly, the first decode step
+doubles them, and T decode steps copy O(T) rows in total instead of O(T^2).
+
+Without a caller tape, a forward pass runs on a non-recording tape: it counts
+FLOPs and keeps no autodiff record. That is why weights are checked once,
+when a model is built or loaded, and not at every pass.
+
 Each layer can run with full-dimension keys/values or with latent (compressed)
 ones:
 
@@ -120,6 +130,12 @@ class AttentionLayer:
     v_recon: list[np.ndarray] | None = None   # per kv head, (v_width x D)
     k_retained: list[RetainedIndex] | None = None  # per kv head, rap mode
 
+    def __post_init__(self):
+        if self.k_recon is not None:
+            self.k_recon = [as_matrix(b) for b in self.k_recon]
+        if self.v_recon is not None:
+            self.v_recon = [as_matrix(b) for b in self.v_recon]
+
     @property
     def k_mode(self) -> str:
         if self.k_retained is not None:
@@ -174,10 +190,23 @@ class AttentionModel:
         return self.attention_params() + int(self.embedding.size)
 
 
-@dataclass
 class HeadCache:
-    k: np.ndarray  # (t, k_store_width)
-    v: np.ndarray  # (t, v_store_width)
+    """One kv head's cached rows: ``k`` and ``v`` view the first t rows of
+    the buffers ``k_buf`` and ``v_buf``."""
+
+    def __init__(self, k_width: int, v_width: int):
+        self.k_buf = self.k = np.empty((0, k_width))  # (capacity, k_store_width)
+        self.v_buf = self.v = np.empty((0, v_width))  # (capacity, v_store_width)
+
+
+def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:
+    """``buf`` if it holds ``rows`` rows, else a buffer of max(rows, twice its
+    capacity) rows holding a copy of its first t rows."""
+    if rows <= buf.shape[0]:
+        return buf
+    out = np.empty((max(rows, 2 * buf.shape[0]), buf.shape[1]))
+    out[:t] = buf[:t]
+    return out
 
 
 class KvCache:
@@ -190,11 +219,15 @@ class KvCache:
         for layer in model.layers:
             kw = layer.k_map.weight.shape[1] // spec.kv_heads
             vw = layer.v_map.weight.shape[1] // spec.kv_heads
-            self.heads.append([
-                HeadCache(np.zeros((0, kw)), np.zeros((0, vw)))
-                for _ in range(spec.kv_heads)
-            ])
+            self.heads.append([HeadCache(kw, vw) for _ in range(spec.kv_heads)])
         self.length = 0
+
+    def reserve(self, rows: int):
+        """Make every buffer hold ``rows`` rows, doubling the ones that do not."""
+        for layer in self.heads:
+            for hc in layer:
+                hc.k_buf = _grown(hc.k_buf, self.length, rows)
+                hc.v_buf = _grown(hc.v_buf, self.length, rows)
 
     def entries(self) -> int:
         """Total cached scalars at the current length."""
@@ -221,11 +254,6 @@ def _causal_mask(n: int, t: int) -> np.ndarray:
     return mask
 
 
-def _rotate_node(tape: Tape, node: Node, cfg: RopeConfig, cos, sin,
-                 retained: RetainedIndex | None) -> Node:
-    return tape.rotate_pairs(node, *rotation_args(cfg, cos, sin, retained))
-
-
 def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
                 cos, sin, mask_node: Node | None, cache: KvCache,
                 probs_out: list | None) -> Node:
@@ -247,25 +275,29 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     qw = q_all.value.shape[1] // spec.query_heads
     kw = k_all.value.shape[1] // spec.kv_heads
     vw = v_all.value.shape[1] // spec.kv_heads
+    # the new rows' rotation, shared by a kv head and its query heads
+    rot_new = [rotation_args(spec.rope, cos[t:], sin[t:], r) for r in retained]
 
-    keys, values = [], []
+    keys_t, values = [], []  # per kv head: transposed keys, values
     for g in range(spec.kv_heads):
         hc = cache.heads[idx][g]
         k_g = tape.gather_cols(k_all, range(g * kw, (g + 1) * kw))
         if layer.k_mode == "svd":
             # latents are cached unrotated: rebuild every cached key, then rotate
-            latents = tape.append_rows(hc.k, k_g)
+            latents = tape.append_rows(hc.k_buf, t, k_g)
             hc.k = latents.value
             recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
             k_full = tape.matmul(latents, recon, tag="kv_proj")
-            keys.append(_rotate_node(tape, k_full, spec.rope, cos, sin, None))
+            keys = tape.rotate_pairs(k_full, *rotation_args(spec.rope, cos, sin))
         else:
-            k_new = _rotate_node(tape, k_g, spec.rope, cos[t:], sin[t:], retained[g])
-            keys.append(tape.append_rows(hc.k, k_new))
-            hc.k = keys[-1].value
+            k_new = tape.rotate_pairs(k_g, *rot_new[g])
+            keys = tape.append_rows(hc.k_buf, t, k_new)
+            hc.k = keys.value
+        # one transpose serves every query head of the group
+        keys_t.append(tape.transpose(keys))
 
         v_g = tape.gather_cols(v_all, range(g * vw, (g + 1) * vw))
-        v_cached = tape.append_rows(hc.v, v_g)
+        v_cached = tape.append_rows(hc.v_buf, t, v_g)
         hc.v = v_cached.value
         if layer.v_recon is not None:
             recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
@@ -276,13 +308,14 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     for h in range(spec.query_heads):
         g = h // spec.group_size
         q_h = tape.gather_cols(q_all, range(h * qw, (h + 1) * qw))
-        q_rot = _rotate_node(tape, q_h, spec.rope, cos[t:], sin[t:], retained[g])
-        scores = tape.matmul(q_rot, tape.transpose(keys[g]), tag="attn_score")
+        q_rot = tape.rotate_pairs(q_h, *rot_new[g])
+        scores = tape.matmul(q_rot, keys_t[g], tag="attn_score")
         scores = tape.scale(scores, inv_sqrt_d)
         if mask_node is not None:
             scores = tape.add(scores, mask_node)
         probs = tape.row_softmax(scores)
-        layer_probs.append(probs.value)
+        if probs_out is not None:
+            layer_probs.append(probs.value)
         outs.append(tape.matmul(probs, values[g], tag="attn_value"))
     if probs_out is not None:
         probs_out.append(layer_probs)
@@ -307,6 +340,7 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     t, n = cache.length, len(toks)
     cos, sin = spec.rope.angle_tables(range(t + n))
     mask_node = tape.constant(_causal_mask(n, t)) if n > 1 else None
+    cache.reserve(t + n)
 
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
@@ -318,9 +352,13 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
 
 def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
                     collect_probs: bool = False) -> PrefillResult:
-    """Run causal attention over the whole sequence, filling a fresh cache."""
+    """Run causal attention over the whole sequence, filling a fresh cache.
+
+    Without ``tape`` the pass runs on a non-recording tape: the result's
+    ``tape`` carries the FLOP counts and no nodes.
+    """
     toks = _check_tokens(model.spec, tokens)
-    tape = tape if tape is not None else Tape()
+    tape = tape if tape is not None else Tape(record=False)
     cache = KvCache(model)
     probs_out: list | None = [] if collect_probs else None
     logits_node = _forward(model, cache, toks, tape, probs_out)
@@ -330,11 +368,12 @@ def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
 
 def forward_decode(model: AttentionModel, cache: KvCache, token: int,
                    tape: Tape | None = None) -> tuple[Matrix, KvCache]:
-    """Append one token to the cache and return the next-token logits."""
+    """Append one token to the cache and return the next-token logits; without
+    ``tape`` the step runs on a non-recording tape."""
     if cache.model is not model:
         raise ValueError("cache was built for a different model")
     toks = _check_tokens(model.spec, [token])
-    tape = tape if tape is not None else Tape()
+    tape = tape if tape is not None else Tape(record=False)
     logits_node = _forward(model, cache, toks, tape, None)
     return logits_node.value.copy(), cache
 
@@ -353,7 +392,7 @@ def loss_forward(model: AttentionModel, tokens,
 
 
 def loss_ce(model: AttentionModel, tokens) -> float:
-    loss, _ = loss_forward(model, tokens)
+    loss, _ = loss_forward(model, tokens, Tape(record=False))
     return float(loss.value[0, 0])
 
 

@@ -12,7 +12,8 @@ from rapkit.analyze import (CSV_COLUMNS, analytic_kv_projection,
                             reports_to_json, sweep)
 from rapkit.factorize import build_compressed
 from rapkit.scoring import estimate_fisher, pair_scores
-from rapkit.toymodel import AttentionModel, markov_calibration
+from rapkit.toymodel import (AttentionModel, load_model, markov_calibration,
+                             save_model)
 
 # KV-projection-only per-head per-token FLOPs at H=32, D=128 (published table)
 FLOPS_TABLE_M = {
@@ -219,3 +220,16 @@ def test_analytic_table_to_three_decimals_via_report_units():
         for method, expected in row.items():
             got = analytic_kv_projection(method, 1 - rho, 32, 128)["flops"] / 1e6
             assert got == pytest.approx(expected, abs=5e-4)
+
+
+def test_measure_forward_rejects_a_compressed_model_without_manifest(tmp_path):
+    """A loaded checkpoint carries no rho; guessing 0 would compute every
+    analytic column at r = 1."""
+    spec, model, _, compressed = toy_setup()
+    tokens = list(range(8))
+    path = tmp_path / "rap.model"
+    save_model(compressed, path)
+    with pytest.raises(ValueError, match="manifest"):
+        measure_forward(load_model(path), tokens)
+    save_model(model, path)
+    assert measure_forward(load_model(path), tokens).rho == 0.0

@@ -67,6 +67,18 @@ def test_gradients_rejects_foreign_leaf(rng):
         gradients(t1, s, [b])
 
 
+def test_non_recording_tape_counts_flops_and_keeps_nothing(rng):
+    t = Tape(record=False)
+    a = t.leaf(rng.normal(size=(2, 3)), "a")
+    s = t.sum_all(t.matmul(a, t.leaf(rng.normal(size=(3, 2)), "b"), tag="x"))
+    assert t.flops_by_tag == {"x": 2 * 2 * 2 * 3}
+    assert t.nodes == [] and t.leaves == {}
+    with pytest.raises(ValueError):
+        gradients(t, s, [a])
+    with pytest.raises(ValueError, match="non-recording"):
+        t.backward_from(s)
+
+
 def _fd_check(build, arrays, rtol=1e-4, atol=1e-8):
     """build(tape, leaves) -> scalar node; FD each array and compare."""
     def value(arrs):
@@ -155,13 +167,18 @@ def test_fd_rotate_pairs_partial_coverage(rng):
 def test_fd_append_rows(rng):
     # the cached rows are constants; only the appended rows get a gradient
     past = rng.normal(size=(4, 3))
+    buffer = np.full((8, 3), np.nan)   # spare rows must never be read
+    buffer[:4] = past
     arrays = {"a": rng.normal(size=(2, 3))}
     r = rng.normal(size=(6, 3))
-    _fd_check(lambda t, lv: t.sum_all(t.mul(t.append_rows(past, lv["a"]),
+    _fd_check(lambda t, lv: t.sum_all(t.mul(t.append_rows(buffer, 4, lv["a"]),
                                             t.constant(r))), arrays)
     t = Tape()
-    stacked = t.append_rows(past, t.leaf(arrays["a"], "a"))
+    stacked = t.append_rows(buffer, 4, t.leaf(arrays["a"], "a"))
     np.testing.assert_array_equal(stacked.value, np.vstack([past, arrays["a"]]))
+    assert np.shares_memory(stacked.value, buffer)
+    with pytest.raises(ValueError):
+        t.append_rows(buffer, 7, t.leaf(arrays["a"], "a"))
 
 
 def test_fd_cross_entropy_and_means(rng):

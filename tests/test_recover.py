@@ -7,8 +7,9 @@ from conftest import make_spec
 from rapkit.factorize import build_compressed
 from rapkit.numcore import Tape
 from rapkit.recover import (DistillationDiverged, KdConfig, LoraLinear,
-                            adapter_params, attach_adapters, distill, kd_loss,
-                            kd_loss_parts, merge_adapters, trace_to_csv)
+                            PretrainDiverged, adapter_params, attach_adapters,
+                            distill, kd_loss, kd_loss_parts, merge_adapters,
+                            pretrain, trace_to_csv)
 from rapkit.scoring import estimate_fisher, pair_scores
 from rapkit.toymodel import (AttentionModel, forward_prefill,
                              markov_calibration, mean_loss)
@@ -131,6 +132,15 @@ def test_divergence_aborts_with_trace():
     with pytest.raises(DistillationDiverged) as err:
         distill(teacher, student, calib, cfg)
     assert len(err.value.trace) >= 1
+
+
+def test_pretrain_divergence_names_step_and_weight():
+    # the first step leaves finite weights near 1e308; the second overflows
+    model = AttentionModel.build(make_spec(seed=3))
+    calib = markov_calibration(model.spec.vocab, count=4, window=8, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            PretrainDiverged, match=r"weight \S+ became non-finite at step 1"):
+        pretrain(model, calib, steps=2, lr=1e308)
 
 
 def test_trace_csv_format():

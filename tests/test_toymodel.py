@@ -1,17 +1,20 @@
 """Toy LM forward paths against a cache-free straight-line reimplementation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import identity_model, make_spec
-from rapkit.factorize import build_compressed
+from rapkit.analyze import baseline_kv_entries
+from rapkit.factorize import METHODS, build_compressed
+from rapkit.numcore import Tape
 from rapkit.rope import rotate
 from rapkit.scoring import magnitude_scores
-from rapkit.toymodel import (AttentionModel, LinearMap, forward_decode,
-                             forward_prefill, load_model, loss_ce,
-                             markov_calibration, save_model)
+from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
+                             forward_decode, forward_prefill, load_model,
+                             loss_ce, markov_calibration, save_model)
 
 
 def straight_line_logits(model: AttentionModel, tokens) -> np.ndarray:
@@ -265,3 +268,78 @@ def test_load_model_checks_the_header_against_the_spec(tmp_path):
     for method in ("baseline", "svd", "palu"):
         save_model(build_compressed(model, method, 0.5), path)
         assert load_model(path).method == method
+
+
+def _compressed(method, seed=33):
+    model = AttentionModel.build(make_spec(seed=seed))
+    if method == "baseline":
+        return model
+    return build_compressed(model, method, 0.5,
+                            scores=magnitude_scores(model, model.spec.rope.scheme))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_inference_without_a_tape_matches_a_recording_tape(method):
+    """Same logits bit for bit and same FLOPs; the inference tape keeps nothing."""
+    model = _compressed(method)
+    tokens = [4, 40, 11, 2, 59, 23, 8, 17, 33, 1, 60]
+    runs = []
+    for tape in (None, Tape()):
+        result = forward_prefill(model, tokens[:5], tape=tape)
+        logits, cache = [result.logits], result.cache
+        for tok in tokens[5:]:
+            step, cache = forward_decode(model, cache, tok, tape=result.tape)
+            logits.append(step)
+        runs.append((logits, result.tape))
+    (quiet_logits, quiet), (recorded_logits, recorded) = runs
+    for a, b in zip(quiet_logits, recorded_logits):
+        np.testing.assert_array_equal(a, b)
+    assert quiet.flops_by_tag == recorded.flops_by_tag
+    assert len(quiet.nodes) == 0 and not quiet.leaves
+    assert len(recorded.nodes) > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_decode_across_cache_doublings(method):
+    """Buffers of 3 rows double to 24 over 10 decode steps without changing a
+    logit; the cache still holds the closed-form number of entries."""
+    model = _compressed(method)
+    tokens = [4, 40, 11, 2, 59, 23, 8, 17, 33, 1, 60, 5, 9]
+    grown = forward_prefill(model, tokens[:3]).cache
+    reserved = forward_prefill(model, tokens[:3]).cache
+    reserved.reserve(len(tokens))
+    for tok in tokens[3:]:
+        logits, grown = forward_decode(model, grown, tok)
+        expected, reserved = forward_decode(model, reserved, tok)
+    assert grown.heads[0][0].k_buf.shape[0] == 24
+    np.testing.assert_array_equal(logits, expected)
+    full = forward_prefill(model, tokens)
+    np.testing.assert_allclose(logits[0], full.logits[-1], rtol=0, atol=1e-10)
+    retained = 1.0 if method == "baseline" else 0.5
+    assert grown.entries() == baseline_kv_entries(model.spec, len(tokens)) * retained
+    assert grown.entries() == full.cache.entries()
+
+
+def test_inference_prefill_holds_a_fraction_of_a_recorded_one():
+    """Without a tape a prefill keeps no intermediate past its last use: its
+    traced peak stays under a quarter of a recording prefill's."""
+    model = AttentionModel.build(make_spec(layers=4, query_heads=16, kv_heads=4,
+                                           head_dim=64, vocab=512))
+    tokens = list(range(256))
+    peaks = []
+    for tape in (None, Tape()):
+        tracemalloc.start()
+        try:
+            forward_prefill(model, tokens, tape=tape)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 4, peaks
+
+
+def test_reconstruction_factors_are_checked_when_a_layer_is_built():
+    eye = LinearMap(np.eye(4))
+    with pytest.raises(ValueError, match="finite"):
+        AttentionLayer(eye, eye, eye, eye, k_recon=[np.array([[np.nan, 1.0]])])
+    with pytest.raises(ValueError):
+        AttentionLayer(eye, eye, eye, eye, v_recon=[np.zeros((2, 2, 2))])
