@@ -11,8 +11,8 @@ scaling) with executable checks.
 
 from .analyze import ResourceReport, analytic_kv_projection, measure_forward, sweep
 from .budget import BudgetPlan, allocate, sensitivity_scan, uniform_plan
-from .factorize import (RapFactorization, SvdFactorization, build_compressed,
-                        rap_prune, reconstructed_reference, svd_factor)
+from .factorize import (HeadFactor, build_compressed, reconstructed_reference,
+                        svd_factor)
 from .numcore import Matrix, Tape, grad, gradients
 from .recover import KdConfig, distill, kd_loss, merge_adapters, pretrain
 from .rope import PairingScheme, RetainedIndex, RopeConfig, rotate, rotate_indexed

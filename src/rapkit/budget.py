@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scoring import PairScoreTable
+from .toymodel import check_json_fields
 
 PROJECTION_TOL = 1e-9
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"
+# the JSON fields from_json reads; to_json's derived means are not read back
+_PLAN_FIELDS = {"rho": float, "mode": str, "num_pairs": int, "groups": list}
+_GROUP_FIELDS = {"layer": int, "side": str, "ratio": float, "raw_ratio": float,
+                 "retained_pairs": int}
 
 
 class InfeasibleBudget(ValueError):
@@ -108,10 +113,17 @@ class BudgetPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "BudgetPlan":
-        data = json.loads(text)
+        """The plan ``to_json`` wrote; a malformed field raises a ValueError naming it."""
+        data = check_json_fields("plan", json.loads(text), _PLAN_FIELDS)
         ratios, raw, counts = {}, {}, {}
-        for g in data["groups"]:
+        for i, g in enumerate(data["groups"]):
+            name = f"plan.groups[{i}]"
+            check_json_fields(name, g, _GROUP_FIELDS)
             key = (g["layer"], g["side"])
+            if key in ratios:
+                raise ValueError(f"{name} repeats group {key[0]}.{key[1]}")
+            if not 0.0 <= g["ratio"] <= 1.0:
+                raise ValueError(f"{name}.ratio must be in [0, 1], got {g['ratio']!r}")
             ratios[key] = g["ratio"]
             raw[key] = g["raw_ratio"]
             counts[key] = g["retained_pairs"]

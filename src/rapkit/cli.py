@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analyze, budget, factorize, recover, scoring, toymodel, verify
+from .toymodel import check_json_type
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -33,18 +34,7 @@ class ValidationFailure(ValueError):
     pass
 
 
-# the JSON kind a config value of each type must have: ints count as
-# numbers, bools count only as booleans
-_JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
-               float: ("a number", (int, float)), dict: ("an object", dict),
-               tuple: ("a list", (list, tuple)), bool: ("a boolean", bool)}
 CALIBRATION_KEYS = ("count", "window", "seed")
-
-
-def _check_type(name: str, value, kind: type):
-    label, accepted = _JSON_KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValidationFailure(f"{name} must be {label}, got {value!r}")
 
 
 def _is_ratio(value) -> bool:
@@ -76,13 +66,13 @@ class RunConfig:
             if not path.exists():
                 raise ValidationFailure(f"config file not found: {path}")
             data = json.loads(path.read_text())
-            _check_type("config", data, dict)
+            check_json_type("config", data, dict)
             model = data.get("model", {})
-            _check_type("model", model, dict)
+            check_json_type("model", model, dict)
             cfg.model_path = model.get("path")
             cfg.model_spec = model.get("spec")
             kd = data.get("kd", {})
-            _check_type("kd", kd, dict)
+            check_json_type("kd", kd, dict)
             kd = dict(kd)
             cfg.kd_enabled = kd.pop("enabled", True)
             cfg.kd = kd
@@ -101,25 +91,25 @@ class RunConfig:
         for name, kind in (("method", str), ("rho", float), ("scoring", str),
                            ("budget", str), ("seed", int), ("out", str),
                            ("seq_len", int), ("calibration", dict), ("kd", dict),
-                           ("ratios", tuple)):
-            _check_type(name, getattr(self, name), kind)
-        _check_type("kd.enabled", self.kd_enabled, bool)
+                           ("ratios", list)):
+            check_json_type(name, getattr(self, name), kind)
+        check_json_type("kd.enabled", self.kd_enabled, bool)
         for key, value in self.calibration.items():
             if key not in CALIBRATION_KEYS:
                 raise ValidationFailure(f"unknown calibration setting {key!r}")
-            _check_type(f"calibration.{key}", value, int)
+            check_json_type(f"calibration.{key}", value, int)
         kd_kinds = {f.name: type(f.default) for f in fields(recover.KdConfig)
                     if f.name != "seed"}
         for key, value in self.kd.items():
             if key not in kd_kinds:
                 raise ValidationFailure(f"unknown kd setting {key!r}")
-            _check_type(f"kd.{key}", value, kd_kinds[key])
+            check_json_type(f"kd.{key}", value, kd_kinds[key])
         for i, ratio in enumerate(self.ratios):
-            _check_type(f"ratios[{i}]", ratio, float)
+            check_json_type(f"ratios[{i}]", ratio, float)
         if self.model_path is not None:
-            _check_type("model.path", self.model_path, str)
+            check_json_type("model.path", self.model_path, str)
         if self.model_spec is not None:
-            _check_type("model.spec", self.model_spec, dict)
+            check_json_type("model.spec", self.model_spec, dict)
             try:
                 toymodel.spec_from_json(self.model_spec)
             except ValueError as exc:
@@ -190,14 +180,33 @@ def _load_scores(path: Path, model) -> scoring.PairScoreTable:
         if got != want:
             raise ValidationFailure(
                 f"{path}: scores have {name} {got!r}, the model has {want!r}")
-    expected = {(l, s, h) for l, s in scoring.default_targets(model)
-                for h in range(spec.kv_heads)}
-    for label, keys in (("missing", expected - set(table.keys())),
-                        ("unexpected", set(table.keys()) - expected)):
-        if keys:
-            raise ValidationFailure(f"{path}: {label} score keys " + ", ".join(
-                f"{l}.{s}.{h}" for l, s, h in sorted(keys)))
+    _check_keys(path, "score keys", set(table.keys()),
+                {(l, s, h) for l, s in scoring.default_targets(model)
+                 for h in range(spec.kv_heads)})
     return table
+
+
+def _load_plan(path: Path, model) -> budget.BudgetPlan:
+    """A budget plan JSON, checked against ``model`` as scores are."""
+    plan = budget.BudgetPlan.from_json(path.read_text())
+    half = model.spec.head_dim // 2
+    if plan.num_pairs != half:
+        raise ValidationFailure(
+            f"{path}: the plan has num_pairs {plan.num_pairs}, the model has {half}")
+    _check_keys(path, "plan groups", set(plan.groups()),
+                set(scoring.default_targets(model)))
+    for (l, s), m in sorted(plan.pair_counts.items()):
+        if not 1 <= m <= half:
+            raise ValidationFailure(
+                f"{path}: plan group {l}.{s} retains {m} pairs, outside [1, {half}]")
+    return plan
+
+
+def _check_keys(path: Path, what: str, got: set, expected: set):
+    for label, keys in (("missing", expected - got), ("unexpected", got - expected)):
+        if keys:
+            raise ValidationFailure(f"{path}: {label} {what} " + ", ".join(
+                ".".join(map(str, key)) for key in sorted(keys)))
 
 
 def _score_summary(table: scoring.PairScoreTable) -> dict:
@@ -227,16 +236,22 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
               plan_path: str | None = None) -> int:
     model = cfg.build_model()
+    plan = None
+    if plan_path:
+        plan = _load_plan(Path(plan_path), model)
+        if factorize.applied_plan(model.spec, cfg.method, cfg.rho, plan) is not plan:
+            raise ValidationFailure(f"--plan would be ignored: method {cfg.method} "
+                                    "always uses the uniform plan")
     table = (_load_scores(Path(scores_path), model) if scores_path
              else _compute_scores(cfg, model))
-    try:
-        if plan_path:
-            plan = budget.BudgetPlan.from_json(Path(plan_path).read_text())
-        else:
+    if plan is None:
+        try:
             plan = budget.allocate(table, cfg.rho, cfg.budget)
-    except budget.InfeasibleBudget as exc:
-        print(f"error: infeasible budget: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
+        except budget.InfeasibleBudget as exc:
+            print(f"error: infeasible budget: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILURE
+    # budget.json records the plan the build follows
+    plan = factorize.applied_plan(model.spec, cfg.method, cfg.rho, plan)
     compressed = factorize.build_compressed(model, cfg.method, cfg.rho,
                                             scores=table, plan=plan)
     out = cfg.out_dir()
@@ -384,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-    except (ValidationFailure, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ValidationFailure, JSON syntax and type errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

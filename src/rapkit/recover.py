@@ -234,6 +234,9 @@ def distill(teacher: AttentionModel, student: AttentionModel,
     """
     if not any(_adapters(student)):
         student = attach_adapters(student, cfg)
+    # the teacher is frozen: one prefill per window that a batch will pick
+    teacher_preds = [forward_prefill(teacher, seq).logits[:-1, :]
+                     for seq in calib.sequences[:cfg.steps * cfg.batch_size]]
     trace: list[TraceRow] = []
     set_training(student, True)
     try:
@@ -245,13 +248,12 @@ def distill(teacher: AttentionModel, student: AttentionModel,
             for seq_idx in picks:
                 seq = list(calib.sequences[seq_idx])
                 labels = seq[1:]
-                teacher_pred = forward_prefill(teacher, seq).logits[:-1, :]
                 tape = Tape()
                 result = forward_prefill(student, seq, tape=tape)
                 student_pred = tape.gather_rows(result.logits_node,
                                                 range(len(seq) - 1))
-                loss, ce, kd = _kd_loss_node(tape, teacher_pred, student_pred,
-                                             labels, cfg)
+                loss, ce, kd = _kd_loss_node(tape, teacher_preds[seq_idx],
+                                             student_pred, labels, cfg)
                 ce_sum += ce
                 kd_sum += kd
                 total_sum += float(loss.value[0, 0])

@@ -16,7 +16,8 @@ import numpy as np
 
 from .numcore import gradients
 from .rope import PairingScheme
-from .toymodel import AttentionModel, CalibrationSet, loss_forward
+from .toymodel import (AttentionModel, CalibrationSet, check_json_fields,
+                       check_json_type, loss_forward)
 
 KEY_SIDE = "k"
 VALUE_SIDE = "v"
@@ -90,8 +91,8 @@ class PairScoreTable:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.num_pairs,):
             raise ValueError("one score per pair required")
-        if np.any(values < 0):
-            raise ValueError("pair scores must be non-negative")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("pair scores must be finite and non-negative")
         self.scores[(layer, side, head)] = values
 
     def get(self, layer: int, side: str, head: int) -> np.ndarray:
@@ -127,11 +128,25 @@ class PairScoreTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PairScoreTable":
-        data = json.loads(text)
+        """The table ``to_json`` wrote; a malformed field raises a ValueError naming it."""
+        data = check_json_fields("scores", json.loads(text),
+                                 {"head_dim": int, "pairing": str, "scores": dict})
         table = cls(head_dim=data["head_dim"], pairing=data["pairing"])
         for key, values in data["scores"].items():
-            l, s, h = key.split(".")
-            table.set(int(l), s, int(h), np.asarray(values))
+            name = f"scores.scores[{key!r}]"
+            parts = key.split(".")
+            if len(parts) != 3 or not (parts[0].isdecimal() and parts[2].isdecimal()):
+                raise ValueError(f"{name}: a key must be layer.side.head")
+            head = (int(parts[0]), parts[1], int(parts[2]))
+            if head in table.scores:
+                raise ValueError(f"{name} repeats head {head}")
+            check_json_type(name, values, list)
+            for i, v in enumerate(values):
+                check_json_type(f"{name}[{i}]", v, float)
+            try:
+                table.set(*head, np.asarray(values, dtype=np.float64))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
         return table
 
 

@@ -260,7 +260,8 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
-    cached ones; ``cos``/``sin`` cover positions [0, t+n) and ``mask_node``
+    cached ones; ``cos``/``sin`` end at position t+n-1, and start at 0 when
+    the model has svd layers, which rotate every cached key. ``mask_node``
     (None for a single row) hides later new rows from earlier ones.
     """
     spec = model.spec
@@ -276,7 +277,8 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     kw = k_all.value.shape[1] // spec.kv_heads
     vw = v_all.value.shape[1] // spec.kv_heads
     # the new rows' rotation, shared by a kv head and its query heads
-    rot_new = [rotation_args(spec.rope, cos[t:], sin[t:], r) for r in retained]
+    n = x.value.shape[0]
+    rot_new = [rotation_args(spec.rope, cos[-n:], sin[-n:], r) for r in retained]
 
     keys_t, values = [], []  # per kv head: transposed keys, values
     for g in range(spec.kv_heads):
@@ -338,7 +340,9 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     """Logits node of ``toks`` appended to ``cache`` at positions [t, t+n)."""
     spec = model.spec
     t, n = cache.length, len(toks)
-    cos, sin = spec.rope.angle_tables(range(t + n))
+    # only svd layers rotate cached rows, so only they need angles before t
+    start = 0 if any(layer.k_mode == "svd" for layer in model.layers) else t
+    cos, sin = spec.rope.angle_tables(range(start, t + n))
     mask_node = tape.constant(_causal_mask(n, t)) if n > 1 else None
     cache.reserve(t + n)
 
@@ -467,11 +471,33 @@ def _spec_to_json(spec: ModelSpec) -> dict:
     }
 
 
-_INTEGER, _NUMBER = (int, "an integer"), ((int, float), "a number")
-# the JSON fields of a spec, with the types they accept; bools are not numbers
-_SPEC_FIELDS = {"layers": _INTEGER, "query_heads": _INTEGER, "kv_heads": _INTEGER,
-                "head_dim": _INTEGER, "vocab": _INTEGER, "theta_base": _NUMBER,
-                "pairing": (str, "a string"), "seed": _INTEGER}
+# the JSON kind a value of each Python type must have: ints count as
+# numbers, bools count only as booleans
+_JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
+               float: ("a number", (int, float)), dict: ("an object", dict),
+               list: ("a list", (list, tuple)), bool: ("a boolean", bool)}
+
+
+def check_json_type(name: str, value, kind: type):
+    """Raise a ValueError naming ``name`` unless ``value`` has the JSON ``kind``."""
+    label, accepted = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {label}, got {value!r}")
+
+
+def check_json_fields(name: str, data, kinds: dict[str, type], optional=()) -> dict:
+    """``data`` as an object holding every field of ``kinds``, each of its kind."""
+    check_json_type(name, data, dict)
+    for key, kind in kinds.items():
+        if key in data:
+            check_json_type(f"{name}.{key}", data[key], kind)
+        elif key not in optional:
+            raise ValueError(f"{name}.{key} is missing")
+    return data
+
+
+_SPEC_FIELDS = {"layers": int, "query_heads": int, "kv_heads": int, "head_dim": int,
+                "vocab": int, "theta_base": float, "pairing": str, "seed": int}
 
 
 def spec_from_json(data: dict) -> ModelSpec:
@@ -482,12 +508,7 @@ def spec_from_json(data: dict) -> ModelSpec:
     for key in data:
         if key not in _SPEC_FIELDS:
             raise ValueError(f"unknown field spec.{key}")
-    for key, (kind, label) in _SPEC_FIELDS.items():
-        if key not in data:
-            if key != "seed":
-                raise ValueError(f"spec.{key} is missing")
-        elif isinstance(data[key], bool) or not isinstance(data[key], kind):
-            raise ValueError(f"spec.{key} must be {label}, got {data[key]!r}")
+    check_json_fields("spec", data, _SPEC_FIELDS, optional=("seed",))
     scheme = PairingScheme(data["pairing"], data["head_dim"])
     return ModelSpec(
         layers=data["layers"],

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rapkit.rope import PairingScheme, RopeConfig
 from rapkit.toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
@@ -59,3 +62,34 @@ def finite_difference(f, arrays: dict, wrt: str, h: float = 1e-5) -> np.ndarray:
         x[idx] = orig
         g[idx] = (fp - fm) / (2.0 * h)
     return g
+
+
+# any value json.loads can return, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def damaged(draw, document):
+    """``document`` with one field, at any depth, dropped or set to any JSON value."""
+    document = json.loads(json.dumps(document))
+    path = draw(st.sampled_from(list(_paths(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return document

@@ -1,10 +1,13 @@
 """Budget allocation: hand-computed cases, projection fixpoint, scan oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_spec
-from rapkit.budget import (InfeasibleBudget, allocate, project_to_mean,
+from conftest import JSON_VALUES, damaged, make_spec
+from rapkit.budget import (BudgetPlan, InfeasibleBudget, allocate, project_to_mean,
                            round_half_up, sensitivity_scan, uniform_plan)
 from rapkit.factorize import top_pairs
 from rapkit.scoring import PairScoreTable, estimate_fisher, pair_scores
@@ -134,11 +137,24 @@ def test_invalid_inputs_rejected():
 def test_plan_json_roundtrip():
     table = table_with_group_totals({(0, "k"): 3.0, (0, "v"): 1.0})
     plan = allocate(table, 0.3, "adaptive")
-    from rapkit.budget import BudgetPlan
     clone = BudgetPlan.from_json(plan.to_json())
     assert clone.ratios == plan.ratios
     assert clone.pair_counts == plan.pair_counts
     assert clone.to_json() == plan.to_json()
+
+
+PLAN_DOCUMENT = json.loads(allocate(
+    table_with_group_totals({(0, "k"): 3.0, (0, "v"): 1.0}), 0.3).to_json())
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=JSON_VALUES | damaged(PLAN_DOCUMENT))
+def test_plan_from_json_gives_a_plan_or_a_value_error(document):
+    try:
+        plan = BudgetPlan.from_json(json.dumps(document))
+    except ValueError:
+        return
+    assert isinstance(plan, BudgetPlan)
 
 
 # -- sensitivity scan ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
+from rapkit.budget import allocate
 from rapkit.cli import RunConfig, ValidationFailure, main
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, forward_prefill,
@@ -332,3 +333,52 @@ def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys)
     assert not (tmp_path / "o").exists()
     RunConfig(kd_enabled=False, calibration={"count": 4, "window": 8,
                                              "seed": 1}).validate()
+
+
+# one damage per malformed plan or score file, and a name the error must give
+MALFORMED_INPUTS = {
+    "plan_retained_pairs_string":
+        ("--plan", lambda p: p["groups"][0].update(retained_pairs="x"), "retained_pairs"),
+    "plan_num_pairs_off_the_model": ("--plan", lambda p: p.update(num_pairs=2), "num_pairs"),
+    "plan_groups_missing": ("--plan", lambda p: p.update(groups=p["groups"][:2]), "1.k"),
+    "plan_retains_too_many_pairs":
+        ("--plan", lambda p: p["groups"][0].update(retained_pairs=5), "0.k"),
+    # beyond float range, which writing budget.json's mean ratio would overflow on
+    "plan_ratio_out_of_range":
+        ("--plan", lambda p: p["groups"][0].update(ratio=10 ** 400), "ratio"),
+    "scores_head_dim_string": ("--scores", lambda s: s.update(head_dim="8"), "head_dim"),
+    "scores_not_an_object": ("--scores", lambda s: s.update(scores=[]), "scores.scores"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_plan_or_scores_exits_one_naming_the_field(case, tmp_path, capsys):
+    model = AttentionModel.build(make_spec())
+    table = magnitude_scores(model, model.spec.rope.scheme)
+    documents = {"--plan": json.loads(allocate(table, 0.3).to_json()),
+                 "--scores": json.loads(table.to_json())}
+    flag, damage, name = MALFORMED_INPUTS[case]
+    damage(documents[flag])
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(documents[flag]))
+    assert run(["prune", "--out", tmp_path / "o", "--rho", "0.3", flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err, err
+    assert not (tmp_path / "o" / "compressed.model").exists()
+
+
+@pytest.mark.parametrize("method", ["svd", "palu"])
+def test_prune_writes_the_uniform_plan_that_low_rank_methods_apply(method, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "o"
+    assert run(["prune", "--out", out, "--rho", "0.3", "--method", method]) == 0
+    plan, manifest = read_json(out / "budget.json"), read_json(out / "manifest.json")
+    assert plan["mode"] == "uniform"
+    assert {(g["layer"], g["side"]): g["retained_pairs"] for g in plan["groups"]} == \
+        {(i, side): entry[side]["rank"] // 2
+         for i, entry in enumerate(manifest["layers"]) for side in "kv"}
+    # a plan given to a method that ignores plans is refused
+    assert run(["prune", "--out", tmp_path / "p", "--rho", "0.3", "--method", method,
+                "--plan", out / "budget.json"]) == 1
+    assert "--plan" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import RAP_CASE, make_spec
 from rapkit.budget import allocate, uniform_plan
-from rapkit.factorize import (build_compressed, rap_prune,
-                              reconstructed_reference, svd_factor, top_pairs)
+from rapkit.factorize import (build_compressed, reconstructed_reference,
+                              svd_factor, top_pairs)
 from rapkit.rope import PairingScheme, RetainedIndex, rotate, rotate_indexed
 from rapkit.scoring import PairScoreTable, estimate_fisher, magnitude_scores, pair_scores
 from rapkit.toymodel import (AttentionModel, forward_decode, forward_prefill,
@@ -29,21 +29,32 @@ def uniform_scores(spec) -> PairScoreTable:
     return table
 
 
-# -- rap_prune -----------------------------------------------------------------
+def rap_build(model, table, plan):
+    """A rap build plus, per layer, each kv head's (key columns, retained pairs)."""
+    compressed = build_compressed(model, "rap", plan.rho, scores=table, plan=plan)
+    heads = []
+    for layer in compressed.layers:
+        width = layer.k_map.weight.shape[1] // model.spec.kv_heads
+        heads.append([(layer.k_map.weight[:, g * width:(g + 1) * width], retained)
+                      for g, retained in enumerate(layer.k_retained)])
+    return compressed, heads
+
+
+# -- rap pair pruning ----------------------------------------------------------
 
 
 def test_full_retention_reproduces_weights():
     spec = make_spec(seed=1)
     model = AttentionModel.build(spec)
     plan = uniform_plan(spec.head_dim // 2, spec.layers, 0.0)
-    rap = rap_prune(model, uniform_scores(spec), plan)
+    compressed, heads = rap_build(model, uniform_scores(spec), plan)
     for i, layer in enumerate(model.layers):
-        np.testing.assert_array_equal(
-            np.concatenate([f.columns for f in rap.heads[i]], axis=1),
-            layer.k_map.weight)
-        np.testing.assert_array_equal(rap.absorbed_q[i], layer.proj_q.weight)
-        for f in rap.heads[i]:
-            np.testing.assert_array_equal(f.retained.expansion_matrix(),
+        np.testing.assert_array_equal(compressed.layers[i].k_map.weight,
+                                      layer.k_map.weight)
+        np.testing.assert_array_equal(compressed.layers[i].proj_q.weight,
+                                      layer.proj_q.weight)
+        for _, retained in heads[i]:
+            np.testing.assert_array_equal(retained.expansion_matrix(),
                                           np.eye(spec.head_dim))
 
 
@@ -78,38 +89,37 @@ def test_pruned_product_places_columns_at_rap_index(rng):
     model = AttentionModel.build(spec)
     table = fisher_table(model)
     plan = uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
-    rap = rap_prune(model, table, plan)
+    _, heads = rap_build(model, table, plan)
     d = spec.head_dim
     for i, layer in enumerate(model.layers):
-        for g, fact in enumerate(rap.heads[i]):
-            dense = fact.columns @ fact.retained.expansion_matrix()
+        for g, (columns, retained) in enumerate(heads[i]):
+            dense = columns @ retained.expansion_matrix()
             block = layer.k_map.weight[:, g * d:(g + 1) * d]
-            idx = fact.rap_index
+            idx = retained.rap_index
             np.testing.assert_array_equal(dense[:, idx], block[:, idx])
             pruned_cols = [c for c in range(d) if c not in idx]
             assert np.all(dense[:, pruned_cols] == 0.0)
             # heads of one group share the retained count
-            assert len(fact.retained) == plan.retained_pairs(i, "k")
+            assert len(retained) == plan.retained_pairs(i, "k")
 
 
 def test_absorption_equals_dense_product(rng):
     spec = make_spec(seed=14)
     model = AttentionModel.build(spec)
     plan = uniform_plan(spec.head_dim // 2, spec.layers, 0.3)
-    rap = rap_prune(model, fisher_table(model), plan)
+    compressed, heads = rap_build(model, fisher_table(model), plan)
     d = spec.head_dim
     for i, layer in enumerate(model.layers):
         w_q = layer.proj_q.weight
         m = plan.retained_pairs(i, "k")
+        absorbed_q = compressed.layers[i].proj_q.weight
         parts = []
         for h in range(spec.query_heads):
-            fact = rap.heads[i][h // spec.group_size]
-            b = fact.retained.expansion_matrix()
+            _, retained = heads[i][h // spec.group_size]
+            b = retained.expansion_matrix()
             parts.append(w_q[:, h * d:(h + 1) * d] @ b.T)  # dense oracle
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1),
-                                      rap.absorbed_q[i])
-        assert rap.absorbed_q[i].shape == (spec.model_dim,
-                                           spec.query_heads * 2 * m)
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), absorbed_q)
+        assert absorbed_q.shape == (spec.model_dim, spec.query_heads * 2 * m)
 
 
 # -- svd_factor ---------------------------------------------------------------
@@ -161,15 +171,15 @@ def test_commutativity_with_dense_expansion(pairing, rng):
     spec = make_spec(seed=3, pairing=pairing)
     model = AttentionModel.build(spec)
     plan = uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
-    rap = rap_prune(model, fisher_table(model), plan)
+    _, heads = rap_build(model, fisher_table(model), plan)
     cfg = spec.rope
-    for heads in rap.heads:
-        for fact in heads:
+    for layer_heads in heads:
+        for columns, retained in layer_heads:
             x = rng.normal(size=(5, spec.model_dim))
             positions = rng.integers(0, 1000, size=5).tolist()
-            latent = x @ fact.columns
-            b = fact.retained.expansion_matrix()
-            lhs = rotate_indexed(latent, positions, cfg, fact.retained) @ b
+            latent = x @ columns
+            b = retained.expansion_matrix()
+            lhs = rotate_indexed(latent, positions, cfg, retained) @ b
             rhs = rotate(latent @ b, positions, cfg)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -180,21 +190,21 @@ def test_attention_scores_equal_pruned_reference(rng):
     model = AttentionModel.build(spec)
     table = fisher_table(model)
     plan = uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
-    rap = rap_prune(model, table, plan)
+    compressed, heads = rap_build(model, table, plan)
     d = spec.head_dim
     layer = model.layers[0]
     x = rng.normal(size=(6, spec.model_dim))
     positions = list(range(6))
     for h in range(spec.query_heads):
         g = h // spec.group_size
-        fact = rap.heads[0][g]
-        b = fact.retained.expansion_matrix()
-        m2 = 2 * len(fact.retained)
-        q_tilde = x @ rap.absorbed_q[0][:, h * m2:(h + 1) * m2]
-        k_latent = x @ fact.columns
-        latent_scores = (rotate_indexed(q_tilde, positions, spec.rope, fact.retained)
+        columns, retained = heads[0][g]
+        b = retained.expansion_matrix()
+        m2 = 2 * len(retained)
+        q_tilde = x @ compressed.layers[0].proj_q.weight[:, h * m2:(h + 1) * m2]
+        k_latent = x @ columns
+        latent_scores = (rotate_indexed(q_tilde, positions, spec.rope, retained)
                          @ rotate_indexed(k_latent, positions, spec.rope,
-                                          fact.retained).T)
+                                          retained).T)
         w_q_h = layer.proj_q.weight[:, h * d:(h + 1) * d]
         w_k_pruned = layer.k_map.weight[:, g * d:(g + 1) * d] @ b.T @ b
         full_scores = (rotate(x @ w_q_h, positions, spec.rope)

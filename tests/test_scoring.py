@@ -1,13 +1,16 @@
 """Fisher estimation and pair aggregation against FD and brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import finite_difference, make_spec, tiny_spec
+from conftest import JSON_VALUES, damaged, finite_difference, make_spec, tiny_spec
 from rapkit.numcore import gradients
 from rapkit.rope import PairingScheme
-from rapkit.scoring import (FisherEstimate, estimate_fisher, magnitude_scores,
-                            pair_scores)
+from rapkit.scoring import (FisherEstimate, PairScoreTable, estimate_fisher,
+                            magnitude_scores, pair_scores)
 from rapkit.toymodel import (AttentionModel, CalibrationSet, LinearMap,
                              loss_forward, markov_calibration)
 
@@ -236,9 +239,24 @@ def test_score_table_json_roundtrip(rng):
     spec = make_spec(seed=5)
     model = AttentionModel.build(spec)
     table = magnitude_scores(model, spec.rope.scheme)
-    from rapkit.scoring import PairScoreTable
     clone = PairScoreTable.from_json(table.to_json())
     assert clone.keys() == table.keys()
     for key in table.keys():
         np.testing.assert_allclose(clone.get(*key), table.get(*key), rtol=1e-15)
     assert clone.to_json() == table.to_json()
+
+
+SCORES_DOCUMENT = json.loads(magnitude_scores(
+    AttentionModel.build(tiny_spec()), tiny_spec().rope.scheme).to_json())
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=JSON_VALUES | damaged(SCORES_DOCUMENT))
+# an integer beyond float range, which plain numpy conversion raises OverflowError on
+@example(document={"head_dim": 2, "pairing": "adjacent", "scores": {"0.k.0": [10 ** 400]}})
+def test_score_table_from_json_gives_a_table_or_a_value_error(document):
+    try:
+        table = PairScoreTable.from_json(json.dumps(document))
+    except ValueError:
+        return
+    assert isinstance(table, PairScoreTable)
