@@ -35,6 +35,10 @@ class ValidationFailure(ValueError):
 
 
 CALIBRATION_KEYS = ("count", "window", "seed")
+# the config file's keys: these settings, "model" (with MODEL_KEYS) and "kd"
+CONFIG_SETTINGS = ("method", "rho", "scoring", "budget", "seed", "out", "seq_len",
+                   "calibration", "ratios")
+MODEL_KEYS = ("path", "spec")
 
 
 def _is_ratio(value) -> bool:
@@ -69,6 +73,10 @@ class RunConfig:
             check_json_type("config", data, dict)
             model = data.get("model", {})
             check_json_type("model", model, dict)
+            unknown = [k for k in data if k not in CONFIG_SETTINGS + ("model", "kd")]
+            unknown += [f"model.{k}" for k in model if k not in MODEL_KEYS]
+            if unknown:
+                raise ValidationFailure(f"unknown config keys: {', '.join(unknown)}")
             cfg.model_path = model.get("path")
             cfg.model_spec = model.get("spec")
             kd = data.get("kd", {})
@@ -76,8 +84,7 @@ class RunConfig:
             kd = dict(kd)
             cfg.kd_enabled = kd.pop("enabled", True)
             cfg.kd = kd
-            for key in ("method", "rho", "scoring", "budget", "seed", "out",
-                        "seq_len", "calibration", "ratios"):
+            for key in CONFIG_SETTINGS:
                 if key in data:
                     setattr(cfg, key, data[key])
         for key in ("method", "rho", "scoring", "budget", "seed", "out"):
@@ -236,20 +243,22 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
               plan_path: str | None = None) -> int:
     model = cfg.build_model()
-    plan = None
-    if plan_path:
-        plan = _load_plan(Path(plan_path), model)
-        if factorize.applied_plan(model.spec, cfg.method, cfg.rho, plan) is not plan:
-            raise ValidationFailure(f"--plan would be ignored: method {cfg.method} "
-                                    "always uses the uniform plan")
-    table = (_load_scores(Path(scores_path), model) if scores_path
-             else _compute_scores(cfg, model))
-    if plan is None:
-        try:
-            plan = budget.allocate(table, cfg.rho, cfg.budget)
-        except budget.InfeasibleBudget as exc:
-            print(f"error: infeasible budget: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILURE
+    table = plan = None
+    if cfg.method in factorize.UNIFORM_METHODS:
+        for flag, path in (("--plan", plan_path), ("--scores", scores_path)):
+            if path:
+                raise ValidationFailure(f"{flag} would be ignored: method {cfg.method} "
+                                        "always uses the uniform plan")
+    else:
+        plan = _load_plan(Path(plan_path), model) if plan_path else None
+        table = (_load_scores(Path(scores_path), model) if scores_path
+                 else _compute_scores(cfg, model))
+        if plan is None:
+            try:
+                plan = budget.allocate(table, cfg.rho, cfg.budget)
+            except budget.InfeasibleBudget as exc:
+                print(f"error: infeasible budget: {exc}", file=sys.stderr)
+                return EXIT_CHECK_FAILURE
     # budget.json records the plan the build follows
     plan = factorize.applied_plan(model.spec, cfg.method, cfg.rho, plan)
     compressed = factorize.build_compressed(model, cfg.method, cfg.rho,
@@ -270,8 +279,10 @@ def cmd_distill(cfg: RunConfig) -> int:
     if checkpoint.exists():
         student = toymodel.load_model(checkpoint)
     else:
-        table = _compute_scores(cfg, teacher)
-        plan = budget.allocate(table, cfg.rho, cfg.budget)
+        table = plan = None
+        if cfg.method not in factorize.UNIFORM_METHODS:
+            table = _compute_scores(cfg, teacher)
+            plan = budget.allocate(table, cfg.rho, cfg.budget)
         student = factorize.build_compressed(teacher, cfg.method, cfg.rho,
                                              scores=table, plan=plan)
     calib = cfg.build_calibration(teacher.spec.vocab)

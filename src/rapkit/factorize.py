@@ -33,6 +33,8 @@ from .scoring import PairScoreTable
 from .toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
 
 METHODS = ("baseline", "svd", "palu", "rap")
+# the methods whose builds always take the uniform plan and read no scores
+UNIFORM_METHODS = ("svd", "palu")
 
 
 @dataclass
@@ -83,7 +85,7 @@ def applied_plan(spec: ModelSpec, method: str, rho: float,
     budget, no whitening), as does a build given no plan; otherwise the given
     plan stands.
     """
-    if method in ("svd", "palu") or plan is None:
+    if method in UNIFORM_METHODS or plan is None:
         return uniform_plan(spec.head_dim // 2, spec.layers, rho)
     return plan
 

@@ -195,17 +195,16 @@ class TraceRow:
     total: float
 
 
-class DistillationDiverged(RuntimeError):
-    def __init__(self, step: int, trace: list[TraceRow]):
-        super().__init__(f"non-finite loss at step {step}")
-        self.trace = trace
+class TrainingDiverged(RuntimeError):
+    """An update left a weight non-finite; distill adds its trace so far."""
 
-
-class PretrainDiverged(RuntimeError):
     def __init__(self, step: int, name: str):
         super().__init__(f"weight {name} became non-finite at step {step}")
-        self.step = step
-        self.name = name
+        self.step, self.name, self.trace = step, name, []
+
+
+# the names each trainer's callers catch it by
+DistillationDiverged = PretrainDiverged = TrainingDiverged
 
 
 def trace_to_csv(trace: list[TraceRow]) -> str:
@@ -223,13 +222,42 @@ def adapters_to_json(model: AttentionModel) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+def _descend(weights: dict[str, np.ndarray], steps: int, batch_size: int,
+             windows: int, lr: float, step_losses, clip_norm: float = np.inf,
+             momentum: float = 0.0) -> None:
+    """Fixed-step SGD on ``weights`` (name -> array), updated in place.
+
+    Each step picks ``batch_size`` of the ``windows`` round-robin, sums the
+    gradients of the (loss, tape) pairs ``step_losses(step, picks)`` returns
+    and divides by their count, clips to the global norm ``clip_norm`` and
+    applies heavy-ball ``momentum``. A non-finite weight raises
+    :class:`TrainingDiverged`.
+    """
+    names = sorted(weights)
+    velocity = {name: np.zeros_like(weights[name]) for name in names}
+    for step in range(steps):
+        picks = [(step * batch_size + j) % windows for j in range(batch_size)]
+        grads = [gradients(tape, loss, [tape.leaves[n] for n in names])
+                 for loss, tape in step_losses(step, picks)]
+        sums = [sum(gs[1:], gs[0]) for gs in zip(*grads)]
+        scale = lr / len(grads)
+        if clip_norm < np.inf:
+            norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in sums)) / len(grads)
+            scale *= min(1.0, clip_norm / max(norm, 1e-12))
+        for name, g in zip(names, sums):
+            velocity[name] = momentum * velocity[name] + scale * g
+            weights[name] -= velocity[name]
+            if not np.all(np.isfinite(weights[name])):
+                raise TrainingDiverged(step, name)
+
+
 def distill(teacher: AttentionModel, student: AttentionModel,
             calib: CalibrationSet, cfg: KdConfig) -> tuple[AttentionModel, list[TraceRow]]:
     """Train adapters on the student against the teacher's distribution.
 
     The student gets adapters attached here if it has none. Batches cycle
-    round-robin through the calibration windows; gradients are averaged over
-    the batch in index order and the update is plain fixed-step SGD. Returns
+    round-robin through the calibration windows, one pass per window so the
+    dropout masks draw in pick order, under plain fixed-step SGD. Returns
     the adapter-carrying student (train in eval mode afterwards or merge).
     """
     if not any(_adapters(student)):
@@ -238,44 +266,30 @@ def distill(teacher: AttentionModel, student: AttentionModel,
     teacher_preds = [forward_prefill(teacher, seq).logits[:-1, :]
                      for seq in calib.sequences[:cfg.steps * cfg.batch_size]]
     trace: list[TraceRow] = []
+
+    def step_losses(step: int, picks: list[int]) -> list[tuple[Node, Tape]]:
+        pairs, row = [], TraceRow(step, 0.0, 0.0, 0.0)
+        for i in picks:
+            seq = list(calib.sequences[i])
+            tape = Tape()
+            pred = tape.gather_rows(forward_prefill(student, seq, tape=tape).logits_node,
+                                    range(len(seq) - 1))
+            loss, ce, kd = _kd_loss_node(tape, teacher_preds[i], pred, seq[1:], cfg)
+            row.ce, row.kd, row.total = (row.ce + ce, row.kd + kd,
+                                         row.total + float(loss.value[0, 0]))
+            pairs.append((loss, tape))
+        b = len(picks)
+        trace.append(TraceRow(step, row.ce / b, row.kd / b, row.total / b))
+        return pairs
+
+    weights = {f"{name}.lora_{part}": getattr(m, part)
+               for name, m in _adapters(student) for part in ("down", "up")}
     set_training(student, True)
     try:
-        for step in range(cfg.steps):
-            picks = [(step * cfg.batch_size + j) % calib.count
-                     for j in range(cfg.batch_size)]
-            grad_acc: dict[str, np.ndarray] = {}
-            ce_sum = kd_sum = total_sum = 0.0
-            for seq_idx in picks:
-                seq = list(calib.sequences[seq_idx])
-                labels = seq[1:]
-                tape = Tape()
-                result = forward_prefill(student, seq, tape=tape)
-                student_pred = tape.gather_rows(result.logits_node,
-                                                range(len(seq) - 1))
-                loss, ce, kd = _kd_loss_node(tape, teacher_preds[seq_idx],
-                                             student_pred, labels, cfg)
-                ce_sum += ce
-                kd_sum += kd
-                total_sum += float(loss.value[0, 0])
-                names = sorted(n for n in tape.leaves if ".lora_" in n)
-                grads = gradients(tape, loss, [tape.leaves[n] for n in names])
-                for name, g in zip(names, grads):
-                    if name in grad_acc:
-                        grad_acc[name] += g
-                    else:
-                        grad_acc[name] = g.copy()
-            b = cfg.batch_size
-            row = TraceRow(step, ce_sum / b, kd_sum / b, total_sum / b)
-            trace.append(row)
-            if not np.isfinite(row.total):
-                raise DistillationDiverged(step, trace)
-            adapters = _adapter_index(student)
-            for name, g in grad_acc.items():
-                target, attr = adapters[name]
-                arr = getattr(target, attr)
-                arr -= (cfg.lr / b) * g
-                if not np.all(np.isfinite(arr)):
-                    raise DistillationDiverged(step, trace)
+        _descend(weights, cfg.steps, cfg.batch_size, calib.count, cfg.lr, step_losses)
+    except TrainingDiverged as exc:
+        exc.trace = trace
+        raise
     finally:
         set_training(student, False)
     return student, trace
@@ -286,47 +300,25 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
              momentum: float = 0.0, only: list[str] | None = None) -> AttentionModel:
     """Gradient descent on the calibration stream over the base weights.
 
-    Returns a new model (the input stays untouched). Used to move the toy LM
-    near a loss minimum before curvature-based analyses; distillation proper
-    trains adapters only. Updates clip to a global gradient norm for
-    stability across seeds; heavy-ball momentum is available for runs that
-    must actually converge rather than just improve. ``only`` restricts the
-    update to the named weights (e.g. ["L0.k"]) with the rest held fixed.
-    An update that leaves a weight non-finite raises :class:`PretrainDiverged`.
+    Returns a new model (the input stays untouched); used to move the toy LM
+    near a loss minimum before curvature-based analyses. A step's windows (of
+    one length) run as one :func:`loss_forward` pass. Updates clip to a global
+    gradient norm, with optional heavy-ball momentum; ``only`` restricts them
+    to the named weights (e.g. ["L0.k"]).
     """
     trained = _replace_maps(model, lambda m: LinearMap(m.merged_weight().copy()))
     trained.embedding = model.embedding.copy()
 
     weights = {"embedding": trained.embedding}
-    for i, layer in enumerate(trained.layers):
-        for role, short in _ROLE_NAMES.items():
-            weights[f"L{i}.{short}"] = getattr(layer, role).weight
+    weights.update((f"L{i}.{short}", getattr(layer, role).weight)
+                   for i, layer in enumerate(trained.layers)
+                   for role, short in _ROLE_NAMES.items())
 
     names = sorted(weights) if only is None else sorted(only)
     if any(n not in weights for n in names):
         raise ValueError(f"unknown weight names in {names}")
-    velocity = {name: np.zeros_like(weights[name]) for name in names}
-    for step in range(steps):
-        picks = [(step * batch_size + j) % calib.count for j in range(batch_size)]
-        acc = {name: np.zeros_like(weights[name]) for name in names}
-        for seq_idx in picks:
-            loss, tape = loss_forward(trained, list(calib.sequences[seq_idx]))
-            grads = gradients(tape, loss, [tape.leaves[n] for n in names])
-            for name, g in zip(names, grads):
-                acc[name] += g
-        norm = np.sqrt(sum(float(np.sum(acc[n] ** 2)) for n in names)) / batch_size
-        scale = (lr / batch_size) * min(1.0, clip_norm / max(norm, 1e-12))
-        for name in names:
-            velocity[name] = momentum * velocity[name] + scale * acc[name]
-            weights[name] -= velocity[name]
-            if not np.all(np.isfinite(weights[name])):
-                raise PretrainDiverged(step, name)
+    _descend({n: weights[n] for n in names}, steps, batch_size, calib.count, lr,
+             lambda step, picks: [loss_forward(trained, [calib.sequences[i]
+                                                         for i in picks])],
+             clip_norm, momentum)
     return trained
-
-
-def _adapter_index(model: AttentionModel) -> dict[str, tuple[LoraLinear, str]]:
-    index = {}
-    for name, m in _adapters(model):
-        index[f"{name}.lora_down"] = (m, "down")
-        index[f"{name}.lora_up"] = (m, "up")
-    return index

@@ -247,11 +247,12 @@ class PrefillResult:
     attention_probs: list[list[Matrix]] = field(default_factory=list)
 
 
-def _causal_mask(n: int, t: int) -> np.ndarray:
-    """Hides later rows from earlier ones: n new rows after t cached ones."""
-    mask = np.zeros((n, t + n))
-    mask[np.triu_indices(n, k=t + 1, m=t + n)] = -np.inf
-    return mask
+def _causal_mask(n: int, t: int, windows: int = 1) -> np.ndarray:
+    """Hides later rows from earlier ones: n new rows after t cached ones,
+    and each of ``windows`` equal windows (t = 0) from the other windows."""
+    rows, cols = np.arange(t, t + n)[:, None], np.arange(t + n)
+    size = (t + n) // windows
+    return np.where((cols > rows) | (cols // size < rows // size), -np.inf, 0.0)
 
 
 def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
@@ -336,14 +337,15 @@ def _check_tokens(spec: ModelSpec, tokens) -> list[int]:
 
 
 def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
-             probs_out: list | None) -> Node:
-    """Logits node of ``toks`` appended to ``cache`` at positions [t, t+n)."""
+             probs_out: list | None, windows: int = 1) -> Node:
+    """Logits node of ``toks`` appended to ``cache`` at positions [t, t+n);
+    ``windows`` > 1 equal windows on an empty cache each start at position 0."""
     spec = model.spec
     t, n = cache.length, len(toks)
     # only svd layers rotate cached rows, so only they need angles before t
     start = 0 if any(layer.k_mode == "svd" for layer in model.layers) else t
-    cos, sin = spec.rope.angle_tables(range(start, t + n))
-    mask_node = tape.constant(_causal_mask(n, t)) if n > 1 else None
+    cos, sin = spec.rope.angle_tables(np.arange(start, t + n) % ((t + n) // windows))
+    mask_node = tape.constant(_causal_mask(n, t, windows)) if n > 1 else None
     cache.reserve(t + n)
 
     emb = tape.leaf(model.embedding, "embedding")
@@ -382,16 +384,26 @@ def forward_decode(model: AttentionModel, cache: KvCache, token: int,
     return logits_node.value.copy(), cache
 
 
-def loss_forward(model: AttentionModel, tokens,
+def loss_forward(model: AttentionModel, windows,
                  tape: Tape | None = None) -> tuple[Node, Tape]:
-    """Mean next-token cross entropy as a differentiable tape node."""
-    toks = _check_tokens(model.spec, tokens)
-    if len(toks) < 2:
-        raise ValueError("need at least 2 tokens for a next-token loss")
+    """Mean next-token cross entropy as a differentiable tape node.
+
+    ``windows`` is one token sequence, or a list of B equal-length ones that
+    run as one pass of B·S rows. The loss is the mean over every predicted
+    row, which is the mean of the per-window losses.
+    """
+    if not len(windows) or np.ndim(windows[0]) == 0:
+        windows = [windows]
+    seqs = [_check_tokens(model.spec, w) for w in windows]
+    sizes = sorted({len(w) for w in seqs})
+    if len(sizes) > 1 or sizes[0] < 2:
+        raise ValueError("a next-token loss needs windows of one length of at "
+                         f"least 2 tokens, got lengths {sizes}")
     tape = tape if tape is not None else Tape()
-    result = forward_prefill(model, toks, tape=tape)
-    predict = tape.gather_rows(result.logits_node, range(len(toks) - 1))
-    loss = tape.cross_entropy(predict, toks[1:])
+    toks = [tok for w in seqs for tok in w]
+    rows = [i for i in range(len(toks)) if (i + 1) % sizes[0]]  # not a window's last
+    logits = _forward(model, KvCache(model), toks, tape, None, windows=len(seqs))
+    loss = tape.cross_entropy(tape.gather_rows(logits, rows), [toks[i + 1] for i in rows])
     return loss, tape
 
 
@@ -500,15 +512,16 @@ _SPEC_FIELDS = {"layers": int, "query_heads": int, "kv_heads": int, "head_dim": 
                 "vocab": int, "theta_base": float, "pairing": str, "seed": int}
 
 
-def spec_from_json(data: dict) -> ModelSpec:
+def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
     """The spec ``_spec_to_json`` wrote; ``seed`` may be left out (42).
 
-    A missing, mistyped or unknown field raises a ValueError naming it.
+    A missing, mistyped or unknown field raises a ValueError naming it as a
+    field of ``name``.
     """
     for key in data:
         if key not in _SPEC_FIELDS:
-            raise ValueError(f"unknown field spec.{key}")
-    check_json_fields("spec", data, _SPEC_FIELDS, optional=("seed",))
+            raise ValueError(f"unknown field {name}.{key}")
+    check_json_fields(name, data, _SPEC_FIELDS, optional=("seed",))
     scheme = PairingScheme(data["pairing"], data["head_dim"])
     return ModelSpec(
         layers=data["layers"],
@@ -598,18 +611,36 @@ def _expected_shapes(spec: ModelSpec, retained_pairs,
     return shapes
 
 
-def _check_header(path, spec: ModelSpec, header: dict) -> None:
-    """Raise a ValueError naming ``path`` and the header field that does not
-    fit ``spec``: the retained pair lists or an array's shape."""
+_HEADER_FIELDS = {"format": str, "method": str, "spec": dict, "arrays": list,
+                  "retained_pairs": list}
+_ARRAY_FIELDS = {"name": str, "rows": int, "cols": int}
+
+
+def _check_header(path, header) -> ModelSpec:
+    """The spec of a checkpoint header whose every field has its JSON type and
+    fits that spec: the retained pair lists and each array's shape. Failures
+    raise a ValueError naming ``path`` and the field."""
+    top = f"{path}: header"
+    check_json_fields(top, header, _HEADER_FIELDS)
+    if header["format"] != "rapkit-model-v1":
+        raise ValueError(f"unrecognized model file {path}")
+    spec = spec_from_json(header["spec"], f"{top}.spec")
+    for i, meta in enumerate(header["arrays"]):
+        check_json_fields(f"{top}.arrays[{i}]", meta, _ARRAY_FIELDS)
     retained = header["retained_pairs"]
     if len(retained) != spec.layers:
         raise ValueError(f"{path}: retained_pairs has {len(retained)} layers, "
                          f"the spec has {spec.layers}")
     for i, heads in enumerate(retained):
-        if heads is not None and (len(heads) != spec.kv_heads
-                                  or len({len(p) for p in heads}) != 1):
-            raise ValueError(f"{path}: retained_pairs[{i}] must hold "
-                             f"{spec.kv_heads} lists of one length, got {heads}")
+        if heads is not None:  # a rap layer: a pair id list per kv head
+            check_json_type(f"{top}.retained_pairs[{i}]", heads, list)
+            for g, pairs in enumerate(heads):
+                check_json_type(f"{top}.retained_pairs[{i}][{g}]", pairs, list)
+                for k, pair in enumerate(pairs):
+                    check_json_type(f"{top}.retained_pairs[{i}][{g}][{k}]", pair, int)
+            if len(heads) != spec.kv_heads or len({len(p) for p in heads}) != 1:
+                raise ValueError(f"{path}: retained_pairs[{i}] must hold "
+                                 f"{spec.kv_heads} lists of one length, got {heads}")
     given = {meta["name"]: (meta["rows"], meta["cols"]) for meta in header["arrays"]}
     want = _expected_shapes(spec, retained, given)
     for name in sorted(want.keys() | given.keys()):
@@ -617,21 +648,19 @@ def _check_header(path, spec: ModelSpec, header: dict) -> None:
             raise ValueError(f"{path}: array {name} has shape "
                              f"{given.get(name, 'none')}, the spec needs "
                              f"{want.get(name, 'none')}")
+    return spec
 
 
 def load_model(path) -> AttentionModel:
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline].decode("utf-8"))
-    if header.get("format") != "rapkit-model-v1":
-        raise ValueError(f"unrecognized model file {path}")
-    spec = spec_from_json(header["spec"])
+    spec = _check_header(path, header)
     blob = raw[newline + 1:]
     expected = 8 * sum(meta["rows"] * meta["cols"] for meta in header["arrays"])
     if len(blob) != expected:
         raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
                          f"the header's arrays need {expected}")
-    _check_header(path, spec, header)
     offset = 0
     arrays: dict[str, np.ndarray] = {}
     for meta in header["arrays"]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
+from rapkit import scoring
 from rapkit.budget import allocate
 from rapkit.cli import RunConfig, ValidationFailure, main
 from rapkit.scoring import magnitude_scores
@@ -382,3 +383,70 @@ def test_prune_writes_the_uniform_plan_that_low_rank_methods_apply(method, tmp_p
                 "--plan", out / "budget.json"]) == 1
     assert "--plan" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+# one damage per checkpoint header field, and the name the error must give
+DAMAGED_HEADERS = {
+    "rows_a_string": (lambda h: h["arrays"][0].update(rows="2"), "arrays[0].rows"),
+    "retained_pairs_a_number": (lambda h: h.update(retained_pairs=5), "retained_pairs"),
+    "arrays_of_numbers": (lambda h: h.update(arrays=[1, 2]), "arrays[0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_HEADERS))
+def test_damaged_checkpoint_header_exits_one_naming_the_field(case, tmp_path, capsys):
+    path = tmp_path / "base.model"
+    save_model(AttentionModel.build(make_spec()), path)
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    damage, name = DAMAGED_HEADERS[case]
+    damage(header)
+    path.write_bytes(json.dumps(header).encode() + raw[newline:])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"path": str(path)}}))
+    assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and name in err, err
+
+
+@pytest.mark.parametrize("method", ["svd", "palu"])
+def test_low_rank_methods_compute_no_scores(method, tmp_path, monkeypatch, capsys):
+    expected = tmp_path / "expected"
+    assert run(["prune", "--out", expected, "--rho", "0.3", "--method", method]) == 0
+    model = AttentionModel.build(make_spec())
+    scores = tmp_path / "scores.json"
+    scores.write_text(magnitude_scores(model, model.spec.rope.scheme).to_json())
+    config = tmp_path / "kd.json"
+    config.write_text(json.dumps({"kd": {"steps": 2}}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scores computed for a method that reads none")
+
+    monkeypatch.setattr(scoring, "estimate_fisher", refuse)
+    monkeypatch.setattr(scoring, "magnitude_scores", refuse)
+    out = tmp_path / "o"
+    assert run(["prune", "--out", out, "--rho", "0.3", "--method", method]) == 0
+    for name in ("compressed.model", "budget.json", "manifest.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    # distill without a checkpoint builds the student itself
+    assert run(["distill", "--config", config, "--out", tmp_path / "d",
+                "--rho", "0.3", "--method", method]) == 0
+    # a score table given to a method that ignores scores is refused
+    assert run(["prune", "--out", tmp_path / "p", "--rho", "0.3", "--method", method,
+                "--scores", scores]) == 1
+    assert "--scores" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_unknown_config_keys_exit_one_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    for data, names in (({"rh0": 0.9, "model": {"pth": "x"}}, ("rh0", "model.pth")),
+                        ({"model": {"pth": "x"}}, ("model.pth",))):
+        config.write_text(json.dumps(data))
+        assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(n in err for n in names), err
+    assert not (tmp_path / "o").exists()
+    config.write_text(json.dumps({"model": {"path": None, "spec": None}}))
+    assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 0

@@ -5,13 +5,13 @@ import pytest
 
 from conftest import make_spec
 from rapkit.factorize import build_compressed
-from rapkit.numcore import Tape
+from rapkit.numcore import Tape, gradients
 from rapkit.recover import (DistillationDiverged, KdConfig, LoraLinear,
                             PretrainDiverged, adapter_params, attach_adapters,
                             distill, kd_loss, kd_loss_parts, merge_adapters,
                             pretrain, trace_to_csv)
 from rapkit.scoring import estimate_fisher, pair_scores
-from rapkit.toymodel import (AttentionModel, forward_prefill,
+from rapkit.toymodel import (AttentionModel, forward_prefill, loss_forward,
                              markov_calibration, mean_loss)
 
 CFG = KdConfig()
@@ -141,6 +141,79 @@ def test_pretrain_divergence_names_step_and_weight():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             PretrainDiverged, match=r"weight \S+ became non-finite at step 1"):
         pretrain(model, calib, steps=2, lr=1e308)
+
+
+def _base_weights(model):
+    """name -> the model's own array, for every weight pretrain trains."""
+    weights = {"embedding": model.embedding}
+    for i, layer in enumerate(model.layers):
+        for short, attr in (("q", "proj_q"), ("k", "k_map"), ("v", "v_map"),
+                            ("o", "proj_o")):
+            weights[f"L{i}.{short}"] = getattr(layer, attr).weight
+    return weights
+
+
+def test_pretrain_matches_the_per_window_reference_loop():
+    """One batched pass per step follows the per-window loop: window gradients
+    summed, the norm clipped, heavy-ball momentum, up to summation order."""
+    model = AttentionModel.build(make_spec(seed=8))
+    calib = markov_calibration(model.spec.vocab, count=5, window=6, seed=8)
+    steps, lr, b, clip, momentum = 4, 0.1, 3, 0.5, 0.9
+    got = _base_weights(pretrain(model, calib, steps=steps, lr=lr, batch_size=b,
+                                 clip_norm=clip, momentum=momentum))
+
+    reference = pretrain(model, calib, steps=0)  # an untrained copy
+    weights = _base_weights(reference)
+    names = sorted(weights)
+    velocity = {n: np.zeros_like(weights[n]) for n in names}
+    clipped = 0
+    for step in range(steps):
+        acc = {n: np.zeros_like(weights[n]) for n in names}
+        for j in range(b):
+            seq = list(calib.sequences[(step * b + j) % calib.count])
+            loss, tape = loss_forward(reference, seq)
+            for n, g in zip(names, gradients(tape, loss, [tape.leaves[n] for n in names])):
+                acc[n] += g
+        norm = np.sqrt(sum(float(np.sum(acc[n] ** 2)) for n in names)) / b
+        clipped += norm > clip
+        scale = (lr / b) * min(1.0, clip / norm)
+        for n in names:
+            velocity[n] = momentum * velocity[n] + scale * acc[n]
+            weights[n] -= velocity[n]
+    assert clipped
+    for n in names:
+        assert not np.array_equal(weights[n], _base_weights(model)[n]), n
+        gap = np.max(np.abs(got[n] - weights[n])) / np.max(np.abs(weights[n]))
+        assert gap <= 1e-10, (n, gap)
+
+
+def test_distill_steps_by_lr_over_batch_times_the_gradient_sum():
+    """Bit for bit, each step subtracts (lr / b) * (g_1 + ... + g_b)."""
+    from rapkit.recover import _adapters, _kd_loss_node
+    teacher, student, calib = pruned_student()
+    cfg = KdConfig(steps=3, batch_size=2, dropout=0.0)
+    trained, _ = distill(teacher, student, calib, cfg)
+
+    reference = attach_adapters(student, cfg)
+    params = {f"{n}.lora_{p}": getattr(m, p)
+              for n, m in _adapters(reference) for p in ("down", "up")}
+    names = sorted(params)
+    for step in range(cfg.steps):
+        sums = None
+        for j in range(cfg.batch_size):
+            seq = list(calib.sequences[(step * cfg.batch_size + j) % calib.count])
+            tape = Tape()
+            pred = tape.gather_rows(forward_prefill(reference, seq, tape=tape).logits_node,
+                                    range(len(seq) - 1))
+            loss, _, _ = _kd_loss_node(tape, forward_prefill(teacher, seq).logits[:-1],
+                                       pred, seq[1:], cfg)
+            grads = gradients(tape, loss, [tape.leaves[n] for n in names])
+            sums = grads if sums is None else [s + g for s, g in zip(sums, grads)]
+        for n, g in zip(names, sums):
+            params[n] -= (cfg.lr / cfg.batch_size) * g
+    for (name, got), (_, want) in zip(_adapters(trained), _adapters(reference)):
+        np.testing.assert_array_equal(got.down, want.down, err_msg=name)
+        np.testing.assert_array_equal(got.up, want.up, err_msg=name)
 
 
 def test_trace_csv_format():

@@ -9,12 +9,12 @@ import pytest
 from conftest import identity_model, make_spec
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed
-from rapkit.numcore import Tape
-from rapkit.rope import rotate
+from rapkit.numcore import Tape, gradients
+from rapkit.rope import RopeConfig, rotate
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
                              forward_decode, forward_prefill, load_model,
-                             loss_ce, markov_calibration, save_model)
+                             loss_ce, loss_forward, markov_calibration, save_model)
 
 
 def straight_line_logits(model: AttentionModel, tokens) -> np.ndarray:
@@ -152,7 +152,7 @@ def test_loss_uniform_logits_is_log_vocab():
 
 
 def test_saturated_one_hot_cross_entropy_is_near_zero():
-    from rapkit.numcore import Tape
+    from rapkit.numcore import Tape, gradients
     t = Tape()
     logits = np.full((3, 6), -100.0)
     labels = [2, 0, 5]
@@ -343,3 +343,46 @@ def test_reconstruction_factors_are_checked_when_a_layer_is_built():
         AttentionLayer(eye, eye, eye, eye, k_recon=[np.array([[np.nan, 1.0]])])
     with pytest.raises(ValueError):
         AttentionLayer(eye, eye, eye, eye, v_recon=[np.zeros((2, 2, 2))])
+
+
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_loss_and_gradients_are_the_window_means(method, pairing):
+    """B windows in one pass give the mean of the per-window losses and
+    gradients, for every key path: the block mask keeps the windows apart."""
+    model = AttentionModel.build(make_spec(seed=17, pairing=pairing))
+    if method != "baseline":
+        model = build_compressed(model, method, 0.5,
+                                 scores=magnitude_scores(model, model.spec.rope.scheme))
+    windows = markov_calibration(model.spec.vocab, count=3, window=7, seed=5).sequences
+    loss, tape = loss_forward(model, windows)
+    names = sorted(tape.leaves)
+    singles = [loss_forward(model, w) for w in windows]
+    assert loss.value[0, 0] == pytest.approx(
+        np.mean([one.value[0, 0] for one, _ in singles]), rel=0, abs=1e-12)
+    batched = gradients(tape, loss, [tape.leaves[n] for n in names])
+    per_window = [gradients(t, one, [t.leaves[n] for n in names]) for one, t in singles]
+    for i, name in enumerate(names):
+        mean = sum(grads[i] for grads in per_window) / len(windows)
+        np.testing.assert_allclose(batched[i], mean, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_batched_windows_restart_their_positions_at_zero(monkeypatch):
+    """Scores see only position differences, so a shifted window would not
+    move the loss; the angle tables show the positions themselves."""
+    asked = []
+    angle_tables = RopeConfig.angle_tables
+
+    def recording(self, positions):
+        asked.append([int(p) for p in positions])
+        return angle_tables(self, positions)
+
+    monkeypatch.setattr(RopeConfig, "angle_tables", recording)
+    loss_forward(AttentionModel.build(make_spec()), [[1, 2, 3], [4, 5, 6]])
+    assert asked == [[0, 1, 2, 0, 1, 2]]
+
+
+def test_windows_of_unequal_length_are_rejected():
+    model = AttentionModel.build(make_spec())
+    with pytest.raises(ValueError, match="one length"):
+        loss_forward(model, [[1, 2, 3], [4, 5]])
