@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Summarise paired perfbench runs of two trees into one ``BENCH_<label>.json``.
+
+Run ``perfbench/run.py`` in a checkout of the parent tree and in the changed
+tree, alternating, with the same ``--seed`` for both runs of a pair. Each run
+leaves ``perfbench/out/result-<workload>-seed<seed>-trace0.json`` in its own
+checkout. Then, from the root of a checkout:
+
+    python3 bench_summary.py --label pr7 --parent ../parent --change .
+
+For every workload and end-to-end metric the summary gives each side's
+median and quartiles over the seeds both sides ran, and the number of pairs
+in which the change did better. It also records the pair count, the seeds,
+each side's environment, git revision and failed operations. Metric
+directions come from ``BENCHMARK.json`` next to this script (lower is better
+when a metric is not listed there).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+SIDES = ("parent", "change")
+
+
+def records(checkout: Path) -> dict[tuple[str, int], dict]:
+    """Untraced result records under ``checkout``, by (workload, seed)."""
+    found = {}
+    for path in sorted((checkout / "perfbench" / "out").glob("result-*-trace0.json")):
+        record = json.loads(path.read_text())
+        found[(record["workload"], record["env"]["seed"])] = record
+    return found
+
+
+def revision(checkout: Path) -> dict:
+    """The checked-out git commit, and whether the tree differs from it."""
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                             text=True, check=False)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
+
+
+def directions() -> dict[str, str]:
+    path = HERE / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summarise(label: str, checkouts: dict[str, Path]) -> dict:
+    found = {side: records(path) for side, path in checkouts.items()}
+    better = directions()
+    workloads = {}
+    for workload in sorted({w for w, _ in found["parent"]} | {w for w, _ in found["change"]}):
+        seeds = sorted(s for w, s in found["parent"].keys() & found["change"].keys()
+                       if w == workload)
+        if not seeds:
+            continue
+        runs = {side: [found[side][(workload, s)] for s in seeds] for side in SIDES}
+        metrics = {}
+        for name in sorted(runs["parent"][0]["end_to_end"]):
+            values = {side: [r["end_to_end"][name]["value"] for r in runs[side]]
+                      for side in SIDES}
+            sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+            metrics[name] = {
+                "unit": runs["parent"][0]["end_to_end"][name]["unit"],
+                "better": "higher" if sign < 0 else "lower",
+                **{side: quartiles(values[side]) for side in SIDES},
+                "change_better_pairs": sum(sign * c < sign * p for p, c in
+                                           zip(values["parent"], values["change"])),
+            }
+        workloads[workload] = {
+            "pairs": len(seeds),
+            "seeds": seeds,
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+            "metrics": metrics,
+        }
+    sides = {}
+    for side, path in checkouts.items():
+        env = next(iter(found[side].values()), {}).get("env", {})
+        sides[side] = {**revision(path), "env": {k: v for k, v in env.items() if k != "seed"}}
+    return {"label": label, "sides": sides, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout whose perfbench/out holds the parent's runs")
+    parser.add_argument("--change", type=Path, required=True,
+                        help="checkout whose perfbench/out holds the change's runs")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json here")
+    args = parser.parse_args(argv)
+    summary = summarise(args.label, {"parent": args.parent, "change": args.change})
+    if not summary["workloads"]:
+        print("error: no workload has a seed run on both sides", file=sys.stderr)
+        return 1
+    out = args.out or HERE / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    for workload, entry in summary["workloads"].items():
+        print(f"{workload}: {entry['pairs']} pairs, failed {entry['failed']}")
+        for name, m in entry["metrics"].items():
+            print(f"  {name:<18} parent {m['parent']['median']:>10.4g} "
+                  f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  "
+                  f"change {m['change']['median']:>10.4g}  "
+                  f"better in {m['change_better_pairs']}/{entry['pairs']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

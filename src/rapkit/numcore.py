@@ -1,11 +1,19 @@
 """Dense float64 matrices and a small tape-based reverse-mode autodiff core.
 
-Matrices are plain 2-D, C-contiguous ``numpy.float64`` arrays. A :class:`Tape`
-records a fixed set of primitives (matmul, add, elementwise multiply, row
-softmax, paired rotation, column/row gathers, row appends, cross entropy) so
-that the gradient of any recorded scalar with respect to any registered leaf
-can be replayed. Every matmul run on a tape adds ``2 * rows * cols * inner``
-to the tape's FLOPs counter, broken down by an optional tag.
+Matrices are plain 2-D ``numpy.float64`` arrays. A :class:`Tape` records a
+fixed set of primitives so that the gradient of any recorded scalar with
+respect to any registered leaf can be replayed: matmul, add, scale,
+elementwise multiply, transpose, reshape, column/row gathers, column concat,
+row softmax and log-softmax, masked softmax, paired rotation, row appends,
+cross entropy, sum and mean. Every matmul run on a tape adds
+``2 * rows * cols * inner`` to the tape's FLOPs counter, broken down by an
+optional tag.
+
+Most primitives return a fresh C-contiguous matrix. The exceptions are
+views: a transpose is ``a.T`` (F-contiguous, so a matmul hands BLAS the
+transpose flag instead of copying), a reshape of a C-contiguous matrix and a
+row append (the cached rows of a buffer). The masked softmax writes its
+result over its input score matrix.
 
 A non-recording tape (``Tape(record=False)``) runs the same primitives to the
 same values bit for bit and counts the same FLOPs, but keeps nothing: no
@@ -191,10 +199,20 @@ class Tape:
         return self._record(out, (a, b), backward)
 
     def transpose(self, a: Node) -> Node:
+        """The view ``a.value.T``: a matmul hands BLAS the transpose flag
+        instead of copying."""
         def backward(g, acc):
             acc(a, g.T)
 
-        return self._record(np.ascontiguousarray(a.value.T), (a,), backward)
+        return self._record(a.value.T, (a,), backward)
+
+    def reshape(self, a: Node, rows: int, cols: int) -> Node:
+        """``a`` read row-major as rows x cols: a view when ``a`` is
+        C-contiguous, else a copy."""
+        def backward(g, acc):
+            acc(a, g.reshape(a.value.shape))
+
+        return self._record(a.value.reshape(rows, cols), (a,), backward)
 
     def gather_cols(self, a: Node, idx: Sequence[int]) -> Node:
         idx = np.asarray(idx, dtype=np.intp)
@@ -242,6 +260,30 @@ class Tape:
             acc(a, out * (g - dot))
 
         return self._record(out, (a,), backward)
+
+    def masked_softmax(self, scores: Node, scale: float,
+                       mask: np.ndarray | None = None) -> Node:
+        """Row softmax of ``scale * scores + mask``, written over ``scores.value``.
+
+        An (n, T) constant ``mask`` serves n·G score rows: mask row i covers
+        rows [i·G, (i+1)·G). ``scores`` must be a fresh matrix nothing else
+        reads, such as a matmul's output (its backward reads only its
+        inputs). The backward pass needs only the output.
+        """
+        out = scores.value
+        np.multiply(out, scale, out=out)
+        if mask is not None:
+            stacked = out.reshape(mask.shape[0], -1, out.shape[1])  # a view
+            stacked += mask[:, None, :]
+        out -= np.max(out, axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= np.sum(out, axis=1, keepdims=True)
+
+        def backward(g, acc):
+            dot = np.sum(g * out, axis=1, keepdims=True)
+            acc(scores, out * (g - dot) * scale)
+
+        return self._record(out, (scores,), backward)
 
     def row_log_softmax(self, a: Node) -> Node:
         out = log_softmax_rows(a.value)

@@ -13,6 +13,7 @@ pruning commute with the rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,12 @@ class RopeConfig:
     scheme: PairingScheme
 
     def __post_init__(self):
-        if self.theta_base <= 0:
-            raise ValueError("theta_base must be positive")
+        try:
+            theta = float(self.theta_base)
+        except OverflowError:  # an integer beyond float range
+            theta = math.inf
+        if not 0 < theta < math.inf:
+            raise ValueError(f"theta_base must be finite and positive, got {theta!r}")
 
     @property
     def head_dim(self) -> int:

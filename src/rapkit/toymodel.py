@@ -10,6 +10,12 @@ positions [t, t+n) to each kv head's cache and attends over the whole cache
 with a causal mask offset by t. Prefill is n = S on an empty cache, decode is
 n = 1, so decode reproduces the matching prefill row by construction.
 
+Attention runs once per kv head, not once per query head: the G query heads
+of a group stack their n new rows into n·G rows (token-major, so the stacking
+is a reshape, not a copy) and share one rotation, one score matmul against
+the cached keys, one masked softmax and one value matmul. FLOPs count exactly
+what G per-head matmuls would.
+
 Each kv head caches its keys and values in row buffers written in place. A
 pass that needs more rows than a buffer holds first grows it to the larger of
 the rows needed and twice its capacity, copying the cached rows once; so a
@@ -256,19 +262,24 @@ def _causal_mask(n: int, t: int, windows: int = 1) -> np.ndarray:
 
 
 def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
-                cos, sin, mask_node: Node | None, cache: KvCache,
+                cos, sin, mask: np.ndarray | None, cache: KvCache,
                 probs_out: list | None) -> Node:
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
     cached ones; ``cos``/``sin`` end at position t+n-1, and start at 0 when
-    the model has svd layers, which rotate every cached key. ``mask_node``
-    (None for a single row) hides later new rows from earlier ones.
+    the model has svd layers, which rotate every cached key. ``mask`` (None
+    for a single row) hides later new rows from earlier ones.
+
+    Each kv head attends for its G query heads at once: their n x G·qw query
+    columns, read as n·G rows of width qw (row i·G + j is token i, head j),
+    go through one rotation, one score matmul, one masked softmax and one
+    value matmul.
     """
     spec = model.spec
     layer = model.layers[idx]
     retained = layer.k_retained or [None] * spec.kv_heads
-    t = cache.length
+    t, n, group = cache.length, x.value.shape[0], spec.group_size
     inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
@@ -277,13 +288,12 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     qw = q_all.value.shape[1] // spec.query_heads
     kw = k_all.value.shape[1] // spec.kv_heads
     vw = v_all.value.shape[1] // spec.kv_heads
-    # the new rows' rotation, shared by a kv head and its query heads
-    n = x.value.shape[0]
-    rot_new = [rotation_args(spec.rope, cos[-n:], sin[-n:], r) for r in retained]
 
-    keys_t, values = [], []  # per kv head: transposed keys, values
+    outs, layer_probs = [], []
     for g in range(spec.kv_heads):
         hc = cache.heads[idx][g]
+        # the new rows' rotation, shared by a kv head and its query heads
+        rot_new = rotation_args(spec.rope, cos[-n:], sin[-n:], retained[g])
         k_g = tape.gather_cols(k_all, range(g * kw, (g + 1) * kw))
         if layer.k_mode == "svd":
             # latents are cached unrotated: rebuild every cached key, then rotate
@@ -293,33 +303,27 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
             k_full = tape.matmul(latents, recon, tag="kv_proj")
             keys = tape.rotate_pairs(k_full, *rotation_args(spec.rope, cos, sin))
         else:
-            k_new = tape.rotate_pairs(k_g, *rot_new[g])
-            keys = tape.append_rows(hc.k_buf, t, k_new)
+            keys = tape.append_rows(hc.k_buf, t, tape.rotate_pairs(k_g, *rot_new))
             hc.k = keys.value
-        # one transpose serves every query head of the group
-        keys_t.append(tape.transpose(keys))
 
         v_g = tape.gather_cols(v_all, range(g * vw, (g + 1) * vw))
-        v_cached = tape.append_rows(hc.v_buf, t, v_g)
-        hc.v = v_cached.value
+        values = tape.append_rows(hc.v_buf, t, v_g)
+        hc.v = values.value
         if layer.v_recon is not None:
             recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
-            v_cached = tape.matmul(v_cached, recon_v, tag="kv_proj")
-        values.append(v_cached)
+            values = tape.matmul(values, recon_v, tag="kv_proj")
 
-    outs, layer_probs = [], []
-    for h in range(spec.query_heads):
-        g = h // spec.group_size
-        q_h = tape.gather_cols(q_all, range(h * qw, (h + 1) * qw))
-        q_rot = tape.rotate_pairs(q_h, *rot_new[g])
-        scores = tape.matmul(q_rot, keys_t[g], tag="attn_score")
-        scores = tape.scale(scores, inv_sqrt_d)
-        if mask_node is not None:
-            scores = tape.add(scores, mask_node)
-        probs = tape.row_softmax(scores)
+        q_g = tape.gather_cols(q_all, range(g * group * qw, (g + 1) * group * qw))
+        q_rows = tape.reshape(q_g, n * group, qw)
+        cos_g, sin_g, first, second = rot_new
+        q_rot = tape.rotate_pairs(q_rows, np.repeat(cos_g, group, axis=0),
+                                  np.repeat(sin_g, group, axis=0), first, second)
+        scores = tape.matmul(q_rot, tape.transpose(keys), tag="attn_score")
+        probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
         if probs_out is not None:
-            layer_probs.append(probs.value)
-        outs.append(tape.matmul(probs, values[g], tag="attn_value"))
+            layer_probs.extend(probs.value[j::group] for j in range(group))
+        out = tape.matmul(probs, values, tag="attn_value")
+        outs.append(tape.reshape(out, n, group * out.value.shape[1]))
     if probs_out is not None:
         probs_out.append(layer_probs)
 
@@ -345,13 +349,13 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     # only svd layers rotate cached rows, so only they need angles before t
     start = 0 if any(layer.k_mode == "svd" for layer in model.layers) else t
     cos, sin = spec.rope.angle_tables(np.arange(start, t + n) % ((t + n) // windows))
-    mask_node = tape.constant(_causal_mask(n, t, windows)) if n > 1 else None
+    mask = _causal_mask(n, t, windows) if n > 1 else None
     cache.reserve(t + n)
 
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
     for idx in range(spec.layers):
-        x = _layer_step(model, tape, x, idx, cos, sin, mask_node, cache, probs_out)
+        x = _layer_step(model, tape, x, idx, cos, sin, mask, cache, probs_out)
     cache.length = t + n
     return tape.matmul(x, tape.transpose(emb), tag="lm_head")
 
@@ -523,13 +527,17 @@ def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
             raise ValueError(f"unknown field {name}.{key}")
     check_json_fields(name, data, _SPEC_FIELDS, optional=("seed",))
     scheme = PairingScheme(data["pairing"], data["head_dim"])
+    try:
+        rope = RopeConfig(theta_base=data["theta_base"], scheme=scheme)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ValueError(f"{name}.{exc}") from None
     return ModelSpec(
         layers=data["layers"],
         query_heads=data["query_heads"],
         kv_heads=data["kv_heads"],
         head_dim=data["head_dim"],
         vocab=data["vocab"],
-        rope=RopeConfig(theta_base=data["theta_base"], scheme=scheme),
+        rope=rope,
         seed=data.get("seed", 42),
     )
 

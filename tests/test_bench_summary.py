@@ -1,0 +1,54 @@
+"""bench_summary.py: paired perfbench records into one summary file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench_summary.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_summary", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_record(checkout: Path, seed: int, tpot: float, rss: float, failed=0):
+    out = checkout / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    record = {"workload": "decode_short", "env": {"seed": seed, "python": "3.x"},
+              "failed": failed,
+              "end_to_end": {"tpot_ms.rap": {"value": tpot, "unit": "ms"},
+                             "peak_rss_mb": {"value": rss, "unit": "MiB"}}}
+    (out / f"result-decode_short-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_two_records_make_one_pair(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_record(parent, 7, tpot=9.0, rss=300.0)
+    write_record(change, 7, tpot=5.5, rss=301.0)
+    write_record(change, 8, tpot=5.0, rss=300.0)   # no parent run: not a pair
+    out = tmp_path / "BENCH_t.json"
+    assert load_script().main(["--label", "t", "--parent", str(parent),
+                               "--change", str(change), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    entry = summary["workloads"]["decode_short"]
+    assert entry["pairs"] == 1 and entry["seeds"] == [7]
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    tpot = entry["metrics"]["tpot_ms.rap"]
+    assert tpot["parent"] == {"median": 9.0, "q1": 9.0, "q3": 9.0}
+    assert tpot["change"]["median"] == 5.5 and tpot["unit"] == "ms"
+    assert tpot["change_better_pairs"] == 1
+    assert entry["metrics"]["peak_rss_mb"]["change_better_pairs"] == 0
+    assert summary["sides"]["change"]["env"] == {"python": "3.x"}
+    assert set(summary["sides"]["parent"]) == {"commit", "dirty", "env"}
+
+
+def test_no_common_seed_exits_one(tmp_path):
+    write_record(tmp_path / "parent", 1, tpot=9.0, rss=300.0)
+    write_record(tmp_path / "change", 2, tpot=5.0, rss=300.0)
+    assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                               "--change", str(tmp_path / "change"),
+                               "--out", str(tmp_path / "o.json")]) == 1
+    assert not (tmp_path / "o.json").exists()

@@ -323,6 +323,19 @@ def test_model_spec_fields_are_checked_by_name(tmp_path, capsys):
     assert spec_from_json(spec) == make_spec()
 
 
+@pytest.mark.parametrize("theta_base", ["1e400", "1" + "0" * 400, "NaN"],
+                         ids=["float-overflow", "int-overflow", "nan"])
+def test_theta_base_beyond_float_range_or_nan_exits_one(theta_base, tmp_path, capsys):
+    """JSON numbers that parse to inf, to an int no float holds, or to NaN."""
+    config = tmp_path / "c.json"
+    text = json.dumps({"model": {"spec": dict(DEFAULT_SPEC_JSON, theta_base=0.5)}})
+    config.write_text(text.replace("0.5", theta_base))
+    assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "spec.theta_base" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys):
     config = tmp_path / "c.json"
     for data, names in (({"kd": {"enabled": "no"}}, ("kd.enabled",)),

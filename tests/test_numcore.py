@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, tiny_spec
-from rapkit.numcore import Tape, as_matrix, grad, gradients
+from rapkit.numcore import Tape, as_matrix, grad, gradients, softmax_rows
 from rapkit.toymodel import AttentionModel, loss_forward
 
 
@@ -112,6 +112,61 @@ def test_fd_add_scale_mul_transpose(rng):
         return t.sum_all(t.mul(x, t.constant(r)))
 
     _fd_check(build, arrays)
+
+
+def test_transpose_is_a_view(rng):
+    t = Tape()
+    a = t.leaf(rng.normal(size=(3, 5)), "a")
+    out = t.transpose(a)
+    assert np.shares_memory(out.value, a.value)
+    np.testing.assert_array_equal(out.value, a.value.T)
+
+
+def test_fd_reshape(rng):
+    """Row-major reshapes of a contiguous matrix (a view) and of a transposed
+    one (a copy); the gradient flows back in the input's shape."""
+    arrays = {"a": rng.normal(size=(3, 4))}
+    r = rng.normal(size=(6, 2))
+
+    def build(t, lv):
+        x = t.reshape(lv["a"], 6, 2)
+        y = t.reshape(t.transpose(lv["a"]), 6, 2)
+        return t.sum_all(t.mul(t.add(x, t.scale(y, 0.5)), t.constant(r)))
+
+    _fd_check(build, arrays)
+    t = Tape()
+    a = t.leaf(arrays["a"], "a")
+    assert np.shares_memory(t.reshape(a, 6, 2).value, a.value)
+    np.testing.assert_array_equal(t.reshape(t.transpose(a), 6, 2).value,
+                                  arrays["a"].T.reshape(6, 2))
+
+
+def test_fd_masked_softmax_over_stacked_rows(rng):
+    """Two stacked rows per token (G=2) share their token's causal mask row;
+    the scale is not 1, and the result overwrites the score matrix."""
+    n, group, t_len, width = 3, 2, 5, 4
+    arrays = {"q": rng.normal(size=(n * group, width)),
+              "k": rng.normal(size=(width, t_len))}
+    mask = np.where(np.arange(t_len)[None, :] > np.arange(2, 2 + n)[:, None],
+                    -np.inf, 0.0)
+    r = rng.normal(size=(n * group, t_len))
+    scale = 0.37
+
+    def build(t, lv):
+        probs = t.masked_softmax(t.matmul(lv["q"], lv["k"]), scale, mask)
+        return t.sum_all(t.mul(probs, t.constant(r)))
+
+    _fd_check(build, arrays)
+    t = Tape()
+    scores = t.matmul(t.leaf(arrays["q"], "q"), t.leaf(arrays["k"], "k"))
+    expected = softmax_rows(scores.value * scale + np.repeat(mask, group, axis=0))
+    probs = t.masked_softmax(scores, scale, mask)
+    np.testing.assert_array_equal(probs.value, expected)
+    assert probs.value is scores.value
+    assert np.all(probs.value[np.repeat(mask, group, axis=0) == -np.inf] == 0.0)
+    raw = arrays["q"] @ arrays["k"]
+    unmasked = t.masked_softmax(t.constant(raw.copy()), scale)
+    np.testing.assert_array_equal(unmasked.value, softmax_rows(raw * scale))
 
 
 def test_fd_gathers_with_repeats(rng):

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import identity_model, make_spec
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed
 from rapkit.numcore import Tape, gradients
-from rapkit.rope import RopeConfig, rotate
+from rapkit.rope import RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
                              forward_decode, forward_prefill, load_model,
@@ -386,3 +388,77 @@ def test_windows_of_unequal_length_are_rejected():
     model = AttentionModel.build(make_spec())
     with pytest.raises(ValueError, match="one length"):
         loss_forward(model, [[1, 2, 3], [4, 5]])
+
+
+def per_head_probs(model: AttentionModel, tokens) -> list[list[np.ndarray]]:
+    """Attention probabilities of every layer and query head, one head at a
+    time in plain numpy, on the model's own key and value paths."""
+    spec = model.spec
+    positions = list(range(len(tokens)))
+    mask = np.triu(np.full((len(tokens), len(tokens)), -np.inf), k=1)
+    x = model.embedding[list(tokens), :]
+    layers = []
+    for layer in model.layers:
+        q, k, v = (x @ m.merged_weight() for m in (layer.proj_q, layer.k_map, layer.v_map))
+        qw, kw = q.shape[1] // spec.query_heads, k.shape[1] // spec.kv_heads
+        vw = v.shape[1] // spec.kv_heads
+        heads, probs = [], []
+        for h in range(spec.query_heads):
+            g = h // spec.group_size
+            q_h, k_g = q[:, h * qw:(h + 1) * qw], k[:, g * kw:(g + 1) * kw]
+            v_g = v[:, g * vw:(g + 1) * vw]
+            if layer.k_retained is not None:
+                retained = layer.k_retained[g]
+                q_h = rotate_indexed(q_h, positions, spec.rope, retained)
+                k_g = rotate_indexed(k_g, positions, spec.rope, retained)
+            else:
+                if layer.k_recon is not None:
+                    k_g = k_g @ layer.k_recon[g]
+                q_h, k_g = rotate(q_h, positions, spec.rope), rotate(k_g, positions, spec.rope)
+            if layer.v_recon is not None:
+                v_g = v_g @ layer.v_recon[g]
+            scores = q_h @ k_g.T / np.sqrt(spec.head_dim) + mask
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            probs.append(e / e.sum(axis=1, keepdims=True))
+            heads.append(probs[-1] @ v_g)
+        layers.append(probs)
+        x = np.concatenate(heads, axis=1) @ layer.proj_o.merged_weight()
+    return layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(layers=st.integers(1, 2), kv_heads=st.integers(1, 3), group=st.integers(1, 3),
+       pairs=st.integers(1, 8), pairing=st.sampled_from(["adjacent", "half_split"]),
+       method=st.sampled_from(METHODS), rho=st.sampled_from([0.25, 0.5, 0.75]),
+       seed=st.integers(0, 2 ** 16))
+def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairing,
+                                           method, rho, seed):
+    """Each kv head attends for its whole query group at once. Over GQA shapes
+    and every method: a decode chain across cache doublings equals the prefill
+    rows, recording and non-recording tapes agree bit for bit, and the
+    collected probabilities are each query head's own, in head order."""
+    spec = make_spec(layers=layers, query_heads=kv_heads * group, kv_heads=kv_heads,
+                     head_dim=2 * pairs, vocab=16, pairing=pairing, seed=seed)
+    model = AttentionModel.build(spec)
+    if method != "baseline":
+        model = build_compressed(model, method, rho,
+                                 scores=magnitude_scores(model, spec.rope.scheme))
+    tokens = list(np.random.default_rng(seed).integers(0, spec.vocab, size=9))
+    full = forward_prefill(model, tokens, collect_probs=True)
+    runs = []
+    for tape in (None, Tape()):
+        start = forward_prefill(model, tokens[:2], tape=tape)
+        logits, cache = [start.logits], start.cache
+        for tok in tokens[2:]:   # buffers grow 2 -> 4 -> 8 -> 16
+            step, cache = forward_decode(model, cache, tok, tape=start.tape)
+            logits.append(step)
+        runs.append(np.vstack(logits))
+    np.testing.assert_array_equal(runs[0], runs[1])
+    np.testing.assert_allclose(runs[0], full.logits, rtol=0, atol=1e-10)
+    reference = per_head_probs(model, tokens)
+    assert len(full.attention_probs) == spec.layers
+    for got, want in zip(full.attention_probs, reference):
+        assert len(got) == spec.query_heads
+        for h, (p, ref) in enumerate(zip(got, want)):
+            assert p.shape == (len(tokens), len(tokens))
+            np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12, err_msg=f"head {h}")
