@@ -427,8 +427,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
-    except (ValidationFailure, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # malformed or missing input artifacts are configuration errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

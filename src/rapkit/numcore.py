@@ -3,17 +3,18 @@
 Matrices are plain 2-D ``numpy.float64`` arrays. A :class:`Tape` records a
 fixed set of primitives so that the gradient of any recorded scalar with
 respect to any registered leaf can be replayed: matmul, add, scale,
-elementwise multiply, transpose, reshape, column/row gathers, column concat,
-row softmax and log-softmax, masked softmax, paired rotation, row appends,
-cross entropy, sum and mean. Every matmul run on a tape adds
+elementwise multiply, transpose, reshape, column slices, row gathers, column
+concat, row softmax and log-softmax, masked softmax, paired rotation, row
+appends, cross entropy, sum and mean. Every matmul run on a tape adds
 ``2 * rows * cols * inner`` to the tape's FLOPs counter, broken down by an
 optional tag.
 
 Most primitives return a fresh C-contiguous matrix. The exceptions are
 views: a transpose is ``a.T`` (F-contiguous, so a matmul hands BLAS the
-transpose flag instead of copying), a reshape of a C-contiguous matrix and a
-row append (the cached rows of a buffer). The masked softmax writes its
-result over its input score matrix.
+transpose flag instead of copying), a column slice (a strided view BLAS reads
+in place), a reshape of a C-contiguous matrix and a row append (the cached
+rows of a buffer). The masked softmax writes its result over its input score
+matrix.
 
 A non-recording tape (``Tape(record=False)``) runs the same primitives to the
 same values bit for bit and counts the same FLOPs, but keeps nothing: no
@@ -214,18 +215,18 @@ class Tape:
 
         return self._record(a.value.reshape(rows, cols), (a,), backward)
 
-    def gather_cols(self, a: Node, idx: Sequence[int]) -> Node:
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
-            raise ValueError("gather_cols index out of range")
-        out = np.ascontiguousarray(a.value[:, idx])
+    def cols(self, a: Node, lo: int, hi: int) -> Node:
+        """The view ``a.value[:, lo:hi]`` of columns [lo, hi)."""
+        if not 0 <= lo <= hi <= a.value.shape[1]:
+            raise ValueError(f"cols [{lo}, {hi}) out of range for "
+                             f"{a.value.shape[1]} columns")
 
         def backward(g, acc):
             ga = np.zeros_like(a.value)
-            np.add.at(ga, (slice(None), idx), g)
+            ga[:, lo:hi] = g
             acc(a, ga)
 
-        return self._record(out, (a,), backward)
+        return self._record(a.value[:, lo:hi], (a,), backward)
 
     def gather_rows(self, a: Node, idx: Sequence[int]) -> Node:
         idx = np.asarray(idx, dtype=np.intp)

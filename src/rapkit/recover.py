@@ -50,6 +50,10 @@ class KdConfig:
             raise ValueError("temperature must be positive")
         if self.lora_rank < 1:
             raise ValueError("adapter rank must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

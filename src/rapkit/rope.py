@@ -143,18 +143,28 @@ class RetainedIndex:
 
 
 def rotation_args(cfg: RopeConfig, cos: np.ndarray, sin: np.ndarray,
-                  retained: RetainedIndex | None = None) -> tuple:
-    """``(cos, sin, first, second)`` for :func:`numcore.rotate_pairs`.
+                  heads: int | list[RetainedIndex]) -> tuple:
+    """``(cos, sin, first, second)`` for :func:`numcore.rotate_pairs` over
+    heads laid side by side.
 
-    ``cos``/``sin`` hold one column per original pair. With ``retained`` the
-    rotated matrix holds only those pairs (width 2m, original column order),
-    and each keeps the angle column of its ORIGINAL pair id.
+    ``cos``/``sin`` hold one column per original pair. ``heads`` is a count
+    of full heads, or one :class:`RetainedIndex` per head: such a head holds
+    only its pairs (width 2m, original column order), and each keeps the
+    angle column of its ORIGINAL pair id. Retained heads keep equal counts.
     """
-    if retained is None:
-        return (cos, sin) + cfg.scheme.column_arrays()
-    keep = np.asarray(retained.pairs, dtype=np.intp)
-    return ((cos[:, keep], sin[:, keep])
-            + cfg.scheme.column_arrays(width=2 * len(retained)))
+    if isinstance(heads, int):
+        if heads == 1:
+            return (cos, sin) + cfg.scheme.column_arrays()
+        keep, count = np.tile(np.arange(cfg.scheme.num_pairs), heads), heads
+    else:
+        if len({len(r) for r in heads}) != 1:
+            raise ValueError("retained heads must keep equal pair counts")
+        keep, count = np.concatenate([r.pairs for r in heads]), len(heads)
+    width = 2 * keep.size // count
+    first, second = cfg.scheme.column_arrays(width)
+    offsets = width * np.arange(count)[:, None]
+    return (cos[:, keep], sin[:, keep], (first + offsets).ravel(),
+            (second + offsets).ravel())
 
 
 def _rotate(x, positions, cfg: RopeConfig, retained: RetainedIndex | None) -> np.ndarray:
@@ -165,7 +175,8 @@ def _rotate(x, positions, cfg: RopeConfig, retained: RetainedIndex | None) -> np
     if len(positions) != x.shape[0]:
         raise ValueError("one position per row required")
     cos, sin = cfg.angle_tables(positions)
-    return rotate_pairs(x, *rotation_args(cfg, cos, sin, retained))
+    heads = 1 if retained is None else [retained]
+    return rotate_pairs(x, *rotation_args(cfg, cos, sin, heads))
 
 
 def rotate(x, positions, cfg: RopeConfig) -> np.ndarray:

@@ -6,21 +6,24 @@ streams; the compression machinery only touches attention projections, so
 anything else would add noise without coverage.
 
 Prefill and decode run the same per-layer step: it appends the n new rows at
-positions [t, t+n) to each kv head's cache and attends over the whole cache
-with a causal mask offset by t. Prefill is n = S on an empty cache, decode is
+positions [t, t+n) to the layer's cache and attends over the whole cache with
+a causal mask offset by t. Prefill is n = S on an empty cache, decode is
 n = 1, so decode reproduces the matching prefill row by construction.
 
-Attention runs once per kv head, not once per query head: the G query heads
-of a group stack their n new rows into n·G rows (token-major, so the stacking
-is a reshape, not a copy) and share one rotation, one score matmul against
-the cached keys, one masked softmax and one value matmul. FLOPs count exactly
-what G per-head matmuls would.
+A layer rotates all its query heads in one call, and all its new keys in
+another (unless svd keys rotate after their rebuild). Attention then runs
+once per kv head, not once per query head: the G query heads of a group
+stack their n new rows into n·G token-major rows and share one score matmul
+against the cached keys, one masked softmax and one value matmul. FLOPs
+count exactly what G per-head matmuls would.
 
-Each kv head caches its keys and values in row buffers written in place. A
-pass that needs more rows than a buffer holds first grows it to the larger of
-the rows needed and twice its capacity, copying the cached rows once; so a
-prefill of S rows fills buffers of S rows exactly, the first decode step
-doubles them, and T decode steps copy O(T) rows in total instead of O(T^2).
+Each layer caches its keys in one row buffer and its values in another, the
+kv heads side by side (H_kv·width columns); a head reads its columns as a
+view. A pass appends its rows to each buffer in place, and one that needs
+more rows than a buffer holds first grows it to the larger of the rows
+needed and twice its capacity, copying the cached rows once; so a prefill of
+S rows fills buffers of S rows exactly, the first decode step doubles them,
+and T decode steps copy O(T) rows in total instead of O(T^2).
 
 Without a caller tape, a forward pass runs on a non-recording tape: it counts
 FLOPs and keeps no autodiff record. That is why weights are checked once,
@@ -196,15 +199,6 @@ class AttentionModel:
         return self.attention_params() + int(self.embedding.size)
 
 
-class HeadCache:
-    """One kv head's cached rows: ``k`` and ``v`` view the first t rows of
-    the buffers ``k_buf`` and ``v_buf``."""
-
-    def __init__(self, k_width: int, v_width: int):
-        self.k_buf = self.k = np.empty((0, k_width))  # (capacity, k_store_width)
-        self.v_buf = self.v = np.empty((0, v_width))  # (capacity, v_store_width)
-
-
 def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:
     """``buf`` if it holds ``rows`` rows, else a buffer of max(rows, twice its
     capacity) rows holding a copy of its first t rows."""
@@ -216,32 +210,24 @@ def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:
 
 
 class KvCache:
-    """Per layer, per kv head stores; single-writer, grows on decode."""
+    """One key and one value row buffer per layer, each holding the layer's
+    kv heads side by side (H_kv·width columns); single-writer, grows on
+    decode. Rows [0, length) are cached."""
 
     def __init__(self, model: AttentionModel):
         self.model = model
-        spec = model.spec
-        self.heads: list[list[HeadCache]] = []
-        for layer in model.layers:
-            kw = layer.k_map.weight.shape[1] // spec.kv_heads
-            vw = layer.v_map.weight.shape[1] // spec.kv_heads
-            self.heads.append([HeadCache(kw, vw) for _ in range(spec.kv_heads)])
+        self.k_bufs = [np.empty((0, layer.k_map.weight.shape[1])) for layer in model.layers]
+        self.v_bufs = [np.empty((0, layer.v_map.weight.shape[1])) for layer in model.layers]
         self.length = 0
 
     def reserve(self, rows: int):
         """Make every buffer hold ``rows`` rows, doubling the ones that do not."""
-        for layer in self.heads:
-            for hc in layer:
-                hc.k_buf = _grown(hc.k_buf, self.length, rows)
-                hc.v_buf = _grown(hc.v_buf, self.length, rows)
+        self.k_bufs = [_grown(b, self.length, rows) for b in self.k_bufs]
+        self.v_bufs = [_grown(b, self.length, rows) for b in self.v_bufs]
 
     def entries(self) -> int:
         """Total cached scalars at the current length."""
-        total = 0
-        for layer in self.heads:
-            for hc in layer:
-                total += hc.k.size + hc.v.size
-        return int(total)
+        return self.length * sum(b.shape[1] for b in self.k_bufs + self.v_bufs)
 
 
 @dataclass
@@ -271,54 +257,51 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     the model has svd layers, which rotate every cached key. ``mask`` (None
     for a single row) hides later new rows from earlier ones.
 
-    Each kv head attends for its G query heads at once: their n x G·qw query
-    columns, read as n·G rows of width qw (row i·G + j is token i, head j),
-    go through one rotation, one score matmul, one masked softmax and one
-    value matmul.
+    All query heads rotate at once, and so do the new keys of a rap or full
+    layer; each side's rows join its buffer in one append. Each kv head then
+    attends for its G query heads at once: their n x G·qw query columns, read
+    as n·G rows of width qw (row i·G + j is token i, head j), go through one
+    score matmul, one masked softmax and one value matmul.
     """
     spec = model.spec
     layer = model.layers[idx]
-    retained = layer.k_retained or [None] * spec.kv_heads
-    t, n, group = cache.length, x.value.shape[0], spec.group_size
+    t, n, group, kv_heads = cache.length, x.value.shape[0], spec.group_size, spec.kv_heads
     inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
+    # rap heads keep their own pairs; a query head rotates like its kv head's keys
+    k_heads = layer.k_retained or kv_heads
+    q_heads = ([r for r in layer.k_retained for _ in range(group)]
+               if layer.k_retained else spec.query_heads)
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
     v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
+    q_all = tape.rotate_pairs(q_all, *rotation_args(spec.rope, cos[-n:], sin[-n:], q_heads))
+    if layer.k_mode == "svd":
+        # latents are cached unrotated: every step rebuilds and rotates all keys
+        k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
+        full_rot = rotation_args(spec.rope, cos, sin, 1)
+    else:
+        k_all = tape.append_rows(cache.k_bufs[idx], t, tape.rotate_pairs(
+            k_all, *rotation_args(spec.rope, cos[-n:], sin[-n:], k_heads)))
+    v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
     qw = q_all.value.shape[1] // spec.query_heads
-    kw = k_all.value.shape[1] // spec.kv_heads
-    vw = v_all.value.shape[1] // spec.kv_heads
+    kw = k_all.value.shape[1] // kv_heads
+    vw = v_all.value.shape[1] // kv_heads
 
     outs, layer_probs = [], []
-    for g in range(spec.kv_heads):
-        hc = cache.heads[idx][g]
-        # the new rows' rotation, shared by a kv head and its query heads
-        rot_new = rotation_args(spec.rope, cos[-n:], sin[-n:], retained[g])
-        k_g = tape.gather_cols(k_all, range(g * kw, (g + 1) * kw))
+    for g in range(kv_heads):
+        keys = tape.cols(k_all, g * kw, (g + 1) * kw)
         if layer.k_mode == "svd":
-            # latents are cached unrotated: rebuild every cached key, then rotate
-            latents = tape.append_rows(hc.k_buf, t, k_g)
-            hc.k = latents.value
             recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
-            k_full = tape.matmul(latents, recon, tag="kv_proj")
-            keys = tape.rotate_pairs(k_full, *rotation_args(spec.rope, cos, sin))
-        else:
-            keys = tape.append_rows(hc.k_buf, t, tape.rotate_pairs(k_g, *rot_new))
-            hc.k = keys.value
-
-        v_g = tape.gather_cols(v_all, range(g * vw, (g + 1) * vw))
-        values = tape.append_rows(hc.v_buf, t, v_g)
-        hc.v = values.value
+            keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"), *full_rot)
+        values = tape.cols(v_all, g * vw, (g + 1) * vw)
         if layer.v_recon is not None:
             recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
             values = tape.matmul(values, recon_v, tag="kv_proj")
 
-        q_g = tape.gather_cols(q_all, range(g * group * qw, (g + 1) * group * qw))
+        q_g = tape.cols(q_all, g * group * qw, (g + 1) * group * qw)
         q_rows = tape.reshape(q_g, n * group, qw)
-        cos_g, sin_g, first, second = rot_new
-        q_rot = tape.rotate_pairs(q_rows, np.repeat(cos_g, group, axis=0),
-                                  np.repeat(sin_g, group, axis=0), first, second)
-        scores = tape.matmul(q_rot, tape.transpose(keys), tag="attn_score")
+        scores = tape.matmul(q_rows, tape.transpose(keys), tag="attn_score")
         probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
         if probs_out is not None:
             layer_probs.extend(probs.value[j::group] for j in range(group))

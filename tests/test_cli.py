@@ -349,6 +349,20 @@ def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys)
                                              "seed": 1}).validate()
 
 
+
+@pytest.mark.parametrize("kd", [{"batch_size": 0}, {"steps": -5}],
+                         ids=["batch_size", "steps"])
+def test_bad_kd_sizes_exit_one_naming_the_field(kd, tmp_path, capsys):
+    """A zero batch would divide by zero in the SGD loop, and negative steps
+    would distill nothing and exit 0 with an empty trace."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kd": kd}))
+    assert run(["distill", "--config", config, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad kd settings: ") and next(iter(kd)) in err, err
+    assert not (tmp_path / "o").exists()
+
+
 # one damage per malformed plan or score file, and a name the error must give
 MALFORMED_INPUTS = {
     "plan_retained_pairs_string":

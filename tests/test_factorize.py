@@ -292,9 +292,10 @@ def test_cache_stores_latent_widths():
     compressed = build_compressed(model, "rap", 0.5, scores=table)
     result = forward_prefill(compressed, list(range(8)))
     m = compressed.layers[0].k_retained[0]
-    hc = result.cache.heads[0][0]
-    assert hc.k.shape == (8, 2 * len(m))
-    assert hc.v.shape[1] == compressed.layers[0].v_map.weight.shape[1] // spec.kv_heads
+    cache = result.cache
+    assert cache.length == 8
+    assert cache.k_bufs[0][:cache.length].shape == (8, spec.kv_heads * 2 * len(m))
+    assert cache.v_bufs[0].shape[1] == compressed.layers[0].v_map.weight.shape[1]
 
 
 def test_unknown_method_rejected():

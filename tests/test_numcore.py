@@ -171,14 +171,40 @@ def test_fd_masked_softmax_over_stacked_rows(rng):
 
 def test_fd_gathers_with_repeats(rng):
     arrays = {"a": rng.normal(size=(4, 5))}
-    r = rng.normal(size=(3, 3))
+    r = rng.normal(size=(3, 5))
 
     def build(t, lv):
-        x = t.gather_cols(lv["a"], [0, 2, 2])
-        x = t.gather_rows(x, [1, 1, 3])
+        x = t.gather_rows(lv["a"], [1, 1, 3])
         return t.sum_all(t.mul(x, t.constant(r)))
 
     _fd_check(build, arrays)
+
+
+def test_fd_cols(rng):
+    """Overlapping and empty column slices; the gradient of each lands in its
+    own columns and the overlaps add up."""
+    arrays = {"a": rng.normal(size=(3, 6))}
+    r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+
+    def build(t, lv):
+        x = t.mul(t.cols(lv["a"], 1, 5), t.constant(r1))
+        y = t.mul(t.cols(lv["a"], 3, 6), t.constant(r2))
+        empty = t.cols(lv["a"], 2, 2)
+        return t.add(t.add(t.sum_all(x), t.sum_all(y)), t.sum_all(empty))
+
+    _fd_check(build, arrays)
+
+
+def test_cols_is_a_view_and_checks_its_range(rng):
+    t = Tape()
+    a = t.leaf(rng.normal(size=(3, 5)), "a")
+    out = t.cols(a, 1, 4)
+    assert np.shares_memory(out.value, a.value)
+    np.testing.assert_array_equal(out.value, a.value[:, 1:4])
+    assert t.cols(a, 0, 5).value.shape == (3, 5)
+    for lo, hi in ((-1, 2), (2, 6), (3, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            t.cols(a, lo, hi)
 
 
 def test_fd_concat_cols(rng):

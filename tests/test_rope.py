@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapkit.numcore import rotate_pairs
 from rapkit.rope import (ADJACENT, HALF_SPLIT, PairingScheme, RetainedIndex,
-                         RopeConfig, rotate, rotate_indexed)
+                         RopeConfig, rotate, rotate_indexed, rotation_args)
 
 
 def cfg_for(kind: str, head_dim: int, base: float = 10000.0) -> RopeConfig:
@@ -142,6 +143,27 @@ def test_expand_rotate_gather_oracle(kind, rng):
         expected = rotate(expanded, positions, cfg)[:, retained.rap_index]
         got = rotate_indexed(x, positions, cfg, retained)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [ADJACENT, HALF_SPLIT])
+def test_side_by_side_heads_rotate_in_one_call(kind, rng):
+    """One rotation over heads laid side by side equals rotating each head on
+    its own, bit for bit, for full heads and for retained-pair heads."""
+    cfg = cfg_for(kind, 8)
+    positions = [7, 0, 3]
+    cos, sin = cfg.angle_tables(positions)
+    x = rng.normal(size=(3, 3 * 8))
+    heads = [x[:, h * 8:(h + 1) * 8] for h in range(3)]
+    np.testing.assert_array_equal(rotate_pairs(x, *rotation_args(cfg, cos, sin, 3)),
+                                  np.hstack([rotate(h, positions, cfg) for h in heads]))
+    retained = [RetainedIndex(p, cfg.scheme) for p in ((0, 3), (1, 2), (0, 3))]
+    x = rng.normal(size=(3, 3 * 4))
+    heads = [x[:, h * 4:(h + 1) * 4] for h in range(3)]
+    np.testing.assert_array_equal(
+        rotate_pairs(x, *rotation_args(cfg, cos, sin, retained)),
+        np.hstack([rotate_indexed(h, positions, cfg, r) for h, r in zip(heads, retained)]))
+    with pytest.raises(ValueError, match="equal pair counts"):
+        rotation_args(cfg, cos, sin, [RetainedIndex((0,), cfg.scheme), retained[0]])
 
 
 def test_retained_out_of_range():

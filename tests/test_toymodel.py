@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_model, make_spec
 from rapkit.analyze import baseline_kv_entries
-from rapkit.factorize import METHODS, build_compressed
+from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
 from rapkit.numcore import Tape, gradients
 from rapkit.rope import RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
@@ -313,7 +313,7 @@ def test_decode_across_cache_doublings(method):
     for tok in tokens[3:]:
         logits, grown = forward_decode(model, grown, tok)
         expected, reserved = forward_decode(model, reserved, tok)
-    assert grown.heads[0][0].k_buf.shape[0] == 24
+    assert all(b.shape[0] == 24 for b in grown.k_bufs + grown.v_bufs)
     np.testing.assert_array_equal(logits, expected)
     full = forward_prefill(model, tokens)
     np.testing.assert_allclose(logits[0], full.logits[-1], rtol=0, atol=1e-10)
@@ -429,20 +429,23 @@ def per_head_probs(model: AttentionModel, tokens) -> list[list[np.ndarray]]:
 @settings(max_examples=150, deadline=None)
 @given(layers=st.integers(1, 2), kv_heads=st.integers(1, 3), group=st.integers(1, 3),
        pairs=st.integers(1, 8), pairing=st.sampled_from(["adjacent", "half_split"]),
-       method=st.sampled_from(METHODS), rho=st.sampled_from([0.25, 0.5, 0.75]),
+       method=st.sampled_from(METHODS), rho=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
        seed=st.integers(0, 2 ** 16))
 def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairing,
-                                           method, rho, seed):
+                                           method, rho, seed, tmp_path_factory):
     """Each kv head attends for its whole query group at once. Over GQA shapes
     and every method: a decode chain across cache doublings equals the prefill
     rows, recording and non-recording tapes agree bit for bit, and the
-    collected probabilities are each query head's own, in head order."""
+    collected probabilities are each query head's own, in head order. The
+    latent logits equal the dense reference's, and at rho 0 the uncompressed
+    model's; a saved and loaded model gives the same logits bit for bit; the
+    cache holds the closed-form entry count whenever (1 - rho)·D/2 is whole."""
     spec = make_spec(layers=layers, query_heads=kv_heads * group, kv_heads=kv_heads,
                      head_dim=2 * pairs, vocab=16, pairing=pairing, seed=seed)
-    model = AttentionModel.build(spec)
-    if method != "baseline":
-        model = build_compressed(model, method, rho,
-                                 scores=magnitude_scores(model, spec.rope.scheme))
+    base = AttentionModel.build(spec)
+    scores = magnitude_scores(base, spec.rope.scheme)
+    model = base if method == "baseline" else build_compressed(base, method, rho,
+                                                               scores=scores)
     tokens = list(np.random.default_rng(seed).integers(0, spec.vocab, size=9))
     full = forward_prefill(model, tokens, collect_probs=True)
     runs = []
@@ -462,3 +465,17 @@ def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairi
         for h, (p, ref) in enumerate(zip(got, want)):
             assert p.shape == (len(tokens), len(tokens))
             np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12, err_msg=f"head {h}")
+
+    dense = reconstructed_reference(base, method, rho, scores=scores)
+    np.testing.assert_allclose(full.logits, forward_prefill(dense, tokens).logits,
+                               rtol=0, atol=1e-10)
+    if rho == 0.0:
+        np.testing.assert_allclose(full.logits, forward_prefill(base, tokens).logits,
+                                   rtol=0, atol=1e-9)
+    path = tmp_path_factory.getbasetemp() / "gqa.model"
+    save_model(model, path)
+    np.testing.assert_array_equal(forward_prefill(load_model(path), tokens).logits,
+                                  full.logits)
+    kept = 1.0 if method == "baseline" else 1.0 - rho
+    if (kept * pairs).is_integer():
+        assert full.cache.entries() == baseline_kv_entries(spec, len(tokens)) * kept
