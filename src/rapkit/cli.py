@@ -248,7 +248,7 @@ def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
         for flag, path in (("--plan", plan_path), ("--scores", scores_path)):
             if path:
                 raise ValidationFailure(f"{flag} would be ignored: method {cfg.method} "
-                                        "always uses the uniform plan")
+                                        "reads no scores or plan")
     else:
         plan = _load_plan(Path(plan_path), model) if plan_path else None
         table = (_load_scores(Path(scores_path), model) if scores_path
@@ -272,12 +272,25 @@ def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
     return EXIT_OK
 
 
+def _check_student(path: Path, student, method: str, teacher) -> None:
+    """A checkpoint found in --out must have the configured method and the
+    teacher's spec, as the prune of this config writes it."""
+    have, want = toymodel.spec_to_json(student.spec), toymodel.spec_to_json(teacher.spec)
+    checks = [("method", student.method, method, "the config")]
+    checks += [(f"spec.{key}", have[key], want[key], "the teacher") for key in sorted(want)]
+    for name, got, expected, source in checks:
+        if got != expected:
+            raise ValidationFailure(f"{path}: the checkpoint has {name} {got!r}, "
+                                    f"{source} has {expected!r}")
+
+
 def cmd_distill(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     teacher = cfg.build_model()
     checkpoint = out / "compressed.model"
     if checkpoint.exists():
         student = toymodel.load_model(checkpoint)
+        _check_student(checkpoint, student, cfg.method, teacher)
     else:
         table = plan = None
         if cfg.method not in factorize.UNIFORM_METHODS:

@@ -34,7 +34,7 @@ from .toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
 
 METHODS = ("baseline", "svd", "palu", "rap")
 # the methods whose builds always take the uniform plan and read no scores
-UNIFORM_METHODS = ("svd", "palu")
+UNIFORM_METHODS = ("baseline", "svd", "palu")
 
 
 @dataclass
@@ -81,12 +81,13 @@ def applied_plan(spec: ModelSpec, method: str, rho: float,
                  plan: BudgetPlan | None) -> BudgetPlan:
     """The plan a build of ``method`` follows.
 
-    ``svd`` and ``palu`` always take the uniform plan at ``rho`` (no adaptive
-    budget, no whitening), as does a build given no plan; otherwise the given
-    plan stands.
+    ``baseline`` retains every pair (the uniform plan at ratio 0). ``svd`` and
+    ``palu`` always take the uniform plan at ``rho`` (no adaptive budget, no
+    whitening), as does a build given no plan; otherwise the given plan stands.
     """
     if method in UNIFORM_METHODS or plan is None:
-        return uniform_plan(spec.head_dim // 2, spec.layers, rho)
+        return uniform_plan(spec.head_dim // 2, spec.layers,
+                            0.0 if method == "baseline" else rho)
     return plan
 
 

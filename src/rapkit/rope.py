@@ -1,20 +1,25 @@
 """Rotary position embeddings with pair bookkeeping for pruned heads.
 
-Two pairing conventions are supported: ``adjacent`` couples columns
-(2x, 2x+1) and ``half_split`` couples (x, x + D/2), both 0-based. Pair ``j``
-rotates by angle ``position * theta_base ** (-2j / D)``.
+Two pairing conventions are supported: at an even width W, ``adjacent``
+couples columns (2x, 2x+1) and ``half_split`` couples (x, x + W/2), both
+0-based. Pair ``j`` rotates by angle ``position * theta_base ** (-2j / D)``.
+:meth:`PairingScheme.column_arrays` is the only code that turns pair ids into
+columns; retained indices, pair scores and rotations all read it.
 
-For a compressed representation that keeps a subset of pairs, the retained
-columns appear in original column order, which preserves the pairing layout at
-the smaller width. ``rotate_indexed`` rotates such a representation using the
-frequencies of the ORIGINAL pair indices, which is what makes pair-aligned
-pruning commute with the rotation.
+A head is described by a :class:`RetainedIndex`, the original pair ids it
+keeps (:attr:`PairingScheme.full` keeps them all). Its columns appear in
+original column order, which preserves the pairing layout at the smaller
+width. ``rotate_indexed`` rotates such a representation using the frequencies
+of the ORIGINAL pair indices, which is what makes pair-aligned pruning commute
+with the rotation; ``rotation_args`` does the same for heads laid side by
+side, and builds the index arrays of each head tuple once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,22 +46,6 @@ class PairingScheme:
     def num_pairs(self) -> int:
         return self.head_dim // 2
 
-    def pair_columns(self, pair: int, width: int | None = None) -> tuple[int, int]:
-        """Columns coupled by rotation block ``pair`` at the given width.
-
-        ``width`` defaults to the full head dimension; a smaller even width
-        describes the layout of a compressed (retained-columns) matrix.
-        """
-        width = self.head_dim if width is None else width
-        if width % 2 != 0:
-            raise ValueError("pair layout requires an even width")
-        n = width // 2
-        if not 0 <= pair < n:
-            raise ValueError(f"pair {pair} out of range for width {width}")
-        if self.kind == ADJACENT:
-            return 2 * pair, 2 * pair + 1
-        return pair, pair + n
-
     def column_arrays(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(first, second) column index arrays for all pairs at ``width``."""
         width = self.head_dim if width is None else width
@@ -68,8 +57,10 @@ class PairingScheme:
         first = np.arange(width // 2, dtype=np.intp)
         return first, first + width // 2
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [self.pair_columns(p) for p in range(self.num_pairs)]
+    @cached_property
+    def full(self) -> "RetainedIndex":
+        """The index of a head that keeps every pair."""
+        return RetainedIndex(tuple(range(self.num_pairs)), self)
 
 
 @dataclass(frozen=True)
@@ -126,10 +117,9 @@ class RetainedIndex:
     @property
     def rap_index(self) -> list[int]:
         """Original column indices of the retained columns, in original order."""
-        cols = []
-        for p in self.pairs:
-            cols.extend(self.scheme.pair_columns(p))
-        return sorted(cols)
+        first, second = self.scheme.column_arrays()
+        ids = list(self.pairs)
+        return sorted(first[ids].tolist() + second[ids].tolist())
 
     def expansion_matrix(self) -> np.ndarray:
         """Dense 0/1 expansion B (2m x D): B[i, rap_index[i]] = 1.
@@ -142,48 +132,45 @@ class RetainedIndex:
         return b
 
 
-def rotation_args(cfg: RopeConfig, cos: np.ndarray, sin: np.ndarray,
-                  heads: int | list[RetainedIndex]) -> tuple:
+@lru_cache(maxsize=256)
+def _head_columns(heads: tuple[RetainedIndex, ...]) -> tuple:
+    """(angle columns, first, second) of :func:`rotation_args`, built once."""
+    if len({len(r) for r in heads}) != 1:
+        raise ValueError("heads must keep equal pair counts")
+    width = 2 * len(heads[0])
+    first, second = heads[0].scheme.column_arrays(width)
+    offsets = width * np.arange(len(heads))[:, None]
+    # one full head reads the angle tables as they are
+    keep = (slice(None) if heads == (heads[0].scheme.full,)
+            else np.concatenate([r.pairs for r in heads]))
+    return keep, (first + offsets).ravel(), (second + offsets).ravel()
+
+
+def rotation_args(cos: np.ndarray, sin: np.ndarray, heads) -> tuple:
     """``(cos, sin, first, second)`` for :func:`numcore.rotate_pairs` over
     heads laid side by side.
 
-    ``cos``/``sin`` hold one column per original pair. ``heads`` is a count
-    of full heads, or one :class:`RetainedIndex` per head: such a head holds
-    only its pairs (width 2m, original column order), and each keeps the
-    angle column of its ORIGINAL pair id. Retained heads keep equal counts.
+    ``cos``/``sin`` hold one column per original pair. ``heads`` holds one
+    :class:`RetainedIndex` per head, all with the same pair count (a full head
+    is :attr:`PairingScheme.full`): a head holds only its pairs (width 2m,
+    original column order), and each keeps the angle column of its ORIGINAL
+    pair id. The index arrays depend on ``heads`` alone and are built once.
     """
-    if isinstance(heads, int):
-        if heads == 1:
-            return (cos, sin) + cfg.scheme.column_arrays()
-        keep, count = np.tile(np.arange(cfg.scheme.num_pairs), heads), heads
-    else:
-        if len({len(r) for r in heads}) != 1:
-            raise ValueError("retained heads must keep equal pair counts")
-        keep, count = np.concatenate([r.pairs for r in heads]), len(heads)
-    width = 2 * keep.size // count
-    first, second = cfg.scheme.column_arrays(width)
-    offsets = width * np.arange(count)[:, None]
-    return (cos[:, keep], sin[:, keep], (first + offsets).ravel(),
-            (second + offsets).ravel())
-
-
-def _rotate(x, positions, cfg: RopeConfig, retained: RetainedIndex | None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    width = cfg.head_dim if retained is None else 2 * len(retained)
-    if x.shape[1] != width:
-        raise ValueError(f"expected {width} columns, got {x.shape[1]}")
-    if len(positions) != x.shape[0]:
-        raise ValueError("one position per row required")
-    cos, sin = cfg.angle_tables(positions)
-    heads = 1 if retained is None else [retained]
-    return rotate_pairs(x, *rotation_args(cfg, cos, sin, heads))
-
-
-def rotate(x, positions, cfg: RopeConfig) -> np.ndarray:
-    """Rotate every pair of each row by its position-dependent angle."""
-    return _rotate(x, positions, cfg, None)
+    keep, first, second = _head_columns(tuple(heads))
+    return cos[:, keep], sin[:, keep], first, second
 
 
 def rotate_indexed(x, positions, cfg: RopeConfig, retained: RetainedIndex) -> np.ndarray:
     """Rotate a retained-pairs representation with its original frequencies."""
-    return _rotate(x, positions, cfg, retained)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1] != 2 * len(retained):
+        raise ValueError(f"expected {2 * len(retained)} columns, got {x.shape[1]}")
+    if len(positions) != x.shape[0]:
+        raise ValueError("one position per row required")
+    cos, sin = cfg.angle_tables(positions)
+    return rotate_pairs(x, *rotation_args(cos, sin, [retained]))
+
+
+def rotate(x, positions, cfg: RopeConfig) -> np.ndarray:
+    """Rotate every pair of each row by its position-dependent angle."""
+    return rotate_indexed(x, positions, cfg, cfg.scheme.full)

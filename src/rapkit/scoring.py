@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numcore import gradients
-from .rope import PairingScheme
+from .rope import ADJACENT, PairingScheme
 from .toymodel import (AttentionModel, CalibrationSet, check_json_fields,
                        check_json_type, loss_forward)
 
@@ -65,14 +65,6 @@ def estimate_fisher(model: AttentionModel, calib: CalibrationSet,
             else:
                 sums[key] = sq
     return FisherEstimate(sums, calib.count)
-
-
-def _pair_column_lists(scheme: PairingScheme, side: str) -> list[tuple[int, int]]:
-    # value columns are not rotated; they use consecutive pseudo-pairs
-    if side == VALUE_SIDE:
-        d = scheme.head_dim
-        return [(2 * p, 2 * p + 1) for p in range(d // 2)]
-    return scheme.pairs()
 
 
 @dataclass
@@ -153,14 +145,11 @@ class PairScoreTable:
 def _scores_from_matrix_stat(stat: np.ndarray, scheme: PairingScheme, side: str,
                              head_dim: int) -> list[np.ndarray]:
     """Per-head pair sums of a non-negative per-entry statistic."""
-    n_heads = stat.shape[1] // head_dim
-    pairs = _pair_column_lists(scheme, side)
-    per_head = []
-    for h in range(n_heads):
-        block = stat[:, h * head_dim:(h + 1) * head_dim]
-        col_sums = block.sum(axis=0)
-        per_head.append(np.array([col_sums[a] + col_sums[b] for a, b in pairs]))
-    return per_head
+    if side == VALUE_SIDE:  # value columns are not rotated: adjacent pseudo-pairs
+        scheme = PairingScheme(ADJACENT, head_dim)
+    first, second = scheme.column_arrays()
+    col_sums = stat.sum(axis=0).reshape(-1, head_dim)
+    return list(col_sums[:, first] + col_sums[:, second])
 
 
 def pair_scores(fisher: FisherEstimate, scheme: PairingScheme) -> PairScoreTable:

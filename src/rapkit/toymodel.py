@@ -268,21 +268,21 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     t, n, group, kv_heads = cache.length, x.value.shape[0], spec.group_size, spec.kv_heads
     inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
     # rap heads keep their own pairs; a query head rotates like its kv head's keys
-    k_heads = layer.k_retained or kv_heads
-    q_heads = ([r for r in layer.k_retained for _ in range(group)]
-               if layer.k_retained else spec.query_heads)
+    full = [spec.rope.scheme.full]
+    k_heads = layer.k_retained or full * kv_heads
+    q_heads = [r for r in k_heads for _ in range(group)]
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
     v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
-    q_all = tape.rotate_pairs(q_all, *rotation_args(spec.rope, cos[-n:], sin[-n:], q_heads))
+    q_all = tape.rotate_pairs(q_all, *rotation_args(cos[-n:], sin[-n:], q_heads))
     if layer.k_mode == "svd":
         # latents are cached unrotated: every step rebuilds and rotates all keys
         k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
-        full_rot = rotation_args(spec.rope, cos, sin, 1)
+        full_rot = rotation_args(cos, sin, full)
     else:
         k_all = tape.append_rows(cache.k_bufs[idx], t, tape.rotate_pairs(
-            k_all, *rotation_args(spec.rope, cos[-n:], sin[-n:], k_heads)))
+            k_all, *rotation_args(cos[-n:], sin[-n:], k_heads)))
     v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
     qw = q_all.value.shape[1] // spec.query_heads
     kw = k_all.value.shape[1] // kv_heads
@@ -457,7 +457,7 @@ def markov_calibration(vocab: int, count: int = 16, window: int = 64,
 # -- serialization ------------------------------------------------------------
 
 
-def _spec_to_json(spec: ModelSpec) -> dict:
+def spec_to_json(spec: ModelSpec) -> dict:
     return {
         "layers": spec.layers,
         "query_heads": spec.query_heads,
@@ -500,7 +500,7 @@ _SPEC_FIELDS = {"layers": int, "query_heads": int, "kv_heads": int, "head_dim": 
 
 
 def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
-    """The spec ``_spec_to_json`` wrote; ``seed`` may be left out (42).
+    """The spec ``spec_to_json`` wrote; ``seed`` may be left out (42).
 
     A missing, mistyped or unknown field raises a ValueError naming it as a
     field of ``name``.
@@ -554,7 +554,7 @@ def save_model(model: AttentionModel, path) -> None:
         "byte_order": "little",
         "dtype": "float64",
         "method": model.method,
-        "spec": _spec_to_json(model.spec),
+        "spec": spec_to_json(model.spec),
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]}
                    for n, a in arrays],
         "retained_pairs": [

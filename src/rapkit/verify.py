@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import factorize
 from .rope import RetainedIndex, RopeConfig, rotate, rotate_indexed
 from .scoring import _scores_from_matrix_stat, estimate_fisher
 from .toymodel import (AttentionLayer, AttentionModel, CalibrationSet,
@@ -98,7 +99,7 @@ def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator,
     retained = RetainedIndex(kept, cfg.scheme)
     index = list(retained.rap_index)
     # replace the last column with one from a pruned pair
-    index[-1] = cfg.scheme.pair_columns(stolen_pair)[0]
+    index[-1] = RetainedIndex((stolen_pair,), cfg.scheme).rap_index[0]
     weight = rng.normal(size=(2 * d, d))
     a_cols = weight[:, index]
     x = rng.normal(size=(rows, 2 * d))
@@ -115,7 +116,8 @@ def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator,
 
 
 def check_greedy_optimality(sigma, m: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Exhaustively confirm top-m selection minimizes the residual score mass.
+    """Exhaustively confirm that :func:`factorize.top_pairs`, the selector
+    every rap build uses, minimizes the residual score mass.
 
     Returns (ok, witness); the witness is any subset strictly better than the
     greedy choice. Feasible up to a dozen pairs.
@@ -124,10 +126,7 @@ def check_greedy_optimality(sigma, m: int) -> tuple[bool, tuple[int, ...] | None
     n = sigma.size
     if n > 12:
         raise ValueError("enumeration limited to 12 pairs")
-    if not 1 <= m <= n:
-        raise ValueError("m out of range")
-    order = np.argsort(-sigma, kind="stable")
-    greedy = tuple(sorted(int(i) for i in order[:m]))
+    greedy = factorize.top_pairs(sigma, m)
     total = float(sigma.sum())
     greedy_residual = total - float(sigma[list(greedy)].sum())
     for subset in itertools.combinations(range(n), m):
@@ -166,10 +165,8 @@ def _scaled_pair_removal(model: AttentionModel, layer: int, head: int,
     layers = list(model.layers)
     src = layers[layer]
     w_k = src.k_map.merged_weight().copy()
-    for p in pairs:
-        a, b = scheme.pair_columns(p)
-        w_k[:, head * d + a] *= (1.0 - eps)
-        w_k[:, head * d + b] *= (1.0 - eps)
+    cols = head * d + np.array(RetainedIndex(tuple(pairs), scheme).rap_index)
+    w_k[:, cols] *= (1.0 - eps)
     layers[layer] = AttentionLayer(src.proj_q, LinearMap(w_k), src.v_map,
                                    src.proj_o, k_recon=src.k_recon,
                                    v_recon=src.v_recon, k_retained=src.k_retained)
@@ -286,8 +283,8 @@ def quadratic_bound_case(seed: int, rows: int = 6, head_dim: int = 8,
     fisher /= samples
 
     pairs = sorted(rng.choice(head_dim // 2, size=prune_count, replace=False).tolist())
-    cols = [c for p in pairs for c in scheme.pair_columns(p)]
-    sigma = np.array([fisher[:, [a, b]].sum() for a, b in scheme.pairs()])
+    cols = RetainedIndex(tuple(pairs), scheme).rap_index
+    sigma = np.array([fisher[:, [a, b]].sum() for a, b in zip(*scheme.column_arrays())])
     bound = 0.5 * eps * eps * float(sigma[pairs].sum())
 
     w = w0.copy()

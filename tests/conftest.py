@@ -40,6 +40,21 @@ def identity_model(head_dim=4, vocab=6, seed=3) -> AttentionModel:
     return AttentionModel(spec, embedding, [layer])
 
 
+def pair_columns(kind: str, pair: int, width: int) -> tuple[int, int]:
+    """The two columns rotation pair ``pair`` couples at an even ``width``.
+
+    The closed form of the rope module docstring, written out independently of
+    ``PairingScheme.column_arrays``: adjacent (2p, 2p+1), half_split
+    (p, p + width/2).
+    """
+    return (2 * pair, 2 * pair + 1) if kind == "adjacent" else (pair, pair + width // 2)
+
+
+def scheme_pairs(scheme: PairingScheme) -> list[tuple[int, int]]:
+    """``pair_columns`` of every pair of a full-width head, in pair order."""
+    return [pair_columns(scheme.kind, p, scheme.head_dim) for p in range(scheme.num_pairs)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

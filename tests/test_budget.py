@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import JSON_VALUES, damaged, make_spec
+from conftest import JSON_VALUES, damaged, make_spec, pair_columns
 from rapkit.budget import (BudgetPlan, InfeasibleBudget, allocate, project_to_mean,
                            round_half_up, sensitivity_scan, uniform_plan)
 from rapkit.factorize import top_pairs
@@ -196,7 +196,7 @@ def test_scan_matches_manual_pruning_oracle():
         for p in range(d // 2):
             if p in keep:
                 continue
-            a, b = spec.rope.scheme.pair_columns(p)
+            a, b = pair_columns(spec.rope.scheme.kind, p, d)
             w_k[:, g * d + a] = 0.0
             w_k[:, g * d + b] = 0.0
     layers = list(model.layers)

@@ -10,7 +10,7 @@ from rapkit import scoring
 from rapkit.budget import allocate
 from rapkit.cli import RunConfig, ValidationFailure, main
 from rapkit.scoring import magnitude_scores
-from rapkit.toymodel import (AttentionModel, LinearMap, forward_prefill,
+from rapkit.toymodel import (AttentionModel, LinearMap, default_spec, forward_prefill,
                              load_model, save_model, spec_from_json)
 
 
@@ -157,6 +157,31 @@ def test_distill_improves_calibration_loss(tmp_path):
     trace = (out / "kd_trace.csv").read_text().strip().split("\n")
     assert trace[0] == "step,ce,kd,total"
     assert len(trace) == 61
+
+
+# a prune and a distill of different configs in one --out, and what the
+# refusal must name: the checkpoint's field, its value and the config's
+MISMATCHED_CHECKPOINTS = {
+    "method": (["--method", "svd"], ["--method", "rap", "--rho", "0.5"],
+               ("method", "'svd'", "'rap'")),
+    "seed": (["--seed", "7"], ["--seed", "42"], ("spec.seed", "7", "42")),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHED_CHECKPOINTS))
+def test_distill_refuses_a_checkpoint_of_another_config(case, tmp_path, capsys):
+    prune_args, distill_args, named = MISMATCHED_CHECKPOINTS[case]
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kd": {"steps": 2},
+                                  "calibration": {"count": 4, "window": 16}}))
+    assert run(["prune", "--config", config, "--out", out, "--rho", "0.3"] + prune_args) == 0
+    capsys.readouterr()
+    assert run(["distill", "--config", config, "--out", out] + distill_args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "compressed.model") in err, err
+    assert all(name in err for name in named), err
+    assert not (out / "recovered.model").exists()
 
 
 def test_divergent_distillation_exits_three(tmp_path):
@@ -395,16 +420,20 @@ def test_malformed_plan_or_scores_exits_one_naming_the_field(case, tmp_path, cap
     assert not (tmp_path / "o" / "compressed.model").exists()
 
 
-@pytest.mark.parametrize("method", ["svd", "palu"])
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu"])
 def test_prune_writes_the_uniform_plan_that_low_rank_methods_apply(method, tmp_path,
                                                                    capsys):
     out = tmp_path / "o"
     assert run(["prune", "--out", out, "--rho", "0.3", "--method", method]) == 0
     plan, manifest = read_json(out / "budget.json"), read_json(out / "manifest.json")
     assert plan["mode"] == "uniform"
-    assert {(g["layer"], g["side"]): g["retained_pairs"] for g in plan["groups"]} == \
-        {(i, side): entry[side]["rank"] // 2
-         for i, entry in enumerate(manifest["layers"]) for side in "kv"}
+    if method == "baseline":  # nothing is pruned: every pair of every group stays
+        spec = default_spec()
+        applied = {(i, side): spec.head_dim // 2 for i in range(spec.layers) for side in "kv"}
+    else:
+        applied = {(i, side): entry[side]["rank"] // 2
+                   for i, entry in enumerate(manifest["layers"]) for side in "kv"}
+    assert {(g["layer"], g["side"]): g["retained_pairs"] for g in plan["groups"]} == applied
     # a plan given to a method that ignores plans is refused
     assert run(["prune", "--out", tmp_path / "p", "--rho", "0.3", "--method", method,
                 "--plan", out / "budget.json"]) == 1
@@ -437,7 +466,7 @@ def test_damaged_checkpoint_header_exits_one_naming_the_field(case, tmp_path, ca
     assert err.startswith("error:") and str(path) in err and name in err, err
 
 
-@pytest.mark.parametrize("method", ["svd", "palu"])
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu"])
 def test_low_rank_methods_compute_no_scores(method, tmp_path, monkeypatch, capsys):
     expected = tmp_path / "expected"
     assert run(["prune", "--out", expected, "--rho", "0.3", "--method", method]) == 0

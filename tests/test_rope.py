@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pair_columns, scheme_pairs
 from rapkit.numcore import rotate_pairs
 from rapkit.rope import (ADJACENT, HALF_SPLIT, PairingScheme, RetainedIndex,
                          RopeConfig, rotate, rotate_indexed, rotation_args)
@@ -45,7 +46,7 @@ def test_column_arrays_match_pair_columns(kind, half_dim, half_width):
     for width in (None, 2 * half_width):
         n = scheme.num_pairs if width is None else half_width
         first, second = scheme.column_arrays(width)
-        expected = [scheme.pair_columns(p, width) for p in range(n)]
+        expected = [pair_columns(kind, p, 2 * n) for p in range(n)]
         assert first.dtype == second.dtype == np.intp
         assert list(zip(first.tolist(), second.tolist())) == expected
 
@@ -86,7 +87,7 @@ def test_rotation_matches_complex_multiplication_oracle(kind, rng):
     freqs = cfg.frequencies()
     expected = np.empty_like(x)
     for row, pos in enumerate(positions):
-        for p, (a, b) in enumerate(cfg.scheme.pairs()):
+        for p, (a, b) in enumerate(scheme_pairs(cfg.scheme)):
             z = complex(x[row, a], x[row, b]) * np.exp(1j * pos * freqs[p])
             expected[row, a] = z.real
             expected[row, b] = z.imag
@@ -154,16 +155,29 @@ def test_side_by_side_heads_rotate_in_one_call(kind, rng):
     cos, sin = cfg.angle_tables(positions)
     x = rng.normal(size=(3, 3 * 8))
     heads = [x[:, h * 8:(h + 1) * 8] for h in range(3)]
-    np.testing.assert_array_equal(rotate_pairs(x, *rotation_args(cfg, cos, sin, 3)),
-                                  np.hstack([rotate(h, positions, cfg) for h in heads]))
+    expected = np.hstack([rotate(h, positions, cfg) for h in heads])
+    # the cached full index and an equal one built by hand
+    for full in (cfg.scheme.full, RetainedIndex(tuple(range(4)), cfg.scheme)):
+        np.testing.assert_array_equal(
+            rotate_pairs(x, *rotation_args(cos, sin, [full] * 3)), expected)
+    # and the closed form: head h's pair p turns columns h*8 + (a, b) by angle p
+    oracle = x.copy()
+    for h in range(3):
+        for p, (a, b) in enumerate(scheme_pairs(cfg.scheme)):
+            xa, xb = x[:, h * 8 + a], x[:, h * 8 + b]
+            oracle[:, h * 8 + a] = xa * cos[:, p] - xb * sin[:, p]
+            oracle[:, h * 8 + b] = xa * sin[:, p] + xb * cos[:, p]
+    np.testing.assert_array_equal(expected, oracle)
     retained = [RetainedIndex(p, cfg.scheme) for p in ((0, 3), (1, 2), (0, 3))]
     x = rng.normal(size=(3, 3 * 4))
     heads = [x[:, h * 4:(h + 1) * 4] for h in range(3)]
     np.testing.assert_array_equal(
-        rotate_pairs(x, *rotation_args(cfg, cos, sin, retained)),
+        rotate_pairs(x, *rotation_args(cos, sin, retained)),
         np.hstack([rotate_indexed(h, positions, cfg, r) for h, r in zip(heads, retained)]))
-    with pytest.raises(ValueError, match="equal pair counts"):
-        rotation_args(cfg, cos, sin, [RetainedIndex((0,), cfg.scheme), retained[0]])
+    for unequal in ([RetainedIndex((0,), cfg.scheme), retained[0]],
+                    [cfg.scheme.full, retained[0]], []):
+        with pytest.raises(ValueError, match="equal pair counts"):
+            rotation_args(cos, sin, unequal)
 
 
 def test_retained_out_of_range():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import JSON_VALUES, damaged, finite_difference, make_spec, tiny_spec
+from conftest import (JSON_VALUES, damaged, finite_difference, make_spec, pair_columns,
+                      scheme_pairs, tiny_spec)
 from rapkit.numcore import gradients
 from rapkit.rope import PairingScheme
 from rapkit.scoring import (FisherEstimate, PairScoreTable, estimate_fisher,
@@ -25,7 +26,7 @@ def test_dead_query_pair_gives_zero_fisher_for_key_pair(rng):
     model = AttentionModel.build(spec)
     d = spec.head_dim
     dead_pair = 1
-    a, b = spec.rope.scheme.pair_columns(dead_pair)
+    a, b = pair_columns(spec.rope.scheme.kind, dead_pair, d)
     w_q = model.layers[0].proj_q.weight.copy()
     for h in range(spec.query_heads):
         w_q[:, h * d + a] = 0.0
@@ -130,7 +131,7 @@ def test_pair_scores_match_double_loop_oracle(rng):
     for head in range(2):
         for p in range(4):
             # key side uses the rotation pairing
-            j, jp = scheme.pair_columns(p)
+            j, jp = pair_columns(scheme.kind, p, d)
             expected = 0.0
             for n in range(12):
                 expected += stat_k[n, head * d + j] + stat_k[n, head * d + jp]
@@ -229,7 +230,7 @@ def test_magnitude_matches_frobenius_oracle(rng):
     d = spec.head_dim
     w = model.layers[1].k_map.weight
     for g in range(spec.kv_heads):
-        for p, (a, b) in enumerate(spec.rope.scheme.pairs()):
+        for p, (a, b) in enumerate(scheme_pairs(spec.rope.scheme)):
             expected = (np.linalg.norm(w[:, g * d + a]) ** 2
                         + np.linalg.norm(w[:, g * d + b]) ** 2)
             assert table.get(1, "k", g)[p] == pytest.approx(expected, rel=1e-12)

@@ -12,7 +12,7 @@ from conftest import identity_model, make_spec
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
 from rapkit.numcore import Tape, gradients
-from rapkit.rope import RopeConfig, rotate, rotate_indexed
+from rapkit.rope import PairingScheme, RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
                              forward_decode, forward_prefill, load_model,
@@ -320,6 +320,30 @@ def test_decode_across_cache_doublings(method):
     retained = 1.0 if method == "baseline" else 0.5
     assert grown.entries() == baseline_kv_entries(model.spec, len(tokens)) * retained
     assert grown.entries() == full.cache.entries()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_decode_steps_build_no_pair_columns_after_the_first(method, monkeypatch):
+    """A layer's rotation index arrays depend on its heads alone: after the
+    first of 10 medium decode steps, no step maps pair ids to columns."""
+    spec = make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512)
+    base = AttentionModel.build(spec)
+    model = build_compressed(base, method, 0.5,
+                             scores=magnitude_scores(base, spec.rope.scheme))
+    cache = forward_prefill(model, list(range(8))).cache
+    calls = []
+    real = PairingScheme.column_arrays
+
+    def counted(self, width=None):
+        calls.append(width)
+        return real(self, width)
+
+    for step in range(10):
+        if step == 1:
+            monkeypatch.setattr(PairingScheme, "column_arrays", counted)
+        _, cache = forward_decode(model, cache, 100 + step)
+    assert cache.length == 18
+    assert calls == []
 
 
 def test_inference_prefill_holds_a_fraction_of_a_recorded_one():

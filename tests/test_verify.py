@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
+from rapkit import factorize
 from rapkit.factorize import build_compressed
 from rapkit.rope import PairingScheme, RetainedIndex, RopeConfig
 from rapkit.scoring import estimate_fisher, pair_scores
@@ -90,6 +91,16 @@ def test_hundred_random_tables_no_counterexample(rng):
         m = int(rng.integers(1, 8))
         ok, witness = check_greedy_optimality(sigma, m)
         assert ok, witness
+
+
+def test_a_wrong_selector_patched_in_fails_the_check(monkeypatch):
+    """The check enumerates against ``factorize.top_pairs``, the selector rap
+    builds use, not a copy of it: one that keeps the lowest scores is caught."""
+    sigma = np.array([4.0, 3.0, 2.0, 1.0])
+    assert check_greedy_optimality(sigma, 2) == (True, None)
+    monkeypatch.setattr(factorize, "top_pairs",
+                        lambda s, m: tuple(sorted(np.argsort(s)[:m].tolist())))
+    assert check_greedy_optimality(sigma, 2) == (False, (0, 1))
 
 
 def test_enumeration_guard():
