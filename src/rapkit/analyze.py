@@ -18,7 +18,10 @@ prefill. KV-projection FLOPs normalize per kv head per token (totals divided
 by S * kv_heads * layers, which matches the closed form with H = query_heads
 since the input width is the model dimension); attention-block FLOPs
 normalize per query head per token (totals divided by S * query_heads *
-layers). Only matmuls count; softmax and rotations are free.
+layers). Only matmuls count; softmax and rotations are free. Attention-block
+FLOPs count only the causal query blocks that run (``toymodel.QUERY_BLOCK``
+rows each, against the keys they can see), so for seq_len > 64 they fall
+below the n² count of a full score matrix.
 
 Methods are named as in ``factorize.METHODS`` throughout, and a report carries
 the ``method`` of the model it measured.

@@ -3,18 +3,23 @@
 Matrices are plain 2-D ``numpy.float64`` arrays. A :class:`Tape` records a
 fixed set of primitives so that the gradient of any recorded scalar with
 respect to any registered leaf can be replayed: matmul, add, scale,
-elementwise multiply, transpose, reshape, column slices, row gathers, column
-concat, row softmax and log-softmax, masked softmax, paired rotation, row
-appends, cross entropy, sum and mean. Every matmul run on a tape adds
-``2 * rows * cols * inner`` to the tape's FLOPs counter, broken down by an
-optional tag.
+elementwise multiply, transpose, reshape, row and column slices, row
+gathers, concat along rows or columns, row softmax and log-softmax, masked
+softmax, paired rotation, row appends, cross entropy, sum and mean. Every
+matmul run on a tape adds ``2 * rows * cols * inner`` to the tape's FLOPs
+counter, broken down by an optional tag, so the counter holds only the
+matmuls that ran.
 
 Most primitives return a fresh C-contiguous matrix. The exceptions are
 views: a transpose is ``a.T`` (F-contiguous, so a matmul hands BLAS the
-transpose flag instead of copying), a column slice (a strided view BLAS reads
+transpose flag instead of copying), a row or column slice (a view BLAS reads
 in place), a reshape of a C-contiguous matrix and a row append (the cached
 rows of a buffer). The masked softmax writes its result over its input score
 matrix.
+
+In the backward pass a slice adds its gradient into its part of one zero
+buffer per sliced node, which the pass owns; it does not build a full-size
+gradient for every slice.
 
 A non-recording tape (``Tape(record=False)``) runs the same primitives to the
 same values bit for bit and counts the same FLOPs, but keeps nothing: no
@@ -58,6 +63,11 @@ def softmax_rows(z: Matrix) -> Matrix:
 def log_softmax_rows(z: Matrix) -> Matrix:
     z = z - np.max(z, axis=1, keepdims=True)
     return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+
+
+def _check_range(what: str, lo: int, hi: int, size: int):
+    if not 0 <= lo <= hi <= size:
+        raise ValueError(f"{what} [{lo}, {hi}) out of range for {size} {what}")
 
 
 def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray,
@@ -215,16 +225,21 @@ class Tape:
 
         return self._record(a.value.reshape(rows, cols), (a,), backward)
 
-    def cols(self, a: Node, lo: int, hi: int) -> Node:
-        """The view ``a.value[:, lo:hi]`` of columns [lo, hi)."""
-        if not 0 <= lo <= hi <= a.value.shape[1]:
-            raise ValueError(f"cols [{lo}, {hi}) out of range for "
-                             f"{a.value.shape[1]} columns")
+    def rows(self, a: Node, lo: int, hi: int) -> Node:
+        """The view ``a.value[lo:hi]`` of rows [lo, hi)."""
+        _check_range("rows", lo, hi, a.value.shape[0])
 
         def backward(g, acc):
-            ga = np.zeros_like(a.value)
-            ga[:, lo:hi] = g
-            acc(a, ga)
+            acc(a, g, np.s_[lo:hi])
+
+        return self._record(a.value[lo:hi], (a,), backward)
+
+    def cols(self, a: Node, lo: int, hi: int) -> Node:
+        """The view ``a.value[:, lo:hi]`` of columns [lo, hi)."""
+        _check_range("cols", lo, hi, a.value.shape[1])
+
+        def backward(g, acc):
+            acc(a, g, np.s_[:, lo:hi])
 
         return self._record(a.value[:, lo:hi], (a,), backward)
 
@@ -241,15 +256,15 @@ class Tape:
 
         return self._record(out, (a,), backward)
 
-    def concat_cols(self, parts: Sequence[Node]) -> Node:
+    def concat(self, parts: Sequence[Node], axis: int) -> Node:
+        """``parts`` side by side (``axis`` 1) or stacked (``axis`` 0)."""
         parts = list(parts)
-        widths = [p.value.shape[1] for p in parts]
-        out = np.concatenate([p.value for p in parts], axis=1)
-        offsets = np.cumsum([0] + widths)
+        out = np.concatenate([p.value for p in parts], axis=axis)
+        edges = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
         def backward(g, acc):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                acc(p, g[:, lo:hi])
+            for p, part in zip(parts, np.split(g, edges, axis=axis)):
+                acc(p, part)
 
         return self._record(out, tuple(parts), backward)
 
@@ -367,14 +382,28 @@ class Tape:
         if output.value.shape != (1, 1):
             raise ValueError("backward_from expects a scalar (1x1) output node")
         grads: dict[int, np.ndarray] = {output.idx: np.ones((1, 1))}
+        owned: set[int] = set()   # nodes whose gradient is a buffer of this pass
 
-        def acc(node: Node, g: np.ndarray):
+        def acc(node: Node, g: np.ndarray, index=None):
+            """Add ``g`` to the gradient of ``node``, or to its ``index`` part.
+
+            A first whole gradient is kept as it is, possibly a view of
+            another node's. Any later write goes into a buffer the pass owns:
+            zeros at an indexed first write, else a copy of what is there.
+            """
             if not node.grad_enabled:
                 return
-            if node.idx in grads:
-                grads[node.idx] = grads[node.idx] + g
+            i = node.idx
+            if i not in grads and index is None:
+                grads[i] = g
+                return
+            if i not in owned:
+                grads[i] = np.array(grads[i]) if i in grads else np.zeros(node.value.shape)
+                owned.add(i)
+            if index is None:
+                grads[i] += g
             else:
-                grads[node.idx] = g
+                grads[i][index] += g
 
         for node in reversed(self.nodes[: output.idx + 1]):
             if node.backward is None or node.idx not in grads:

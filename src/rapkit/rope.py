@@ -110,6 +110,11 @@ class RetainedIndex:
             raise ValueError("retained pair ids must be strictly increasing")
         if ps[0] < 0 or ps[-1] >= self.scheme.num_pairs:
             raise ValueError("retained pair id out of range")
+        # rotation_args looks heads up by hash on every call
+        object.__setattr__(self, "_hash", hash((ps, self.scheme)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -17,6 +17,13 @@ stack their n new rows into n·G token-major rows and share one score matmul
 against the cached keys, one masked softmax and one value matmul. FLOPs
 count exactly what G per-head matmuls would.
 
+The n new rows attend in query blocks of at most ``QUERY_BLOCK`` (64) rows.
+Block [i0, i1) scores only the keys it can see, [0, t+i1), so its score
+matrix stays small enough for cache, and the masked upper part of a long
+prefill is neither computed nor counted. A decode step, and any pass of at
+most 64 rows, is one block over every key and runs exactly as unblocked
+attention would.
+
 Each layer caches its keys in one row buffer and its values in another, the
 kv heads side by side (H_kv·width columns); a head reads its columns as a
 view. A pass appends its rows to each buffer in place, and one that needs
@@ -58,6 +65,10 @@ import numpy as np
 from .numcore import Matrix, Node, Tape, as_matrix
 from .rope import PairingScheme, RetainedIndex, RopeConfig, rotation_args
 
+# query rows a layer step attends in one block: a block's score matrix (G
+# stacked rows per query, one column per visible key) stays small enough to
+# sit in cache, and it scores only the keys its rows can see
+QUERY_BLOCK = 64
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -261,7 +272,8 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     layer; each side's rows join its buffer in one append. Each kv head then
     attends for its G query heads at once: their n x G·qw query columns, read
     as n·G rows of width qw (row i·G + j is token i, head j), go through one
-    score matmul, one masked softmax and one value matmul.
+    score matmul, one masked softmax and one value matmul per query block:
+    block [i0, i1) scores only keys [0, t+i1), the ones its rows can see.
     """
     spec = model.spec
     layer = model.layers[idx]
@@ -288,7 +300,12 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     kw = k_all.value.shape[1] // kv_heads
     vw = v_all.value.shape[1] // kv_heads
 
-    outs, layer_probs = [], []
+    # query blocks [i0, i1); a pass of at most QUERY_BLOCK rows is one block
+    # over every key, with no slicing
+    blocks = [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
+    # every query head's probabilities; the keys a block does not see stay 0
+    layer_probs = None if probs_out is None else np.zeros((spec.query_heads, n, t + n))
+    outs = []
     for g in range(kv_heads):
         keys = tape.cols(k_all, g * kw, (g + 1) * kw)
         if layer.k_mode == "svd":
@@ -301,16 +318,25 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
 
         q_g = tape.cols(q_all, g * group * qw, (g + 1) * group * qw)
         q_rows = tape.reshape(q_g, n * group, qw)
-        scores = tape.matmul(q_rows, tape.transpose(keys), tag="attn_score")
-        probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
-        if probs_out is not None:
-            layer_probs.extend(probs.value[j::group] for j in range(group))
-        out = tape.matmul(probs, values, tag="attn_value")
+        parts = []
+        for i0, i1 in blocks:
+            q_b, k_b, v_b, mask_b = q_rows, keys, values, mask
+            if len(blocks) > 1:   # the block sees keys [0, t+i1) only
+                q_b = tape.rows(q_rows, i0 * group, i1 * group)
+                k_b, v_b = tape.rows(keys, 0, t + i1), tape.rows(values, 0, t + i1)
+                mask_b = mask[i0:i1, :t + i1]
+            scores = tape.matmul(q_b, tape.transpose(k_b), tag="attn_score")
+            probs = tape.masked_softmax(scores, inv_sqrt_d, mask_b)
+            if layer_probs is not None:
+                layer_probs[g * group:(g + 1) * group, i0:i1, :t + i1] = \
+                    probs.value.reshape(i1 - i0, group, t + i1).transpose(1, 0, 2)
+            parts.append(tape.matmul(probs, v_b, tag="attn_value"))
+        out = parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
         outs.append(tape.reshape(out, n, group * out.value.shape[1]))
     if probs_out is not None:
-        probs_out.append(layer_probs)
+        probs_out.append(list(layer_probs))
 
-    merged = outs[0] if len(outs) == 1 else tape.concat_cols(outs)
+    merged = outs[0] if len(outs) == 1 else tape.concat(outs, axis=1)
     return layer.proj_o.apply(tape, merged, f"L{idx}.o", tag="attn_o")
 
 

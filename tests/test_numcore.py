@@ -208,10 +208,45 @@ def test_cols_is_a_view_and_checks_its_range(rng):
 
 
 def test_fd_concat_cols(rng):
+    """Side by side (axis 1) and stacked (axis 0)."""
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
     r = rng.normal(size=(3, 6))
-    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat_cols([lv["a"], lv["b"]]),
+    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=1),
                                             t.constant(r))), arrays)
+    arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(4, 3))}
+    r = rng.normal(size=(6, 3))
+    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=0),
+                                            t.constant(r))), arrays)
+
+
+def test_fd_rows(rng):
+    """Overlapping and empty row slices of a node whose first gradient is
+    shared with another leaf: writing a slice into it must not touch that
+    leaf's gradient."""
+    arrays = {"a": rng.normal(size=(6, 3)), "b": rng.normal(size=(6, 3))}
+    r1, r2, r3 = (rng.normal(size=(k, 3)) for k in (4, 3, 6))
+
+    def build(t, lv):
+        x = t.sum_all(t.mul(t.rows(lv["a"], 1, 5), t.constant(r1)))
+        y = t.sum_all(t.mul(t.rows(lv["a"], 3, 6), t.constant(r2)))
+        empty = t.sum_all(t.rows(lv["a"], 2, 2))
+        # recorded last, so its backward runs first: a and b get the same array
+        z = t.sum_all(t.mul(t.add(lv["a"], lv["b"]), t.constant(r3)))
+        return t.add(t.add(t.add(x, y), empty), z)
+
+    _fd_check(build, arrays)
+
+
+def test_rows_is_a_view_and_checks_its_range(rng):
+    t = Tape()
+    a = t.leaf(rng.normal(size=(5, 3)), "a")
+    out = t.rows(a, 1, 4)
+    assert np.shares_memory(out.value, a.value)
+    np.testing.assert_array_equal(out.value, a.value[1:4])
+    assert t.rows(a, 0, 5).value.shape == (5, 3)
+    for lo, hi in ((-1, 2), (2, 6), (3, 2)):
+        with pytest.raises(ValueError, match="rows .* out of range"):
+            t.rows(a, lo, hi)
 
 
 def test_fd_row_softmax_and_log_softmax(rng):

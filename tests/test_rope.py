@@ -180,6 +180,28 @@ def test_side_by_side_heads_rotate_in_one_call(kind, rng):
             rotation_args(cos, sin, unequal)
 
 
+def test_rotation_args_hashes_no_pair_tuple(rng):
+    """An index hashes its pairs once, when it is built: rotation_args looks
+    its heads up on every call without hashing them again."""
+    class CountedPairs(tuple):
+        calls = 0
+
+        def __hash__(self):
+            CountedPairs.calls += 1
+            return super().__hash__()
+
+    cfg = cfg_for(ADJACENT, 8)
+    retained = RetainedIndex(CountedPairs((0, 2)), cfg.scheme)
+    built = CountedPairs.calls
+    cos, sin = cfg.angle_tables([3, 4])
+    for _ in range(3):
+        rotation_args(cos, sin, [retained] * 4)
+    assert CountedPairs.calls == built
+    assert retained == RetainedIndex((0, 2), cfg.scheme)
+    assert hash(retained) == hash(RetainedIndex((0, 2), cfg.scheme))
+    assert retained != RetainedIndex((0, 3), cfg.scheme)
+
+
 def test_retained_out_of_range():
     cfg = cfg_for(ADJACENT, 8)
     with pytest.raises(ValueError):

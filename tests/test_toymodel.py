@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from conftest import identity_model, make_spec
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
+from rapkit import toymodel
 from rapkit.numcore import Tape, gradients
 from rapkit.rope import PairingScheme, RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
-from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
+from rapkit.toymodel import (QUERY_BLOCK, AttentionLayer, AttentionModel, LinearMap,
                              forward_decode, forward_prefill, load_model,
                              loss_ce, loss_forward, markov_calibration, save_model)
 
@@ -454,14 +455,16 @@ def per_head_probs(model: AttentionModel, tokens) -> list[list[np.ndarray]]:
 @given(layers=st.integers(1, 2), kv_heads=st.integers(1, 3), group=st.integers(1, 3),
        pairs=st.integers(1, 8), pairing=st.sampled_from(["adjacent", "half_split"]),
        method=st.sampled_from(METHODS), rho=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
-       seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16), block=st.integers(1, 4))
 def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairing,
-                                           method, rho, seed, tmp_path_factory):
-    """Each kv head attends for its whole query group at once. Over GQA shapes
-    and every method: a decode chain across cache doublings equals the prefill
-    rows, recording and non-recording tapes agree bit for bit, and the
-    collected probabilities are each query head's own, in head order. The
-    latent logits equal the dense reference's, and at rho 0 the uncompressed
+                                           method, rho, seed, block, tmp_path_factory):
+    """Each kv head attends for its whole query group at once, in query
+    blocks of ``block`` rows that span the 9-token window several times. Over
+    GQA shapes and every method: the logits equal a single-block pass's, a
+    decode chain across cache doublings equals the prefill rows, recording
+    and non-recording tapes agree bit for bit, and the collected
+    probabilities are each query head's own, in head order. The latent
+    logits equal the dense reference's, and at rho 0 the uncompressed
     model's; a saved and loaded model gives the same logits bit for bit; the
     cache holds the closed-form entry count whenever (1 - rho)·D/2 is whole."""
     spec = make_spec(layers=layers, query_heads=kv_heads * group, kv_heads=kv_heads,
@@ -471,35 +474,95 @@ def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairi
     model = base if method == "baseline" else build_compressed(base, method, rho,
                                                                scores=scores)
     tokens = list(np.random.default_rng(seed).integers(0, spec.vocab, size=9))
-    full = forward_prefill(model, tokens, collect_probs=True)
-    runs = []
-    for tape in (None, Tape()):
-        start = forward_prefill(model, tokens[:2], tape=tape)
-        logits, cache = [start.logits], start.cache
-        for tok in tokens[2:]:   # buffers grow 2 -> 4 -> 8 -> 16
-            step, cache = forward_decode(model, cache, tok, tape=start.tape)
-            logits.append(step)
-        runs.append(np.vstack(logits))
-    np.testing.assert_array_equal(runs[0], runs[1])
-    np.testing.assert_allclose(runs[0], full.logits, rtol=0, atol=1e-10)
-    reference = per_head_probs(model, tokens)
-    assert len(full.attention_probs) == spec.layers
-    for got, want in zip(full.attention_probs, reference):
-        assert len(got) == spec.query_heads
-        for h, (p, ref) in enumerate(zip(got, want)):
-            assert p.shape == (len(tokens), len(tokens))
-            np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12, err_msg=f"head {h}")
+    one_block = forward_prefill(model, tokens).logits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toymodel, "QUERY_BLOCK", block)
+        full = forward_prefill(model, tokens, collect_probs=True)
+        np.testing.assert_allclose(full.logits, one_block, rtol=0, atol=1e-12)
+        runs = []
+        for tape in (None, Tape()):
+            start = forward_prefill(model, tokens[:2], tape=tape)
+            logits, cache = [start.logits], start.cache
+            for tok in tokens[2:]:   # buffers grow 2 -> 4 -> 8 -> 16
+                step, cache = forward_decode(model, cache, tok, tape=start.tape)
+                logits.append(step)
+            runs.append(np.vstack(logits))
+        np.testing.assert_array_equal(runs[0], runs[1])
+        np.testing.assert_allclose(runs[0], full.logits, rtol=0, atol=1e-10)
+        reference = per_head_probs(model, tokens)
+        assert len(full.attention_probs) == spec.layers
+        for got, want in zip(full.attention_probs, reference):
+            assert len(got) == spec.query_heads
+            for h, (p, ref) in enumerate(zip(got, want)):
+                assert p.shape == (len(tokens), len(tokens))
+                np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12, err_msg=f"head {h}")
 
-    dense = reconstructed_reference(base, method, rho, scores=scores)
-    np.testing.assert_allclose(full.logits, forward_prefill(dense, tokens).logits,
-                               rtol=0, atol=1e-10)
-    if rho == 0.0:
-        np.testing.assert_allclose(full.logits, forward_prefill(base, tokens).logits,
-                                   rtol=0, atol=1e-9)
-    path = tmp_path_factory.getbasetemp() / "gqa.model"
-    save_model(model, path)
-    np.testing.assert_array_equal(forward_prefill(load_model(path), tokens).logits,
-                                  full.logits)
+        dense = reconstructed_reference(base, method, rho, scores=scores)
+        np.testing.assert_allclose(full.logits, forward_prefill(dense, tokens).logits,
+                                   rtol=0, atol=1e-10)
+        if rho == 0.0:
+            np.testing.assert_allclose(full.logits, forward_prefill(base, tokens).logits,
+                                       rtol=0, atol=1e-9)
+        path = tmp_path_factory.getbasetemp() / "gqa.model"
+        save_model(model, path)
+        np.testing.assert_array_equal(forward_prefill(load_model(path), tokens).logits,
+                                      full.logits)
     kept = 1.0 if method == "baseline" else 1.0 - rho
     if (kept * pairs).is_integer():
         assert full.cache.entries() == baseline_kv_entries(spec, len(tokens)) * kept
+
+
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+@pytest.mark.parametrize("method", METHODS)
+def test_query_blocks_straddling_windows_keep_loss_and_gradients(method, pairing,
+                                                                 monkeypatch):
+    """Three windows of 5 tokens in blocks of 2 rows: blocks cross window
+    edges, and the loss and every leaf gradient equal a single-block pass's."""
+    base = AttentionModel.build(make_spec(seed=33, pairing=pairing))
+    model = base if method == "baseline" else build_compressed(
+        base, method, 0.5, scores=magnitude_scores(base, base.spec.rope.scheme))
+    windows = markov_calibration(model.spec.vocab, count=3, window=5, seed=8).sequences
+    runs = []
+    for block in (QUERY_BLOCK, 2):
+        monkeypatch.setattr(toymodel, "QUERY_BLOCK", block)
+        loss, tape = loss_forward(model, windows)
+        names = sorted(tape.leaves)
+        runs.append((loss.value[0, 0], names,
+                     gradients(tape, loss, [tape.leaves[n] for n in names])))
+    (one_loss, names, one_grads), (loss, blocked_names, grads) = runs
+    assert blocked_names == names
+    assert loss == pytest.approx(one_loss, rel=0, abs=1e-12)
+    for name, want, got in zip(names, one_grads, grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+# (query rows, visible keys) of each block of a prefill on an empty cache
+BLOCKS = {9: [(9, 9)], 64: [(64, 64)], 130: [(64, 64), (64, 128), (2, 130)]}
+
+
+@pytest.mark.parametrize("n", sorted(BLOCKS))
+@pytest.mark.parametrize("method", METHODS)
+def test_attention_flops_count_only_the_blocks_that_run(method, n):
+    """A block of r query rows that sees k keys costs 2·r·G·k·w per kv head
+    and layer, at the query width for scores and the value width for values;
+    a prefill of at most 64 tokens is one n x n block."""
+    assert QUERY_BLOCK == 64
+    model = _compressed(method)
+    spec = model.spec
+    tape = forward_prefill(model, [i % spec.vocab for i in range(n)]).tape
+    score = value = old_score = old_value = 0
+    for layer in model.layers:
+        qw = layer.proj_q.weight.shape[1] // spec.query_heads
+        vw = (layer.v_recon[0].shape[1] if layer.v_recon is not None
+              else layer.v_map.weight.shape[1] // spec.kv_heads)
+        per_width = spec.kv_heads * sum(2 * rows * spec.group_size * keys
+                                        for rows, keys in BLOCKS[n])
+        score, value = score + per_width * qw, value + per_width * vw
+        old_score += spec.kv_heads * 2 * n * spec.group_size * n * qw
+        old_value += spec.kv_heads * 2 * n * spec.group_size * n * vw
+    assert tape.flops_by_tag["attn_score"] == score
+    assert tape.flops_by_tag["attn_value"] == value
+    if n <= QUERY_BLOCK:
+        assert (score, value) == (old_score, old_value)
+    else:
+        assert score < old_score and value < old_value
