@@ -65,10 +65,9 @@ import numpy as np
 from .numcore import Matrix, Node, Tape, as_matrix
 from .rope import PairingScheme, RetainedIndex, RopeConfig, rotation_args
 
-# query rows a layer step attends in one block: a block's score matrix (G
-# stacked rows per query, one column per visible key) stays small enough to
-# sit in cache, and it scores only the keys its rows can see
+# query rows a layer step attends at once (see the module docstring)
 QUERY_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -300,8 +299,7 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     kw = k_all.value.shape[1] // kv_heads
     vw = v_all.value.shape[1] // kv_heads
 
-    # query blocks [i0, i1); a pass of at most QUERY_BLOCK rows is one block
-    # over every key, with no slicing
+    # a pass of at most QUERY_BLOCK rows is one unsliced block over every key
     blocks = [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
     # every query head's probabilities; the keys a block does not see stay 0
     layer_probs = None if probs_out is None else np.zeros((spec.query_heads, n, t + n))

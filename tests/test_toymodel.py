@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_model, make_spec
+from rapkit import toymodel
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
-from rapkit import toymodel
 from rapkit.numcore import Tape, gradients
 from rapkit.rope import PairingScheme, RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
