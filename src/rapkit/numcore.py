@@ -15,7 +15,8 @@ views: a transpose is ``a.T`` (F-contiguous, so a matmul hands BLAS the
 transpose flag instead of copying), a row or column slice (a view BLAS reads
 in place), a reshape of a C-contiguous matrix and a row append (the cached
 rows of a buffer). The masked softmax writes its result over its input score
-matrix.
+matrix. The paired rotation reads the two columns of every pair as strided
+views of one reshape, and gathers no column.
 
 In the backward pass a slice adds its gradient into its part of one zero
 buffer per sliced node, which the pass owns; it does not build a full-size
@@ -70,19 +71,30 @@ def _check_range(what: str, lo: int, hi: int, size: int):
         raise ValueError(f"{what} [{lo}, {hi}) out of range for {size} {what}")
 
 
-def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray,
-                 first: np.ndarray, second: np.ndarray) -> Matrix:
-    """Apply independent 2x2 rotations to column pairs of each row.
+def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool) -> Matrix:
+    """Apply independent 2x2 rotations to the column pairs of each row.
 
-    ``cos``/``sin`` have shape (rows, n_pairs); pair ``k`` couples columns
-    ``first[k]`` and ``second[k]``. The result is a copy of ``x``, so columns
-    outside any pair pass through untouched.
+    ``cos``/``sin`` have shape (rows, K, m). The columns of ``x`` are K equal
+    groups of heads, each head m pairs wide, and every head of group k turns
+    its pair j by the angle of ``cos[:, k, j]``. A head couples columns
+    (2j, 2j+1), or (j, j+m) when ``half_split``; both halves of every pair
+    are strided views of one reshape, so no column is gathered.
     """
-    xa = x[:, first]
-    xb = x[:, second]
-    out = x.copy()
-    out[:, first] = xa * cos - xb * sin
-    out[:, second] = xa * sin + xb * cos
+    n, groups, pairs = cos.shape
+    if x.shape[0] != n or x.shape[1] % (2 * groups * pairs):
+        raise ValueError(f"cannot rotate {x.shape} as {groups} groups of heads "
+                         f"with {pairs} pairs for {n} rows")
+    # x as (rows, K, heads, m, 2) or (rows, K, heads, 2, m); a and b pick
+    # each pair's first and second column
+    if half_split:
+        shape, a, b = (n, groups, -1, 2, pairs), np.s_[:, :, :, 0], np.s_[:, :, :, 1]
+    else:
+        shape, a, b = (n, groups, -1, pairs, 2), np.s_[..., 0], np.s_[..., 1]
+    out = np.empty(x.shape)
+    xs, outs = x.reshape(shape), out.reshape(shape)
+    cos, sin = cos[:, :, None], sin[:, :, None]   # broadcast over a group's heads
+    np.subtract(xs[a] * cos, xs[b] * sin, out=outs[a])
+    np.add(xs[a] * sin, xs[b] * cos, out=outs[b])
     return out
 
 
@@ -311,16 +323,16 @@ class Tape:
         return self._record(out, (a,), backward)
 
     def rotate_pairs(self, a: Node, cos: np.ndarray, sin: np.ndarray,
-                     first: np.ndarray, second: np.ndarray) -> Node:
+                     half_split: bool) -> Node:
         """Record :func:`rotate_pairs`.
 
         The rotation is orthogonal, so the backward pass rotates the incoming
         gradient by the negated angles.
         """
-        out = rotate_pairs(a.value, cos, sin, first, second)
+        out = rotate_pairs(a.value, cos, sin, half_split)
 
         def backward(g, acc):
-            acc(a, rotate_pairs(g, cos, -sin, first, second))
+            acc(a, rotate_pairs(g, cos, -sin, half_split))
 
         return self._record(out, (a,), backward)
 
@@ -423,4 +435,5 @@ def gradients(tape: Tape, output: Node, leaves: Iterable[Node]) -> list[Matrix]:
         if not 0 <= leaf.idx < len(tape.nodes) or tape.nodes[leaf.idx] is not leaf:
             raise ValueError("leaf is not a node of this tape")
     table = tape.backward_from(output)
-    return [table.get(leaf.idx, np.zeros_like(leaf.value)) for leaf in leaves]
+    return [table[leaf.idx] if leaf.idx in table else np.zeros_like(leaf.value)
+            for leaf in leaves]

@@ -3,23 +3,23 @@
 Two pairing conventions are supported: at an even width W, ``adjacent``
 couples columns (2x, 2x+1) and ``half_split`` couples (x, x + W/2), both
 0-based. Pair ``j`` rotates by angle ``position * theta_base ** (-2j / D)``.
-:meth:`PairingScheme.column_arrays` is the only code that turns pair ids into
-columns; retained indices, pair scores and rotations all read it.
 
 A head is described by a :class:`RetainedIndex`, the original pair ids it
 keeps (:attr:`PairingScheme.full` keeps them all). Its columns appear in
 original column order, which preserves the pairing layout at the smaller
-width. ``rotate_indexed`` rotates such a representation using the frequencies
-of the ORIGINAL pair indices, which is what makes pair-aligned pruning commute
-with the rotation; ``rotation_args`` does the same for heads laid side by
-side, and builds the index arrays of each head tuple once.
+width 2m. So a rotation needs no column index: :func:`numcore.rotate_pairs`
+turns the two halves of every pair as strided views of one reshape, with the
+angle columns of each head's ORIGINAL pair ids, which is what makes
+pair-aligned pruning commute with the rotation. ``rotate_indexed`` does this
+for one head. :meth:`PairingScheme.column_arrays` is the only code that turns
+pair ids into columns, for ``RetainedIndex.rap_index`` and pair scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +46,13 @@ class PairingScheme:
     def num_pairs(self) -> int:
         return self.head_dim // 2
 
-    def column_arrays(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) column index arrays for all pairs at ``width``."""
-        width = self.head_dim if width is None else width
-        if width % 2 != 0:
-            raise ValueError("pair layout requires an even width")
+    def column_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) column index arrays of every pair of a full head."""
         if self.kind == ADJACENT:
-            return (np.arange(0, width, 2, dtype=np.intp),
-                    np.arange(1, width, 2, dtype=np.intp))
-        first = np.arange(width // 2, dtype=np.intp)
-        return first, first + width // 2
+            return (np.arange(0, self.head_dim, 2, dtype=np.intp),
+                    np.arange(1, self.head_dim, 2, dtype=np.intp))
+        first = np.arange(self.num_pairs, dtype=np.intp)
+        return first, first + self.num_pairs
 
     @cached_property
     def full(self) -> "RetainedIndex":
@@ -110,11 +107,6 @@ class RetainedIndex:
             raise ValueError("retained pair ids must be strictly increasing")
         if ps[0] < 0 or ps[-1] >= self.scheme.num_pairs:
             raise ValueError("retained pair id out of range")
-        # rotation_args looks heads up by hash on every call
-        object.__setattr__(self, "_hash", hash((ps, self.scheme)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -137,34 +129,6 @@ class RetainedIndex:
         return b
 
 
-@lru_cache(maxsize=256)
-def _head_columns(heads: tuple[RetainedIndex, ...]) -> tuple:
-    """(angle columns, first, second) of :func:`rotation_args`, built once."""
-    if len({len(r) for r in heads}) != 1:
-        raise ValueError("heads must keep equal pair counts")
-    width = 2 * len(heads[0])
-    first, second = heads[0].scheme.column_arrays(width)
-    offsets = width * np.arange(len(heads))[:, None]
-    # one full head reads the angle tables as they are
-    keep = (slice(None) if heads == (heads[0].scheme.full,)
-            else np.concatenate([r.pairs for r in heads]))
-    return keep, (first + offsets).ravel(), (second + offsets).ravel()
-
-
-def rotation_args(cos: np.ndarray, sin: np.ndarray, heads) -> tuple:
-    """``(cos, sin, first, second)`` for :func:`numcore.rotate_pairs` over
-    heads laid side by side.
-
-    ``cos``/``sin`` hold one column per original pair. ``heads`` holds one
-    :class:`RetainedIndex` per head, all with the same pair count (a full head
-    is :attr:`PairingScheme.full`): a head holds only its pairs (width 2m,
-    original column order), and each keeps the angle column of its ORIGINAL
-    pair id. The index arrays depend on ``heads`` alone and are built once.
-    """
-    keep, first, second = _head_columns(tuple(heads))
-    return cos[:, keep], sin[:, keep], first, second
-
-
 def rotate_indexed(x, positions, cfg: RopeConfig, retained: RetainedIndex) -> np.ndarray:
     """Rotate a retained-pairs representation with its original frequencies."""
     x = np.asarray(x, dtype=np.float64)
@@ -173,7 +137,9 @@ def rotate_indexed(x, positions, cfg: RopeConfig, retained: RetainedIndex) -> np
     if len(positions) != x.shape[0]:
         raise ValueError("one position per row required")
     cos, sin = cfg.angle_tables(positions)
-    return rotate_pairs(x, *rotation_args(cos, sin, [retained]))
+    ids = list(retained.pairs)
+    return rotate_pairs(x, cos[:, None, ids], sin[:, None, ids],
+                        cfg.scheme.kind == HALF_SPLIT)
 
 
 def rotate(x, positions, cfg: RopeConfig) -> np.ndarray:

@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from .numcore import Matrix, Node, Tape, as_matrix
-from .rope import PairingScheme, RetainedIndex, RopeConfig, rotation_args
+from .rope import HALF_SPLIT, PairingScheme, RetainedIndex, RopeConfig
 
 # query rows a layer step attends at once (see the module docstring)
 QUERY_BLOCK = 64
@@ -278,22 +278,22 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     layer = model.layers[idx]
     t, n, group, kv_heads = cache.length, x.value.shape[0], spec.group_size, spec.kv_heads
     inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
-    # rap heads keep their own pairs; a query head rotates like its kv head's keys
-    full = [spec.rope.scheme.full]
-    k_heads = layer.k_retained or full * kv_heads
-    q_heads = [r for r in k_heads for _ in range(group)]
+    half_split = spec.rope.scheme.kind == HALF_SPLIT
+    # one angle row per kv head (rap heads keep their own pairs), or one for
+    # all heads; a group's query heads turn like its kv head's keys
+    ids = None if layer.k_retained is None else np.array([r.pairs for r in layer.k_retained])
+    cos_n, sin_n = cos[-n:, ids], sin[-n:, ids]
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
     v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
-    q_all = tape.rotate_pairs(q_all, *rotation_args(cos[-n:], sin[-n:], q_heads))
+    q_all = tape.rotate_pairs(q_all, cos_n, sin_n, half_split)
     if layer.k_mode == "svd":
         # latents are cached unrotated: every step rebuilds and rotates all keys
         k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
-        full_rot = rotation_args(cos, sin, full)
     else:
-        k_all = tape.append_rows(cache.k_bufs[idx], t, tape.rotate_pairs(
-            k_all, *rotation_args(cos[-n:], sin[-n:], k_heads)))
+        k_all = tape.append_rows(cache.k_bufs[idx], t,
+                                 tape.rotate_pairs(k_all, cos_n, sin_n, half_split))
     v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
     qw = q_all.value.shape[1] // spec.query_heads
     kw = k_all.value.shape[1] // kv_heads
@@ -308,7 +308,8 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
         keys = tape.cols(k_all, g * kw, (g + 1) * kw)
         if layer.k_mode == "svd":
             recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
-            keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"), *full_rot)
+            keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"),
+                                     cos[:, None], sin[:, None], half_split)
         values = tape.cols(v_all, g * vw, (g + 1) * vw)
         if layer.v_recon is not None:
             recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")

@@ -184,8 +184,7 @@ def test_criterion_07_gradient_correctness():
     ang = rng.uniform(0, 6, size=(4, 3))
     r_rot = rng.normal(size=(4, 6))
     fd_vs_tape(lambda t, lv: t.sum_all(t.mul(
-        t.rotate_pairs(lv["a"], np.cos(ang), np.sin(ang),
-                       np.array([0, 2, 4]), np.array([1, 3, 5])),
+        t.rotate_pairs(lv["a"], np.cos(ang)[:, None], np.sin(ang)[:, None], False),
         t.constant(r_rot))),
         {"a": rng.normal(size=(4, 6))})
     fd_vs_tape(lambda t, lv: t.cross_entropy(lv["a"], [0, 3, 1, 2]),

@@ -259,25 +259,15 @@ def test_fd_row_softmax_and_log_softmax(rng):
 
 
 def test_fd_rotate_pairs(rng):
-    arrays = {"a": rng.normal(size=(3, 6))}
-    r = rng.normal(size=(3, 6))
-    ang = rng.uniform(0, 7, size=(3, 3))
-    cos, sin = np.cos(ang), np.sin(ang)
-    first = np.array([0, 2, 4])
-    second = np.array([1, 3, 5])
-    _fd_check(lambda t, lv: t.sum_all(t.mul(
-        t.rotate_pairs(lv["a"], cos, sin, first, second), t.constant(r))), arrays)
-
-
-def test_fd_rotate_pairs_partial_coverage(rng):
-    # columns outside any pair pass through; their gradient must too
-    arrays = {"a": rng.normal(size=(3, 5))}
-    r = rng.normal(size=(3, 5))
-    ang = rng.uniform(0, 7, size=(3, 2))
-    cos, sin = np.cos(ang), np.sin(ang)
-    _fd_check(lambda t, lv: t.sum_all(t.mul(
-        t.rotate_pairs(lv["a"], cos, sin, np.array([0, 3]), np.array([1, 4])),
-        t.constant(r))), arrays)
+    # both layouts, K=2 groups of 2 heads of 2 pairs: a group's heads share
+    # its angle row
+    for half_split in (False, True):
+        arrays = {"a": rng.normal(size=(3, 16))}
+        r = rng.normal(size=(3, 16))
+        ang = rng.uniform(0, 7, size=(3, 2, 2))
+        cos, sin = np.cos(ang), np.sin(ang)
+        _fd_check(lambda t, lv: t.sum_all(t.mul(
+            t.rotate_pairs(lv["a"], cos, sin, half_split), t.constant(r))), arrays)
 
 
 def test_fd_append_rows(rng):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import pair_columns, scheme_pairs
 from rapkit.numcore import rotate_pairs
 from rapkit.rope import (ADJACENT, HALF_SPLIT, PairingScheme, RetainedIndex,
-                         RopeConfig, rotate, rotate_indexed, rotation_args)
+                         RopeConfig, rotate, rotate_indexed)
 
 
 def cfg_for(kind: str, head_dim: int, base: float = 10000.0) -> RopeConfig:
@@ -39,16 +39,13 @@ def test_frequencies_match_log_space_oracle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([ADJACENT, HALF_SPLIT]), st.integers(1, 64),
-       st.integers(0, 64))
-def test_column_arrays_match_pair_columns(kind, half_dim, half_width):
+@given(st.sampled_from([ADJACENT, HALF_SPLIT]), st.integers(1, 64))
+def test_column_arrays_match_pair_columns(kind, half_dim):
     scheme = PairingScheme(kind, 2 * half_dim)
-    for width in (None, 2 * half_width):
-        n = scheme.num_pairs if width is None else half_width
-        first, second = scheme.column_arrays(width)
-        expected = [pair_columns(kind, p, 2 * n) for p in range(n)]
-        assert first.dtype == second.dtype == np.intp
-        assert list(zip(first.tolist(), second.tolist())) == expected
+    first, second = scheme.column_arrays()
+    expected = [pair_columns(kind, p, 2 * half_dim) for p in range(half_dim)]
+    assert first.dtype == second.dtype == np.intp
+    assert list(zip(first.tolist(), second.tolist())) == expected
 
 
 def test_odd_head_dim_rejected():
@@ -149,17 +146,23 @@ def test_expand_rotate_gather_oracle(kind, rng):
 @pytest.mark.parametrize("kind", [ADJACENT, HALF_SPLIT])
 def test_side_by_side_heads_rotate_in_one_call(kind, rng):
     """One rotation over heads laid side by side equals rotating each head on
-    its own, bit for bit, for full heads and for retained-pair heads."""
+    its own, bit for bit, for full heads and for retained-pair heads, whether
+    each head has its own angle row or a group of heads shares one."""
     cfg = cfg_for(kind, 8)
+    half_split = kind == HALF_SPLIT
     positions = [7, 0, 3]
     cos, sin = cfg.angle_tables(positions)
     x = rng.normal(size=(3, 3 * 8))
     heads = [x[:, h * 8:(h + 1) * 8] for h in range(3)]
     expected = np.hstack([rotate(h, positions, cfg) for h in heads])
-    # the cached full index and an equal one built by hand
+    # one angle row for all heads, and one per head from the cached full index
+    # and from an equal one built by hand
+    np.testing.assert_array_equal(
+        rotate_pairs(x, cos[:, None], sin[:, None], half_split), expected)
     for full in (cfg.scheme.full, RetainedIndex(tuple(range(4)), cfg.scheme)):
+        ids = np.array([full.pairs] * 3)
         np.testing.assert_array_equal(
-            rotate_pairs(x, *rotation_args(cos, sin, [full] * 3)), expected)
+            rotate_pairs(x, cos[:, ids], sin[:, ids], half_split), expected)
     # and the closed form: head h's pair p turns columns h*8 + (a, b) by angle p
     oracle = x.copy()
     for h in range(3):
@@ -168,35 +171,30 @@ def test_side_by_side_heads_rotate_in_one_call(kind, rng):
             oracle[:, h * 8 + a] = xa * cos[:, p] - xb * sin[:, p]
             oracle[:, h * 8 + b] = xa * sin[:, p] + xb * cos[:, p]
     np.testing.assert_array_equal(expected, oracle)
+    # retained heads: K groups of G heads, a group's heads turn by its pairs
     retained = [RetainedIndex(p, cfg.scheme) for p in ((0, 3), (1, 2), (0, 3))]
-    x = rng.normal(size=(3, 3 * 4))
-    heads = [x[:, h * 4:(h + 1) * 4] for h in range(3)]
-    np.testing.assert_array_equal(
-        rotate_pairs(x, *rotation_args(cos, sin, retained)),
-        np.hstack([rotate_indexed(h, positions, cfg, r) for h, r in zip(heads, retained)]))
-    for unequal in ([RetainedIndex((0,), cfg.scheme), retained[0]],
-                    [cfg.scheme.full, retained[0]], []):
-        with pytest.raises(ValueError, match="equal pair counts"):
-            rotation_args(cos, sin, unequal)
+    ids = np.array([r.pairs for r in retained])
+    for group in (1, 2):
+        x = rng.normal(size=(3, 3 * group * 4))
+        heads = [x[:, h * 4:(h + 1) * 4] for h in range(3 * group)]
+        np.testing.assert_array_equal(
+            rotate_pairs(x, cos[:, ids], sin[:, ids], half_split),
+            np.hstack([rotate_indexed(h, positions, cfg, retained[i // group])
+                       for i, h in enumerate(heads)]))
+    # a width that is not K groups of whole heads, or a row count that is not
+    # the angle table's, is refused
+    for width, angles in ((14, ids), (10, None), (12, ids[:2])):
+        with pytest.raises(ValueError, match="cannot rotate"):
+            rotate_pairs(np.ones((3, width)), cos[:, angles], sin[:, angles], half_split)
+    with pytest.raises(ValueError, match="cannot rotate"):
+        rotate_pairs(np.ones((2, 12)), cos[:, ids], sin[:, ids], half_split)
 
 
-def test_rotation_args_hashes_no_pair_tuple(rng):
-    """An index hashes its pairs once, when it is built: rotation_args looks
-    its heads up on every call without hashing them again."""
-    class CountedPairs(tuple):
-        calls = 0
-
-        def __hash__(self):
-            CountedPairs.calls += 1
-            return super().__hash__()
-
+def test_rotation_args_hashes_no_pair_tuple():
+    """Indices hash and compare by their pairs and scheme, as the frozen
+    dataclass defines it."""
     cfg = cfg_for(ADJACENT, 8)
-    retained = RetainedIndex(CountedPairs((0, 2)), cfg.scheme)
-    built = CountedPairs.calls
-    cos, sin = cfg.angle_tables([3, 4])
-    for _ in range(3):
-        rotation_args(cos, sin, [retained] * 4)
-    assert CountedPairs.calls == built
+    retained = RetainedIndex((0, 2), cfg.scheme)
     assert retained == RetainedIndex((0, 2), cfg.scheme)
     assert hash(retained) == hash(RetainedIndex((0, 2), cfg.scheme))
     assert retained != RetainedIndex((0, 3), cfg.scheme)

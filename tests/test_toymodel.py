@@ -325,26 +325,30 @@ def test_decode_across_cache_doublings(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_decode_steps_build_no_pair_columns_after_the_first(method, monkeypatch):
-    """A layer's rotation index arrays depend on its heads alone: after the
-    first of 10 medium decode steps, no step maps pair ids to columns."""
-    spec = make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512)
-    base = AttentionModel.build(spec)
-    model = build_compressed(base, method, 0.5,
-                             scores=magnitude_scores(base, spec.rope.scheme))
-    cache = forward_prefill(model, list(range(8))).cache
+    """Rotations turn strided views and need no column index: once the model
+    is built, no forward pass maps pair ids to columns, neither a prefill, 10
+    medium decode steps nor a batched loss, for either pairing."""
     calls = []
     real = PairingScheme.column_arrays
 
-    def counted(self, width=None):
-        calls.append(width)
-        return real(self, width)
+    def counted(self):
+        calls.append(self.kind)
+        return real(self)
 
-    for step in range(10):
-        if step == 1:
-            monkeypatch.setattr(PairingScheme, "column_arrays", counted)
-        _, cache = forward_decode(model, cache, 100 + step)
-    assert cache.length == 18
-    assert calls == []
+    for pairing in ("adjacent", "half_split"):
+        spec = make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64,
+                         vocab=512, pairing=pairing)
+        base = AttentionModel.build(spec)
+        model = build_compressed(base, method, 0.5,
+                                 scores=magnitude_scores(base, spec.rope.scheme))
+        with monkeypatch.context() as patch:
+            patch.setattr(PairingScheme, "column_arrays", counted)
+            cache = forward_prefill(model, list(range(8))).cache
+            for step in range(10):
+                _, cache = forward_decode(model, cache, 100 + step)
+            loss_forward(model, [list(range(8)), list(range(8, 16))])
+        assert cache.length == 18
+        assert calls == []
 
 
 def test_inference_prefill_holds_a_fraction_of_a_recorded_one():
