@@ -1,24 +1,25 @@
-"""Dense float64 matrices and a small tape-based reverse-mode autodiff core.
+"""Dense float64 arrays and a small tape-based reverse-mode autodiff core.
 
-Matrices are plain 2-D ``numpy.float64`` arrays. A :class:`Tape` records a
-fixed set of primitives so that the gradient of any recorded scalar with
-respect to any registered leaf can be replayed: matmul, add, scale,
-elementwise multiply, transpose, reshape, row and column slices, row
-gathers, concat along rows or columns, row softmax and log-softmax, masked
-softmax, paired rotation, row appends, cross entropy, sum and mean. Every
-matmul run on a tape adds ``2 * rows * cols * inner`` to the tape's FLOPs
-counter, broken down by an optional tag, so the counter holds only the
-matmuls that ran.
+Values are ``numpy.float64`` matrices, or stacks of matrices with leading
+batch axes: a primitive works on the last two axes and broadcasts over the
+rest. A :class:`Tape` records a fixed set of primitives so that the gradient
+of any recorded scalar with respect to any registered leaf can be replayed:
+matmul, add, scale, elementwise multiply, transpose, swapaxes, reshape, row
+slices, row gathers, concat along any axis, row softmax and log-softmax,
+masked softmax, paired rotation, row appends, cross entropy, sum and mean.
+Every matmul run on a tape adds ``2 * batch * rows * cols * inner`` to the
+tape's FLOPs counter, broken down by an optional tag, so the counter holds
+only the matmuls that ran.
 
-Most primitives return a fresh C-contiguous matrix. The exceptions are
-views: a transpose is ``a.T`` (F-contiguous, so a matmul hands BLAS the
-transpose flag instead of copying), a row or column slice (a view BLAS reads
-in place), a reshape of a C-contiguous matrix and a row append (the cached
-rows of a buffer). The masked softmax writes its result over its input score
-matrix. The paired rotation reads the two columns of every pair as strided
-views of one reshape, and gathers no column.
+Most primitives return a fresh C-contiguous array. The exceptions are views:
+a transpose swaps the last two axes (so a matmul hands BLAS the transpose
+flag instead of copying), and so does a swapaxes of any two; a row slice (a
+view BLAS reads in place), a reshape where numpy can make one, and a row
+append (the cached rows of a buffer). The masked softmax writes its result
+over its input scores. The paired rotation reads the two columns of every
+pair as strided views of one reshape, and gathers no column.
 
-In the backward pass a slice adds its gradient into its part of one zero
+In the backward pass a row slice adds its gradient into its part of one zero
 buffer per sliced node, which the pass owns; it does not build a full-size
 gradient for every slice.
 
@@ -66,32 +67,28 @@ def log_softmax_rows(z: Matrix) -> Matrix:
     return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
 
-def _check_range(what: str, lo: int, hi: int, size: int):
-    if not 0 <= lo <= hi <= size:
-        raise ValueError(f"{what} [{lo}, {hi}) out of range for {size} {what}")
-
-
 def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool) -> Matrix:
     """Apply independent 2x2 rotations to the column pairs of each row.
 
-    ``cos``/``sin`` have shape (rows, K, m). The columns of ``x`` are K equal
-    groups of heads, each head m pairs wide, and every head of group k turns
-    its pair j by the angle of ``cos[:, k, j]``. A head couples columns
-    (2j, 2j+1), or (j, j+m) when ``half_split``; both halves of every pair
-    are strided views of one reshape, so no column is gathered.
+    ``x`` is (..., rows, width) and ``cos``/``sin`` have shape (rows, K, m).
+    The columns of ``x`` are K equal groups of heads, each head m pairs wide,
+    and every head of group k turns its pair j by the angle of
+    ``cos[:, k, j]``. A head couples columns (2j, 2j+1), or (j, j+m) when
+    ``half_split``; both halves of every pair are strided views of one
+    reshape, so no column is gathered.
     """
     n, groups, pairs = cos.shape
-    if x.shape[0] != n or x.shape[1] % (2 * groups * pairs):
+    if x.shape[-2] != n or x.shape[-1] % (2 * groups * pairs):
         raise ValueError(f"cannot rotate {x.shape} as {groups} groups of heads "
                          f"with {pairs} pairs for {n} rows")
-    # x as (rows, K, heads, m, 2) or (rows, K, heads, 2, m); a and b pick
-    # each pair's first and second column
+    # x as (..., rows, K, heads, m, 2) or (..., rows, K, heads, 2, m); a and b
+    # pick each pair's first and second column
     if half_split:
-        shape, a, b = (n, groups, -1, 2, pairs), np.s_[:, :, :, 0], np.s_[:, :, :, 1]
+        shape, a, b = (groups, -1, 2, pairs), np.s_[..., 0, :], np.s_[..., 1, :]
     else:
-        shape, a, b = (n, groups, -1, pairs, 2), np.s_[..., 0], np.s_[..., 1]
+        shape, a, b = (groups, -1, pairs, 2), np.s_[..., 0], np.s_[..., 1]
     out = np.empty(x.shape)
-    xs, outs = x.reshape(shape), out.reshape(shape)
+    xs, outs = x.reshape(x.shape[:-1] + shape), out.reshape(x.shape[:-1] + shape)
     cos, sin = cos[:, :, None], sin[:, :, None]   # broadcast over a group's heads
     np.subtract(xs[a] * cos, xs[b] * sin, out=outs[a])
     np.add(xs[a] * sin, xs[b] * cos, out=outs[b])
@@ -127,9 +124,10 @@ class Tape:
     from both uses into a single node.
 
     With ``record=False`` the tape only counts FLOPs: ``nodes`` and ``leaves``
-    stay empty, every primitive returns an unrecorded node (``idx`` -1), and
-    :meth:`leaf` wraps its value as it is, without coercing or checking it.
-    Model weights are checked once, when the model is built or loaded.
+    stay empty and every primitive returns an unrecorded node (``idx`` -1).
+    :meth:`leaf` takes a float64 array of any shape as it is and coerces
+    anything else with :func:`as_matrix`: model weights are checked when a
+    model is built or loaded, and training checks every update.
     """
 
     def __init__(self, record: bool = True):
@@ -157,7 +155,9 @@ class Tape:
             if existing.value is not value and not np.array_equal(existing.value, value):
                 raise ValueError(f"leaf {name!r} re-registered with different values")
             return existing
-        node = self._record(as_matrix(value), name=name)
+        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+            value = as_matrix(value)
+        node = self._record(value, name=name)
         self.leaves[name] = node
         return node
 
@@ -176,18 +176,17 @@ class Tape:
     # -- primitives ----------------------------------------------------------
 
     def matmul(self, a: Node, b: Node, tag: str | None = None) -> Node:
-        if a.value.shape[1] != b.value.shape[0]:
+        """``a @ b`` for two matrices, or for two stacks of one batch shape."""
+        if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
-        out = a.value @ b.value
-        m, inner = a.value.shape
-        n = b.value.shape[1]
-        self._count(2 * m * n * inner, tag)
+        out = np.matmul(a.value, b.value)
+        self._count(2 * out.size * a.value.shape[-1], tag)
 
         def backward(g, acc):
-            acc(a, g @ b.value.T)
-            acc(b, a.value.T @ g)
+            acc(a, np.matmul(g, b.value.swapaxes(-1, -2)))
+            acc(b, np.matmul(a.value.swapaxes(-1, -2), g))
 
         return self._record(out, (a, b), backward)
 
@@ -222,38 +221,35 @@ class Tape:
         return self._record(out, (a, b), backward)
 
     def transpose(self, a: Node) -> Node:
-        """The view ``a.value.T``: a matmul hands BLAS the transpose flag
-        instead of copying."""
+        """The last two axes swapped, a view: a matmul hands BLAS the
+        transpose flag instead of copying."""
+        return self.swapaxes(a, -1, -2)
+
+    def swapaxes(self, a: Node, i: int, j: int) -> Node:
+        """The view ``a.value.swapaxes(i, j)``."""
         def backward(g, acc):
-            acc(a, g.T)
+            acc(a, g.swapaxes(i, j))
 
-        return self._record(a.value.T, (a,), backward)
+        return self._record(a.value.swapaxes(i, j), (a,), backward)
 
-    def reshape(self, a: Node, rows: int, cols: int) -> Node:
-        """``a`` read row-major as rows x cols: a view when ``a`` is
-        C-contiguous, else a copy."""
+    def reshape(self, a: Node, *shape: int) -> Node:
+        """``a`` read row-major in ``shape``: a view where numpy can make one,
+        else a copy."""
         def backward(g, acc):
             acc(a, g.reshape(a.value.shape))
 
-        return self._record(a.value.reshape(rows, cols), (a,), backward)
+        return self._record(a.value.reshape(shape), (a,), backward)
 
     def rows(self, a: Node, lo: int, hi: int) -> Node:
-        """The view ``a.value[lo:hi]`` of rows [lo, hi)."""
-        _check_range("rows", lo, hi, a.value.shape[0])
+        """The view ``a.value[..., lo:hi, :]`` of rows [lo, hi) of every matrix."""
+        if not 0 <= lo <= hi <= a.value.shape[-2]:
+            raise ValueError(f"rows [{lo}, {hi}) out of range for {a.value.shape[-2]} rows")
+        part = np.s_[..., lo:hi, :]
 
         def backward(g, acc):
-            acc(a, g, np.s_[lo:hi])
+            acc(a, g, part)
 
-        return self._record(a.value[lo:hi], (a,), backward)
-
-    def cols(self, a: Node, lo: int, hi: int) -> Node:
-        """The view ``a.value[:, lo:hi]`` of columns [lo, hi)."""
-        _check_range("cols", lo, hi, a.value.shape[1])
-
-        def backward(g, acc):
-            acc(a, g, np.s_[:, lo:hi])
-
-        return self._record(a.value[:, lo:hi], (a,), backward)
+        return self._record(a.value[part], (a,), backward)
 
     def gather_rows(self, a: Node, idx: Sequence[int]) -> Node:
         idx = np.asarray(idx, dtype=np.intp)
@@ -269,7 +265,7 @@ class Tape:
         return self._record(out, (a,), backward)
 
     def concat(self, parts: Sequence[Node], axis: int) -> Node:
-        """``parts`` side by side (``axis`` 1) or stacked (``axis`` 0)."""
+        """``parts`` joined along ``axis``."""
         parts = list(parts)
         out = np.concatenate([p.value for p in parts], axis=axis)
         edges = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
@@ -291,24 +287,27 @@ class Tape:
 
     def masked_softmax(self, scores: Node, scale: float,
                        mask: np.ndarray | None = None) -> Node:
-        """Row softmax of ``scale * scores + mask``, written over ``scores.value``.
+        """Softmax over the last axis of ``scale * scores + mask``, written
+        over ``scores.value``.
 
-        An (n, T) constant ``mask`` serves n·G score rows: mask row i covers
-        rows [i·G, (i+1)·G). ``scores`` must be a fresh matrix nothing else
-        reads, such as a matmul's output (its backward reads only its
-        inputs). The backward pass needs only the output.
+        An (n, c) constant ``mask`` serves n·G score rows of every matrix:
+        mask row i covers rows [i·G, (i+1)·G) and their trailing c columns.
+        ``scores`` must be a fresh array nothing else reads, such as a
+        matmul's output (its backward reads only its inputs). The backward
+        pass needs only the output.
         """
         out = scores.value
         np.multiply(out, scale, out=out)
         if mask is not None:
-            stacked = out.reshape(mask.shape[0], -1, out.shape[1])  # a view
-            stacked += mask[:, None, :]
-        out -= np.max(out, axis=1, keepdims=True)
+            n, c = mask.shape
+            stacked = out.reshape(out.shape[:-2] + (n, -1, out.shape[-1]))  # a view
+            stacked[..., out.shape[-1] - c:] += mask[:, None, :]
+        out -= np.max(out, axis=-1, keepdims=True)
         np.exp(out, out=out)
-        out /= np.sum(out, axis=1, keepdims=True)
+        out /= np.sum(out, axis=-1, keepdims=True)
 
         def backward(g, acc):
-            dot = np.sum(g * out, axis=1, keepdims=True)
+            dot = np.sum(g * out, axis=-1, keepdims=True)
             acc(scores, out * (g - dot) * scale)
 
         return self._record(out, (scores,), backward)

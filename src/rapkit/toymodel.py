@@ -11,21 +11,22 @@ a causal mask offset by t. Prefill is n = S on an empty cache, decode is
 n = 1, so decode reproduces the matching prefill row by construction.
 
 A layer rotates all its query heads in one call, and all its new keys in
-another (unless svd keys rotate after their rebuild). Attention then runs
-once per kv head, not once per query head: the G query heads of a group
-stack their n new rows into n·G token-major rows and share one score matmul
-against the cached keys, one masked softmax and one value matmul. FLOPs
-count exactly what G per-head matmuls would.
+another (unless svd keys rotate after their rebuild). All kv heads then
+attend at once, each for its G query heads: the queries stack as (H_kv, n·G,
+qw), the keys and values as (H_kv, T, width) views of the cache, and one
+score matmul, one masked softmax and one value matmul run over the whole
+stack, so a step records as many nodes whatever H_kv is. FLOPs count
+exactly what per-head matmuls would.
 
 The n new rows attend in query blocks of at most ``QUERY_BLOCK`` (64) rows.
-Block [i0, i1) scores only the keys it can see, [0, t+i1), so its score
-matrix stays small enough for cache, and the masked upper part of a long
-prefill is neither computed nor counted. A decode step, and any pass of at
-most 64 rows, is one block over every key and runs exactly as unblocked
-attention would.
+Block [i0, i1) scores only the keys it can see, [0, t+i1), so the masked
+upper part of a long prefill is neither computed nor counted. In one window
+every key before t+i0 is visible, so the mask is only the block's diagonal
+tile; a batch of windows keeps the block's full mask rows. A decode step,
+and any pass of at most 64 rows, is one block over every key.
 
 Each layer caches its keys in one row buffer and its values in another, the
-kv heads side by side (H_kv·width columns); a head reads its columns as a
+kv heads side by side (H_kv·width columns), read as an (H_kv, T, width)
 view. A pass appends its rows to each buffer in place, and one that needs
 more rows than a buffer holds first grows it to the larger of the rows
 needed and twice its capacity, copying the cached rows once; so a prefill of
@@ -145,15 +146,18 @@ class AttentionLayer:
     k_map: LinearMap                  # dim x (H_kv * k_width)
     v_map: LinearMap                  # dim x (H_kv * v_width)
     proj_o: LinearMap                 # (H_q * o_width) x dim
-    k_recon: list[np.ndarray] | None = None   # per kv head, (k_width x D)
-    v_recon: list[np.ndarray] | None = None   # per kv head, (v_width x D)
+    k_recon: np.ndarray | None = None   # (H_kv, k_width, D), given per kv head
+    v_recon: np.ndarray | None = None   # (H_kv, v_width, D), given per kv head
     k_retained: list[RetainedIndex] | None = None  # per kv head, rap mode
+    pair_ids: np.ndarray | None = field(init=False, default=None)  # rap: (H_kv, m)
 
     def __post_init__(self):
         if self.k_recon is not None:
-            self.k_recon = [as_matrix(b) for b in self.k_recon]
+            self.k_recon = np.stack([as_matrix(b) for b in self.k_recon])
         if self.v_recon is not None:
-            self.v_recon = [as_matrix(b) for b in self.v_recon]
+            self.v_recon = np.stack([as_matrix(b) for b in self.v_recon])
+        if self.k_retained is not None:
+            self.pair_ids = np.array([r.pairs for r in self.k_retained])
 
     @property
     def k_mode(self) -> str:
@@ -166,10 +170,7 @@ class AttentionLayer:
     def param_count(self) -> int:
         n = (self.proj_q.param_count() + self.k_map.param_count()
              + self.v_map.param_count() + self.proj_o.param_count())
-        for recon in (self.k_recon, self.v_recon):
-            if recon is not None:
-                n += sum(int(b.size) for b in recon)
-        return n
+        return n + sum(int(r.size) for r in (self.k_recon, self.v_recon) if r is not None)
 
 
 class AttentionModel:
@@ -249,30 +250,37 @@ class PrefillResult:
     attention_probs: list[list[Matrix]] = field(default_factory=list)
 
 
-def _causal_mask(n: int, t: int, windows: int = 1) -> np.ndarray:
-    """Hides later rows from earlier ones: n new rows after t cached ones,
-    and each of ``windows`` equal windows (t = 0) from the other windows."""
-    rows, cols = np.arange(t, t + n)[:, None], np.arange(t + n)
-    size = (t + n) // windows
+def _causal_mask(n: int, windows: int = 1) -> np.ndarray:
+    """Hides later rows from earlier ones among n new rows, and each of
+    ``windows`` equal windows from the other windows."""
+    rows, cols = np.arange(n)[:, None], np.arange(n)
+    size = n // windows
     return np.where((cols > rows) | (cols // size < rows // size), -np.inf, 0.0)
 
 
+def _query_blocks(n: int, windows: int) -> list[tuple[int, int, np.ndarray | None]]:
+    """(i0, i1, mask) of each query block of n new rows: the mask covers the
+    trailing columns of the block's scores, the (i1-i0)² diagonal tile in one
+    window, all i1 columns for a batch of windows (which start at t = 0)."""
+    mask = _causal_mask(n, windows) if n > 1 else None
+    edges = [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
+    return [(i0, i1, None if mask is None else mask[i0:i1, i0 if windows == 1 else 0:i1])
+            for i0, i1 in edges]
+
+
 def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
-                cos, sin, mask: np.ndarray | None, cache: KvCache,
-                probs_out: list | None) -> Node:
+                cos, sin, blocks, cache: KvCache, probs_out: list | None) -> Node:
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
     cached ones; ``cos``/``sin`` end at position t+n-1, and start at 0 when
-    the model has svd layers, which rotate every cached key. ``mask`` (None
-    for a single row) hides later new rows from earlier ones.
+    the model has svd layers, which rotate every cached key. ``blocks`` are
+    the :func:`_query_blocks` of the n rows.
 
-    All query heads rotate at once, and so do the new keys of a rap or full
-    layer; each side's rows join its buffer in one append. Each kv head then
-    attends for its G query heads at once: their n x G·qw query columns, read
-    as n·G rows of width qw (row i·G + j is token i, head j), go through one
-    score matmul, one masked softmax and one value matmul per query block:
-    block [i0, i1) scores only keys [0, t+i1), the ones its rows can see.
+    Each side's new rows join its buffer in one append. Query row i·G + j of
+    a kv head's stack is token i, query head j of its group; each query
+    block makes one score matmul, one masked softmax and one value matmul
+    over all kv heads.
     """
     spec = model.spec
     layer = model.layers[idx]
@@ -281,61 +289,52 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     half_split = spec.rope.scheme.kind == HALF_SPLIT
     # one angle row per kv head (rap heads keep their own pairs), or one for
     # all heads; a group's query heads turn like its kv head's keys
-    ids = None if layer.k_retained is None else np.array([r.pairs for r in layer.k_retained])
-    cos_n, sin_n = cos[-n:, ids], sin[-n:, ids]
+    cos_n, sin_n = cos[-n:, layer.pair_ids], sin[-n:, layer.pair_ids]
 
     q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
     v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
     q_all = tape.rotate_pairs(q_all, cos_n, sin_n, half_split)
-    if layer.k_mode == "svd":
-        # latents are cached unrotated: every step rebuilds and rotates all keys
-        k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
-    else:
-        k_all = tape.append_rows(cache.k_bufs[idx], t,
-                                 tape.rotate_pairs(k_all, cos_n, sin_n, half_split))
+    if layer.k_mode != "svd":   # svd latents are cached unrotated
+        k_all = tape.rotate_pairs(k_all, cos_n, sin_n, half_split)
+    k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
     v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
-    qw = q_all.value.shape[1] // spec.query_heads
-    kw = k_all.value.shape[1] // kv_heads
-    vw = v_all.value.shape[1] // kv_heads
 
-    # a pass of at most QUERY_BLOCK rows is one unsliced block over every key
-    blocks = [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
-    # every query head's probabilities; the keys a block does not see stay 0
-    layer_probs = None if probs_out is None else np.zeros((spec.query_heads, n, t + n))
-    outs = []
-    for g in range(kv_heads):
-        keys = tape.cols(k_all, g * kw, (g + 1) * kw)
-        if layer.k_mode == "svd":
-            recon = tape.leaf(layer.k_recon[g], f"L{idx}.k_b{g}")
-            keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"),
-                                     cos[:, None], sin[:, None], half_split)
-        values = tape.cols(v_all, g * vw, (g + 1) * vw)
-        if layer.v_recon is not None:
-            recon_v = tape.leaf(layer.v_recon[g], f"L{idx}.v_b{g}")
-            values = tape.matmul(values, recon_v, tag="kv_proj")
+    def heads(a: Node) -> Node:
+        """rows x (H_kv·w) as the (H_kv, rows, w) view of each kv head's columns"""
+        return tape.swapaxes(tape.reshape(a, a.value.shape[0], kv_heads, -1), 0, 1)
 
-        q_g = tape.cols(q_all, g * group * qw, (g + 1) * group * qw)
-        q_rows = tape.reshape(q_g, n * group, qw)
-        parts = []
-        for i0, i1 in blocks:
-            q_b, k_b, v_b, mask_b = q_rows, keys, values, mask
-            if len(blocks) > 1:   # the block sees keys [0, t+i1) only
-                q_b = tape.rows(q_rows, i0 * group, i1 * group)
-                k_b, v_b = tape.rows(keys, 0, t + i1), tape.rows(values, 0, t + i1)
-                mask_b = mask[i0:i1, :t + i1]
-            scores = tape.matmul(q_b, tape.transpose(k_b), tag="attn_score")
-            probs = tape.masked_softmax(scores, inv_sqrt_d, mask_b)
-            if layer_probs is not None:
-                layer_probs[g * group:(g + 1) * group, i0:i1, :t + i1] = \
-                    probs.value.reshape(i1 - i0, group, t + i1).transpose(1, 0, 2)
-            parts.append(tape.matmul(probs, v_b, tag="attn_value"))
-        out = parts[0] if len(parts) == 1 else tape.concat(parts, axis=0)
-        outs.append(tape.reshape(out, n, group * out.value.shape[1]))
+    queries = tape.reshape(heads(q_all), kv_heads, n * group, -1)   # a copy
+    keys, values = heads(k_all), heads(v_all)
+    if layer.k_mode == "svd":
+        # every step rebuilds and rotates all keys
+        recon = tape.leaf(layer.k_recon, f"L{idx}.k_b")
+        keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"),
+                                 cos[:, None], sin[:, None], half_split)
+    if layer.v_recon is not None:
+        values = tape.matmul(values, tape.leaf(layer.v_recon, f"L{idx}.v_b"), tag="kv_proj")
+
+    # every query head's probabilities, as (H_kv, G, n, t+n); the keys a
+    # block does not see stay 0
+    layer_probs = None if probs_out is None else np.zeros((kv_heads, group, n, t + n))
+    parts = []
+    for i0, i1, mask in blocks:
+        q_b, k_b, v_b = queries, keys, values
+        if len(blocks) > 1:   # the block sees keys [0, t+i1) only
+            q_b = tape.rows(queries, i0 * group, i1 * group)
+            k_b, v_b = tape.rows(keys, 0, t + i1), tape.rows(values, 0, t + i1)
+        scores = tape.matmul(q_b, tape.transpose(k_b), tag="attn_score")
+        probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
+        if layer_probs is not None:
+            layer_probs[:, :, i0:i1, :t + i1] = \
+                probs.value.reshape(kv_heads, i1 - i0, group, t + i1).swapaxes(1, 2)
+        parts.append(tape.matmul(probs, v_b, tag="attn_value"))
     if probs_out is not None:
-        probs_out.append(list(layer_probs))
+        probs_out.append(list(layer_probs.reshape(spec.query_heads, n, t + n)))
 
-    merged = outs[0] if len(outs) == 1 else tape.concat(outs, axis=1)
+    out = parts[0] if len(parts) == 1 else tape.concat(parts, axis=1)
+    # (H_kv, n·G, vw) -> (n, H_q·vw): token rows, query heads side by side
+    merged = tape.reshape(tape.swapaxes(tape.reshape(out, kv_heads, n, -1), 0, 1), n, -1)
     return layer.proj_o.apply(tape, merged, f"L{idx}.o", tag="attn_o")
 
 
@@ -357,13 +356,13 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     # only svd layers rotate cached rows, so only they need angles before t
     start = 0 if any(layer.k_mode == "svd" for layer in model.layers) else t
     cos, sin = spec.rope.angle_tables(np.arange(start, t + n) % ((t + n) // windows))
-    mask = _causal_mask(n, t, windows) if n > 1 else None
+    blocks = _query_blocks(n, windows)
     cache.reserve(t + n)
 
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
     for idx in range(spec.layers):
-        x = _layer_step(model, tape, x, idx, cos, sin, mask, cache, probs_out)
+        x = _layer_step(model, tape, x, idx, cos, sin, blocks, cache, probs_out)
     cache.length = t + n
     return tape.matmul(x, tape.transpose(emb), tag="lm_head")
 

@@ -124,14 +124,16 @@ def test_transpose_is_a_view(rng):
 
 def test_fd_reshape(rng):
     """Row-major reshapes of a contiguous matrix (a view) and of a transposed
-    one (a copy); the gradient flows back in the input's shape."""
+    one (a copy), to 2-D and to a 3-D stack with an inferred axis; the
+    gradient flows back in the input's shape."""
     arrays = {"a": rng.normal(size=(3, 4))}
     r = rng.normal(size=(6, 2))
 
     def build(t, lv):
         x = t.reshape(lv["a"], 6, 2)
         y = t.reshape(t.transpose(lv["a"]), 6, 2)
-        return t.sum_all(t.mul(t.add(x, t.scale(y, 0.5)), t.constant(r)))
+        z = t.reshape(t.reshape(lv["a"], 2, -1, 2), 6, 2)
+        return t.sum_all(t.mul(t.add(t.add(x, t.scale(y, 0.5)), z), t.constant(r)))
 
     _fd_check(build, arrays)
     t = Tape()
@@ -139,6 +141,8 @@ def test_fd_reshape(rng):
     assert np.shares_memory(t.reshape(a, 6, 2).value, a.value)
     np.testing.assert_array_equal(t.reshape(t.transpose(a), 6, 2).value,
                                   arrays["a"].T.reshape(6, 2))
+    stack = t.reshape(a, 2, -1, 2)
+    assert stack.value.shape == (2, 3, 2) and np.shares_memory(stack.value, a.value)
 
 
 def test_fd_masked_softmax_over_stacked_rows(rng):
@@ -180,35 +184,47 @@ def test_fd_gathers_with_repeats(rng):
     _fd_check(build, arrays)
 
 
-def test_fd_cols(rng):
-    """Overlapping and empty column slices; the gradient of each lands in its
-    own columns and the overlaps add up."""
-    arrays = {"a": rng.normal(size=(3, 6))}
-    r1, r2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+def test_fd_swapaxes_column_slices(rng):
+    """Overlapping and empty column slices, taken as row slices of the
+    swapped view; the gradient of each lands in its own columns and the
+    overlaps add up. A 3-D stack swaps its outer axes too."""
+    arrays = {"a": rng.normal(size=(3, 6)), "s": rng.normal(size=(2, 3, 4))}
+    r1, r2, r3 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=(3, 2, 4))
+
+    def columns(t, a, lo, hi):
+        return t.swapaxes(t.rows(t.swapaxes(a, 0, 1), lo, hi), 0, 1)
 
     def build(t, lv):
-        x = t.mul(t.cols(lv["a"], 1, 5), t.constant(r1))
-        y = t.mul(t.cols(lv["a"], 3, 6), t.constant(r2))
-        empty = t.cols(lv["a"], 2, 2)
-        return t.add(t.add(t.sum_all(x), t.sum_all(y)), t.sum_all(empty))
+        x = t.mul(columns(t, lv["a"], 1, 5), t.constant(r1))
+        y = t.mul(columns(t, lv["a"], 3, 6), t.constant(r2))
+        empty = columns(t, lv["a"], 2, 2)
+        z = t.mul(t.swapaxes(lv["s"], 0, 1), t.constant(r3))
+        return t.add(t.add(t.add(t.sum_all(x), t.sum_all(y)), t.sum_all(empty)),
+                     t.sum_all(z))
 
     _fd_check(build, arrays)
 
 
-def test_cols_is_a_view_and_checks_its_range(rng):
+def test_swapaxes_is_a_view_and_rows_slice_every_matrix(rng):
+    """Row slices of a stack cut axis -2 of every matrix, as views, and
+    check their range against that axis."""
     t = Tape()
-    a = t.leaf(rng.normal(size=(3, 5)), "a")
-    out = t.cols(a, 1, 4)
+    a = t.leaf(rng.normal(size=(2, 5, 3)), "a")
+    swapped = t.swapaxes(a, 0, 2)
+    assert np.shares_memory(swapped.value, a.value)
+    np.testing.assert_array_equal(swapped.value, a.value.swapaxes(0, 2))
+    out = t.rows(a, 1, 4)
     assert np.shares_memory(out.value, a.value)
     np.testing.assert_array_equal(out.value, a.value[:, 1:4])
-    assert t.cols(a, 0, 5).value.shape == (3, 5)
+    assert t.rows(a, 0, 5).value.shape == (2, 5, 3)
     for lo, hi in ((-1, 2), (2, 6), (3, 2)):
-        with pytest.raises(ValueError, match="out of range"):
-            t.cols(a, lo, hi)
+        with pytest.raises(ValueError, match="rows .* out of range"):
+            t.rows(a, lo, hi)
 
 
 def test_fd_concat_cols(rng):
-    """Side by side (axis 1) and stacked (axis 0)."""
+    """Side by side (axis 1), stacked (axis 0), and along the rows of every
+    matrix of a 3-D stack (axis 1)."""
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
     r = rng.normal(size=(3, 6))
     _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=1),
@@ -216,6 +232,10 @@ def test_fd_concat_cols(rng):
     arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(4, 3))}
     r = rng.normal(size=(6, 3))
     _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=0),
+                                            t.constant(r))), arrays)
+    arrays = {"a": rng.normal(size=(2, 1, 3)), "b": rng.normal(size=(2, 3, 3))}
+    r = rng.normal(size=(2, 4, 3))
+    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=1),
                                             t.constant(r))), arrays)
 
 
@@ -260,14 +280,82 @@ def test_fd_row_softmax_and_log_softmax(rng):
 
 def test_fd_rotate_pairs(rng):
     # both layouts, K=2 groups of 2 heads of 2 pairs: a group's heads share
-    # its angle row
-    for half_split in (False, True):
-        arrays = {"a": rng.normal(size=(3, 16))}
-        r = rng.normal(size=(3, 16))
+    # its angle row; a 2-stack of such matrices turns each by the same angles
+    for half_split, shape in ((False, (3, 16)), (True, (3, 16)), (False, (2, 3, 16)),
+                              (True, (2, 3, 16))):
+        arrays = {"a": rng.normal(size=shape)}
+        r = rng.normal(size=shape)
         ang = rng.uniform(0, 7, size=(3, 2, 2))
         cos, sin = np.cos(ang), np.sin(ang)
         _fd_check(lambda t, lv: t.sum_all(t.mul(
             t.rotate_pairs(lv["a"], cos, sin, half_split), t.constant(r))), arrays)
+
+
+def test_primitives_over_stacks_match_each_matrix_bit_for_bit(rng):
+    """A stack runs matmul, transpose, rows, masked softmax and rotation on
+    each of its matrices as the 2-D primitive would, to the same bits, and
+    its matmul FLOPs are the sum over the stack."""
+    h, n, group, t_len, width = 3, 4, 2, 6, 8
+    q, k = rng.normal(size=(h, n * group, width)), rng.normal(size=(h, t_len, width))
+    mask = np.where(np.arange(2)[None, :] > np.arange(2)[:, None], -np.inf, 0.0)
+    ang = rng.uniform(0, 7, size=(n * group, 2, 2))
+    cos, sin = np.cos(ang), np.sin(ang)
+
+    def attend(t, qn, kn):
+        rows = t.rows(qn, 2 * group, 4 * group)
+        probs = t.masked_softmax(t.matmul(rows, t.transpose(kn), tag="s"), 0.3, mask)
+        return t.matmul(probs, kn, tag="v"), t.rotate_pairs(qn, cos, sin, True)
+
+    t = Tape()
+    stacked = attend(t, t.leaf(q, "q"), t.leaf(k, "k"))
+    flops = dict(t.flops_by_tag)
+    for i in range(h):
+        t = Tape()
+        for got, want in zip(stacked, attend(t, t.leaf(q[i], "q"), t.leaf(k[i], "k"))):
+            np.testing.assert_array_equal(got.value[i], want.value)
+        assert {tag: h * f for tag, f in t.flops_by_tag.items()} == flops
+    assert flops == {"s": 2 * h * 2 * group * t_len * width,
+                     "v": 2 * h * 2 * group * width * t_len}
+
+
+def test_fd_primitives_over_stacks(rng):
+    """Gradients through stacked matmul, swapaxes, reshape, rows, masked
+    softmax (a mask over the trailing columns only) and rotation, vs FD."""
+    h, n, group, t_len, width = 2, 3, 2, 5, 4
+    arrays = {"q": rng.normal(size=(h, n, group * width)),
+              "k": rng.normal(size=(h, t_len, width))}
+    # the last 2 query rows see the last 2 keys causally, all earlier keys
+    mask = np.where(np.arange(2)[None, :] > np.arange(2)[:, None], -np.inf, 0.0)
+    ang = rng.uniform(0, 7, size=(n * group, 1, 2))
+    cos, sin = np.cos(ang), np.sin(ang)
+    r = rng.normal(size=(n - 1, h, group * width))
+
+    def build(t, lv):
+        q = t.reshape(lv["q"], h, n * group, width)
+        q = t.rotate_pairs(q, cos, sin, False)
+        q = t.rows(q, group, n * group)
+        scores = t.matmul(q, t.transpose(lv["k"]))
+        probs = t.masked_softmax(scores, 0.7, mask)
+        out = t.reshape(t.matmul(probs, lv["k"]), h, n - 1, -1)
+        return t.sum_all(t.mul(t.swapaxes(out, 0, 1), t.constant(r)))
+
+    _fd_check(build, arrays)
+    raw = arrays["q"].reshape(h, n * group, width)[:, group:] @ arrays["k"].swapaxes(1, 2)
+    probs = Tape().masked_softmax(Tape().constant(raw.copy()), 0.7, mask)
+    full = np.zeros((n - 1, t_len))
+    full[:, -2:] = mask
+    want = np.exp(raw * 0.7 + np.repeat(full, group, axis=0))
+    np.testing.assert_allclose(probs.value, want / want.sum(axis=-1, keepdims=True),
+                               rtol=0, atol=1e-15)
+    assert np.all(probs.value[:, :group, -1] == 0) and np.all(probs.value[:, group:, -1] > 0)
+
+
+def test_matmul_over_stacks_checks_the_batch_shape(rng):
+    t = Tape()
+    with pytest.raises(ValueError, match="mismatch"):
+        t.matmul(t.leaf(np.ones((2, 3, 4)), "a"), t.leaf(np.ones((3, 4, 2)), "b"))
+    with pytest.raises(ValueError, match="mismatch"):
+        t.matmul(t.leaf(np.ones((2, 3, 4)), "c"), t.leaf(np.ones((4, 2)), "d"))
 
 
 def test_fd_append_rows(rng):
@@ -363,6 +451,17 @@ def test_forward_pass_flops_closed_form():
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 1.0]])
+
+
+def test_leaf_takes_float64_arrays_as_they_are(rng):
+    """A float64 array of any shape is the leaf's value, uncopied and
+    unchecked; anything else is coerced to a checked matrix."""
+    t = Tape()
+    stack = rng.normal(size=(2, 3, 4))
+    assert t.leaf(stack, "s").value is stack
+    assert t.leaf([1, 2], "v").value.shape == (1, 2)
+    with pytest.raises(ValueError, match="finite"):
+        t.leaf([[np.inf]], "bad")
 
 
 def test_leaf_dedup_by_name(rng):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_model, make_spec
+from conftest import finite_difference, identity_model, make_spec
 from rapkit import toymodel
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
@@ -374,6 +374,68 @@ def test_reconstruction_factors_are_checked_when_a_layer_is_built():
         AttentionLayer(eye, eye, eye, eye, k_recon=[np.array([[np.nan, 1.0]])])
     with pytest.raises(ValueError):
         AttentionLayer(eye, eye, eye, eye, v_recon=[np.zeros((2, 2, 2))])
+
+
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+@pytest.mark.parametrize("method", ["svd", "palu"])
+def test_fd_loss_wrt_reconstruction_factor_stacks(method, pairing):
+    """The loss gradient w.r.t. each layer's (H_kv, rank, D) factor stack, one
+    tape leaf per layer and side, against central differences of the loss."""
+    base = AttentionModel.build(make_spec(layers=1, query_heads=4, kv_heads=2,
+                                          head_dim=4, vocab=16, seed=9, pairing=pairing))
+    model = build_compressed(base, method, 0.5)
+    layer = model.layers[0]
+    stacks = {"L0.k_b": layer.k_recon}
+    if method == "svd":
+        stacks["L0.v_b"] = layer.v_recon
+    tokens = [3, 14, 1, 5, 9, 2]
+    loss, tape = loss_forward(model, tokens)
+    names = sorted(stacks)
+    grads = gradients(tape, loss, [tape.leaves[n] for n in names])
+
+    def value(arrays):   # the arrays are the layer's own stacks, perturbed in place
+        return float(loss_forward(model, tokens, Tape(record=False))[0].value[0, 0])
+
+    for name, g in zip(names, grads):
+        assert g.shape == (2, 2, 4) and tape.leaves[name].value is stacks[name]
+        np.testing.assert_allclose(g, finite_difference(value, stacks, name),
+                                   rtol=1e-5, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_decode_nodes_per_step_do_not_grow_with_kv_heads(method):
+    """All kv heads of a layer attend in one step: a recorded decode step
+    holds as many nodes with 1, 2 or 4 kv heads under 4 query heads."""
+    counts = []
+    for kv_heads in (1, 2, 4):
+        base = AttentionModel.build(make_spec(kv_heads=kv_heads))
+        model = base if method == "baseline" else build_compressed(
+            base, method, 0.5, scores=magnitude_scores(base, base.spec.rope.scheme))
+        cache = forward_prefill(model, [1, 2, 3]).cache
+        tape = Tape()
+        forward_decode(model, cache, 4, tape=tape)
+        counts.append(len(tape.nodes))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_single_window_blocks_mask_only_their_diagonal_tile():
+    """In one window a block sees every key before its own rows, so its mask
+    is the causal tile of its rows; windows keep each block's full mask rows."""
+    assert QUERY_BLOCK == 64
+    tiles = toymodel._query_blocks(130, 1)
+    assert [(i0, i1, m.shape) for i0, i1, m in tiles] == [
+        (0, 64, (64, 64)), (64, 128, (64, 64)), (128, 130, (2, 2))]
+    full = toymodel._causal_mask(130)
+    for i0, i1, mask in tiles:   # the tile, and nothing hidden left of it
+        np.testing.assert_array_equal(mask, np.triu(np.full((i1 - i0,) * 2, -np.inf), k=1))
+        np.testing.assert_array_equal(full[i0:i1, i0:i1], mask)
+        assert np.all(full[i0:i1, :i0] == 0)
+    windowed = toymodel._query_blocks(130, 2)
+    full = toymodel._causal_mask(130, 2)
+    for i0, i1, mask in windowed:
+        np.testing.assert_array_equal(mask, full[i0:i1, :i1])
+    assert np.any(windowed[1][2][:, :64] == -np.inf)
+    assert toymodel._query_blocks(1, 1) == [(0, 1, None)]
 
 
 @pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
