@@ -190,6 +190,46 @@ class Tape:
 
         return self._record(out, (a, b), backward)
 
+    def adapted_matmul(self, x: Node, w: Node, down: Node, up: Node, scaling: float,
+                       mask: np.ndarray | None = None, tag: str | None = None) -> Node:
+        """``x @ w + (((x * mask) @ down) @ up) * scaling``: a projection with a
+        low-rank adapter, one node for what would be ten.
+
+        Its value, its three matmuls' FLOPs (counted under ``tag``) and every
+        gradient are bitwise those of the composition of :meth:`matmul`,
+        :meth:`mul`, :meth:`scale` and :meth:`add`: ``x`` gets the adapter
+        path's gradient first, then the base one, as that graph's reverse
+        order adds them. A ``mask`` (say, a dropout mask) is a constant of
+        ``x``'s shape.
+        """
+        if (x.value.shape[-1] != w.value.shape[0] or w.value.shape[0] != down.value.shape[0]
+                or down.value.shape[1] != up.value.shape[0]
+                or up.value.shape[1] != w.value.shape[1]):
+            raise ValueError(f"adapted matmul dimension mismatch: {x.value.shape} @ "
+                             f"{w.value.shape} + {down.value.shape} @ {up.value.shape}")
+        if mask is not None and mask.shape != x.value.shape:
+            raise ValueError(f"mask shape {mask.shape} differs from {x.value.shape}")
+        x_in = x.value if mask is None else x.value * mask
+        h = np.matmul(x_in, down.value)
+        delta = np.matmul(h, up.value)
+        delta *= scaling
+        out = np.matmul(x.value, w.value)
+        out += delta
+        self._count(2 * (out.size + h.size) * x.value.shape[-1] + 2 * delta.size * h.shape[-1],
+                    tag)
+
+        def backward(g, acc):
+            g_delta = g * scaling
+            g_h = np.matmul(g_delta, up.value.swapaxes(-1, -2))
+            acc(up, np.matmul(h.swapaxes(-1, -2), g_delta))
+            g_in = np.matmul(g_h, down.value.swapaxes(-1, -2))
+            acc(down, np.matmul(x_in.swapaxes(-1, -2), g_h))
+            acc(x, g_in if mask is None else g_in * mask)
+            acc(x, np.matmul(g, w.value.swapaxes(-1, -2)))
+            acc(w, np.matmul(x.value.swapaxes(-1, -2), g))
+
+        return self._record(out, (x, w, down, up), backward)
+
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")

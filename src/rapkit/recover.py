@@ -44,10 +44,16 @@ class KdConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.alpha_ce < 0 or self.alpha_kd < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # a non-finite or negative one of these would leave every weight
+        # non-finite, or ascend the loss, at the first steps
+        for name in ("alpha_ce", "alpha_kd", "lr"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        if not np.isfinite(self.lora_alpha):
+            raise ValueError(f"lora_alpha must be finite, got {self.lora_alpha}")
         if self.lora_rank < 1:
             raise ValueError("adapter rank must be at least 1")
         if self.batch_size < 1:
@@ -77,17 +83,14 @@ class LoraLinear(LinearMap):
         self._mask_rng = rng
 
     def apply(self, tape: Tape, x: Node, name: str, tag: str | None = None) -> Node:
-        base = tape.leaf(self.weight, name)
-        out = tape.matmul(x, base, tag=tag)
-        x_in = x
+        mask = None
         if self.training and self.dropout > 0.0:
             keep = (self._mask_rng.random(x.value.shape) >= self.dropout)
             mask = keep.astype(np.float64) / (1.0 - self.dropout)
-            x_in = tape.mul(x, tape.constant(mask))
-        down = tape.leaf(self.down, f"{name}.lora_down")
-        up = tape.leaf(self.up, f"{name}.lora_up")
-        delta = tape.matmul(tape.matmul(x_in, down, tag=tag), up, tag=tag)
-        return tape.add(out, tape.scale(delta, self.scaling))
+        return tape.adapted_matmul(x, tape.leaf(self.weight, name),
+                                   tape.leaf(self.down, f"{name}.lora_down"),
+                                   tape.leaf(self.up, f"{name}.lora_up"),
+                                   self.scaling, mask, tag)
 
     def merged_weight(self):
         return self.weight + self.scaling * (self.down @ self.up)

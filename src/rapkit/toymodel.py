@@ -31,7 +31,10 @@ view. A pass appends its rows to each buffer in place, and one that needs
 more rows than a buffer holds first grows it to the larger of the rows
 needed and twice its capacity, copying the cached rows once; so a prefill of
 S rows fills buffers of S rows exactly, the first decode step doubles them,
-and T decode steps copy O(T) rows in total instead of O(T^2).
+and T decode steps copy O(T) rows in total instead of O(T^2). The cache
+keeps the rotation angles of its positions in two more row buffers, grown
+alike, so a step computes the angles of its new rows only, also for the svd
+layers that rotate every cached key.
 
 Without a caller tape, a forward pass runs on a non-recording tape: it counts
 FLOPs and keeps no autodiff record. That is why weights are checked once,
@@ -222,19 +225,24 @@ def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:
 
 class KvCache:
     """One key and one value row buffer per layer, each holding the layer's
-    kv heads side by side (H_kv·width columns); single-writer, grows on
-    decode. Rows [0, length) are cached."""
+    kv heads side by side (H_kv·width columns), and the cos/sin angle rows
+    of every position; single-writer, grows on decode. Rows [0, length) are
+    cached, and each pass computes the angles of its new rows only."""
 
     def __init__(self, model: AttentionModel):
         self.model = model
         self.k_bufs = [np.empty((0, layer.k_map.weight.shape[1])) for layer in model.layers]
         self.v_bufs = [np.empty((0, layer.v_map.weight.shape[1])) for layer in model.layers]
+        # the rotation angles of each cached position, one column per pair
+        self.cos = np.empty((0, model.spec.head_dim // 2))
+        self.sin = np.empty((0, model.spec.head_dim // 2))
         self.length = 0
 
     def reserve(self, rows: int):
         """Make every buffer hold ``rows`` rows, doubling the ones that do not."""
         self.k_bufs = [_grown(b, self.length, rows) for b in self.k_bufs]
         self.v_bufs = [_grown(b, self.length, rows) for b in self.v_bufs]
+        self.cos, self.sin = (_grown(b, self.length, rows) for b in (self.cos, self.sin))
 
     def entries(self) -> int:
         """Total cached scalars at the current length."""
@@ -273,8 +281,8 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
-    cached ones; ``cos``/``sin`` end at position t+n-1, and start at 0 when
-    the model has svd layers, which rotate every cached key. ``blocks`` are
+    cached ones; ``cos``/``sin`` are the cache's angle rows [0, t+n), all of
+    which svd layers read, as they rotate every cached key. ``blocks`` are
     the :func:`_query_blocks` of the n rows.
 
     Each side's new rows join its buffer in one append. Query row i·G + j of
@@ -353,11 +361,11 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     ``windows`` > 1 equal windows on an empty cache each start at position 0."""
     spec = model.spec
     t, n = cache.length, len(toks)
-    # only svd layers rotate cached rows, so only they need angles before t
-    start = 0 if any(layer.k_mode == "svd" for layer in model.layers) else t
-    cos, sin = spec.rope.angle_tables(np.arange(start, t + n) % ((t + n) // windows))
-    blocks = _query_blocks(n, windows)
     cache.reserve(t + n)
+    cache.cos[t:t + n], cache.sin[t:t + n] = spec.rope.angle_tables(
+        np.arange(t, t + n) % ((t + n) // windows))
+    cos, sin = cache.cos[:t + n], cache.sin[:t + n]
+    blocks = _query_blocks(n, windows)
 
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)

@@ -375,11 +375,20 @@ def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys)
 
 
 
-@pytest.mark.parametrize("kd", [{"batch_size": 0}, {"steps": -5}],
-                         ids=["batch_size", "steps"])
+@pytest.mark.parametrize("kd", [{"batch_size": 0}, {"steps": -5},
+                                {"lr": float("nan")}, {"lr": -0.05}, {"lr": float("inf")},
+                                {"temperature": float("nan")},
+                                {"alpha_ce": float("nan")}, {"alpha_kd": float("inf")},
+                                {"lora_alpha": float("nan")}],
+                         ids=["batch_size", "steps", "lr_nan", "lr_negative", "lr_inf",
+                              "temperature_nan", "alpha_ce_nan", "alpha_kd_inf",
+                              "lora_alpha_nan"])
 def test_bad_kd_sizes_exit_one_naming_the_field(kd, tmp_path, capsys):
     """A zero batch would divide by zero in the SGD loop, and negative steps
-    would distill nothing and exit 0 with an empty trace."""
+    would distill nothing and exit 0 with an empty trace. A non-finite
+    learning rate, temperature, loss weight or adapter alpha would make every
+    adapter non-finite at the first step, and a negative learning rate would
+    ascend the loss until it did."""
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"kd": kd}))
     assert run(["distill", "--config", config, "--out", tmp_path / "o"]) == 1

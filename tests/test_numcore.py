@@ -114,6 +114,43 @@ def test_fd_add_scale_mul_transpose(rng):
     _fd_check(build, arrays)
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_fd_adapted_matmul(rng, masked):
+    """Gradients of x, the base weight and both adapter factors, with and
+    without a dropout-like mask on x's adapter path."""
+    arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 5)),
+              "down": rng.normal(size=(4, 2)), "up": rng.normal(size=(2, 5))}
+    mask = (rng.random((3, 4)) >= 0.3) / 0.7 if masked else None
+    r = rng.normal(size=(3, 5))
+
+    def build(t, lv):
+        y = t.adapted_matmul(lv["x"], lv["w"], lv["down"], lv["up"], 1.5, mask)
+        return t.sum_all(t.mul(y, t.constant(r)))
+
+    _fd_check(build, arrays)
+    x, w, down, up = arrays.values()
+    y = Tape().adapted_matmul(*(Tape().constant(a) for a in arrays.values()), 1.5, mask)
+    x_in = x if mask is None else x * mask
+    np.testing.assert_array_equal(y.value, x @ w + ((x_in @ down) @ up) * 1.5)
+
+
+def test_adapted_matmul_counts_its_three_matmuls(rng):
+    x, w, down, up = (rng.normal(size=s) for s in ((3, 4), (4, 5), (4, 2), (2, 5)))
+    for record in (True, False):
+        fused, plain = Tape(record), Tape(record)
+        fused.adapted_matmul(*(fused.constant(a) for a in (x, w, down, up)), 2.0,
+                             tag="attn_q")
+        for a, b in ((x, w), (x, down), (x @ down, up)):
+            plain.matmul(plain.constant(a), plain.constant(b), tag="attn_q")
+        assert fused.flops == plain.flops == 2 * 3 * (4 * 5 + 4 * 2 + 2 * 5)
+        assert fused.flops_by_tag == plain.flops_by_tag
+    t = Tape()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        t.adapted_matmul(*(t.constant(a) for a in (x, w, up, down)), 2.0)
+    with pytest.raises(ValueError, match="mask shape"):
+        t.adapted_matmul(*(t.constant(a) for a in (x, w, down, up)), 2.0, np.ones((3, 5)))
+
+
 def test_transpose_is_a_view(rng):
     t = Tape()
     a = t.leaf(rng.normal(size=(3, 5)), "a")

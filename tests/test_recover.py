@@ -253,6 +253,66 @@ def test_rank_one_adapter_explicit_outer_product(rng):
     np.testing.assert_allclose(lin.merged_weight(), expected, atol=1e-14)
 
 
+def _unfused_apply(self, tape, x, name, tag=None):
+    """An adapted projection composed of Tape primitives: ten nodes."""
+    base = tape.leaf(self.weight, name)
+    out = tape.matmul(x, base, tag=tag)
+    x_in = x
+    if self.training and self.dropout > 0.0:
+        keep = (self._mask_rng.random(x.value.shape) >= self.dropout)
+        mask = keep.astype(np.float64) / (1.0 - self.dropout)
+        x_in = tape.mul(x, tape.constant(mask))
+    down = tape.leaf(self.down, f"{name}.lora_down")
+    up = tape.leaf(self.up, f"{name}.lora_up")
+    delta = tape.matmul(tape.matmul(x_in, down, tag=tag), up, tag=tag)
+    return tape.add(out, tape.scale(delta, self.scaling))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["dropout", "eval"])
+def test_adapted_pass_equals_the_unfused_composition_bit_for_bit(training, monkeypatch):
+    """Logits, loss, FLOPs and the gradient of every leaf (base weights,
+    adapter factors and the embedding, which sums q, k and v's input
+    gradients) of two windows on one tape, with dropout masks drawn alike."""
+    from rapkit.recover import _adapters, set_training
+    _, student, calib = pruned_student()
+
+    def run():
+        adapted = attach_adapters(student, KdConfig(dropout=0.3))
+        for i, (_, m) in enumerate(_adapters(adapted)):
+            m.up = np.random.default_rng(i).normal(size=m.up.shape)
+        set_training(adapted, training)
+        tape = Tape()
+        logits = [forward_prefill(adapted, list(seq), tape=tape).logits_node
+                  for seq in calib.sequences[:2]]
+        loss = tape.add(*(tape.cross_entropy(tape.gather_rows(lg, range(31)), seq[1:])
+                          for lg, seq in zip(logits, calib.sequences)))
+        names = sorted(tape.leaves)
+        return ([lg.value for lg in logits], loss.value, tape.flops_by_tag,
+                dict(zip(names, gradients(tape, loss, [tape.leaves[n] for n in names]))))
+
+    fused = run()
+    monkeypatch.setattr(LoraLinear, "apply", _unfused_apply)
+    unfused = run()
+    for got, want in zip(fused[0], unfused[0]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(fused[1], unfused[1])
+    assert fused[2] == unfused[2]
+    assert fused[3].keys() == unfused[3].keys() and len(fused[3]) == 1 + 2 * 4 * 3
+    for name, g in fused[3].items():
+        np.testing.assert_array_equal(g, unfused[3][name], err_msg=name)
+
+
+def test_one_adapted_projection_records_three_leaves_and_one_op(rng):
+    lin = LoraLinear(rng.normal(size=(4, 3)), rank=1, scaling=2.0, dropout=0.1,
+                     rng=np.random.default_rng(0))
+    lin.training = True
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(5, 4)), "x")
+    y = lin.apply(tape, x, "L0.q")
+    assert len(tape.nodes) == 1 + 4 and len(tape.leaves) == 1 + 3
+    assert tape.nodes[-1] is y and y.parents[0] is x
+
+
 def test_merged_equals_adapter_model_on_random_inputs(rng):
     teacher, student, calib = pruned_student()
     trained, _ = distill(teacher, student, calib, KdConfig(steps=40))
