@@ -4,12 +4,13 @@ Values are ``numpy.float64`` matrices, or stacks of matrices with leading
 batch axes: a primitive works on the last two axes and broadcasts over the
 rest. A :class:`Tape` records a fixed set of primitives so that the gradient
 of any recorded scalar with respect to any registered leaf can be replayed:
-matmul, add, scale, elementwise multiply, transpose, swapaxes, reshape, row
-slices, row gathers, concat along any axis, row softmax and log-softmax,
-masked softmax, paired rotation, row appends, cross entropy, sum and mean.
-Every matmul run on a tape adds ``2 * batch * rows * cols * inner`` to the
-tape's FLOPs counter, broken down by an optional tag, so the counter holds
-only the matmuls that ran.
+matmul, a low-rank adapted matmul, add, scale, elementwise multiply,
+transpose, swapaxes, reshape, row slices, row gathers, concat along any axis,
+row softmax and log-softmax, masked softmax, paired rotation, row appends,
+cross entropy, sum and mean. Every matmul run on a tape adds
+``2 * batch * rows * cols * inner`` to the tape's FLOPs counter, broken down
+by an optional tag, so the counter holds only the matmuls that ran; the one
+node of an adapted matmul counts its three.
 
 Most primitives return a fresh C-contiguous array. The exceptions are views:
 a transpose swaps the last two axes (so a matmul hands BLAS the transpose

@@ -6,6 +6,10 @@ plain fixed-step SGD on a combined objective: cross entropy on the ground
 truth plus KL(teacher || student) with both distributions tempered. The raw
 KL at temperature T is used as-is, without the T^2 gradient compensation.
 
+An adapted projection records one ``Tape.adapted_matmul`` node and its three
+weight leaves: at desk scale a training pass costs its node count more than
+its arithmetic.
+
 Merging folds ``scale * down @ up`` into the base weight; a merged model is
 indistinguishable from the adapter-attached one in eval mode.
 """
@@ -173,16 +177,23 @@ def kd_loss(teacher_logits, student_logits, labels, cfg: KdConfig) -> float:
     return cfg.alpha_ce * ce + cfg.alpha_kd * kd
 
 
-def _kd_loss_node(tape: Tape, teacher_logits: np.ndarray, student_pred: Node,
-                  labels, cfg: KdConfig) -> tuple[Node, float, float]:
-    """Differentiable combined loss; returns the node plus (ce, kd) values."""
-    n = student_pred.value.shape[0]
-    ce_node = tape.cross_entropy(student_pred, labels)
+def _tempered_teacher(teacher_logits: np.ndarray, cfg: KdConfig) -> tuple[np.ndarray, float]:
+    """The teacher's side of the KD term, fixed for a frozen teacher's window:
+    its tempered distribution p_t and sum(p_t * log p_t) / rows."""
     t = cfg.temperature
     p_t = softmax_rows(teacher_logits / t)
     logp_t = log_softmax_rows(teacher_logits / t)
-    entropy_term = float(np.sum(p_t * logp_t) / n)
-    logp_s = tape.row_log_softmax(tape.scale(student_pred, 1.0 / t))
+    return p_t, float(np.sum(p_t * logp_t) / teacher_logits.shape[0])
+
+
+def _kd_loss_node(tape: Tape, teacher: tuple[np.ndarray, float], student_pred: Node,
+                  labels, cfg: KdConfig) -> tuple[Node, float, float]:
+    """Differentiable combined loss against a :func:`_tempered_teacher`;
+    returns the node plus (ce, kd) values."""
+    n = student_pred.value.shape[0]
+    ce_node = tape.cross_entropy(student_pred, labels)
+    p_t, entropy_term = teacher
+    logp_s = tape.row_log_softmax(tape.scale(student_pred, 1.0 / cfg.temperature))
     cross_term = tape.scale(tape.sum_all(tape.mul(tape.constant(p_t), logp_s)),
                             -1.0 / n)
     kd_node = tape.add(tape.constant([[entropy_term]]), cross_term)
@@ -269,9 +280,10 @@ def distill(teacher: AttentionModel, student: AttentionModel,
     """
     if not any(_adapters(student)):
         student = attach_adapters(student, cfg)
-    # the teacher is frozen: one prefill per window that a batch will pick
-    teacher_preds = [forward_prefill(teacher, seq).logits[:-1, :]
-                     for seq in calib.sequences[:cfg.steps * cfg.batch_size]]
+    # the teacher is frozen: one prefill, and one tempered distribution, per
+    # window that a batch will pick
+    teachers = [_tempered_teacher(forward_prefill(teacher, seq).logits[:-1, :], cfg)
+                for seq in calib.sequences[:cfg.steps * cfg.batch_size]]
     trace: list[TraceRow] = []
 
     def step_losses(step: int, picks: list[int]) -> list[tuple[Node, Tape]]:
@@ -279,9 +291,9 @@ def distill(teacher: AttentionModel, student: AttentionModel,
         for i in picks:
             seq = list(calib.sequences[i])
             tape = Tape()
-            pred = tape.gather_rows(forward_prefill(student, seq, tape=tape).logits_node,
-                                    range(len(seq) - 1))
-            loss, ce, kd = _kd_loss_node(tape, teacher_preds[i], pred, seq[1:], cfg)
+            pred = tape.rows(forward_prefill(student, seq, tape=tape).logits_node,
+                             0, len(seq) - 1)
+            loss, ce, kd = _kd_loss_node(tape, teachers[i], pred, seq[1:], cfg)
             row.ce, row.kd, row.total = (row.ce + ce, row.kd + kd,
                                          row.total + float(loss.value[0, 0]))
             pairs.append((loss, tape))

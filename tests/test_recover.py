@@ -81,12 +81,13 @@ def test_shape_mismatch_rejected(rng):
 
 
 def test_tape_loss_matches_numpy_loss(rng):
-    from rapkit.recover import _kd_loss_node
+    from rapkit.recover import _kd_loss_node, _tempered_teacher
     teacher = rng.normal(size=(5, 8))
     student = rng.normal(size=(5, 8))
     labels = rng.integers(0, 8, size=5).tolist()
     t = Tape()
-    node, ce, kd = _kd_loss_node(t, teacher, t.leaf(student, "s"), labels, CFG)
+    node, ce, kd = _kd_loss_node(t, _tempered_teacher(teacher, CFG), t.leaf(student, "s"),
+                                 labels, CFG)
     ce_np, kd_np = kd_loss_parts(teacher, student, labels, CFG)
     assert ce == pytest.approx(ce_np, abs=1e-12)
     assert kd == pytest.approx(kd_np, abs=1e-12)
@@ -189,7 +190,7 @@ def test_pretrain_matches_the_per_window_reference_loop():
 
 def test_distill_steps_by_lr_over_batch_times_the_gradient_sum():
     """Bit for bit, each step subtracts (lr / b) * (g_1 + ... + g_b)."""
-    from rapkit.recover import _adapters, _kd_loss_node
+    from rapkit.recover import _adapters, _kd_loss_node, _tempered_teacher
     teacher, student, calib = pruned_student()
     cfg = KdConfig(steps=3, batch_size=2, dropout=0.0)
     trained, _ = distill(teacher, student, calib, cfg)
@@ -205,8 +206,9 @@ def test_distill_steps_by_lr_over_batch_times_the_gradient_sum():
             tape = Tape()
             pred = tape.gather_rows(forward_prefill(reference, seq, tape=tape).logits_node,
                                     range(len(seq) - 1))
-            loss, _, _ = _kd_loss_node(tape, forward_prefill(teacher, seq).logits[:-1],
-                                       pred, seq[1:], cfg)
+            loss, _, _ = _kd_loss_node(
+                tape, _tempered_teacher(forward_prefill(teacher, seq).logits[:-1], cfg),
+                pred, seq[1:], cfg)
             grads = gradients(tape, loss, [tape.leaves[n] for n in names])
             sums = grads if sums is None else [s + g for s, g in zip(sums, grads)]
         for n, g in zip(names, sums):

@@ -324,6 +324,30 @@ def test_decode_across_cache_doublings(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_decode_steps_compute_the_angles_of_their_new_row_only(method, monkeypatch):
+    """The cache keeps the angle rows of its positions, so svd and palu keys,
+    which rotate at every step, need no table of every cached position; its
+    rows are those of one table of all positions, bit for bit."""
+    asked = []
+    angle_tables = RopeConfig.angle_tables
+
+    def recording(self, positions):
+        asked.append([int(p) for p in positions])
+        return angle_tables(self, positions)
+
+    model = _compressed(method)
+    monkeypatch.setattr(RopeConfig, "angle_tables", recording)
+    cache = forward_prefill(model, [4, 40, 11]).cache
+    for tok in range(10):
+        _, cache = forward_decode(model, cache, tok)
+    assert asked == [[0, 1, 2]] + [[t] for t in range(3, 13)]
+    assert cache.cos.shape[0] == cache.sin.shape[0] == 24
+    cos, sin = angle_tables(model.spec.rope, np.arange(13))
+    np.testing.assert_array_equal(cache.cos[:13], cos)
+    np.testing.assert_array_equal(cache.sin[:13], sin)
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_decode_steps_build_no_pair_columns_after_the_first(method, monkeypatch):
     """Rotations turn strided views and need no column index: once the model
     is built, no forward pass maps pair ids to columns, neither a prefill, 10
