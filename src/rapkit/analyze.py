@@ -173,17 +173,8 @@ def measure_forward(model: AttentionModel, tokens) -> ResourceReport:
 
 
 def report_row(report: ResourceReport) -> str:
-    return ",".join([
-        report.method,
-        f"{report.rho:.6f}",
-        str(report.kv_entries),
-        str(report.params_attn),
-        f"{report.params_attn_rel:.6f}",
-        str(report.params_total),
-        f"{report.flops_kvproj_analytic:.6f}",
-        f"{report.flops_kvproj_measured:.6f}",
-        f"{report.flops_attn_measured:.6f}",
-    ])
+    values = (getattr(report, name) for name in CSV_COLUMNS)
+    return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values)
 
 
 def reports_to_csv(reports) -> str:

@@ -1,11 +1,16 @@
 """Command-line front end for the pruning laboratory.
 
-Subcommands: score, prune, distill, report, verify, sweep. A JSON config file
-provides defaults; flags win over the file. Every command validates its
-configuration before touching the output directory, and all artifacts are
-deterministic under a fixed seed (byte-identical across reruns).
+Subcommands: score, prune, distill, report, verify, sweep. The fields of
+:class:`RunConfig` are the config file's settings under their own names, and
+``SETTINGS`` gives each one's JSON kind. The flags --method, --rho, --scoring,
+--budget, --seed and --out are merged over the file's values, and the result is
+validated once, before any output directory is created. prune, distill (when
+--out holds no checkpoint) and verify build their compressed model through one
+step, ``_compress``. All artifacts are deterministic under a fixed seed
+(byte-identical across reruns).
 
-Exit codes: 0 ok, 1 validation error, 2 check failure, 3 numeric divergence.
+Exit codes: 0 ok, 1 validation error, 2 check failure or infeasible budget,
+3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +33,12 @@ EXIT_DIVERGENCE = 3
 
 SCORING_MODES = ("fisher", "magnitude")
 BUDGET_MODES = (budget.ADAPTIVE, budget.UNIFORM)
+# the settings a flag of the same name overrides
+FLAGS = ("method", "rho", "scoring", "budget", "seed", "out")
 
 
 class ValidationFailure(ValueError):
     pass
-
-
-CALIBRATION_KEYS = ("count", "window", "seed")
-# the config file's keys: these settings, "model" (with MODEL_KEYS) and "kd"
-CONFIG_SETTINGS = ("method", "rho", "scoring", "budget", "seed", "out", "seq_len",
-                   "calibration", "ratios")
-MODEL_KEYS = ("path", "spec")
 
 
 def _is_ratio(value) -> bool:
@@ -46,79 +46,68 @@ def _is_ratio(value) -> bool:
     return 0.0 <= value < 1.0
 
 
+def _json_kinds(cls) -> dict[str, type]:
+    """Each field of the dataclass ``cls`` with the JSON kind of its default."""
+    return {f.name: type(f.default if f.default_factory is MISSING
+                         else f.default_factory()) for f in fields(cls)}
+
+
 @dataclass
 class RunConfig:
+    """A run's settings, each the config file's key of the same name."""
+
     method: str = "rap"
     rho: float = 0.3
     scoring: str = "fisher"
     budget: str = "adaptive"
     seed: int = 42
     out: str = "runs/out"
-    model_path: str | None = None
-    model_spec: dict | None = None
-    calibration: dict = field(default_factory=lambda: {"count": 16, "window": 64})
-    kd: dict = field(default_factory=dict)
-    kd_enabled: bool = True
-    ratios: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
     seq_len: int = 64
+    model: dict = field(default_factory=dict)
+    calibration: dict = field(default_factory=dict)
+    kd: dict = field(default_factory=dict)
+    ratios: list = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
+        """The config file's settings with the flags given over them, validated."""
+        settings = {}
         if args.config:
             path = Path(args.config)
             if not path.exists():
                 raise ValidationFailure(f"config file not found: {path}")
-            data = json.loads(path.read_text())
-            check_json_type("config", data, dict)
-            model = data.get("model", {})
-            check_json_type("model", model, dict)
-            unknown = [k for k in data if k not in CONFIG_SETTINGS + ("model", "kd")]
-            unknown += [f"model.{k}" for k in model if k not in MODEL_KEYS]
-            if unknown:
-                raise ValidationFailure(f"unknown config keys: {', '.join(unknown)}")
-            cfg.model_path = model.get("path")
-            cfg.model_spec = model.get("spec")
-            kd = data.get("kd", {})
-            check_json_type("kd", kd, dict)
-            kd = dict(kd)
-            cfg.kd_enabled = kd.pop("enabled", True)
-            cfg.kd = kd
-            for key in CONFIG_SETTINGS:
-                if key in data:
-                    setattr(cfg, key, data[key])
-        for key in ("method", "rho", "scoring", "budget", "seed", "out"):
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(cfg, key, value)
+            settings = json.loads(path.read_text())
+            check_json_type("config", settings, dict)
+        settings.update((key, getattr(args, key)) for key in FLAGS
+                        if getattr(args, key, None) is not None)
+        unknown = [key for key in settings if key not in SETTINGS]
+        if isinstance(settings.get("model"), dict):  # else validate names its kind
+            unknown += [f"model.{key}" for key in settings["model"]
+                        if key not in MODEL_SETTINGS]
+        if unknown:
+            raise ValidationFailure(f"unknown config keys: {', '.join(unknown)}")
+        cfg = cls(**settings)
         cfg.validate()
         return cfg
 
     def validate(self):
-        for name, kind in (("method", str), ("rho", float), ("scoring", str),
-                           ("budget", str), ("seed", int), ("out", str),
-                           ("seq_len", int), ("calibration", dict), ("kd", dict),
-                           ("ratios", list)):
+        """Raise a ValueError naming the first setting of a wrong kind or value."""
+        for name, kind in SETTINGS.items():
             check_json_type(name, getattr(self, name), kind)
-        check_json_type("kd.enabled", self.kd_enabled, bool)
-        for key, value in self.calibration.items():
-            if key not in CALIBRATION_KEYS:
-                raise ValidationFailure(f"unknown calibration setting {key!r}")
-            check_json_type(f"calibration.{key}", value, int)
-        kd_kinds = {f.name: type(f.default) for f in fields(recover.KdConfig)
-                    if f.name != "seed"}
-        for key, value in self.kd.items():
-            if key not in kd_kinds:
-                raise ValidationFailure(f"unknown kd setting {key!r}")
-            check_json_type(f"kd.{key}", value, kd_kinds[key])
+        for section, kinds in (("model", MODEL_SETTINGS),
+                               ("calibration", CALIBRATION_SETTINGS),
+                               ("kd", KD_SETTINGS)):
+            for key, value in getattr(self, section).items():
+                if key not in kinds:
+                    raise ValidationFailure(f"unknown {section} setting {key!r}")
+                if value is not None or section != "model":  # a null model key is unset
+                    check_json_type(f"{section}.{key}", value, kinds[key])
         for i, ratio in enumerate(self.ratios):
             check_json_type(f"ratios[{i}]", ratio, float)
-        if self.model_path is not None:
-            check_json_type("model.path", self.model_path, str)
-        if self.model_spec is not None:
-            check_json_type("model.spec", self.model_spec, dict)
+        path, spec = self.model.get("path"), self.model.get("spec")
+        if spec is not None:
             try:
-                toymodel.spec_from_json(self.model_spec)
+                toymodel.spec_from_json(spec)
             except ValueError as exc:
                 raise ValidationFailure(f"bad model.spec: {exc}") from exc
         if self.method not in factorize.METHODS:
@@ -129,37 +118,42 @@ class RunConfig:
             raise ValidationFailure(f"scoring must be one of {SCORING_MODES}")
         if self.budget not in BUDGET_MODES:
             raise ValidationFailure(f"budget must be one of {BUDGET_MODES}")
-        if self.model_path and not Path(self.model_path).exists():
-            raise ValidationFailure(f"model file not found: {self.model_path}")
-        if not all(_is_ratio(r) for r in self.ratios):
-            raise ValidationFailure("sweep ratios must be in [0, 1)")
-        if self.seq_len < 2:
-            raise ValidationFailure("seq_len must be at least 2")
+        if path and not Path(path).exists():
+            raise ValidationFailure(f"model file not found: {path}")
+        if not self.ratios or not all(_is_ratio(r) for r in self.ratios):
+            raise ValidationFailure("sweep ratios must be a non-empty list in [0, 1)")
+        calibration = self.calibration_args()
+        for name, value, least in (("seed", self.seed, 0), ("seq_len", self.seq_len, 2),
+                                   ("calibration.count", calibration["count"], 1),
+                                   ("calibration.window", calibration["window"], 2),
+                                   ("calibration.seed", calibration["seed"], 0)):
+            if value < least:
+                raise ValidationFailure(f"{name} must be at least {least}, got {value}")
         try:
             self.kd_config()
         except ValueError as exc:
             raise ValidationFailure(f"bad kd settings: {exc}") from exc
 
     def build_model(self) -> toymodel.AttentionModel:
-        if self.model_path:
-            model = toymodel.load_model(self.model_path)
+        path, spec = self.model.get("path"), self.model.get("spec")
+        if path:
+            model = toymodel.load_model(path)
             if model.method != "baseline":
                 raise ValidationFailure(
-                    f"model.path {self.model_path} holds a {model.method!r} "
+                    f"model.path {path} holds a {model.method!r} "
                     "checkpoint; the pipeline starts from a baseline model")
             return model
-        if self.model_spec:
-            return toymodel.AttentionModel.build(
-                toymodel.spec_from_json(self.model_spec))
+        if spec:
+            return toymodel.AttentionModel.build(toymodel.spec_from_json(spec))
         return toymodel.AttentionModel.build(toymodel.default_spec(seed=self.seed))
 
+    def calibration_args(self) -> dict:
+        """``markov_calibration``'s count, window and seed: the calibration
+        settings over the defaults 16, 64 and the run's seed."""
+        return {"count": 16, "window": 64, "seed": self.seed, **self.calibration}
+
     def build_calibration(self, vocab: int) -> toymodel.CalibrationSet:
-        return toymodel.markov_calibration(
-            vocab,
-            count=self.calibration.get("count", 16),
-            window=self.calibration.get("window", 64),
-            seed=self.calibration.get("seed", self.seed),
-        )
+        return toymodel.markov_calibration(vocab, **self.calibration_args())
 
     def kd_config(self) -> recover.KdConfig:
         return recover.KdConfig(seed=self.seed, **self.kd)
@@ -168,6 +162,13 @@ class RunConfig:
         path = Path(self.out)
         path.mkdir(parents=True, exist_ok=True)
         return path
+
+
+SETTINGS = _json_kinds(RunConfig)
+MODEL_SETTINGS = {"path": str, "spec": dict}
+CALIBRATION_SETTINGS = dict.fromkeys(("count", "window", "seed"), int)
+# distillation's seed is the run's
+KD_SETTINGS = {k: kind for k, kind in _json_kinds(recover.KdConfig).items() if k != "seed"}
 
 
 def _compute_scores(cfg: RunConfig, model) -> scoring.PairScoreTable:
@@ -240,31 +241,38 @@ def cmd_score(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
-              plan_path: str | None = None) -> int:
-    model = cfg.build_model()
+def _compress(cfg: RunConfig, model, method: str, rho: float,
+              scores_path: str | None = None, plan_path: str | None = None):
+    """``model`` built by ``method`` at ``rho``, the plan the build applied and
+    the pair scores it read (None for a method that reads none).
+
+    rap reads the ``--scores`` and ``--plan`` files when given, and otherwise
+    computes its scores and allocates its plan; the other methods refuse both.
+    """
     table = plan = None
-    if cfg.method in factorize.UNIFORM_METHODS:
+    if method in factorize.UNIFORM_METHODS:
         for flag, path in (("--plan", plan_path), ("--scores", scores_path)):
             if path:
-                raise ValidationFailure(f"{flag} would be ignored: method {cfg.method} "
+                raise ValidationFailure(f"{flag} would be ignored: method {method} "
                                         "reads no scores or plan")
     else:
         plan = _load_plan(Path(plan_path), model) if plan_path else None
         table = (_load_scores(Path(scores_path), model) if scores_path
                  else _compute_scores(cfg, model))
         if plan is None:
-            try:
-                plan = budget.allocate(table, cfg.rho, cfg.budget)
-            except budget.InfeasibleBudget as exc:
-                print(f"error: infeasible budget: {exc}", file=sys.stderr)
-                return EXIT_CHECK_FAILURE
-    # budget.json records the plan the build follows
-    plan = factorize.applied_plan(model.spec, cfg.method, cfg.rho, plan)
-    compressed = factorize.build_compressed(model, cfg.method, cfg.rho,
-                                            scores=table, plan=plan)
+            plan = budget.allocate(table, rho, cfg.budget)
+    plan = factorize.applied_plan(model.spec, method, rho, plan)
+    compressed = factorize.build_compressed(model, method, rho, scores=table, plan=plan)
+    return compressed, plan, table
+
+
+def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
+              plan_path: str | None = None) -> int:
+    compressed, plan, _ = _compress(cfg, cfg.build_model(), cfg.method, cfg.rho,
+                                    scores_path, plan_path)
     out = cfg.out_dir()
     toymodel.save_model(compressed, out / "compressed.model")
+    # budget.json records the plan the build follows
     (out / "budget.json").write_text(plan.to_json())
     (out / "manifest.json").write_text(
         json.dumps(compressed.manifest, sort_keys=True, indent=1))
@@ -285,34 +293,26 @@ def _check_student(path: Path, student, method: str, teacher) -> None:
 
 
 def cmd_distill(cfg: RunConfig) -> int:
-    out = cfg.out_dir()
     teacher = cfg.build_model()
-    checkpoint = out / "compressed.model"
+    checkpoint = Path(cfg.out) / "compressed.model"
     if checkpoint.exists():
         student = toymodel.load_model(checkpoint)
         _check_student(checkpoint, student, cfg.method, teacher)
     else:
-        table = plan = None
-        if cfg.method not in factorize.UNIFORM_METHODS:
-            table = _compute_scores(cfg, teacher)
-            plan = budget.allocate(table, cfg.rho, cfg.budget)
-        student = factorize.build_compressed(teacher, cfg.method, cfg.rho,
-                                             scores=table, plan=plan)
+        student, _, _ = _compress(cfg, teacher, cfg.method, cfg.rho)
     calib = cfg.build_calibration(teacher.spec.vocab)
     kd_cfg = cfg.kd_config()
-    if not cfg.kd_enabled or kd_cfg.steps == 0:
-        merged = student
-        trace = []
-        adapters_json = "{}"
-    else:
+    merged, trace, adapters_json = student, [], "{}"
+    if kd_cfg.steps:
         try:
             trained, trace = recover.distill(teacher, student, calib, kd_cfg)
-        except recover.DistillationDiverged as exc:
-            (out / "kd_trace.csv").write_text(recover.trace_to_csv(exc.trace))
+        except recover.TrainingDiverged as exc:
+            (cfg.out_dir() / "kd_trace.csv").write_text(recover.trace_to_csv(exc.trace))
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGENCE
         adapters_json = recover.adapters_to_json(trained)
         merged = recover.merge_adapters(trained)
+    out = cfg.out_dir()
     toymodel.save_model(merged, out / "recovered.model")
     (out / "adapters.json").write_text(adapters_json)
     (out / "kd_trace.csv").write_text(recover.trace_to_csv(trace))
@@ -320,19 +320,13 @@ def cmd_distill(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_reports(cfg: RunConfig, model, methods) -> list:
-    table = None
-    if "rap" in methods:
-        table = _compute_scores(cfg, model)
-    tokens = list(toymodel.markov_calibration(
-        model.spec.vocab, count=1, window=cfg.seq_len, seed=cfg.seed).sequences[0])
-    return analyze.sweep(model, methods, cfg.ratios, tokens, scores=table,
-                         budget_mode=cfg.budget)
-
-
 def _write_reports(cfg: RunConfig, methods, stem: str) -> int:
     model = cfg.build_model()
-    reports = _sweep_reports(cfg, model, methods)
+    table = _compute_scores(cfg, model) if "rap" in methods else None
+    tokens = list(toymodel.markov_calibration(
+        model.spec.vocab, count=1, window=cfg.seq_len, seed=cfg.seed).sequences[0])
+    reports = analyze.sweep(model, methods, cfg.ratios, tokens, scores=table,
+                            budget_mode=cfg.budget)
     out = cfg.out_dir()
     (out / f"{stem}.csv").write_text(analyze.reports_to_csv(reports))
     (out / f"{stem}.json").write_text(analyze.reports_to_json(reports))
@@ -350,12 +344,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     model = cfg.build_model()
-    table = _compute_scores(cfg, model)
     # nothing is pruned at ratio 0, which would make every check trivial
     rho = cfg.rho or 0.3
-    plan = budget.allocate(table, rho, cfg.budget)
-    compressed = factorize.build_compressed(model, "rap", rho, scores=table,
-                                            plan=plan)
+    compressed, plan, table = _compress(cfg, model, "rap", rho)
     calib = cfg.build_calibration(model.spec.vocab)
     rng = np.random.default_rng(cfg.seed)
 
@@ -440,6 +431,9 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
+    except budget.InfeasibleBudget as exc:
+        print(f"error: infeasible budget: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     except (OSError, ValueError) as exc:
         # malformed or missing input artifacts are configuration errors
         print(f"error: {exc}", file=sys.stderr)

@@ -221,10 +221,6 @@ class TrainingDiverged(RuntimeError):
         self.step, self.name, self.trace = step, name, []
 
 
-# the names each trainer's callers catch it by
-DistillationDiverged = PretrainDiverged = TrainingDiverged
-
-
 def trace_to_csv(trace: list[TraceRow]) -> str:
     lines = ["step,ce,kd,total"]
     for row in trace:

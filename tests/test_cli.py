@@ -1,14 +1,15 @@
 """Command-line pipeline: determinism, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_spec
-from rapkit import scoring
+from rapkit import budget, scoring
 from rapkit.budget import allocate
-from rapkit.cli import RunConfig, ValidationFailure, main
+from rapkit.cli import RunConfig, ValidationFailure, build_parser, main
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, default_spec, forward_prefill,
                              load_model, save_model, spec_from_json)
@@ -361,18 +362,67 @@ def test_theta_base_beyond_float_range_or_nan_exits_one(theta_base, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
-def test_kd_enabled_must_be_boolean_and_calibration_keys_known(tmp_path, capsys):
+def test_kd_enabled_and_unknown_calibration_keys_exit_one(tmp_path, capsys):
+    """kd.steps 0 skips distillation; there is no separate kd.enabled switch."""
     config = tmp_path / "c.json"
-    for data, names in (({"kd": {"enabled": "no"}}, ("kd.enabled",)),
+    for data, names in (({"kd": {"enabled": False}}, ("kd setting", "enabled")),
                         ({"calibration": {"cnt": 4}}, ("calibration", "cnt"))):
         config.write_text(json.dumps(data))
         assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(n in err for n in names), err
     assert not (tmp_path / "o").exists()
-    RunConfig(kd_enabled=False, calibration={"count": 4, "window": 8,
-                                             "seed": 1}).validate()
+    RunConfig(calibration={"count": 4, "window": 8, "seed": 1}).validate()
 
+
+# settings of the right kind whose values no run can use, and the name the
+# error must give; each is caught before --out is created
+BAD_VALUES = {
+    "calibration_count_zero": ({"calibration": {"count": 0}}, [], "calibration.count"),
+    "calibration_window_one": ({"calibration": {"window": 1}}, [], "calibration.window"),
+    "calibration_seed_negative": ({"calibration": {"seed": -1}}, [], "calibration.seed"),
+    "seed_flag_negative": ({}, ["--seed", "-3"], "seed"),
+    "seed_negative": ({"seed": -1}, [], "seed"),
+    "ratios_empty": ({"ratios": []}, [], "ratios"),
+}
+
+
+@pytest.mark.parametrize("command", ["score", "distill"])
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_setting_values_exit_one_naming_the_field(case, command, tmp_path, capsys):
+    data, flags, name = BAD_VALUES[case]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert run([command, "--config", config, "--out", out] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f" {name} " in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prune", "distill", "verify"])
+def test_infeasible_budget_exits_two_and_writes_nothing(command, tmp_path, monkeypatch,
+                                                         capsys):
+    def infeasible(*args, **kwargs):
+        raise budget.InfeasibleBudget("every group is pinned")
+
+    monkeypatch.setattr(budget, "allocate", infeasible)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kd": {"steps": 2}, "scoring": "magnitude"}))
+    out = tmp_path / "o"
+    assert run([command, "--config", config, "--out", out, "--rho", "0.3"]) == 2
+    assert "error: infeasible budget: every group is pinned" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_example_config_loads_as_documented(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "c.json"
+    config.write_text(example)
+    cfg = RunConfig.load(build_parser().parse_args(["report", "--config", str(config)]))
+    for key, value in json.loads(example).items():
+        assert getattr(cfg, key) == value, key
 
 
 @pytest.mark.parametrize("kd", [{"batch_size": 0}, {"steps": -5},

@@ -6,10 +6,9 @@ import pytest
 from conftest import make_spec
 from rapkit.factorize import build_compressed
 from rapkit.numcore import Tape, gradients
-from rapkit.recover import (DistillationDiverged, KdConfig, LoraLinear,
-                            PretrainDiverged, adapter_params, attach_adapters,
-                            distill, kd_loss, kd_loss_parts, merge_adapters,
-                            pretrain, trace_to_csv)
+from rapkit.recover import (KdConfig, LoraLinear, TrainingDiverged, adapter_params,
+                            attach_adapters, distill, kd_loss, kd_loss_parts,
+                            merge_adapters, pretrain, trace_to_csv)
 from rapkit.scoring import estimate_fisher, pair_scores
 from rapkit.toymodel import (AttentionModel, forward_prefill, loss_forward,
                              markov_calibration, mean_loss)
@@ -130,7 +129,7 @@ def test_distillation_reduces_calibration_ce():
 def test_divergence_aborts_with_trace():
     teacher, student, calib = pruned_student()
     cfg = KdConfig(lr=1e18, steps=50, dropout=0.0)
-    with pytest.raises(DistillationDiverged) as err:
+    with pytest.raises(TrainingDiverged) as err:
         distill(teacher, student, calib, cfg)
     assert len(err.value.trace) >= 1
 
@@ -140,7 +139,7 @@ def test_pretrain_divergence_names_step_and_weight():
     model = AttentionModel.build(make_spec(seed=3))
     calib = markov_calibration(model.spec.vocab, count=4, window=8, seed=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            PretrainDiverged, match=r"weight \S+ became non-finite at step 1"):
+            TrainingDiverged, match=r"weight \S+ became non-finite at step 1"):
         pretrain(model, calib, steps=2, lr=1e308)
 
 
