@@ -4,7 +4,8 @@ Subcommands: score, prune, distill, report, verify, sweep. The fields of
 :class:`RunConfig` are the config file's settings under their own names, and
 ``SETTINGS`` gives each one's JSON kind. The flags --method, --rho, --scoring,
 --budget, --seed and --out are merged over the file's values, and the result is
-validated once, before any output directory is created. prune, distill (when
+validated once, before any output directory is created. A command refuses a
+flag it would not read (``UNREAD_FLAGS``). prune, distill (when
 --out holds no checkpoint) and verify build their compressed model through one
 step, ``_compress``. All artifacts are deterministic under a fixed seed
 (byte-identical across reruns).
@@ -35,6 +36,14 @@ SCORING_MODES = ("fisher", "magnitude")
 BUDGET_MODES = (budget.ADAPTIVE, budget.UNIFORM)
 # the settings a flag of the same name overrides
 FLAGS = ("method", "rho", "scoring", "budget", "seed", "out")
+# per command, the flags it never reads and why; a config file's keys of the
+# same names still serve the rest of the pipeline
+UNREAD_FLAGS = {
+    "report": {"rho": "report measures the config's ratios"},
+    "sweep": {"rho": "sweep measures the config's ratios",
+              "method": "sweep reports every method"},
+    "verify": {"method": "verify always prunes with rap"},
+}
 
 
 class ValidationFailure(ValueError):
@@ -78,8 +87,12 @@ class RunConfig:
                 raise ValidationFailure(f"config file not found: {path}")
             settings = json.loads(path.read_text())
             check_json_type("config", settings, dict)
-        settings.update((key, getattr(args, key)) for key in FLAGS
-                        if getattr(args, key, None) is not None)
+        given = {key: getattr(args, key) for key in FLAGS
+                 if getattr(args, key, None) is not None}
+        for key, reason in UNREAD_FLAGS.get(getattr(args, "command", None), {}).items():
+            if key in given:
+                raise ValidationFailure(f"--{key} would be ignored: {reason}")
+        settings.update(given)
         unknown = [key for key in settings if key not in SETTINGS]
         if isinstance(settings.get("model"), dict):  # else validate names its kind
             unknown += [f"model.{key}" for key in settings["model"]
@@ -105,6 +118,9 @@ class RunConfig:
         for i, ratio in enumerate(self.ratios):
             check_json_type(f"ratios[{i}]", ratio, float)
         path, spec = self.model.get("path"), self.model.get("spec")
+        if path is not None and spec is not None:
+            raise ValidationFailure("model.path and model.spec are both set; "
+                                    "a checkpoint carries its own spec, give one")
         if spec is not None:
             try:
                 toymodel.spec_from_json(spec)

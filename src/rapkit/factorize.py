@@ -23,7 +23,10 @@ measured FLOPs comparison across methods a pure reconstruction-overhead story.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,38 +94,67 @@ def applied_plan(spec: ModelSpec, method: str, rho: float,
     return plan
 
 
-def _head_factors(model: AttentionModel, method: str, rho: float,
-                  scores: PairScoreTable | None, plan: BudgetPlan | None
-                  ) -> tuple[BudgetPlan, list[tuple[list[HeadFactor], list[HeadFactor]]]]:
-    """The plan applied and every layer's (key factors, value factors)."""
-    spec = model.spec
+def _heads(spec: ModelSpec, weight: np.ndarray) -> list[np.ndarray]:
     d = spec.head_dim
-    plan = applied_plan(spec, method, rho, plan)
+    return [weight[:, g * d:(g + 1) * d] for g in range(spec.kv_heads)]
+
+
+def _rap_keys(spec: ModelSpec, i: int, weight: np.ndarray, scores: PairScoreTable,
+              m: int) -> list[HeadFactor]:
+    """Layer ``i``'s rap key factors: each kv head keeps its ``m`` top pairs."""
+    keys = []
+    for g, block in enumerate(_heads(spec, weight)):
+        retained = RetainedIndex(top_pairs(scores.get(i, "k", g), m), spec.rope.scheme)
+        keys.append(HeadFactor(np.ascontiguousarray(block[:, retained.rap_index]),
+                               retained=retained))
+    return keys
+
+
+def _checked(model: AttentionModel, method: str, rho: float,
+             scores: PairScoreTable | None, plan: BudgetPlan | None) -> BudgetPlan:
+    """The plan a build of ``method`` applies, once its arguments are checked."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"compression ratio must be in [0, 1), got {rho}")
     if method == "rap" and scores is None:
         raise ValueError("rap needs pair scores to choose retained pairs")
-
-    def heads(weight):
-        return [weight[:, g * d:(g + 1) * d] for g in range(spec.kv_heads)]
-
-    factors = []
-    for i, layer in enumerate(model.layers):
-        m_k, m_v = plan.retained_pairs(i, "k"), plan.retained_pairs(i, "v")
-        k_blocks = heads(layer.k_map.merged_weight())
-        if method == "rap":
-            retained = [RetainedIndex(top_pairs(scores.get(i, "k", g), m_k),
-                                      spec.rope.scheme) for g in range(spec.kv_heads)]
-            keys = [HeadFactor(np.ascontiguousarray(block[:, r.rap_index]), retained=r)
-                    for block, r in zip(k_blocks, retained)]
-        else:
-            keys = [svd_factor(block, 2 * m_k) for block in k_blocks]
-        values = [svd_factor(block, 2 * m_v)
-                  for block in heads(layer.v_map.merged_weight())]
-        factors.append((keys, values))
-    return plan, factors
+    return applied_plan(model.spec, method, rho, plan)
 
 
 def _stacked(blocks: list[np.ndarray], axis: int) -> LinearMap:
     return LinearMap(np.ascontiguousarray(np.concatenate(blocks, axis=axis)))
+
+
+# base model -> what its builds made from its factors, both held weakly
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _digest(weight: np.ndarray) -> tuple:
+    return weight.shape, hashlib.sha256(weight).digest()
+
+
+class _Factored:
+    """One layer side's SVD at one rank, and what sibling builds make of it.
+
+    :meth:`shared` hands out what an earlier build of the same base made
+    under the same key, as long as some model still holds it; the SVD runs
+    only when something must be made anew.
+    """
+
+    def __init__(self, memo, key: tuple, blocks: list[np.ndarray], rank: int):
+        self.memo, self.key, self.blocks, self.rank = memo, key, blocks, rank
+
+    @cached_property
+    def heads(self) -> list[HeadFactor]:
+        return [svd_factor(block, self.rank) for block in self.blocks]
+
+    def shared(self, part: tuple, make):
+        key = self.key + part
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = make(self.heads)
+        return value
 
 
 def build_compressed(model: AttentionModel, method: str, rho: float,
@@ -133,11 +165,14 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
     ``rap`` follows the plan for both the key pair budget and the value rank,
     and needs scores to choose which pairs stay; ``svd`` and ``palu`` take
     the uniform plan (see :func:`applied_plan`).
+
+    Builds from one base model share what they have in common rather than
+    copy it: svd and palu the key latent map and key B stack, all three the
+    value latent map, palu and rap the absorbed output projection, as
+    baseline, svd and palu share the base's untouched projections. Each
+    layer side's SVD runs once while some sibling still holds its arrays.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"compression ratio must be in [0, 1), got {rho}")
+    plan = _checked(model, method, rho, scores, plan)
     spec = model.spec
     if method == "baseline":
         layers = [AttentionLayer(layer.proj_q, layer.k_map, layer.v_map, layer.proj_o)
@@ -145,14 +180,21 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
         return AttentionModel(spec, model.embedding, layers, method="baseline",
                               manifest={"method": "baseline", "rho": rho})
 
-    plan, factors = _head_factors(model, method, rho, scores, plan)
+    memo = _SHARED.setdefault(model, weakref.WeakValueDictionary())
     d = spec.head_dim
     query_heads = [(h, h // spec.group_size) for h in range(spec.query_heads)]
     layers, manifest_layers = [], []
-    for layer, (keys, values) in zip(model.layers, factors):
+    for i, layer in enumerate(model.layers):
+        m_k, m_v = plan.retained_pairs(i, "k"), plan.retained_pairs(i, "v")
+        w_k, w_v = layer.k_map.merged_weight(), layer.v_map.merged_weight()
+        values = _Factored(memo, (i, "v", 2 * m_v) + _digest(w_v), _heads(spec, w_v),
+                           2 * m_v)
+        v_map = values.shared(("a",), lambda f: _stacked([h.a for h in f], axis=1))
         proj_q, proj_o = layer.proj_q, layer.proj_o
         k_recon = v_recon = k_retained = None
         if method == "rap":
+            keys = _rap_keys(spec, i, w_k, scores, m_k)
+            k_map = _stacked([f.a for f in keys], axis=1)
             # B_k^T folds into W_q: each query head keeps its group's columns
             w_q = layer.proj_q.merged_weight()
             proj_q = _stacked([w_q[:, h * d:(h + 1) * d][:, keys[g].retained.rap_index]
@@ -162,27 +204,27 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
                        "retained_pairs": [list(r.pairs) for r in k_retained],
                        "rap_index": [r.rap_index for r in k_retained]}
         else:
-            k_recon = [f.b for f in keys]
-            k_entry = {"mode": "svd", "rank": keys[0].rank}
+            keys = _Factored(memo, (i, "k", 2 * m_k) + _digest(w_k), _heads(spec, w_k),
+                             2 * m_k)
+            k_map = keys.shared(("a",), lambda f: _stacked([h.a for h in f], axis=1))
+            k_recon = keys.shared(("b",), lambda f: np.stack([h.b for h in f]))
+            k_entry = {"mode": "svd", "rank": 2 * m_k}
         if method == "svd":
-            v_recon = [f.b for f in values]
+            v_recon = values.shared(("b",), lambda f: np.stack([h.b for h in f]))
         else:
             # B_v folds into W_o: values flow latently into the output
             w_o = layer.proj_o.merged_weight()
-            proj_o = _stacked([values[g].b @ w_o[h * d:(h + 1) * d, :]
-                               for h, g in query_heads], axis=0)
-        v_entry = {"mode": "svd" if method == "svd" else "svd_absorbed",
-                   "rank": values[0].rank}
-        layers.append(AttentionLayer(proj_q, _stacked([f.a for f in keys], axis=1),
-                                     _stacked([f.a for f in values], axis=1), proj_o,
-                                     k_recon=k_recon, v_recon=v_recon,
-                                     k_retained=k_retained))
+            proj_o = values.shared(("o",) + _digest(w_o), lambda f: _stacked(
+                [f[g].b @ w_o[h * d:(h + 1) * d, :] for h, g in query_heads], axis=0))
+        v_entry = {"mode": "svd" if method == "svd" else "svd_absorbed", "rank": 2 * m_v}
+        layers.append(AttentionLayer(proj_q, k_map, v_map, proj_o, k_recon=k_recon,
+                                     v_recon=v_recon, k_retained=k_retained))
         manifest_layers.append({"k": k_entry, "v": v_entry})
 
     manifest = {"method": method, "rho": rho, "layers": manifest_layers}
     if method == "rap":
         manifest["retained_fraction_mean"] = float(np.mean(
-            [len(f.retained) / (d // 2) for keys, _ in factors for f in keys]))
+            [len(r) / (d // 2) for layer in layers for r in layer.k_retained]))
         manifest["plan"] = {
             "mode": plan.mode,
             "groups": [{"layer": l, "side": s, "ratio": plan.ratios[(l, s)],
@@ -201,14 +243,22 @@ def reconstructed_reference(model: AttentionModel, method: str, rho: float,
     Builds the SAME factors as :func:`build_compressed` but installs them as
     plain full-width weights (A·B products, zeros at pruned columns) with
     the untouched query/output projections. Running the baseline forward on
-    the result is the reference path every latent forward must match.
+    the result is the reference path every latent forward must match. It
+    factors anew and shares nothing with the latent builds.
     """
+    plan = _checked(model, method, rho, scores, plan)
     if method == "baseline":
         return build_compressed(model, "baseline", rho)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    _, factors = _head_factors(model, method, rho, scores, plan)
-    layers = [AttentionLayer(layer.proj_q, _stacked([f.dense() for f in keys], axis=1),
-                             _stacked([f.dense() for f in values], axis=1), layer.proj_o)
-              for layer, (keys, values) in zip(model.layers, factors)]
-    return AttentionModel(model.spec, model.embedding, layers)
+    spec = model.spec
+    layers = []
+    for i, layer in enumerate(model.layers):
+        m_k, m_v = plan.retained_pairs(i, "k"), plan.retained_pairs(i, "v")
+        w_k = layer.k_map.merged_weight()
+        keys = (_rap_keys(spec, i, w_k, scores, m_k) if method == "rap"
+                else [svd_factor(b, 2 * m_k) for b in _heads(spec, w_k)])
+        values = [svd_factor(b, 2 * m_v)
+                  for b in _heads(spec, layer.v_map.merged_weight())]
+        layers.append(AttentionLayer(layer.proj_q, _stacked([f.dense() for f in keys], 1),
+                                     _stacked([f.dense() for f in values], 1),
+                                     layer.proj_o))
+    return AttentionModel(spec, model.embedding, layers)

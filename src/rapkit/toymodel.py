@@ -61,6 +61,7 @@ exactly instead of approximately.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,6 +142,16 @@ class LinearMap:
         return int(self.weight.size)
 
 
+def _recon_stack(recon) -> np.ndarray | None:
+    """A (H_kv, width, D) float64 stack; a ready one is kept, not copied."""
+    if recon is None:
+        return None
+    stack = np.ascontiguousarray(recon, dtype=np.float64)
+    if stack.ndim != 3 or not np.all(np.isfinite(stack)):
+        raise ValueError("reconstruction factors must be finite (width, D) matrices")
+    return stack
+
+
 @dataclass
 class AttentionLayer:
     """One attention layer; the mode of each side follows from what is set."""
@@ -149,16 +160,14 @@ class AttentionLayer:
     k_map: LinearMap                  # dim x (H_kv * k_width)
     v_map: LinearMap                  # dim x (H_kv * v_width)
     proj_o: LinearMap                 # (H_q * o_width) x dim
-    k_recon: np.ndarray | None = None   # (H_kv, k_width, D), given per kv head
-    v_recon: np.ndarray | None = None   # (H_kv, v_width, D), given per kv head
+    k_recon: np.ndarray | None = None   # (H_kv, k_width, D), or one matrix per kv head
+    v_recon: np.ndarray | None = None   # (H_kv, v_width, D), or one matrix per kv head
     k_retained: list[RetainedIndex] | None = None  # per kv head, rap mode
     pair_ids: np.ndarray | None = field(init=False, default=None)  # rap: (H_kv, m)
 
     def __post_init__(self):
-        if self.k_recon is not None:
-            self.k_recon = np.stack([as_matrix(b) for b in self.k_recon])
-        if self.v_recon is not None:
-            self.v_recon = np.stack([as_matrix(b) for b in self.v_recon])
+        self.k_recon = _recon_stack(self.k_recon)
+        self.v_recon = _recon_stack(self.v_recon)
         if self.k_retained is not None:
             self.pair_ids = np.array([r.pairs for r in self.k_retained])
 
@@ -472,15 +481,16 @@ def markov_calibration(vocab: int, count: int = 16, window: int = 64,
         raise ValueError("need at least one window of length >= 2")
     rng = np.random.default_rng(seed)
     transitions = rng.dirichlet(np.full(vocab, 0.25), size=vocab)
-    cumulative = np.cumsum(transitions, axis=1)
+    # the cumulative rows end to end; bisect reads a row's floats in place
+    cumulative = memoryview(np.cumsum(transitions, axis=1).ravel())
     sequences = []
     for _ in range(count):
         state = int(rng.integers(vocab))
         seq = [state]
-        for _ in range(window - 1):
-            u = rng.random()
-            state = int(np.searchsorted(cumulative[state], u))
-            state = min(state, vocab - 1)
+        # one draw of the window's uniforms gives the same doubles as one per step
+        for u in rng.random(window - 1).tolist():
+            start = state * vocab
+            state = min(bisect_left(cumulative, u, start, start + vocab) - start, vocab - 1)
             seq.append(state)
         sequences.append(tuple(seq))
     return CalibrationSet(tuple(sequences), seed)

@@ -565,3 +565,43 @@ def test_unknown_config_keys_exit_one_naming_the_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     config.write_text(json.dumps({"model": {"path": None, "spec": None}}))
     assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 0
+
+
+def test_model_path_and_spec_together_exit_one_naming_both(tmp_path, capsys):
+    path = tmp_path / "base.model"
+    save_model(AttentionModel.build(default_spec()), path)
+    spec = {"layers": 3, "query_heads": 4, "kv_heads": 2, "head_dim": 16, "vocab": 64,
+            "theta_base": 10000.0, "pairing": "half_split", "seed": 1}
+    spec_from_json(spec)  # the spec alone is valid
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"path": str(path), "spec": spec}}))
+    out = tmp_path / "o"
+    assert run(["prune", "--config", config, "--out", out, "--rho", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.path" in err and "model.spec" in err, err
+    assert not out.exists()
+
+
+# per command, a flag it never reads and the reason the refusal must give
+UNREAD_FLAG_CASES = {
+    "report-rho": ("report", ["--rho", "0.9"], "ratios"),
+    "sweep-rho": ("sweep", ["--rho", "0.9"], "ratios"),
+    "sweep-method": ("sweep", ["--method", "svd"], "every method"),
+    "verify-method": ("verify", ["--method", "svd"], "rap"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_FLAG_CASES))
+def test_flags_a_command_never_reads_exit_one(case, tmp_path, capsys):
+    command, flag, reason = UNREAD_FLAG_CASES[case]
+    out = tmp_path / "o"
+    assert run([command, "--out", out] + flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[0]} would be ignored:") and reason in err, err
+    assert not out.exists()
+    # a config file's key of the same name serves the whole pipeline
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({flag[0][2:]: json.loads(flag[1]) if flag[0] == "--rho"
+                                  else flag[1], "ratios": [0.5],
+                                  "scoring": "magnitude"}))
+    assert run([command, "--config", config, "--out", out]) == 0

@@ -1,5 +1,9 @@
 """Factorization construction, absorption identities, latent-path equivalence."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -320,3 +324,99 @@ def test_compressed_checkpoint_roundtrip(tmp_path):
     tokens = [1, 2, 3, 4, 5]
     np.testing.assert_array_equal(forward_prefill(compressed, tokens).logits,
                                   forward_prefill(loaded, tokens).logits)
+
+
+# -- factors shared between sibling builds ---------------------------------------
+
+# (first method, second method, layer attribute) that builds from one base share
+SHARED_PARTS = [("svd", "palu", "k_map"), ("svd", "palu", "k_recon"),
+                ("svd", "palu", "v_map"), ("svd", "rap", "v_map"),
+                ("palu", "rap", "proj_o")]
+
+
+def built_arrays(model):
+    """Every array of a build by name: the four maps and B stacks of each layer."""
+    arrays = {}
+    for i, layer in enumerate(model.layers):
+        for role in ("proj_q", "k_map", "v_map", "proj_o", "k_recon", "v_recon"):
+            value = getattr(layer, role)
+            if value is not None:
+                arrays[f"L{i}.{role}"] = getattr(value, "weight", value)
+    return arrays
+
+
+def siblings(base, budget="uniform", methods=("svd", "palu", "rap")):
+    table = magnitude_scores(base, base.spec.rope.scheme)
+    plan = allocate(table, 0.5, budget)
+    return {m: build_compressed(base, m, 0.5, scores=table, plan=plan) for m in methods}
+
+
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+def test_sibling_builds_share_their_factors(pairing):
+    base = AttentionModel.build(make_spec(layers=3, seed=51, pairing=pairing))
+    models = siblings(base)
+    for first, second, role in SHARED_PARTS:
+        for i in range(base.spec.layers):
+            a = built_arrays(models[first])[f"L{i}.{role}"]
+            b = built_arrays(models[second])[f"L{i}.{role}"]
+            assert np.shares_memory(a, b), (first, second, role, i)
+    # rap keeps its own keys and query projection
+    for i in range(base.spec.layers):
+        for role in ("k_map", "proj_q"):
+            assert not np.shares_memory(built_arrays(models["rap"])[f"L{i}.{role}"],
+                                        built_arrays(models["palu"])[f"L{i}.{role}"])
+
+
+@pytest.mark.parametrize("budget", ["uniform", "adaptive"])
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+def test_shared_builds_equal_isolated_builds(pairing, budget):
+    """Each sibling against a build of its own from a fresh copy of the base."""
+    base = AttentionModel.build(make_spec(seed=52, pairing=pairing))
+    shared = siblings(base, budget=budget)
+    tokens = [5, 17, 3, 60, 22, 9, 41, 12]
+    for method, model in shared.items():
+        alone = siblings(copy.deepcopy(base), budget, [method])[method]
+        got, want = built_arrays(model), built_arrays(alone)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        assert model.manifest == alone.manifest
+        runs = [forward_prefill(m, tokens[:6]) for m in (model, alone)]
+        np.testing.assert_array_equal(runs[0].logits, runs[1].logits)
+        assert runs[0].tape.flops_by_tag == runs[1].tape.flops_by_tag
+        steps = [forward_decode(m, run.cache, tokens[6]) for m, run in zip((model, alone), runs)]
+        np.testing.assert_array_equal(steps[0][0], steps[1][0])
+
+
+def test_shared_factors_die_with_their_last_sibling():
+    base = AttentionModel.build(make_spec(seed=53))
+    models = siblings(base)
+    refs = [weakref.ref(built_arrays(models[first])[f"L{i}.{role}"])
+            for first, _, role in SHARED_PARTS for i in range(base.spec.layers)]
+    del models
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_base_weight_changed_in_place_is_factored_again():
+    base = AttentionModel.build(make_spec(seed=54))
+    first = siblings(base)
+    base.layers[0].k_map.weight *= 1.5
+    base.layers[1].v_map.weight[3, 2] += 0.25
+    base.layers[1].proj_o.weight[0, :] = 0.0
+    again = siblings(base)
+    fresh = siblings(copy.deepcopy(base))
+    for method, model in again.items():
+        got, want = built_arrays(model), built_arrays(fresh[method])
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    # what the changes did not touch is still shared with the first builds
+    old, new = built_arrays(first["svd"]), built_arrays(again["svd"])
+    assert not np.shares_memory(old["L0.k_map"], new["L0.k_map"])
+    assert np.shares_memory(old["L1.k_map"], new["L1.k_map"])
+    assert not np.shares_memory(old["L1.v_map"], new["L1.v_map"])
+    assert np.shares_memory(old["L0.v_map"], new["L0.v_map"])
+    assert not np.shares_memory(built_arrays(first["rap"])["L1.proj_o"],
+                                built_arrays(again["rap"])["L1.proj_o"])
+    assert np.shares_memory(built_arrays(first["rap"])["L0.proj_o"],
+                            built_arrays(again["rap"])["L0.proj_o"])

@@ -194,6 +194,30 @@ def test_markov_calibration_deterministic_and_in_vocab():
     assert a.count == 4 and a.window == 16
 
 
+def _markov_oracle(vocab, count, window, seed):
+    """The sampler's earlier loop: one uniform and one searchsorted per step."""
+    rng = np.random.default_rng(seed)
+    transitions = rng.dirichlet(np.full(vocab, 0.25), size=vocab)
+    cumulative = np.cumsum(transitions, axis=1)
+    sequences = []
+    for _ in range(count):
+        state = int(rng.integers(vocab))
+        seq = [state]
+        for _ in range(window - 1):
+            state = min(int(np.searchsorted(cumulative[state], rng.random())), vocab - 1)
+            seq.append(state)
+        sequences.append(tuple(seq))
+    return tuple(sequences)
+
+
+@pytest.mark.parametrize("vocab,count,window,seed", [
+    (64, 16, 64, 42), (64, 16, 64, 7), (512, 2, 784, 10301), (512, 8, 80, 3),
+    (5, 3, 2, 0), (2, 4, 50, 11)])
+def test_markov_calibration_matches_the_stepwise_sampler(vocab, count, window, seed):
+    assert markov_calibration(vocab, count, window, seed).sequences == \
+        _markov_oracle(vocab, count, window, seed)
+
+
 def test_model_serialization_roundtrip(tmp_path):
     model = AttentionModel.build(make_spec(seed=21))
     path = tmp_path / "model.bin"
