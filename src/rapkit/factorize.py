@@ -14,7 +14,12 @@ latent columns the cache stores; the methods differ in ``B``:
 
 :func:`build_compressed` installs the factors latently and
 :func:`reconstructed_reference` installs their dense products A·B; both read
-the same factors. ``METHODS`` names these and ``baseline``, from the CLI flag
+the same factors. Since the methods differ only in ``B``, builds from one base
+model share the arrays they have in common: each (layer, side, rank) SVD runs
+once while a model built from it lives. The memo holds only weak references,
+so a factor dies with the last model that uses it, and its keys carry a
+SHA-256 digest of the weights factored, so a weight changed in place is
+factored again. ``METHODS`` names these and ``baseline``, from the CLI flag
 to manifests and checkpoints. Every rank comes from a budget plan (see
 :func:`applied_plan`): a ratio converts to an integer pair count ``m`` per
 (layer, side) and latent widths are ``2m`` for every method, which keeps the
