@@ -39,6 +39,8 @@ FLAGS = ("method", "rho", "scoring", "budget", "seed", "out")
 # per command, the flags it never reads and why; a config file's keys of the
 # same names still serve the rest of the pipeline
 UNREAD_FLAGS = {
+    "score": dict.fromkeys(("rho", "method", "budget"),
+                           "score computes pair scores only"),
     "report": {"rho": "report measures the config's ratios"},
     "sweep": {"rho": "sweep measures the config's ratios",
               "method": "sweep reports every method"},

@@ -140,26 +140,45 @@ def _digest(weight: np.ndarray) -> tuple:
 
 
 class _Factored:
-    """One layer side's SVD at one rank, and what sibling builds make of it.
+    """Layer ``i``'s SVD of one side at one rank, and what builds make of it.
 
-    :meth:`shared` hands out what an earlier build of the same base made
-    under the same key, as long as some model still holds it; the SVD runs
-    only when something must be made anew.
+    Each part is looked up first in the base model's memo, under a key that
+    holds the digest of every weight it is made from; the SVD runs only when
+    a part must be made anew.
     """
 
-    def __init__(self, memo, key: tuple, blocks: list[np.ndarray], rank: int):
-        self.memo, self.key, self.blocks, self.rank = memo, key, blocks, rank
+    def __init__(self, memo, spec: ModelSpec, i: int, side: str, weight: np.ndarray,
+                 rank: int):
+        self.memo, self.key = memo, (i, side, rank) + _digest(weight)
+        self.blocks, self.rank = _heads(spec, weight), rank
 
     @cached_property
     def heads(self) -> list[HeadFactor]:
         return [svd_factor(block, self.rank) for block in self.blocks]
 
-    def shared(self, part: tuple, make):
+    def _shared(self, part: tuple, make):
         key = self.key + part
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = make(self.heads)
+            value = self.memo[key] = make()
         return value
+
+    def latent(self) -> LinearMap:
+        """Every head's A side by side: the map into the cached latents."""
+        return self._shared(("a",), lambda: _stacked([f.a for f in self.heads], axis=1))
+
+    def b_stack(self) -> np.ndarray:
+        """Every head's B as one (H_kv, rank, D) stack."""
+        return self._shared(("b",), lambda: np.stack([f.b for f in self.heads]))
+
+    def absorbed(self, w_o: np.ndarray, query_heads) -> LinearMap:
+        """``w_o`` with each query head's rows premultiplied by its group's B."""
+        def make():
+            b = self.b_stack()
+            d = b.shape[2]
+            return _stacked([b[g] @ w_o[h * d:(h + 1) * d, :] for h, g in query_heads],
+                            axis=0)
+        return self._shared(("o",) + _digest(w_o), make)
 
 
 def build_compressed(model: AttentionModel, method: str, rho: float,
@@ -192,9 +211,8 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
     for i, layer in enumerate(model.layers):
         m_k, m_v = plan.retained_pairs(i, "k"), plan.retained_pairs(i, "v")
         w_k, w_v = layer.k_map.merged_weight(), layer.v_map.merged_weight()
-        values = _Factored(memo, (i, "v", 2 * m_v) + _digest(w_v), _heads(spec, w_v),
-                           2 * m_v)
-        v_map = values.shared(("a",), lambda f: _stacked([h.a for h in f], axis=1))
+        values = _Factored(memo, spec, i, "v", w_v, 2 * m_v)
+        v_map = values.latent()
         proj_q, proj_o = layer.proj_q, layer.proj_o
         k_recon = v_recon = k_retained = None
         if method == "rap":
@@ -209,18 +227,14 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
                        "retained_pairs": [list(r.pairs) for r in k_retained],
                        "rap_index": [r.rap_index for r in k_retained]}
         else:
-            keys = _Factored(memo, (i, "k", 2 * m_k) + _digest(w_k), _heads(spec, w_k),
-                             2 * m_k)
-            k_map = keys.shared(("a",), lambda f: _stacked([h.a for h in f], axis=1))
-            k_recon = keys.shared(("b",), lambda f: np.stack([h.b for h in f]))
+            keys = _Factored(memo, spec, i, "k", w_k, 2 * m_k)
+            k_map, k_recon = keys.latent(), keys.b_stack()
             k_entry = {"mode": "svd", "rank": 2 * m_k}
         if method == "svd":
-            v_recon = values.shared(("b",), lambda f: np.stack([h.b for h in f]))
+            v_recon = values.b_stack()
         else:
             # B_v folds into W_o: values flow latently into the output
-            w_o = layer.proj_o.merged_weight()
-            proj_o = values.shared(("o",) + _digest(w_o), lambda f: _stacked(
-                [f[g].b @ w_o[h * d:(h + 1) * d, :] for h, g in query_heads], axis=0))
+            proj_o = values.absorbed(layer.proj_o.merged_weight(), query_heads)
         v_entry = {"mode": "svd" if method == "svd" else "svd_absorbed", "rank": 2 * m_v}
         layers.append(AttentionLayer(proj_q, k_map, v_map, proj_o, k_recon=k_recon,
                                      v_recon=v_recon, k_retained=k_retained))

@@ -584,6 +584,9 @@ def test_model_path_and_spec_together_exit_one_naming_both(tmp_path, capsys):
 
 # per command, a flag it never reads and the reason the refusal must give
 UNREAD_FLAG_CASES = {
+    "score-rho": ("score", ["--rho", "0.9"], "pair scores only"),
+    "score-method": ("score", ["--method", "svd"], "pair scores only"),
+    "score-budget": ("score", ["--budget", "uniform"], "pair scores only"),
     "report-rho": ("report", ["--rho", "0.9"], "ratios"),
     "sweep-rho": ("sweep", ["--rho", "0.9"], "ratios"),
     "sweep-method": ("sweep", ["--method", "svd"], "every method"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import RAP_CASE, make_spec
+from rapkit import factorize
 from rapkit.budget import allocate, uniform_plan
 from rapkit.factorize import (build_compressed, reconstructed_reference,
                               svd_factor, top_pairs)
@@ -365,6 +366,22 @@ def test_sibling_builds_share_their_factors(pairing):
         for role in ("k_map", "proj_q"):
             assert not np.shares_memory(built_arrays(models["rap"])[f"L{i}.{role}"],
                                         built_arrays(models["palu"])[f"L{i}.{role}"])
+
+
+def test_siblings_run_each_layer_side_svd_once(monkeypatch):
+    base = AttentionModel.build(make_spec(layers=3, seed=55))
+    ranks = []
+    real = factorize.svd_factor
+    monkeypatch.setattr(factorize, "svd_factor",
+                        lambda weight, rank: ranks.append(rank) or real(weight, rank))
+    models = siblings(base)
+    spec = base.spec
+    assert len(ranks) == 2 * spec.layers * spec.kv_heads  # keys and values, once each
+    # once its last sibling is gone, a side is factored again
+    del models
+    gc.collect()
+    siblings(base, methods=["palu"])
+    assert len(ranks) == 4 * spec.layers * spec.kv_heads
 
 
 @pytest.mark.parametrize("budget", ["uniform", "adaptive"])
