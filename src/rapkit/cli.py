@@ -10,13 +10,23 @@ flag it would not read (``UNREAD_FLAGS``). prune, distill (when
 step, ``_compress``. All artifacts are deterministic under a fixed seed
 (byte-identical across reruns).
 
+Fisher scores are estimated once per --out: score writes scores.json and,
+beside it, scores_key.json with two SHA-256 digests, one of everything the
+estimate reads (model arrays, spec, calibration windows, targets) and one of
+the scores.json bytes. prune without --scores, distill building its own
+student, report, sweep and verify read the table back when both digests match
+their own inputs, and otherwise estimate as score does, writing nothing.
+
 Exit codes: 0 ok, 1 validation error, 2 check failure or infeasible budget,
-3 numeric divergence.
+3 numeric divergence: every command runs with overflow, invalid and divide
+floating-point errors raised, and the message names the command and stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -31,6 +41,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 EXIT_DIVERGENCE = 3
+
+SCORES = "scores.json"
+# the digests under which the other commands read the Fisher table back
+SCORES_KEY = "scores_key.json"
 
 SCORING_MODES = ("fisher", "magnitude")
 BUDGET_MODES = (budget.ADAPTIVE, budget.UNIFORM)
@@ -189,12 +203,53 @@ CALIBRATION_SETTINGS = dict.fromkeys(("count", "window", "seed"), int)
 KD_SETTINGS = {k: kind for k, kind in _json_kinds(recover.KdConfig).items() if k != "seed"}
 
 
-def _compute_scores(cfg: RunConfig, model) -> scoring.PairScoreTable:
-    scheme = model.spec.rope.scheme
-    if cfg.scoring == "magnitude":
-        return scoring.magnitude_scores(model, scheme)
+@contextlib.contextmanager
+def _stage(name: str):
+    """Name the stage in which a pass overflowed or made a NaN; ``main`` runs
+    every command with such floating-point errors raised."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{name}: {exc}") from None
+
+
+def _fisher_inputs(cfg: RunConfig, model) -> tuple[toymodel.CalibrationSet, str]:
+    """The calibration set the Fisher estimate reads, and the digest of its inputs."""
     calib = cfg.build_calibration(model.spec.vocab)
-    return scoring.pair_scores(scoring.estimate_fisher(model, calib), scheme)
+    return calib, scoring.fisher_digest(model, calib, scoring.default_targets(model))
+
+
+def _fisher_scores(model, calib) -> scoring.PairScoreTable:
+    return scoring.pair_scores(scoring.estimate_fisher(model, calib),
+                               model.spec.rope.scheme)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cached_scores(out: Path, model, inputs: str) -> scoring.PairScoreTable | None:
+    """The table ``score`` wrote to ``out``, if its key holds ``inputs`` and the
+    digest of the scores file as it stands; otherwise None."""
+    try:
+        key = json.loads((out / SCORES_KEY).read_text())
+        if key != {"inputs": inputs, "scores": _sha256((out / SCORES).read_bytes())}:
+            return None
+        return _load_scores(out / SCORES, model)
+    except (OSError, ValueError):  # a missing or garbled file: estimate instead
+        return None
+
+
+def _compute_scores(cfg: RunConfig, model) -> scoring.PairScoreTable:
+    """Pair scores by ``cfg.scoring``. A Fisher table that ``score`` wrote to
+    --out is read back when its key matches; magnitude scores cost less to
+    compute than to check."""
+    with _stage("scoring"):
+        if cfg.scoring == "magnitude":
+            return scoring.magnitude_scores(model, model.spec.rope.scheme)
+        calib, inputs = _fisher_inputs(cfg, model)
+        cached = _cached_scores(Path(cfg.out), model, inputs)
+        return cached if cached is not None else _fisher_scores(model, calib)
 
 
 def _load_scores(path: Path, model) -> scoring.PairScoreTable:
@@ -247,15 +302,28 @@ def _score_summary(table: scoring.PairScoreTable) -> dict:
 
 
 def cmd_score(cfg: RunConfig) -> int:
+    """Write the pair scores, their summary and, for a Fisher table, the key
+    under which the other commands read it back (see ``_cached_scores``)."""
     model = cfg.build_model()
-    table = _compute_scores(cfg, model)
+    with _stage("scoring"):
+        if cfg.scoring == "magnitude":
+            table = scoring.magnitude_scores(model, model.spec.rope.scheme)
+        else:
+            calib, inputs = _fisher_inputs(cfg, model)
+            table = _fisher_scores(model, calib)
+    text = table.to_json()
     out = cfg.out_dir()
-    (out / "scores.json").write_text(table.to_json())
+    (out / SCORES).write_text(text)
+    if cfg.scoring == "magnitude":  # a key names the inputs of a Fisher table
+        (out / SCORES_KEY).unlink(missing_ok=True)
+    else:
+        key = {"inputs": inputs, "scores": _sha256(text.encode("utf-8"))}
+        (out / SCORES_KEY).write_text(json.dumps(key, sort_keys=True, indent=1))
     summary = {"scoring": cfg.scoring, "seed": cfg.seed}
     summary.update(_score_summary(table))
     (out / "score_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1))
-    print(f"wrote {out / 'scores.json'}")
+    print(f"wrote {out / SCORES}")
     return EXIT_OK
 
 
@@ -280,7 +348,9 @@ def _compress(cfg: RunConfig, model, method: str, rho: float,
         if plan is None:
             plan = budget.allocate(table, rho, cfg.budget)
     plan = factorize.applied_plan(model.spec, method, rho, plan)
-    compressed = factorize.build_compressed(model, method, rho, scores=table, plan=plan)
+    with _stage("compression"):
+        compressed = factorize.build_compressed(model, method, rho, scores=table,
+                                                plan=plan)
     return compressed, plan, table
 
 
@@ -323,7 +393,9 @@ def cmd_distill(cfg: RunConfig) -> int:
     merged, trace, adapters_json = student, [], "{}"
     if kd_cfg.steps:
         try:
-            trained, trace = recover.distill(teacher, student, calib, kd_cfg)
+            # training finds a non-finite weight itself and names the step
+            with np.errstate(all="ignore"):
+                trained, trace = recover.distill(teacher, student, calib, kd_cfg)
         except recover.TrainingDiverged as exc:
             (cfg.out_dir() / "kd_trace.csv").write_text(recover.trace_to_csv(exc.trace))
             print(f"error: {exc}", file=sys.stderr)
@@ -343,8 +415,9 @@ def _write_reports(cfg: RunConfig, methods, stem: str) -> int:
     table = _compute_scores(cfg, model) if "rap" in methods else None
     tokens = list(toymodel.markov_calibration(
         model.spec.vocab, count=1, window=cfg.seq_len, seed=cfg.seed).sequences[0])
-    reports = analyze.sweep(model, methods, cfg.ratios, tokens, scores=table,
-                            budget_mode=cfg.budget)
+    with _stage("measurement"):
+        reports = analyze.sweep(model, methods, cfg.ratios, tokens, scores=table,
+                                budget_mode=cfg.budget)
     out = cfg.out_dir()
     (out / f"{stem}.csv").write_text(analyze.reports_to_csv(reports))
     (out / f"{stem}.json").write_text(analyze.reports_to_json(reports))
@@ -369,28 +442,29 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
 
     checks: dict[str, dict] = {}
-    dev = verify.check_commutativity(compressed, trials=8, seed=cfg.seed)
-    checks["commutativity"] = {"deviation": dev, "passed": dev <= 1e-12}
+    with _stage("checks"):
+        dev = verify.check_commutativity(compressed, trials=8, seed=cfg.seed)
+        checks["commutativity"] = {"deviation": dev, "passed": dev <= 1e-12}
 
-    worst_greedy = True
-    for _ in range(25):
-        sigma = rng.random(model.spec.head_dim // 2)
-        ok, _witness = verify.check_greedy_optimality(sigma, int(rng.integers(
-            1, model.spec.head_dim // 2 + 1)))
-        worst_greedy = worst_greedy and ok
-    checks["greedy_optimality"] = {"passed": worst_greedy}
+        worst_greedy = True
+        for _ in range(25):
+            sigma = rng.random(model.spec.head_dim // 2)
+            ok, _witness = verify.check_greedy_optimality(sigma, int(rng.integers(
+                1, model.spec.head_dim // 2 + 1)))
+            worst_greedy = worst_greedy and ok
+        checks["greedy_optimality"] = {"passed": worst_greedy}
 
-    quad = verify.quadratic_bound_case(cfg.seed)
-    checks["quadratic_bound"] = {"ratio": quad.ratio,
-                                 "passed": abs(quad.ratio - 1.0) <= 1e-9}
+        quad = verify.quadratic_bound_case(cfg.seed)
+        checks["quadratic_bound"] = {"ratio": quad.ratio,
+                                     "passed": abs(quad.ratio - 1.0) <= 1e-9}
 
-    ref = factorize.reconstructed_reference(model, "rap", rho, scores=table,
-                                            plan=plan)
-    tokens = list(calib.sequences[0][:16])
-    lat = toymodel.forward_prefill(compressed, tokens).logits
-    full = toymodel.forward_prefill(ref, tokens).logits
-    gap = float(np.max(np.abs(lat - full)))
-    checks["latent_equivalence"] = {"deviation": gap, "passed": gap <= 1e-9}
+        ref = factorize.reconstructed_reference(model, "rap", rho, scores=table,
+                                                plan=plan)
+        tokens = list(calib.sequences[0][:16])
+        lat = toymodel.forward_prefill(compressed, tokens).logits
+        full = toymodel.forward_prefill(ref, tokens).logits
+        gap = float(np.max(np.abs(lat - full)))
+        checks["latent_equivalence"] = {"deviation": gap, "passed": gap <= 1e-9}
 
     passed = all(c["passed"] for c in checks.values())
     payload = {"passed": passed, "checks": checks, "seed": cfg.seed}
@@ -436,19 +510,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "prune":
-            return cmd_prune(cfg, scores_path=getattr(args, "scores", None),
-                             plan_path=getattr(args, "plan", None))
-        if args.command == "distill":
-            return cmd_distill(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
+        # an overflow or NaN raises a FloatingPointError; underflow, which exp
+        # of masked scores makes, stays allowed
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "score":
+                return cmd_score(cfg)
+            if args.command == "prune":
+                return cmd_prune(cfg, scores_path=getattr(args, "scores", None),
+                                 plan_path=getattr(args, "plan", None))
+            if args.command == "distill":
+                return cmd_distill(cfg)
+            if args.command == "report":
+                return cmd_report(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            if args.command == "verify":
+                return cmd_verify(cfg)
     except budget.InfeasibleBudget as exc:
         print(f"error: infeasible budget: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
@@ -457,7 +534,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: numeric divergence in {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -5,10 +5,13 @@ per-sample loss gradients (square first, then average). Pair scores sum the
 Fisher mass of the two columns each rotation pair owns; value projections are
 never rotated, but their columns are grouped into consecutive (2x, 2x+1)
 pseudo-pairs so one score/budget pipeline serves both sides.
+:func:`fisher_digest` names an estimate's inputs, so a stored table can be
+told apart from a stale one without estimating again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -17,7 +20,7 @@ import numpy as np
 from .numcore import gradients
 from .rope import ADJACENT, PairingScheme
 from .toymodel import (AttentionModel, CalibrationSet, check_json_fields,
-                       check_json_type, loss_forward)
+                       check_json_type, loss_forward, model_arrays, spec_to_json)
 
 KEY_SIDE = "k"
 VALUE_SIDE = "v"
@@ -65,6 +68,22 @@ def estimate_fisher(model: AttentionModel, calib: CalibrationSet,
             else:
                 sums[key] = sq
     return FisherEstimate(sums, calib.count)
+
+
+def fisher_digest(model: AttentionModel, calib: CalibrationSet,
+                  targets: list[tuple[int, str]]) -> str:
+    """SHA-256 hex digest of all that :func:`estimate_fisher` reads: the
+    model's arrays in checkpoint order, its spec, the calibration windows and
+    the targets. A JSON header of names and shapes frames the raw bytes."""
+    arrays = model_arrays(model)
+    header = {"arrays": [[name, *a.shape] for name, a in arrays],
+              "spec": spec_to_json(model.spec), "targets": [list(t) for t in targets],
+              "windows": [calib.count, calib.window]}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    for _, a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8"))
+    digest.update(np.asarray(calib.sequences, dtype="<i8"))
+    return digest.hexdigest()
 
 
 @dataclass

@@ -567,7 +567,8 @@ def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
     )
 
 
-def _model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
+def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
+    """Every parameter array of ``model`` by name, in checkpoint order."""
     arrays = [("embedding", model.embedding)]
     for i, layer in enumerate(model.layers):
         arrays.append((f"L{i}.q", layer.proj_q.merged_weight()))
@@ -590,7 +591,7 @@ def save_model(model: AttentionModel, path) -> None:
     (the index form of the expansion matrices) live in the header since they
     are structure, not parameters.
     """
-    arrays = _model_arrays(model)
+    arrays = model_arrays(model)
     header = {
         "format": "rapkit-model-v1",
         "byte_order": "little",
