@@ -12,8 +12,19 @@ For every workload and end-to-end metric the summary gives each side's
 median and quartiles over the seeds both sides ran, and the number of pairs
 in which the change did better. It also records the pair count, the seeds,
 each side's environment, git revision and failed operations. Metric
-directions come from ``BENCHMARK.json`` next to this script (lower is better
-when a metric is not listed there).
+directions and bounds come from ``BENCHMARK.json`` next to this script
+(lower is better, and no bound, when a metric is not listed there).
+
+Each metric also gets a verdict against its bound:
+
+* ``spread``: the larger of the two sides' interquartile range over its median;
+* ``worse_by``: the change of the median in the worse direction, relative to
+  the parent's (negative when the change is better);
+* ``status``: ``worse`` when ``worse_by`` exceeds the bound, ``unresolved``
+  when ``spread`` does, unless every change run beats every parent run, and
+  ``ok`` otherwise;
+* ``gain_met``: the change is better in at least nine pairs of ten and its
+  median beats the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -51,11 +62,12 @@ def revision(checkout: Path) -> dict:
             "dirty": None if status is None else bool(status)}
 
 
-def directions() -> dict[str, str]:
+def declared() -> dict[str, dict]:
+    """Each end-to-end metric's entry in ``BENCHMARK.json``, by name."""
     path = HERE / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def quartiles(values) -> dict:
@@ -63,9 +75,29 @@ def quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def verdict(values: dict[str, list], sign: float, bound: float | None) -> dict:
+    """Quartiles, spread, worsening, status and gain of paired runs; ``sign``
+    is 1 when lower is better and -1 when higher is."""
+    sides = {side: quartiles(values[side]) for side in SIDES}
+    parent, change = sides["parent"], sides["change"]
+    spread = max((q["q3"] - q["q1"]) / q["median"] for q in sides.values())
+    worse_by = sign * (change["median"] - parent["median"]) / parent["median"]
+    better = sum(sign * c < sign * p for p, c in zip(values["parent"], values["change"]))
+    status = None
+    if bound is not None:
+        separated = (max(sign * v for v in values["change"])
+                     < min(sign * v for v in values["parent"]))
+        status = ("worse" if worse_by > bound else
+                  "unresolved" if spread > bound and not separated else "ok")
+    gain_met = (10 * better >= 9 * len(values["parent"]) and
+                sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"])
+    return {**sides, "change_better_pairs": better, "bound": bound, "spread": spread,
+            "worse_by": worse_by, "status": status, "gain_met": gain_met}
+
+
 def summarise(label: str, checkouts: dict[str, Path]) -> dict:
     found = {side: records(path) for side, path in checkouts.items()}
-    better = directions()
+    entries = declared()
     workloads = {}
     for workload in sorted({w for w, _ in found["parent"]} | {w for w, _ in found["change"]}):
         seeds = sorted(s for w, s in found["parent"].keys() & found["change"].keys()
@@ -77,13 +109,12 @@ def summarise(label: str, checkouts: dict[str, Path]) -> dict:
         for name in sorted(runs["parent"][0]["end_to_end"]):
             values = {side: [r["end_to_end"][name]["value"] for r in runs[side]]
                       for side in SIDES}
-            sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+            entry = entries.get(name, {})
+            sign = -1.0 if entry.get("better", "lower") == "higher" else 1.0
             metrics[name] = {
                 "unit": runs["parent"][0]["end_to_end"][name]["unit"],
                 "better": "higher" if sign < 0 else "lower",
-                **{side: quartiles(values[side]) for side in SIDES},
-                "change_better_pairs": sum(sign * c < sign * p for p, c in
-                                           zip(values["parent"], values["change"])),
+                **verdict(values, sign, entry.get("bound")),
             }
         workloads[workload] = {
             "pairs": len(seeds),
@@ -119,7 +150,9 @@ def main(argv=None) -> int:
             print(f"  {name:<18} parent {m['parent']['median']:>10.4g} "
                   f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  "
                   f"change {m['change']['median']:>10.4g}  "
-                  f"better in {m['change_better_pairs']}/{entry['pairs']}")
+                  f"better in {m['change_better_pairs']}/{entry['pairs']}  "
+                  f"worse by {m['worse_by']:+.1%}  spread {m['spread']:.1%}  "
+                  f"bound {m['bound']}  {m['status']}  gain met {m['gain_met']}")
     print(f"wrote {out}")
     return 0
 

@@ -213,43 +213,35 @@ def _stage(name: str):
         raise FloatingPointError(f"{name}: {exc}") from None
 
 
-def _fisher_inputs(cfg: RunConfig, model) -> tuple[toymodel.CalibrationSet, str]:
-    """The calibration set the Fisher estimate reads, and the digest of its inputs."""
-    calib = cfg.build_calibration(model.spec.vocab)
-    return calib, scoring.fisher_digest(model, calib, scoring.default_targets(model))
-
-
-def _fisher_scores(model, calib) -> scoring.PairScoreTable:
-    return scoring.pair_scores(scoring.estimate_fisher(model, calib),
-                               model.spec.rope.scheme)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _cached_scores(out: Path, model, inputs: str) -> scoring.PairScoreTable | None:
     """The table ``score`` wrote to ``out``, if its key holds ``inputs`` and the
     digest of the scores file as it stands; otherwise None."""
     try:
         key = json.loads((out / SCORES_KEY).read_text())
-        if key != {"inputs": inputs, "scores": _sha256((out / SCORES).read_bytes())}:
+        scores = hashlib.sha256((out / SCORES).read_bytes()).hexdigest()
+        if key != {"inputs": inputs, "scores": scores}:
             return None
         return _load_scores(out / SCORES, model)
     except (OSError, ValueError):  # a missing or garbled file: estimate instead
         return None
 
 
-def _compute_scores(cfg: RunConfig, model) -> scoring.PairScoreTable:
-    """Pair scores by ``cfg.scoring``. A Fisher table that ``score`` wrote to
+def _compute_scores(cfg: RunConfig, model, reuse: bool = True
+                    ) -> tuple[scoring.PairScoreTable, str | None]:
+    """Pair scores by ``cfg.scoring``, and for Fisher scores the digest of the
+    estimate's inputs. With ``reuse``, a Fisher table that ``score`` wrote to
     --out is read back when its key matches; magnitude scores cost less to
     compute than to check."""
     with _stage("scoring"):
         if cfg.scoring == "magnitude":
-            return scoring.magnitude_scores(model, model.spec.rope.scheme)
-        calib, inputs = _fisher_inputs(cfg, model)
-        cached = _cached_scores(Path(cfg.out), model, inputs)
-        return cached if cached is not None else _fisher_scores(model, calib)
+            return scoring.magnitude_scores(model, model.spec.rope.scheme), None
+        calib = cfg.build_calibration(model.spec.vocab)
+        inputs = scoring.fisher_digest(model, calib, scoring.default_targets(model))
+        table = _cached_scores(Path(cfg.out), model, inputs) if reuse else None
+        if table is None:
+            table = scoring.pair_scores(scoring.estimate_fisher(model, calib),
+                                        model.spec.rope.scheme)
+        return table, inputs
 
 
 def _load_scores(path: Path, model) -> scoring.PairScoreTable:
@@ -304,20 +296,14 @@ def _score_summary(table: scoring.PairScoreTable) -> dict:
 def cmd_score(cfg: RunConfig) -> int:
     """Write the pair scores, their summary and, for a Fisher table, the key
     under which the other commands read it back (see ``_cached_scores``)."""
-    model = cfg.build_model()
-    with _stage("scoring"):
-        if cfg.scoring == "magnitude":
-            table = scoring.magnitude_scores(model, model.spec.rope.scheme)
-        else:
-            calib, inputs = _fisher_inputs(cfg, model)
-            table = _fisher_scores(model, calib)
+    table, inputs = _compute_scores(cfg, cfg.build_model(), reuse=False)
     text = table.to_json()
     out = cfg.out_dir()
     (out / SCORES).write_text(text)
-    if cfg.scoring == "magnitude":  # a key names the inputs of a Fisher table
+    if inputs is None:  # a key names the inputs of a Fisher table
         (out / SCORES_KEY).unlink(missing_ok=True)
     else:
-        key = {"inputs": inputs, "scores": _sha256(text.encode("utf-8"))}
+        key = {"inputs": inputs, "scores": hashlib.sha256(text.encode()).hexdigest()}
         (out / SCORES_KEY).write_text(json.dumps(key, sort_keys=True, indent=1))
     summary = {"scoring": cfg.scoring, "seed": cfg.seed}
     summary.update(_score_summary(table))
@@ -344,7 +330,7 @@ def _compress(cfg: RunConfig, model, method: str, rho: float,
     else:
         plan = _load_plan(Path(plan_path), model) if plan_path else None
         table = (_load_scores(Path(scores_path), model) if scores_path
-                 else _compute_scores(cfg, model))
+                 else _compute_scores(cfg, model)[0])
         if plan is None:
             plan = budget.allocate(table, rho, cfg.budget)
     plan = factorize.applied_plan(model.spec, method, rho, plan)
@@ -412,7 +398,7 @@ def cmd_distill(cfg: RunConfig) -> int:
 
 def _write_reports(cfg: RunConfig, methods, stem: str) -> int:
     model = cfg.build_model()
-    table = _compute_scores(cfg, model) if "rap" in methods else None
+    table = _compute_scores(cfg, model)[0] if "rap" in methods else None
     tokens = list(toymodel.markov_calibration(
         model.spec.vocab, count=1, window=cfg.seq_len, seed=cfg.seed).sequences[0])
     with _stage("measurement"):

@@ -77,7 +77,7 @@ def fisher_digest(model: AttentionModel, calib: CalibrationSet,
     the targets. A JSON header of names and shapes frames the raw bytes."""
     arrays = model_arrays(model)
     header = {"arrays": [[name, *a.shape] for name, a in arrays],
-              "spec": spec_to_json(model.spec), "targets": [list(t) for t in targets],
+              "spec": spec_to_json(model.spec), "targets": targets,
               "windows": [calib.count, calib.window]}
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
     for _, a in arrays:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "bench_summary.py"
 
 
@@ -52,3 +54,41 @@ def test_no_common_seed_exits_one(tmp_path):
                                "--change", str(tmp_path / "change"),
                                "--out", str(tmp_path / "o.json")]) == 1
     assert not (tmp_path / "o.json").exists()
+
+
+def summarise_tpot(tmp_path, parent_values, change_values) -> dict:
+    """The tpot_ms.rap entry of a summary of paired runs, one per value."""
+    for seed, (p, c) in enumerate(zip(parent_values, change_values)):
+        write_record(tmp_path / "parent", seed, tpot=p, rss=300.0)
+        write_record(tmp_path / "change", seed, tpot=c, rss=300.0)
+    out = tmp_path / "o.json"
+    assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                               "--change", str(tmp_path / "change"),
+                               "--out", str(out)]) == 0
+    return json.loads(out.read_text())["workloads"]["decode_short"]["metrics"]["tpot_ms.rap"]
+
+
+TIGHT = [10.0 + 0.01 * i for i in range(10)]     # spread 0.5%
+WIDE = [5.0 + 1.0 * i for i in range(10)]        # spread 45%, above the 25% bound
+STATUS_CASES = {
+    # name: (parent runs, change runs, status, gain met)
+    "ok, gain met": (TIGHT, [v - 1.0 for v in TIGHT], "ok", True),
+    "ok, within the bound": (TIGHT, [v * 1.2 for v in TIGHT], "ok", False),
+    "worse": (TIGHT, [v * 1.3 for v in TIGHT], "worse", False),
+    "unresolved": (WIDE, WIDE[1:] + WIDE[:1], "unresolved", False),
+    "wide but separated": ([v + 20.0 for v in WIDE], WIDE, "ok", True),
+    "gain in 8 of 10 pairs": (TIGHT, [v - 1.0 for v in TIGHT[:8]] + TIGHT[8:],
+                              "ok", False),
+}
+
+
+@pytest.mark.parametrize("case", STATUS_CASES)
+def test_each_metric_states_its_verdict_against_its_bound(case, tmp_path):
+    parent, change, status, gain_met = STATUS_CASES[case]
+    m = summarise_tpot(tmp_path, parent, change)
+    assert m["bound"] == 0.25     # tpot_ms.rap's bound in BENCHMARK.json
+    assert m["status"] == status and m["gain_met"] is gain_met
+    medians = m["parent"]["median"], m["change"]["median"]
+    assert m["worse_by"] == pytest.approx((medians[1] - medians[0]) / medians[0])
+    assert m["spread"] == pytest.approx(max(
+        (q["q3"] - q["q1"]) / q["median"] for q in (m["parent"], m["change"])))

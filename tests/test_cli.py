@@ -1,6 +1,7 @@
 """Command-line pipeline: determinism, artifacts, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -608,3 +609,161 @@ def test_flags_a_command_never_reads_exit_one(case, tmp_path, capsys):
                                   else flag[1], "ratios": [0.5],
                                   "scoring": "magnitude"}))
     assert run([command, "--config", config, "--out", out]) == 0
+
+
+# -- the Fisher table score writes, read back under its key --------------------
+
+SMALL_RUN = {"rho": 0.3, "calibration": {"count": 4, "window": 16}, "kd": {"steps": 2}}
+# each command's artifacts
+ARTIFACTS = {"score": ("scores.json", "score_summary.json", "scores_key.json"),
+             "prune": ("compressed.model", "budget.json", "manifest.json"),
+             "distill": ("recovered.model", "adapters.json", "kd_trace.csv"),
+             "report": ("report.csv", "report.json"),
+             "sweep": ("sweep.csv", "sweep.json"),
+             "verify": ("verify.json",)}
+
+
+def count_calls(monkeypatch, *names) -> list:
+    """Patch each ``scoring`` function named to record its calls, by name, in
+    the returned list."""
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(scoring, name, counted(name, getattr(scoring, name)))
+    return calls
+
+
+def write_config(path: Path, settings: dict) -> Path:
+    path.write_text(json.dumps(settings))
+    return path
+
+
+def assert_same_artifacts(command, got: Path, expected: Path):
+    for name in ARTIFACTS[command]:
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), (command, name)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_commands_after_score_read_its_table_back(seed, tmp_path, monkeypatch):
+    config = write_config(tmp_path / "c.json", {**SMALL_RUN, "seed": seed})
+    fresh = {}
+    for command in ARTIFACTS:
+        fresh[command] = tmp_path / f"fresh-{command}"
+        assert run([command, "--config", config, "--out", fresh[command]]) == 0
+    calls = count_calls(monkeypatch, "estimate_fisher")
+    pipeline = tmp_path / "pipeline"
+    for command in ARTIFACTS:
+        assert run([command, "--config", config, "--out", pipeline]) == 0
+        assert calls == ["estimate_fisher"], command  # score's estimate only
+        assert_same_artifacts(command, pipeline, fresh[command])
+    # distill builds its own student from the table when --out holds no checkpoint
+    student = tmp_path / "student"
+    for command in ("score", "distill"):
+        assert run([command, "--config", config, "--out", student]) == 0
+    assert len(calls) == 2
+    assert_same_artifacts("distill", student, fresh["distill"])
+
+
+def stale_settings(case: str, tmp_path: Path) -> tuple[dict, dict]:
+    """The settings of score and of the command after it, differing in one input."""
+    if case == "model.path":
+        # two checkpoints of one spec: only the weights differ
+        model, paths = AttentionModel.build(default_spec(seed=1)), []
+        for scale in (1.0, 1.5):
+            model.embedding = model.embedding * scale
+            paths.append(str(tmp_path / f"base{scale}.model"))
+            save_model(model, paths[-1])
+        return ({**SMALL_RUN, "model": {"path": paths[0]}},
+                {**SMALL_RUN, "model": {"path": paths[1]}})
+    calibration = SMALL_RUN["calibration"]
+    changed = {
+        "calibration.count": {"calibration": {**calibration, "count": 3}},
+        "calibration.window": {"calibration": {**calibration, "window": 12}},
+        "calibration.seed": {"calibration": {**calibration, "seed": 9}},
+        "seed": {"seed": 43},
+        # the spec alone: theta_base changes no weight
+        "model.spec": {"model": {"spec": {**DEFAULT_SPEC_JSON, "theta_base": 500.0}}},
+        "scoring to magnitude": {"scoring": "magnitude"},
+        "scoring to fisher": {},
+    }[case]
+    first = {**SMALL_RUN, "scoring": "magnitude"} if case == "scoring to fisher" else SMALL_RUN
+    return first, {**SMALL_RUN, **changed}
+
+
+def edit_a_score(out: Path):
+    data = read_json(out / "scores.json")
+    data["scores"]["0.k.0"][0] += 1.0
+    (out / "scores.json").write_text(json.dumps(data, sort_keys=True, indent=1))
+
+
+TAMPERED = {"edited score": edit_a_score,
+            "deleted key": lambda out: (out / "scores_key.json").unlink(),
+            "garbled key": lambda out: (out / "scores_key.json").write_text("{\"inputs\": ")}
+STALE_CASES = ("calibration.count", "calibration.window", "calibration.seed", "seed",
+               "model.spec", "model.path", "scoring to magnitude", "scoring to fisher")
+
+
+@pytest.mark.parametrize("case", STALE_CASES + tuple(TAMPERED))
+def test_a_stale_or_damaged_table_is_estimated_again(case, tmp_path, monkeypatch):
+    if case in TAMPERED:
+        first = second = SMALL_RUN
+    else:
+        first, second = stale_settings(case, tmp_path)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    second_config = write_config(tmp_path / "second.json", second)
+    assert run(["prune", "--config", second_config, "--out", fresh]) == 0
+    assert run(["score", "--config", write_config(tmp_path / "first.json", first),
+                "--out", out]) == 0
+    TAMPERED.get(case, lambda out: None)(out)
+    listing = sorted(path.name for path in out.iterdir())
+    scores_bytes = (out / "scores.json").read_bytes()
+    calls = count_calls(monkeypatch, "estimate_fisher", "magnitude_scores")
+    assert run(["prune", "--config", second_config, "--out", out]) == 0
+    expected = "magnitude_scores" if second.get("scoring") == "magnitude" else \
+        "estimate_fisher"
+    assert calls == [expected]
+    assert_same_artifacts("prune", out, fresh)
+    # the estimate is not written back
+    assert (out / "scores.json").read_bytes() == scores_bytes
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        listing + list(ARTIFACTS["prune"]))
+
+
+def test_score_key_is_deterministic_and_magnitude_scores_remove_it(tmp_path):
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run(["score", "--out", out, "--seed", "42"]) == 0
+    assert (tmp_path / "a" / "scores_key.json").read_bytes() == \
+        (tmp_path / "b" / "scores_key.json").read_bytes()
+    assert set(read_json(tmp_path / "a" / "scores_key.json")) == {"inputs", "scores"}
+    assert run(["score", "--out", tmp_path / "a", "--scoring", "magnitude"]) == 0
+    assert not (tmp_path / "a" / "scores_key.json").exists()
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("score", "scoring"), ("prune", "scoring"), ("verify", "scoring"),
+    ("sweep", "scoring"), ("report", "measurement"), ("distill", "scoring")])
+def test_numeric_divergence_exits_three_naming_command_and_stage(command, stage, tmp_path,
+                                                                  capsys):
+    # finite weights whose forward pass overflows
+    model = AttentionModel.build(default_spec(seed=42))
+    model.embedding = model.embedding * 1e155
+    save_model(model, tmp_path / "big.model")
+    config = write_config(tmp_path / "c.json", {**SMALL_RUN,
+                                                "model": {"path": str(tmp_path / "big.model")}})
+    out = tmp_path / "out"
+    args = [command, "--config", config, "--out", out]
+    if command == "report":
+        args += ["--method", "baseline"]      # no scores: the forward pass overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: numeric divergence in {stage}: "), err
+    assert not any(out.glob("scores*.json")) and not any(out.glob("report.*"))
