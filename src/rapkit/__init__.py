@@ -10,7 +10,7 @@ scaling) with executable checks.
 """
 
 from .analyze import ResourceReport, analytic_kv_projection, measure_forward, sweep
-from .budget import BudgetPlan, allocate, sensitivity_scan, uniform_plan
+from .budget import BudgetPlan, allocate, uniform_plan
 from .factorize import (HeadFactor, build_compressed, reconstructed_reference,
                         svd_factor)
 from .numcore import Matrix, Tape, grad, gradients

@@ -127,23 +127,16 @@ ATTENTION_TAGS = ("attn_q", "kv_proj", "attn_score", "attn_value", "attn_o")
 
 
 def measure_forward(model: AttentionModel, tokens) -> ResourceReport:
-    """Instrumented prefill: counters, cache dims and parameter counts.
-
-    The analytic columns need the compression ratio, which a compressed model
-    carries only in its ``manifest``; a compressed model without one (such as
-    a loaded checkpoint) raises a ValueError. A baseline model has rho 0.
-    """
+    """Instrumented prefill: counters, cache dims and parameter counts; the
+    analytic columns take the compression ratio from the model's manifest."""
     spec = model.spec
-    if model.method != "baseline" and not model.manifest:
-        raise ValueError(f"measure_forward needs the manifest of a {model.method} "
-                         f"model for its rho; a loaded checkpoint has none")
     result = forward_prefill(model, tokens)
     s = len(list(tokens))
     tags = result.tape.flops_by_tag
     kvproj_total = tags.get("kv_proj", 0)
     attn_total = sum(tags.get(t, 0) for t in ATTENTION_TAGS)
 
-    rho = float(model.manifest["rho"]) if model.manifest else 0.0
+    rho = float(model.manifest["rho"])
     r = 1.0 - rho
     analytic = analytic_kv_projection(model.method, r, heads=spec.query_heads,
                                       head_dim=spec.head_dim, seq_len=1)

@@ -166,35 +166,3 @@ def uniform_plan(num_pairs: int, layers: int, rho: float) -> BudgetPlan:
     groups = [(l, s) for l in range(layers) for s in ("k", "v")]
     ratios = {g: rho for g in groups}
     return BudgetPlan(rho, UNIFORM, num_pairs, dict(ratios), dict(ratios))
-
-
-def sensitivity_scan(model, calib, probe_ratio: float = 0.5,
-                     scores: PairScoreTable | None = None,
-                     groups=None) -> dict[tuple[int, str], float]:
-    """Loss delta from compressing each (layer, side) group alone.
-
-    Every probe builds a rap model whose only non-trivial budget is the
-    probed group; the delta is the mean calibration loss change. ``groups``
-    restricts the scan to the named (layer, side) targets.
-    """
-    from .factorize import build_compressed  # local import, avoids a cycle
-    from .scoring import estimate_fisher, pair_scores
-    from .toymodel import mean_loss
-
-    if not 0.0 <= probe_ratio < 1.0:
-        raise ValueError("probe ratio must be in [0, 1)")
-    if scores is None:
-        scores = pair_scores(estimate_fisher(model, calib), model.spec.rope.scheme)
-    targets = scores.groups() if groups is None else [tuple(g) for g in groups]
-    if any(t not in scores.groups() for t in targets):
-        raise ValueError("unknown group in scan targets")
-    base_loss = mean_loss(model, calib)
-    deltas = {}
-    for group in targets:
-        ratios = {g: (probe_ratio if g == group else 0.0) for g in scores.groups()}
-        plan = BudgetPlan(probe_ratio, "probe", scores.num_pairs,
-                          dict(ratios), dict(ratios))
-        probed = build_compressed(model, "rap", probe_ratio,
-                                  scores=scores, plan=plan)
-        deltas[group] = mean_loss(probed, calib) - base_loss
-    return deltas

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -226,16 +227,16 @@ def _cached_scores(out: Path, model, inputs: str) -> scoring.PairScoreTable | No
         return None
 
 
-def _compute_scores(cfg: RunConfig, model, reuse: bool = True
+def _compute_scores(cfg: RunConfig, model, reuse: bool = True, calib=None
                     ) -> tuple[scoring.PairScoreTable, str | None]:
     """Pair scores by ``cfg.scoring``, and for Fisher scores the digest of the
-    estimate's inputs. With ``reuse``, a Fisher table that ``score`` wrote to
-    --out is read back when its key matches; magnitude scores cost less to
-    compute than to check."""
+    estimate's inputs, on ``calib`` or the config's calibration set. With
+    ``reuse``, a Fisher table that ``score`` wrote to --out is read back when
+    its key matches; magnitude scores cost less to compute than to check."""
     with _stage("scoring"):
         if cfg.scoring == "magnitude":
             return scoring.magnitude_scores(model, model.spec.rope.scheme), None
-        calib = cfg.build_calibration(model.spec.vocab)
+        calib = cfg.build_calibration(model.spec.vocab) if calib is None else calib
         inputs = scoring.fisher_digest(model, calib, scoring.default_targets(model))
         table = _cached_scores(Path(cfg.out), model, inputs) if reuse else None
         if table is None:
@@ -314,7 +315,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def _compress(cfg: RunConfig, model, method: str, rho: float,
-              scores_path: str | None = None, plan_path: str | None = None):
+              scores_path: str | None = None, plan_path: str | None = None, calib=None):
     """``model`` built by ``method`` at ``rho``, the plan the build applied and
     the pair scores it read (None for a method that reads none).
 
@@ -330,7 +331,7 @@ def _compress(cfg: RunConfig, model, method: str, rho: float,
     else:
         plan = _load_plan(Path(plan_path), model) if plan_path else None
         table = (_load_scores(Path(scores_path), model) if scores_path
-                 else _compute_scores(cfg, model)[0])
+                 else _compute_scores(cfg, model, calib=calib)[0])
         if plan is None:
             plan = budget.allocate(table, rho, cfg.budget)
     plan = factorize.applied_plan(model.spec, method, rho, plan)
@@ -354,11 +355,12 @@ def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
     return EXIT_OK
 
 
-def _check_student(path: Path, student, method: str, teacher) -> None:
-    """A checkpoint found in --out must have the configured method and the
-    teacher's spec, as the prune of this config writes it."""
+def _check_student(path: Path, student, cfg: RunConfig, teacher) -> None:
+    """A checkpoint found in --out must have the configured method and rho and
+    the teacher's spec, as the prune of this config writes it."""
     have, want = toymodel.spec_to_json(student.spec), toymodel.spec_to_json(teacher.spec)
-    checks = [("method", student.method, method, "the config")]
+    checks = [("method", student.method, cfg.method, "the config"),
+              ("rho", student.manifest["rho"], cfg.rho, "the config")]
     checks += [(f"spec.{key}", have[key], want[key], "the teacher") for key in sorted(want)]
     for name, got, expected, source in checks:
         if got != expected:
@@ -371,7 +373,7 @@ def cmd_distill(cfg: RunConfig) -> int:
     checkpoint = Path(cfg.out) / "compressed.model"
     if checkpoint.exists():
         student = toymodel.load_model(checkpoint)
-        _check_student(checkpoint, student, cfg.method, teacher)
+        _check_student(checkpoint, student, cfg, teacher)
     else:
         student, _, _ = _compress(cfg, teacher, cfg.method, cfg.rho)
     calib = cfg.build_calibration(teacher.spec.vocab)
@@ -423,8 +425,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     model = cfg.build_model()
     # nothing is pruned at ratio 0, which would make every check trivial
     rho = cfg.rho or 0.3
-    compressed, plan, table = _compress(cfg, model, "rap", rho)
-    calib = cfg.build_calibration(model.spec.vocab)
+    calib = cfg.build_calibration(model.spec.vocab)   # scores and checks share it
+    compressed, plan, table = _compress(cfg, model, "rap", rho, calib=calib)
     rng = np.random.default_rng(cfg.seed)
 
     checks: dict[str, dict] = {}
@@ -461,6 +463,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
+@functools.cache   # one parser serves every call of main in a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rapkit",

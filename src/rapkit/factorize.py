@@ -20,7 +20,8 @@ once while a model built from it lives. The memo holds only weak references,
 so a factor dies with the last model that uses it, and its keys carry a
 SHA-256 digest of the weights factored, so a weight changed in place is
 factored again. ``METHODS`` names these and ``baseline``, from the CLI flag
-to manifests and checkpoints. Every rank comes from a budget plan (see
+to the manifest a build writes (with each layer's ``toymodel.layer_entry``)
+and its checkpoint carries. Every rank comes from a budget plan (see
 :func:`applied_plan`): a ratio converts to an integer pair count ``m`` per
 (layer, side) and latent widths are ``2m`` for every method, which keeps the
 measured FLOPs comparison across methods a pure reconstruction-overhead story.
@@ -38,9 +39,9 @@ import numpy as np
 from .budget import BudgetPlan, uniform_plan
 from .rope import RetainedIndex
 from .scoring import PairScoreTable
-from .toymodel import AttentionLayer, AttentionModel, LinearMap, ModelSpec
+from .toymodel import (METHODS, AttentionLayer, AttentionModel, LinearMap, ModelSpec,
+                       layer_entry)
 
-METHODS = ("baseline", "svd", "palu", "rap")
 # the methods whose builds always take the uniform plan and read no scores
 UNIFORM_METHODS = ("baseline", "svd", "palu")
 
@@ -201,13 +202,13 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
     if method == "baseline":
         layers = [AttentionLayer(layer.proj_q, layer.k_map, layer.v_map, layer.proj_o)
                   for layer in model.layers]
-        return AttentionModel(spec, model.embedding, layers, method="baseline",
+        return AttentionModel(spec, model.embedding, layers,
                               manifest={"method": "baseline", "rho": rho})
 
     memo = _SHARED.setdefault(model, weakref.WeakValueDictionary())
     d = spec.head_dim
     query_heads = [(h, h // spec.group_size) for h in range(spec.query_heads)]
-    layers, manifest_layers = [], []
+    layers = []
     for i, layer in enumerate(model.layers):
         m_k, m_v = plan.retained_pairs(i, "k"), plan.retained_pairs(i, "v")
         w_k, w_v = layer.k_map.merged_weight(), layer.v_map.merged_weight()
@@ -223,24 +224,19 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
             proj_q = _stacked([w_q[:, h * d:(h + 1) * d][:, keys[g].retained.rap_index]
                                for h, g in query_heads], axis=1)
             k_retained = [f.retained for f in keys]
-            k_entry = {"mode": "rap",
-                       "retained_pairs": [list(r.pairs) for r in k_retained],
-                       "rap_index": [r.rap_index for r in k_retained]}
         else:
             keys = _Factored(memo, spec, i, "k", w_k, 2 * m_k)
             k_map, k_recon = keys.latent(), keys.b_stack()
-            k_entry = {"mode": "svd", "rank": 2 * m_k}
         if method == "svd":
             v_recon = values.b_stack()
         else:
             # B_v folds into W_o: values flow latently into the output
             proj_o = values.absorbed(layer.proj_o.merged_weight(), query_heads)
-        v_entry = {"mode": "svd" if method == "svd" else "svd_absorbed", "rank": 2 * m_v}
         layers.append(AttentionLayer(proj_q, k_map, v_map, proj_o, k_recon=k_recon,
                                      v_recon=v_recon, k_retained=k_retained))
-        manifest_layers.append({"k": k_entry, "v": v_entry})
 
-    manifest = {"method": method, "rho": rho, "layers": manifest_layers}
+    manifest = {"method": method, "rho": rho,
+                "layers": [layer_entry(spec, layer) for layer in layers]}
     if method == "rap":
         manifest["retained_fraction_mean"] = float(np.mean(
             [len(r) / (d // 2) for layer in layers for r in layer.k_retained]))
@@ -250,8 +246,7 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
                         "retained_pairs": plan.pair_counts[(l, s)]}
                        for l, s in plan.groups()],
         }
-    return AttentionModel(spec, model.embedding, layers, method=method,
-                          manifest=manifest)
+    return AttentionModel(spec, model.embedding, layers, manifest)
 
 
 def reconstructed_reference(model: AttentionModel, method: str, rho: float,

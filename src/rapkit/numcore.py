@@ -7,7 +7,7 @@ of any recorded scalar with respect to any registered leaf can be replayed:
 matmul, a low-rank adapted matmul, add, scale, elementwise multiply,
 transpose, swapaxes, reshape, row slices, row gathers, concat along any axis,
 row softmax and log-softmax, masked softmax, paired rotation, row appends,
-cross entropy, sum and mean. Every matmul run on a tape adds
+cross entropy and sum. Every matmul run on a tape adds
 ``2 * batch * rows * cols * inner`` to the tape's FLOPs counter, broken down
 by an optional tag, so the counter holds only the matmuls that ran; the one
 node of an adapted matmul counts its three.
@@ -416,14 +416,6 @@ class Tape:
             acc(a, np.full_like(a.value, g[0, 0]))
 
         return self._record(np.array([[a.value.sum()]]), (a,), backward)
-
-    def mean_all(self, a: Node) -> Node:
-        size = a.value.size
-
-        def backward(g, acc):
-            acc(a, np.full_like(a.value, g[0, 0] / size))
-
-        return self._record(np.array([[a.value.mean()]]), (a,), backward)
 
     # -- differentiation -----------------------------------------------------
 

@@ -17,13 +17,13 @@ indistinguishable from the adapter-attached one in eval mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numcore import Node, Tape, gradients, log_softmax_rows, softmax_rows
-from .toymodel import (AttentionLayer, AttentionModel, CalibrationSet,
-                       LinearMap, forward_prefill, loss_forward)
+from .toymodel import (AttentionModel, CalibrationSet, LinearMap, forward_prefill,
+                       loss_forward)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ class LoraLinear(LinearMap):
     def merged_weight(self):
         return self.weight + self.scaling * (self.down @ self.up)
 
-    def adapter_param_count(self) -> int:
-        return int(self.down.size + self.up.size)
-
 
 # layer attribute -> the short role in weight names ("L0.q", "L0.k.lora_up")
 _ROLE_NAMES = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
@@ -109,12 +106,9 @@ _ROLE_NAMES = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
 
 def _replace_maps(model: AttentionModel, make) -> AttentionModel:
     """Copy of ``model`` whose four projections per layer are ``make(old map)``."""
-    layers = [AttentionLayer(**{r: make(getattr(layer, r)) for r in _ROLE_NAMES},
-                             k_recon=layer.k_recon, v_recon=layer.v_recon,
-                             k_retained=layer.k_retained)
+    layers = [replace(layer, **{r: make(getattr(layer, r)) for r in _ROLE_NAMES})
               for layer in model.layers]
-    return AttentionModel(model.spec, model.embedding, layers,
-                          method=model.method, manifest=model.manifest)
+    return AttentionModel(model.spec, model.embedding, layers, model.manifest)
 
 
 def attach_adapters(model: AttentionModel, cfg: KdConfig) -> AttentionModel:
@@ -136,10 +130,6 @@ def _adapters(model: AttentionModel):
             m = getattr(layer, role)
             if isinstance(m, LoraLinear):
                 yield f"L{i}.{short}", m
-
-
-def adapter_params(model: AttentionModel) -> int:
-    return sum(m.adapter_param_count() for _, m in _adapters(model))
 
 
 def set_training(model: AttentionModel, training: bool):

@@ -56,6 +56,10 @@ ones:
 Attention scores always scale by 1/sqrt(D) with the ORIGINAL head dimension,
 also after pruning; the latent paths then reproduce full-dimension references
 exactly instead of approximately.
+
+A ``rapkit-model-v2`` checkpoint carries the model's manifest (method, rho,
+each compressed layer's :func:`layer_entry`): ``load_model`` takes the array
+shapes from it and refuses a manifest that the arrays contradict.
 """
 
 from __future__ import annotations
@@ -186,15 +190,15 @@ class AttentionLayer:
 
 
 class AttentionModel:
-    """Toy LM; also serves as the container for compressed variants."""
+    """Toy LM, and the container of compressed variants; a model given no
+    ``manifest`` is a baseline that pruned nothing (rho 0)."""
 
-    def __init__(self, spec: ModelSpec, embedding, layers, method: str = "baseline",
-                 manifest: dict | None = None):
+    def __init__(self, spec: ModelSpec, embedding, layers, manifest: dict | None = None):
         self.spec = spec
         self.embedding = as_matrix(embedding, rows=spec.vocab, cols=spec.model_dim)
         self.layers = list(layers)
-        self.method = method
-        self.manifest = manifest
+        self.manifest = manifest or {"method": "baseline", "rho": 0.0}
+        self.method = self.manifest["method"]
 
     @classmethod
     def build(cls, spec: ModelSpec) -> "AttentionModel":
@@ -264,7 +268,6 @@ class PrefillResult:
     cache: KvCache
     tape: Tape
     logits_node: Node
-    attention_probs: list[list[Matrix]] = field(default_factory=list)
 
 
 def _causal_mask(n: int, windows: int = 1) -> np.ndarray:
@@ -286,7 +289,7 @@ def _query_blocks(n: int, windows: int) -> list[tuple[int, int, np.ndarray | Non
 
 
 def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
-                cos, sin, blocks, cache: KvCache, probs_out: list | None) -> Node:
+                cos, sin, blocks, cache: KvCache) -> Node:
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
@@ -331,9 +334,6 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     if layer.v_recon is not None:
         values = tape.matmul(values, tape.leaf(layer.v_recon, f"L{idx}.v_b"), tag="kv_proj")
 
-    # every query head's probabilities, as (H_kv, G, n, t+n); the keys a
-    # block does not see stay 0
-    layer_probs = None if probs_out is None else np.zeros((kv_heads, group, n, t + n))
     parts = []
     for i0, i1, mask in blocks:
         q_b, k_b, v_b = queries, keys, values
@@ -342,12 +342,7 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
             k_b, v_b = tape.rows(keys, 0, t + i1), tape.rows(values, 0, t + i1)
         scores = tape.matmul(q_b, tape.transpose(k_b), tag="attn_score")
         probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
-        if layer_probs is not None:
-            layer_probs[:, :, i0:i1, :t + i1] = \
-                probs.value.reshape(kv_heads, i1 - i0, group, t + i1).swapaxes(1, 2)
         parts.append(tape.matmul(probs, v_b, tag="attn_value"))
-    if probs_out is not None:
-        probs_out.append(list(layer_probs.reshape(spec.query_heads, n, t + n)))
 
     out = parts[0] if len(parts) == 1 else tape.concat(parts, axis=1)
     # (H_kv, n·G, vw) -> (n, H_q·vw): token rows, query heads side by side
@@ -365,7 +360,7 @@ def _check_tokens(spec: ModelSpec, tokens) -> list[int]:
 
 
 def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
-             probs_out: list | None, windows: int = 1) -> Node:
+             windows: int = 1) -> Node:
     """Logits node of ``toks`` appended to ``cache`` at positions [t, t+n);
     ``windows`` > 1 equal windows on an empty cache each start at position 0."""
     spec = model.spec
@@ -379,13 +374,12 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
     for idx in range(spec.layers):
-        x = _layer_step(model, tape, x, idx, cos, sin, blocks, cache, probs_out)
+        x = _layer_step(model, tape, x, idx, cos, sin, blocks, cache)
     cache.length = t + n
     return tape.matmul(x, tape.transpose(emb), tag="lm_head")
 
 
-def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
-                    collect_probs: bool = False) -> PrefillResult:
+def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None) -> PrefillResult:
     """Run causal attention over the whole sequence, filling a fresh cache.
 
     Without ``tape`` the pass runs on a non-recording tape: the result's
@@ -394,10 +388,8 @@ def forward_prefill(model: AttentionModel, tokens, tape: Tape | None = None,
     toks = _check_tokens(model.spec, tokens)
     tape = tape if tape is not None else Tape(record=False)
     cache = KvCache(model)
-    probs_out: list | None = [] if collect_probs else None
-    logits_node = _forward(model, cache, toks, tape, probs_out)
-    return PrefillResult(logits_node.value.copy(), cache, tape, logits_node,
-                         probs_out or [])
+    logits_node = _forward(model, cache, toks, tape)
+    return PrefillResult(logits_node.value.copy(), cache, tape, logits_node)
 
 
 def forward_decode(model: AttentionModel, cache: KvCache, token: int,
@@ -408,7 +400,7 @@ def forward_decode(model: AttentionModel, cache: KvCache, token: int,
         raise ValueError("cache was built for a different model")
     toks = _check_tokens(model.spec, [token])
     tape = tape if tape is not None else Tape(record=False)
-    logits_node = _forward(model, cache, toks, tape, None)
+    logits_node = _forward(model, cache, toks, tape)
     return logits_node.value.copy(), cache
 
 
@@ -430,7 +422,7 @@ def loss_forward(model: AttentionModel, windows,
     tape = tape if tape is not None else Tape()
     toks = [tok for w in seqs for tok in w]
     rows = [i for i in range(len(toks)) if (i + 1) % sizes[0]]  # not a window's last
-    logits = _forward(model, KvCache(model), toks, tape, None, windows=len(seqs))
+    logits = _forward(model, KvCache(model), toks, tape, windows=len(seqs))
     loss = tape.cross_entropy(tape.gather_rows(logits, rows), [toks[i + 1] for i in rows])
     return loss, tape
 
@@ -567,44 +559,45 @@ def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
     )
 
 
+# each method's key and value modes, as :func:`layer_entry` names them
+_MODES = {"baseline": ("full", "full"), "svd": ("svd", "svd"),
+          "palu": ("svd", "svd_absorbed"), "rap": ("rap", "svd_absorbed")}
+METHODS = tuple(_MODES)
+
+
+def layer_entry(spec: ModelSpec, layer: AttentionLayer) -> dict:
+    """A compressed layer's manifest entry, read off its arrays: each side's
+    mode and width per kv head (``rank``), or a rap key's retained pairs."""
+    if layer.k_retained is not None:
+        k = {"mode": "rap", "retained_pairs": [list(r.pairs) for r in layer.k_retained],
+             "rap_index": [r.rap_index for r in layer.k_retained]}
+    else:
+        k = {"mode": "svd", "rank": layer.k_map.weight.shape[1] // spec.kv_heads}
+    return {"k": k, "v": {"mode": "svd" if layer.v_recon is not None else "svd_absorbed",
+                          "rank": layer.v_map.weight.shape[1] // spec.kv_heads}}
+
+
 def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
     """Every parameter array of ``model`` by name, in checkpoint order."""
     arrays = [("embedding", model.embedding)]
     for i, layer in enumerate(model.layers):
-        arrays.append((f"L{i}.q", layer.proj_q.merged_weight()))
-        arrays.append((f"L{i}.k", layer.k_map.merged_weight()))
-        if layer.k_recon is not None:
-            for g, b in enumerate(layer.k_recon):
-                arrays.append((f"L{i}.k_b{g}", b))
-        arrays.append((f"L{i}.v", layer.v_map.merged_weight()))
-        if layer.v_recon is not None:
-            for g, b in enumerate(layer.v_recon):
-                arrays.append((f"L{i}.v_b{g}", b))
-        arrays.append((f"L{i}.o", layer.proj_o.merged_weight()))
+        for role, a in (("q", layer.proj_q.merged_weight()), ("k", layer.k_map.merged_weight()),
+                        ("k_b", layer.k_recon), ("v", layer.v_map.merged_weight()),
+                        ("v_b", layer.v_recon), ("o", layer.proj_o.merged_weight())):
+            if a is not None:
+                arrays.append((f"L{i}.{role}", a))
     return arrays
 
 
-def save_model(model: AttentionModel, path) -> None:
-    """One file: a JSON header line, then the little-endian float64 blob.
+FORMAT = "rapkit-model-v2"
 
-    The header's ``arrays`` list documents the blob order; retained pair ids
-    (the index form of the expansion matrices) live in the header since they
-    are structure, not parameters.
-    """
+
+def save_model(model: AttentionModel, path) -> None:
+    """One file: a JSON header line, then the little-endian float64 blob."""
     arrays = model_arrays(model)
-    header = {
-        "format": "rapkit-model-v1",
-        "byte_order": "little",
-        "dtype": "float64",
-        "method": model.method,
-        "spec": spec_to_json(model.spec),
-        "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]}
-                   for n, a in arrays],
-        "retained_pairs": [
-            [list(r.pairs) for r in layer.k_retained] if layer.k_retained else None
-            for layer in model.layers
-        ],
-    }
+    header = {"format": FORMAT, "byte_order": "little", "dtype": "float64",
+              "spec": spec_to_json(model.spec), "manifest": model.manifest,
+              "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays]}
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -612,111 +605,107 @@ def save_model(model: AttentionModel, path) -> None:
         fh.write(blob)
 
 
-def _numbered(arrays: dict[str, np.ndarray], prefix: str) -> list[np.ndarray]:
-    """arrays[prefix + "0"], arrays[prefix + "1"], ... up to the first gap."""
-    found = []
-    while f"{prefix}{len(found)}" in arrays:
-        found.append(arrays[f"{prefix}{len(found)}"])
-    return found
+def _ints(name: str, values) -> list:
+    check_json_type(name, values, list)
+    for j, value in enumerate(values):
+        check_json_type(f"{name}[{j}]", value, int)
+    return values
 
 
-def _expected_shapes(spec: ModelSpec, retained_pairs,
-                     given: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
-    """The shape of every array a checkpoint of ``spec`` holds.
+def _expected_arrays(top: str, spec: ModelSpec, manifest) -> tuple[dict, list]:
+    """Check a header's manifest against ``spec``; return each array's shape,
+    in blob order, with the field its width comes from, and rap's pairs."""
+    name, d, kv, heads, dim = (f"{top}.manifest", spec.head_dim, spec.kv_heads,
+                               spec.query_heads, spec.model_dim)
+    check_json_fields(name, manifest, {"method": str, "rho": float, "layers": list},
+                      optional=("layers",))
+    method, rho, entries = manifest["method"], manifest["rho"], manifest.get("layers")
+    if method not in METHODS:
+        raise ValueError(f"{name}.method must be one of {METHODS}, got {method!r}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"{name}.rho must be in [0, 1), got {rho}")
+    count = None if entries is None else len(entries)
+    if count != (None if method == "baseline" else spec.layers):
+        raise ValueError(f"{name}.layers must hold the {spec.layers} layers of a "
+                         f"compressed model only, got {count}")
+    k_mode, v_mode = _MODES[method]
+    shapes, retained = {"embedding": ((spec.vocab, dim), f"{top}.spec")}, []
+    for i, entry in enumerate(entries or [{"k": {"rank": d}, "v": {"rank": d}}] * spec.layers):
+        at = f"{name}.layers[{i}]"
+        k_from, v_from = (f"{at}.k.rank", f"{at}.v.rank") if entries else (f"{top}.spec",) * 2
+        check_json_fields(at, entry, {"k": dict, "v": dict})
+        v_width, pairs = check_json_fields(f"{at}.v", entry["v"], {"rank": int})["rank"], None
+        if k_mode == "rap":
+            k_from = f"{at}.k.retained_pairs"
+            ids = check_json_fields(f"{at}.k", entry["k"], {"retained_pairs": list})
+            ids = [_ints(f"{k_from}[{g}]", p) for g, p in enumerate(ids["retained_pairs"])]
+            if len(ids) != kv or len({len(p) for p in ids}) != 1 or not all(
+                    p and p == sorted(set(p)) and 0 <= p[0] and p[-1] < d // 2 for p in ids):
+                raise ValueError(f"{k_from} must hold {kv} lists of one length of "
+                                 f"increasing pair ids below {d // 2}, got {ids}")
+            pairs = [RetainedIndex(tuple(p), spec.rope.scheme) for p in ids]
+            k_width = 2 * len(ids[0])
+        else:
+            k_width = check_json_fields(f"{at}.k", entry["k"], {"rank": int})["rank"]
+        retained.append(pairs)
+        shapes[f"L{i}.q"] = ((dim, heads * (k_width if k_mode == "rap" else d)), k_from)
+        shapes[f"L{i}.k"] = ((dim, kv * k_width), k_from)
+        if k_mode == "svd":
+            shapes[f"L{i}.k_b"] = ((kv, k_width, d), k_from)
+        shapes[f"L{i}.v"] = ((dim, kv * v_width), v_from)
+        if v_mode == "svd":
+            shapes[f"L{i}.v_b"] = ((kv, v_width, d), v_from)
+        shapes[f"L{i}.o"] = ((heads * (v_width if v_mode == "svd_absorbed" else d), dim),
+                             v_from)
+    return shapes, retained
 
-    Latent widths come from the header: the retained pair count for rap keys,
-    the reconstruction rows for svd latents, the value map's width otherwise.
-    """
-    dim, d, kv = spec.model_dim, spec.head_dim, spec.kv_heads
-    shapes = {"embedding": (spec.vocab, dim)}
-    for i, retained in enumerate(retained_pairs):
-        k_recon = f"L{i}.k_b0" in given and not retained
-        v_recon = f"L{i}.v_b0" in given
-        k_width = (2 * len(retained[0]) if retained
-                   else given[f"L{i}.k_b0"][0] if k_recon else d)
-        v_width = (given[f"L{i}.v_b0"][0] if v_recon
-                   else given.get(f"L{i}.v", (dim, kv * d))[1] // kv)
-        shapes[f"L{i}.q"] = (dim, spec.query_heads * (k_width if retained else d))
-        shapes[f"L{i}.k"] = (dim, kv * k_width)
-        shapes.update({f"L{i}.k_b{g}": (k_width, d) for g in range(kv) if k_recon})
-        shapes[f"L{i}.v"] = (dim, kv * v_width)
-        shapes.update({f"L{i}.v_b{g}": (v_width, d) for g in range(kv) if v_recon})
-        shapes[f"L{i}.o"] = (spec.query_heads * (d if v_recon else v_width), dim)
-    return shapes
 
-
-_HEADER_FIELDS = {"format": str, "method": str, "spec": dict, "arrays": list,
-                  "retained_pairs": list}
-_ARRAY_FIELDS = {"name": str, "rows": int, "cols": int}
-
-
-def _check_header(path, header) -> ModelSpec:
-    """The spec of a checkpoint header whose every field has its JSON type and
-    fits that spec: the retained pair lists and each array's shape. Failures
-    raise a ValueError naming ``path`` and the field."""
+def _check_header(path, header) -> tuple[ModelSpec, list]:
+    """The spec and retained pairs of a header whose every field fits them;
+    failures raise a ValueError naming ``path`` and the field."""
     top = f"{path}: header"
-    check_json_fields(top, header, _HEADER_FIELDS)
-    if header["format"] != "rapkit-model-v1":
-        raise ValueError(f"unrecognized model file {path}")
+    check_json_type(top, header, dict)
+    for key, want in (("format", FORMAT), ("byte_order", "little"), ("dtype", "float64")):
+        if header.get(key) != want:
+            raise ValueError(f"{top}.{key} is {header.get(key)!r}, only {want!r} is read")
+    check_json_fields(top, header, {"spec": dict, "manifest": dict, "arrays": list})
     spec = spec_from_json(header["spec"], f"{top}.spec")
+    want, retained = _expected_arrays(top, spec, header["manifest"])
     for i, meta in enumerate(header["arrays"]):
-        check_json_fields(f"{top}.arrays[{i}]", meta, _ARRAY_FIELDS)
-    retained = header["retained_pairs"]
-    if len(retained) != spec.layers:
-        raise ValueError(f"{path}: retained_pairs has {len(retained)} layers, "
-                         f"the spec has {spec.layers}")
-    for i, heads in enumerate(retained):
-        if heads is not None:  # a rap layer: a pair id list per kv head
-            check_json_type(f"{top}.retained_pairs[{i}]", heads, list)
-            for g, pairs in enumerate(heads):
-                check_json_type(f"{top}.retained_pairs[{i}][{g}]", pairs, list)
-                for k, pair in enumerate(pairs):
-                    check_json_type(f"{top}.retained_pairs[{i}][{g}][{k}]", pair, int)
-            if len(heads) != spec.kv_heads or len({len(p) for p in heads}) != 1:
-                raise ValueError(f"{path}: retained_pairs[{i}] must hold "
-                                 f"{spec.kv_heads} lists of one length, got {heads}")
-    given = {meta["name"]: (meta["rows"], meta["cols"]) for meta in header["arrays"]}
-    want = _expected_shapes(spec, retained, given)
+        check_json_fields(f"{top}.arrays[{i}]", meta, {"name": str, "shape": list})
+        _ints(f"{top}.arrays[{i}].shape", meta["shape"])
+    given = {meta["name"]: tuple(meta["shape"]) for meta in header["arrays"]}
     for name in sorted(want.keys() | given.keys()):
-        if want.get(name) != given.get(name):
+        shape, source = want.get(name, ("none", f"{top}.manifest"))
+        if shape != given.get(name):
             raise ValueError(f"{path}: array {name} has shape "
-                             f"{given.get(name, 'none')}, the spec needs "
-                             f"{want.get(name, 'none')}")
-    return spec
+                             f"{given.get(name, 'none')}, {source} needs {shape}")
+    return spec, retained
 
 
 def load_model(path) -> AttentionModel:
+    """The model :func:`save_model` wrote; a bad header, a manifest that is not
+    the arrays' :func:`layer_entry` or a short blob raise a ValueError."""
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline].decode("utf-8"))
-    spec = _check_header(path, header)
+    spec, retained = _check_header(path, header)
     blob = raw[newline + 1:]
-    expected = 8 * sum(meta["rows"] * meta["cols"] for meta in header["arrays"])
-    if len(blob) != expected:
+    sizes = [int(np.prod(meta["shape"])) for meta in header["arrays"]]
+    if len(blob) != 8 * sum(sizes):
         raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
-                         f"the header's arrays need {expected}")
-    offset = 0
-    arrays: dict[str, np.ndarray] = {}
-    for meta in header["arrays"]:
-        n = meta["rows"] * meta["cols"]
-        chunk = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-        arrays[meta["name"]] = np.ascontiguousarray(
-            chunk.reshape(meta["rows"], meta["cols"]).astype(np.float64))
-        offset += n * 8
-
-    layers = []
-    for i in range(spec.layers):
-        retained_meta = header["retained_pairs"][i]
-        retained = None
-        if retained_meta is not None:
-            retained = [RetainedIndex(tuple(p), spec.rope.scheme) for p in retained_meta]
-        layers.append(AttentionLayer(
-            proj_q=LinearMap(arrays[f"L{i}.q"]),
-            k_map=LinearMap(arrays[f"L{i}.k"]),
-            v_map=LinearMap(arrays[f"L{i}.v"]),
-            proj_o=LinearMap(arrays[f"L{i}.o"]),
-            k_recon=_numbered(arrays, f"L{i}.k_b") or None,
-            v_recon=_numbered(arrays, f"L{i}.v_b") or None,
-            k_retained=retained,
-        ))
-    return AttentionModel(spec, arrays["embedding"], layers, method=header["method"])
+                         f"the header's arrays need {8 * sum(sizes)}")
+    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    arrays = {meta["name"]: a.reshape(meta["shape"]) for meta, a in
+              zip(header["arrays"], np.split(flat, np.cumsum(sizes)[:-1]))}
+    layers = [AttentionLayer(LinearMap(arrays[f"L{i}.q"]), LinearMap(arrays[f"L{i}.k"]),
+                             LinearMap(arrays[f"L{i}.v"]), LinearMap(arrays[f"L{i}.o"]),
+                             k_recon=arrays.get(f"L{i}.k_b"), v_recon=arrays.get(f"L{i}.v_b"),
+                             k_retained=retained[i])
+              for i in range(spec.layers)]
+    manifest = header["manifest"]
+    for i, entry in enumerate(manifest.get("layers", ())):
+        if entry != layer_entry(spec, layers[i]):
+            raise ValueError(f"{path}: header.manifest.layers[{i}] is {entry}, "
+                             f"the arrays give {layer_entry(spec, layers[i])}")
+    return AttentionModel(spec, arrays["embedding"], layers, manifest)

@@ -17,15 +17,14 @@ Three families:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import factorize
 from .rope import RetainedIndex, RopeConfig, rotate, rotate_indexed
 from .scoring import _scores_from_matrix_stat, estimate_fisher
-from .toymodel import (AttentionLayer, AttentionModel, CalibrationSet,
-                       LinearMap, mean_loss)
+from .toymodel import AttentionModel, CalibrationSet, LinearMap, mean_loss
 
 
 def commutativity_deviation(a_cols: np.ndarray, retained: RetainedIndex,
@@ -37,22 +36,6 @@ def commutativity_deviation(a_cols: np.ndarray, retained: RetainedIndex,
     lhs = rotate_indexed(latent, positions, cfg, retained) @ b
     rhs = rotate(latent @ b, positions, cfg)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def random_factorization_deviation(cfg: RopeConfig, retained_count: int,
-                                   rng: np.random.Generator,
-                                   rows: int = 8, model_dim: int | None = None,
-                                   ) -> float:
-    """Deviation for one random weight/score/input draw."""
-    d = cfg.head_dim
-    model_dim = 2 * d if model_dim is None else model_dim
-    weight = rng.normal(size=(model_dim, d))
-    pairs = tuple(sorted(rng.choice(d // 2, size=retained_count, replace=False).tolist()))
-    retained = RetainedIndex(pairs, cfg.scheme)
-    a_cols = weight[:, retained.rap_index]
-    x = rng.normal(size=(rows, model_dim))
-    positions = rng.integers(0, 4096, size=rows).tolist()
-    return commutativity_deviation(a_cols, retained, cfg, x, positions)
 
 
 def check_commutativity(model: AttentionModel, trials: int = 8,
@@ -163,14 +146,11 @@ def _scaled_pair_removal(model: AttentionModel, layer: int, head: int,
     d = model.spec.head_dim
     scheme = model.spec.rope.scheme
     layers = list(model.layers)
-    src = layers[layer]
-    w_k = src.k_map.merged_weight().copy()
+    w_k = layers[layer].k_map.merged_weight().copy()
     cols = head * d + np.array(RetainedIndex(tuple(pairs), scheme).rap_index)
     w_k[:, cols] *= (1.0 - eps)
-    layers[layer] = AttentionLayer(src.proj_q, LinearMap(w_k), src.v_map,
-                                   src.proj_o, k_recon=src.k_recon,
-                                   v_recon=src.v_recon, k_retained=src.k_retained)
-    return AttentionModel(model.spec, model.embedding, layers, method=model.method)
+    layers[layer] = replace(layers[layer], k_map=LinearMap(w_k))
+    return AttentionModel(model.spec, model.embedding, layers, model.manifest)
 
 
 def check_loss_bound(model: AttentionModel, calib: CalibrationSet, layer: int,

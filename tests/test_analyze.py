@@ -10,7 +10,7 @@ from rapkit.analyze import (CSV_COLUMNS, analytic_kv_projection,
                             baseline_attention_params, baseline_kv_entries,
                             measure_forward, method_factors, reports_to_csv,
                             reports_to_json, sweep)
-from rapkit.factorize import build_compressed
+from rapkit.factorize import METHODS, build_compressed
 from rapkit.scoring import estimate_fisher, pair_scores
 from rapkit.toymodel import (AttentionModel, load_model, markov_calibration,
                              save_model)
@@ -222,14 +222,15 @@ def test_analytic_table_to_three_decimals_via_report_units():
             assert got == pytest.approx(expected, abs=5e-4)
 
 
-def test_measure_forward_rejects_a_compressed_model_without_manifest(tmp_path):
-    """A loaded checkpoint carries no rho; guessing 0 would compute every
-    analytic column at r = 1."""
-    spec, model, _, compressed = toy_setup()
+@pytest.mark.parametrize("method", METHODS)
+def test_measure_forward_of_a_loaded_checkpoint_equals_the_in_memory_report(method,
+                                                                            tmp_path):
+    """A checkpoint carries its manifest, so a loaded model reports the rho and
+    analytic columns of the model that was saved."""
+    spec, model, table, _ = toy_setup()
+    compressed = build_compressed(model, method, 0.3, scores=table)
     tokens = list(range(8))
-    path = tmp_path / "rap.model"
+    path = tmp_path / f"{method}.model"
     save_model(compressed, path)
-    with pytest.raises(ValueError, match="manifest"):
-        measure_forward(load_model(path), tokens)
-    save_model(model, path)
-    assert measure_forward(load_model(path), tokens).rho == 0.0
+    report = measure_forward(load_model(path), tokens)
+    assert report == measure_forward(compressed, tokens) and report.rho == 0.3

@@ -1,4 +1,4 @@
-"""Budget allocation: hand-computed cases, projection fixpoint, scan oracle."""
+"""Budget allocation: hand-computed cases, projection fixpoint, plan JSON."""
 
 import json
 
@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import JSON_VALUES, damaged, make_spec, pair_columns
+from conftest import JSON_VALUES, damaged
 from rapkit.budget import (BudgetPlan, InfeasibleBudget, allocate, project_to_mean,
-                           round_half_up, sensitivity_scan, uniform_plan)
-from rapkit.factorize import top_pairs
-from rapkit.scoring import PairScoreTable, estimate_fisher, pair_scores
-from rapkit.toymodel import (AttentionLayer, AttentionModel, LinearMap,
-                             markov_calibration, mean_loss)
+                           round_half_up, uniform_plan)
+from rapkit.scoring import PairScoreTable
 
 
 def table_with_group_totals(totals: dict, head_dim=8, pairing="adjacent",
@@ -155,56 +152,6 @@ def test_plan_from_json_gives_a_plan_or_a_value_error(document):
     except ValueError:
         return
     assert isinstance(plan, BudgetPlan)
-
-
-# -- sensitivity scan ---------------------------------------------------------------
-
-
-def test_probe_ratio_zero_gives_zero_deltas():
-    spec = make_spec(seed=19)
-    model = AttentionModel.build(spec)
-    calib = markov_calibration(spec.vocab, count=3, window=12, seed=1)
-    deltas = sensitivity_scan(model, calib, probe_ratio=0.0)
-    assert set(deltas) == {(l, s) for l in range(2) for s in ("k", "v")}
-    for value in deltas.values():
-        assert abs(value) < 1e-9
-
-
-def test_single_layer_model_has_one_k_and_one_v_delta():
-    spec = make_spec(layers=1, seed=19)
-    model = AttentionModel.build(spec)
-    calib = markov_calibration(spec.vocab, count=3, window=12, seed=1)
-    deltas = sensitivity_scan(model, calib, probe_ratio=0.5)
-    assert set(deltas) == {(0, "k"), (0, "v")}
-
-
-def test_scan_matches_manual_pruning_oracle():
-    """Probing the K group equals manually zeroing the pruned pair columns."""
-    spec = make_spec(seed=29)
-    model = AttentionModel.build(spec)
-    calib = markov_calibration(spec.vocab, count=4, window=16, seed=2)
-    scores = pair_scores(estimate_fisher(model, calib), spec.rope.scheme)
-    probe = 0.5
-    deltas = sensitivity_scan(model, calib, probe_ratio=probe, scores=scores)
-
-    layer = 1
-    d = spec.head_dim
-    m = max(1, round_half_up((1 - probe) * d // 2))
-    w_k = model.layers[layer].k_map.weight.copy()
-    for g in range(spec.kv_heads):
-        keep = top_pairs(scores.get(layer, "k", g), m)
-        for p in range(d // 2):
-            if p in keep:
-                continue
-            a, b = pair_columns(spec.rope.scheme.kind, p, d)
-            w_k[:, g * d + a] = 0.0
-            w_k[:, g * d + b] = 0.0
-    layers = list(model.layers)
-    src = layers[layer]
-    layers[layer] = AttentionLayer(src.proj_q, LinearMap(w_k), src.v_map, src.proj_o)
-    manual = AttentionModel(spec, model.embedding, layers)
-    expected = mean_loss(manual, calib) - mean_loss(model, calib)
-    assert deltas[(layer, "k")] == pytest.approx(expected, abs=1e-9)
 
 
 def test_uniform_plan_helper():

@@ -11,9 +11,11 @@ from conftest import make_spec
 from rapkit import budget, scoring
 from rapkit.budget import allocate
 from rapkit.cli import RunConfig, ValidationFailure, build_parser, main
+from rapkit.factorize import build_compressed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, default_spec, forward_prefill,
-                             load_model, save_model, spec_from_json)
+                             load_model, model_arrays, save_model, spec_from_json,
+                             spec_to_json)
 
 
 def run(args):
@@ -167,6 +169,7 @@ MISMATCHED_CHECKPOINTS = {
     "method": (["--method", "svd"], ["--method", "rap", "--rho", "0.5"],
                ("method", "'svd'", "'rap'")),
     "seed": (["--seed", "7"], ["--seed", "42"], ("spec.seed", "7", "42")),
+    "rho": ([], ["--rho", "0.5"], ("rho", "0.3", "0.5")),
 }
 
 
@@ -291,14 +294,16 @@ def test_compressed_checkpoint_is_rejected_as_base_model(tmp_path, capsys):
     legacy.write_bytes(compressed.read_bytes().replace(
         b'"method": "rap"', b'"method": "rap-hybrid"', 1))
     config = tmp_path / "c.json"
-    for path, method in ((compressed, "rap"), (legacy, "rap-hybrid")):
+    # a method no build makes is refused when the checkpoint loads
+    for path, method, named in ((compressed, "rap", "model.path"),
+                                (legacy, "rap-hybrid", "manifest.method")):
         config.write_text(json.dumps({"model": {"path": str(path)},
                                       "out": str(tmp_path / "o"),
                                       "kd": {"steps": 0}}))
         for command in ("report", "prune", "verify", "distill"):
             assert run([command, "--config", config]) == 1
             err = capsys.readouterr().err
-            assert "model.path" in err and repr(method) in err, (command, err)
+            assert named in err and repr(method) in err, (command, err)
 
 
 def test_prune_rejects_scores_that_do_not_fit_the_model(tmp_path, capsys):
@@ -501,18 +506,37 @@ def test_prune_writes_the_uniform_plan_that_low_rank_methods_apply(method, tmp_p
     assert not (tmp_path / "p").exists()
 
 
-# one damage per checkpoint header field, and the name the error must give
+def layer_side(h, side, layer=0) -> dict:
+    """A rap checkpoint header's manifest entry of one layer side."""
+    return h["manifest"]["layers"][layer][side]
+
+
+# one damage per checkpoint header field of a rap checkpoint (rho 0.5: two of
+# four pairs per kv head, value rank 4), and the names the error must give
 DAMAGED_HEADERS = {
-    "rows_a_string": (lambda h: h["arrays"][0].update(rows="2"), "arrays[0].rows"),
-    "retained_pairs_a_number": (lambda h: h.update(retained_pairs=5), "retained_pairs"),
+    "rows_a_string": (lambda h: h["arrays"][0]["shape"].__setitem__(0, "2"),
+                      "arrays[0].shape[0]"),
+    "retained_pairs_a_number": (lambda h: layer_side(h, "k").update(retained_pairs=5),
+                                "manifest.layers[0].k.retained_pairs"),
     "arrays_of_numbers": (lambda h: h.update(arrays=[1, 2]), "arrays[0]"),
+    "layer_count": (lambda h: h["manifest"]["layers"].pop(), "manifest.layers"),
+    "rank_off_by_two": (lambda h: layer_side(h, "v", 1).update(rank=6),
+                        "manifest.layers[1].v.rank"),
+    "pair_list_dropped": (lambda h: layer_side(h, "k")["retained_pairs"].pop(),
+                          "manifest.layers[0].k.retained_pairs"),
+    "mode_renamed": (lambda h: layer_side(h, "v").update(mode="absorbed"),
+                     ("manifest.layers[0] is", "'mode': 'absorbed'")),
+    "rho_out_of_range": (lambda h: h["manifest"].update(rho=1.5), "manifest.rho"),
+    "method_unknown": (lambda h: h["manifest"].update(method="foo"), "manifest.method"),
 }
 
 
 @pytest.mark.parametrize("case", list(DAMAGED_HEADERS))
 def test_damaged_checkpoint_header_exits_one_naming_the_field(case, tmp_path, capsys):
-    path = tmp_path / "base.model"
-    save_model(AttentionModel.build(make_spec()), path)
+    path = tmp_path / "rap.model"
+    base = AttentionModel.build(make_spec())
+    save_model(build_compressed(base, "rap", 0.5,
+                                scores=magnitude_scores(base, base.spec.rope.scheme)), path)
     raw = path.read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline])
@@ -523,7 +547,29 @@ def test_damaged_checkpoint_header_exits_one_naming_the_field(case, tmp_path, ca
     config.write_text(json.dumps({"model": {"path": str(path)}}))
     assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err and name in err, err
+    names = name if isinstance(name, tuple) else (name,)
+    assert err.startswith("error:") and str(path) in err, err
+    assert all(n in err for n in names), err
+
+
+def test_a_v1_checkpoint_exits_one_naming_its_format(tmp_path, capsys):
+    """The earlier format: no manifest, 2-D arrays only, a top-level method."""
+    model = AttentionModel.build(make_spec())
+    arrays = model_arrays(model)
+    header = {"format": "rapkit-model-v1", "byte_order": "little", "dtype": "float64",
+              "method": "baseline", "spec": spec_to_json(model.spec),
+              "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]}
+                         for n, a in arrays],
+              "retained_pairs": [None] * model.spec.layers}
+    path = tmp_path / "v1.model"
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"path": str(path)}}))
+    assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "'rapkit-model-v1'" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("method", ["baseline", "svd", "palu"])

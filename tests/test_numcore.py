@@ -416,7 +416,6 @@ def test_fd_cross_entropy_and_means(rng):
     arrays = {"a": rng.normal(size=(4, 5))}
     labels = [0, 3, 1, 4]
     _fd_check(lambda t, lv: t.cross_entropy(lv["a"], labels), arrays)
-    _fd_check(lambda t, lv: t.mean_all(lv["a"]), arrays)
 
 
 def test_fd_toy_attention_ce_loss_wrt_wk(rng):

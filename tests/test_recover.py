@@ -6,7 +6,7 @@ import pytest
 from conftest import make_spec
 from rapkit.factorize import build_compressed
 from rapkit.numcore import Tape, gradients
-from rapkit.recover import (KdConfig, LoraLinear, TrainingDiverged, adapter_params,
+from rapkit.recover import (KdConfig, LoraLinear, TrainingDiverged,
                             attach_adapters, distill, kd_loss, kd_loss_parts,
                             merge_adapters, pretrain, trace_to_csv)
 from rapkit.scoring import estimate_fisher, pair_scores
@@ -339,7 +339,10 @@ def test_adapter_share_below_five_percent_of_base_model():
     """Adapter budget vs the uncompressed model size (what the recipe budgets)."""
     teacher, student, calib = pruned_student()
     adapted = attach_adapters(student, KdConfig())
-    ratio = adapter_params(adapted) / teacher.total_params()
+    maps = [getattr(layer, role) for layer in adapted.layers
+            for role in ("proj_q", "k_map", "v_map", "proj_o")]
+    assert all(isinstance(m, LoraLinear) for m in maps)
+    ratio = sum(m.down.size + m.up.size for m in maps) / teacher.total_params()
     assert 0 < ratio < 0.05
 
 

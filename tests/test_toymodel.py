@@ -138,10 +138,37 @@ def test_decode_rejects_foreign_cache():
         forward_decode(m2, cache, 3)
 
 
+def captured_probs(model: AttentionModel, tokens) -> list[list[np.ndarray]]:
+    """Each layer's attention probabilities of a prefill, one (n, n) matrix per
+    query head in head order, read off the masked softmax of every query
+    block; the keys a block does not see stay 0."""
+    spec, n, outs = model.spec, len(tokens), []
+    softmax = Tape.masked_softmax
+
+    def capture(tape, *args):
+        node = softmax(tape, *args)
+        outs.append(node.value.copy())   # (H_kv, rows·G, keys) of one block
+        return node
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tape, "masked_softmax", capture)
+        forward_prefill(model, tokens)
+    per_layer, group = len(outs) // spec.layers, spec.group_size
+    layers = []
+    for idx in range(spec.layers):
+        probs, i0 = np.zeros((spec.kv_heads, group, n, n)), 0
+        for block in outs[idx * per_layer:(idx + 1) * per_layer]:
+            rows, keys = block.shape[1] // group, block.shape[2]
+            probs[:, :, i0:i0 + rows, :keys] = \
+                block.reshape(spec.kv_heads, rows, group, keys).swapaxes(1, 2)
+            i0 += rows
+        layers.append(list(probs.reshape(spec.query_heads, n, n)))
+    return layers
+
+
 def test_attention_probability_rows_sum_to_one():
     model = AttentionModel.build(make_spec(seed=3))
-    result = forward_prefill(model, [1, 2, 3, 4, 5], collect_probs=True)
-    for layer_probs in result.attention_probs:
+    for layer_probs in captured_probs(model, [1, 2, 3, 4, 5]):
         for probs in layer_probs:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -280,12 +307,21 @@ def test_load_model_checks_the_header_against_the_spec(tmp_path):
     def swap_shape(name):
         def edit(header):
             meta = next(m for m in header["arrays"] if m["name"] == name)
-            meta["rows"], meta["cols"] = meta["cols"], meta["rows"]
+            meta["shape"].reverse()
         return edit
 
+    def k_entry(header, layer):
+        return header["manifest"]["layers"][layer]["k"]
+
     for name, edit, field in (
-            ("layers.bin", lambda h: h["retained_pairs"].pop(), "retained_pairs"),
-            ("heads.bin", lambda h: h["retained_pairs"][1].pop(), r"retained_pairs\[1\]"),
+            ("layers.bin", lambda h: h["manifest"]["layers"].pop(), r"manifest\.layers"),
+            ("heads.bin", lambda h: k_entry(h, 1)["retained_pairs"].pop(),
+             r"layers\[1\]\.k\.retained_pairs"),
+            ("order.bin", lambda h: k_entry(h, 0)["retained_pairs"][0].reverse(),
+             r"layers\[0\]\.k\.retained_pairs"),
+            ("index.bin", lambda h: k_entry(h, 0)["rap_index"][0].reverse(),
+             r"layers\[0\] is .*rap_index"),
+            ("extra.bin", lambda h: h["manifest"]["layers"][1].update(x=1), r"layers\[1\] is"),
             ("q.bin", swap_shape("L0.q"), "L0.q"),
             ("embedding.bin", swap_shape("embedding"), "embedding")):
         bad = tmp_path / name
@@ -295,6 +331,37 @@ def test_load_model_checks_the_header_against_the_spec(tmp_path):
     for method in ("baseline", "svd", "palu"):
         save_model(build_compressed(model, method, 0.5), path)
         assert load_model(path).method == method
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(1, 2), kv_heads=st.integers(1, 2), group=st.integers(1, 2),
+       pairs=st.integers(1, 6), pairing=st.sampled_from(["adjacent", "half_split"]),
+       method=st.sampled_from(METHODS), rho=st.sampled_from([0.0, 0.2, 0.5, 0.75]),
+       seed=st.integers(0, 2 ** 16))
+def test_a_checkpoint_round_trip_keeps_manifest_and_logits(
+        layers, kv_heads, group, pairs, pairing, method, rho, seed, tmp_path_factory):
+    """Over spec shapes, methods, ratios and both pairings, a saved and loaded
+    model has the same manifest, and bit for bit the same prefill and decode
+    logits."""
+    spec = make_spec(layers=layers, query_heads=kv_heads * group, kv_heads=kv_heads,
+                     head_dim=2 * pairs, vocab=16, pairing=pairing, seed=seed)
+    base = AttentionModel.build(spec)
+    model = build_compressed(base, method, rho,
+                             scores=magnitude_scores(base, spec.rope.scheme))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.model"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.manifest == model.manifest and loaded.method == method
+    tokens = [int(t) for t in np.random.default_rng(seed).integers(0, spec.vocab, size=7)]
+    runs = []
+    for m in (model, loaded):
+        start = forward_prefill(m, tokens[:4])
+        logits, cache = [start.logits], start.cache
+        for tok in tokens[4:]:
+            step, cache = forward_decode(m, cache, tok)
+            logits.append(step)
+        runs.append(np.vstack(logits))
+    np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def _compressed(method, seed=33):
@@ -591,7 +658,7 @@ def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairi
     one_block = forward_prefill(model, tokens).logits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(toymodel, "QUERY_BLOCK", block)
-        full = forward_prefill(model, tokens, collect_probs=True)
+        full = forward_prefill(model, tokens)
         np.testing.assert_allclose(full.logits, one_block, rtol=0, atol=1e-12)
         runs = []
         for tape in (None, Tape()):
@@ -603,9 +670,9 @@ def test_grouped_attention_over_gqa_shapes(layers, kv_heads, group, pairs, pairi
             runs.append(np.vstack(logits))
         np.testing.assert_array_equal(runs[0], runs[1])
         np.testing.assert_allclose(runs[0], full.logits, rtol=0, atol=1e-10)
-        reference = per_head_probs(model, tokens)
-        assert len(full.attention_probs) == spec.layers
-        for got, want in zip(full.attention_probs, reference):
+        reference, collected = per_head_probs(model, tokens), captured_probs(model, tokens)
+        assert len(collected) == spec.layers
+        for got, want in zip(collected, reference):
             assert len(got) == spec.query_heads
             for h, (p, ref) in enumerate(zip(got, want)):
                 assert p.shape == (len(tokens), len(tokens))

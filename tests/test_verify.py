@@ -14,8 +14,7 @@ from rapkit.toymodel import AttentionModel, markov_calibration
 from rapkit.verify import (BoundReport, check_commutativity,
                            check_greedy_optimality, check_loss_bound,
                            commutativity_deviation, misaligned_deviation,
-                           quadratic_bound_case, random_factorization_deviation,
-                           toy_bound_regime_check)
+                           quadratic_bound_case, toy_bound_regime_check)
 
 
 def built_rap_model(seed=3, rho=0.3, pairing="adjacent"):
@@ -48,15 +47,6 @@ def test_commutativity_requires_rap_model():
     spec = make_spec()
     with pytest.raises(ValueError):
         check_commutativity(AttentionModel.build(spec))
-
-
-def test_random_factorizations_both_schemes(rng):
-    for kind in ("adjacent", "half_split"):
-        for d in (8, 16):
-            cfg = RopeConfig(10000.0, PairingScheme(kind, d))
-            for _ in range(10):
-                m = int(rng.integers(1, d // 2 + 1))
-                assert random_factorization_deviation(cfg, m, rng) <= 1e-12
 
 
 def test_misaligned_selection_breaks_commutativity(rng):
