@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare the CLI artifacts of two trees file by file.
+
+For each tree, in a temporary directory and on that tree's ``src``, the
+script runs these pipelines at seeds 7 and 42, each into its own ``--out``:
+
+* ``rap``: score prune distill report sweep verify;
+* ``baseline``, ``svd`` and ``palu``: prune distill, and distill alone (the
+  student built by distill itself);
+* ``magnitude`` (rap with magnitude scores): score prune report verify.
+
+Each command's exit code is written to ``exit_codes.json`` in its pipeline's
+directory and compared with the artifacts; a command that exits non-zero is
+also named on stderr. Every file is listed as identical, different or missing
+on one side, and the script exits 1 unless every file is identical. From the
+root of a checkout:
+
+    python3 artifact_diff.py --parent ../parent --change .
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (7, 42)
+# pipeline name -> the CLI commands it runs and the flags each command gets
+PIPELINES = {
+    "rap": [(cmd, ()) for cmd in ("score", "prune", "distill", "report", "sweep",
+                                  "verify")],
+    **{method: [(cmd, ("--method", method)) for cmd in ("prune", "distill")]
+       for method in ("baseline", "svd", "palu")},
+    **{f"{method}-distill": [("distill", ("--method", method))]
+       for method in ("baseline", "svd", "palu")},
+    "magnitude": [(cmd, ("--scoring", "magnitude"))
+                  for cmd in ("score", "prune", "report", "verify")],
+}
+
+
+def run_pipelines(tree: Path, workdir: Path) -> None:
+    """Every pipeline at every seed on ``tree``'s sources, into ``workdir``."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    for name, commands in PIPELINES.items():
+        for seed in SEEDS:
+            out = f"{name}-seed{seed}"
+            codes = []
+            for cmd, flags in commands:
+                argv = [sys.executable, "-m", "rapkit", cmd, "--seed", str(seed),
+                        "--out", out, *flags]
+                done = subprocess.run(argv, cwd=workdir, env=env, check=False,
+                                      capture_output=True, text=True)
+                codes.append([cmd, done.returncode])
+                if done.returncode:
+                    print(f"{tree}: {out}: {cmd} exited {done.returncode}", file=sys.stderr)
+            (workdir / out).mkdir(exist_ok=True)
+            (workdir / out / "exit_codes.json").write_text(json.dumps(codes) + "\n")
+
+
+def compare(parent: Path, change: Path) -> dict[str, str]:
+    """Each file under either directory, by relative path: ``identical``,
+    ``different``, or ``missing in parent`` / ``missing in change``."""
+    files = {side: {p.relative_to(root).as_posix(): p for p in root.rglob("*")
+                    if p.is_file()}
+             for side, root in (("parent", parent), ("change", change))}
+    status = {}
+    for name in sorted(files["parent"].keys() | files["change"].keys()):
+        missing = [side for side in files if name not in files[side]]
+        if missing:
+            status[name] = f"missing in {missing[0]}"
+        elif files["parent"][name].read_bytes() == files["change"][name].read_bytes():
+            status[name] = "identical"
+        else:
+            status[name] = "different"
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent's tree")
+    parser.add_argument("--change", type=Path, required=True, help="the changed tree")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp) / side for side in ("parent", "change")}
+        for side, tree in (("parent", args.parent), ("change", args.change)):
+            dirs[side].mkdir()
+            run_pipelines(tree, dirs[side])
+        status = compare(dirs["parent"], dirs["change"])
+    for name, state in status.items():
+        print(f"{state:<17} {name}")
+    same = sum(state == "identical" for state in status.values())
+    print(f"{same} of {len(status)} files identical")
+    return 0 if status and same == len(status) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

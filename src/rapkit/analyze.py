@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .budget import allocate
+from .factorize import build_compressed
 from .toymodel import AttentionModel, ModelSpec, forward_prefill
 
 CSV_COLUMNS = ("method", "rho", "kv_entries", "params_attn", "params_attn_rel",
@@ -184,9 +186,6 @@ def sweep(model: AttentionModel, methods, ratios, tokens, scores=None,
           budget_mode: str = "uniform") -> list[ResourceReport]:
     """One measured+analytic report per (method, rho), rows in given order;
     with ``scores``, each ratio's plan is ``allocate(scores, rho, budget_mode)``."""
-    from .budget import allocate
-    from .factorize import build_compressed
-
     plans = ({rho: allocate(scores, rho, budget_mode) for rho in ratios}
              if scores is not None else {})
     return [measure_forward(build_compressed(model, method, rho, scores=scores,

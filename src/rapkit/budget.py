@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scoring import PairScoreTable
-from .toymodel import check_json_fields
+from .toymodel import BUDGET_MODES, check_json_fields
 
 PROJECTION_TOL = 1e-9
-ADAPTIVE = "adaptive"
-UNIFORM = "uniform"
+ADAPTIVE, UNIFORM = BUDGET_MODES
 # the JSON fields from_json reads; to_json's derived means are not read back
 _PLAN_FIELDS = {"rho": float, "mode": str, "num_pairs": int, "groups": list}
 _GROUP_FIELDS = {"layer": int, "side": str, "ratio": float, "raw_ratio": float,
@@ -115,6 +114,10 @@ class BudgetPlan:
     def from_json(cls, text: str) -> "BudgetPlan":
         """The plan ``to_json`` wrote; a malformed field raises a ValueError naming it."""
         data = check_json_fields("plan", json.loads(text), _PLAN_FIELDS)
+        if data["mode"] not in BUDGET_MODES:
+            raise ValueError(f"plan.mode is {data['mode']!r}, not in {BUDGET_MODES}")
+        if not 0.0 <= data["rho"] < 1.0:
+            raise ValueError(f"plan.rho must be in [0, 1), got {data['rho']!r}")
         ratios, raw, counts = {}, {}, {}
         for i, g in enumerate(data["groups"]):
             name = f"plan.groups[{i}]"

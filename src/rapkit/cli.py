@@ -13,9 +13,9 @@ step, ``_compress``. All artifacts are deterministic under a fixed seed
 Fisher scores are estimated once per --out: score writes scores.json and,
 beside it, scores_key.json with two SHA-256 digests, one of everything the
 estimate reads (model arrays, spec, calibration windows, targets) and one of
-the scores.json bytes. prune without --scores, distill building its own
-student, report, sweep and verify read the table back when both digests match
-their own inputs, and otherwise estimate as score does, writing nothing.
+the scores.json bytes. Each command that needs Fisher scores, score itself
+included, reads the table back when both digests match its own inputs and
+otherwise estimates; only score writes the table.
 
 Exit codes: 0 ok, 1 validation error, 2 check failure or infeasible budget,
 3 numeric divergence: every command runs with overflow, invalid and divide
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analyze, budget, factorize, recover, scoring, toymodel, verify
-from .toymodel import check_json_type
+from .toymodel import BUDGET_MODES, check_json_type
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,7 +48,6 @@ SCORES = "scores.json"
 SCORES_KEY = "scores_key.json"
 
 SCORING_MODES = ("fisher", "magnitude")
-BUDGET_MODES = (budget.ADAPTIVE, budget.UNIFORM)
 # the settings a flag of the same name overrides
 FLAGS = ("method", "rho", "scoring", "budget", "seed", "out")
 # per command, the flags it never reads and why; a config file's keys of the
@@ -61,10 +60,6 @@ UNREAD_FLAGS = {
               "method": "sweep reports every method"},
     "verify": {"method": "verify always prunes with rap"},
 }
-
-
-class ValidationFailure(ValueError):
-    pass
 
 
 def _is_ratio(value) -> bool:
@@ -101,21 +96,21 @@ class RunConfig:
         if args.config:
             path = Path(args.config)
             if not path.exists():
-                raise ValidationFailure(f"config file not found: {path}")
+                raise ValueError(f"config file not found: {path}")
             settings = json.loads(path.read_text())
             check_json_type("config", settings, dict)
         given = {key: getattr(args, key) for key in FLAGS
                  if getattr(args, key, None) is not None}
         for key, reason in UNREAD_FLAGS.get(getattr(args, "command", None), {}).items():
             if key in given:
-                raise ValidationFailure(f"--{key} would be ignored: {reason}")
+                raise ValueError(f"--{key} would be ignored: {reason}")
         settings.update(given)
         unknown = [key for key in settings if key not in SETTINGS]
         if isinstance(settings.get("model"), dict):  # else validate names its kind
             unknown += [f"model.{key}" for key in settings["model"]
                         if key not in MODEL_SETTINGS]
         if unknown:
-            raise ValidationFailure(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         cfg = cls(**settings)
         cfg.validate()
         return cfg
@@ -129,52 +124,51 @@ class RunConfig:
                                ("kd", KD_SETTINGS)):
             for key, value in getattr(self, section).items():
                 if key not in kinds:
-                    raise ValidationFailure(f"unknown {section} setting {key!r}")
+                    raise ValueError(f"unknown {section} setting {key!r}")
                 if value is not None or section != "model":  # a null model key is unset
                     check_json_type(f"{section}.{key}", value, kinds[key])
         for i, ratio in enumerate(self.ratios):
             check_json_type(f"ratios[{i}]", ratio, float)
         path, spec = self.model.get("path"), self.model.get("spec")
         if path is not None and spec is not None:
-            raise ValidationFailure("model.path and model.spec are both set; "
-                                    "a checkpoint carries its own spec, give one")
+            raise ValueError("model.path and model.spec are both set; "
+                             "a checkpoint carries its own spec, give one")
         if spec is not None:
             try:
                 toymodel.spec_from_json(spec)
             except ValueError as exc:
-                raise ValidationFailure(f"bad model.spec: {exc}") from exc
+                raise ValueError(f"bad model.spec: {exc}") from exc
         if self.method not in factorize.METHODS:
-            raise ValidationFailure(f"method must be one of {factorize.METHODS}")
+            raise ValueError(f"method must be one of {factorize.METHODS}")
         if not _is_ratio(self.rho):
-            raise ValidationFailure("rho must be in [0, 1)")
+            raise ValueError("rho must be in [0, 1)")
         if self.scoring not in SCORING_MODES:
-            raise ValidationFailure(f"scoring must be one of {SCORING_MODES}")
+            raise ValueError(f"scoring must be one of {SCORING_MODES}")
         if self.budget not in BUDGET_MODES:
-            raise ValidationFailure(f"budget must be one of {BUDGET_MODES}")
+            raise ValueError(f"budget must be one of {BUDGET_MODES}")
         if path and not Path(path).exists():
-            raise ValidationFailure(f"model file not found: {path}")
+            raise ValueError(f"model file not found: {path}")
         if not self.ratios or not all(_is_ratio(r) for r in self.ratios):
-            raise ValidationFailure("sweep ratios must be a non-empty list in [0, 1)")
+            raise ValueError("sweep ratios must be a non-empty list in [0, 1)")
         calibration = self.calibration_args()
         for name, value, least in (("seed", self.seed, 0), ("seq_len", self.seq_len, 2),
                                    ("calibration.count", calibration["count"], 1),
                                    ("calibration.window", calibration["window"], 2),
                                    ("calibration.seed", calibration["seed"], 0)):
             if value < least:
-                raise ValidationFailure(f"{name} must be at least {least}, got {value}")
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         try:
             self.kd_config()
         except ValueError as exc:
-            raise ValidationFailure(f"bad kd settings: {exc}") from exc
+            raise ValueError(f"bad kd settings: {exc}") from exc
 
     def build_model(self) -> toymodel.AttentionModel:
         path, spec = self.model.get("path"), self.model.get("spec")
         if path:
             model = toymodel.load_model(path)
             if model.method != "baseline":
-                raise ValidationFailure(
-                    f"model.path {path} holds a {model.method!r} "
-                    "checkpoint; the pipeline starts from a baseline model")
+                raise ValueError(f"model.path {path} holds a {model.method!r} checkpoint; "
+                                 "the pipeline starts from a baseline model")
             return model
         if spec:
             return toymodel.AttentionModel.build(toymodel.spec_from_json(spec))
@@ -227,21 +221,19 @@ def _cached_scores(out: Path, model, inputs: str) -> scoring.PairScoreTable | No
         return None
 
 
-def _compute_scores(cfg: RunConfig, model, reuse: bool = True, calib=None
+def _compute_scores(cfg: RunConfig, model, calib=None
                     ) -> tuple[scoring.PairScoreTable, str | None]:
     """Pair scores by ``cfg.scoring``, and for Fisher scores the digest of the
-    estimate's inputs, on ``calib`` or the config's calibration set. With
-    ``reuse``, a Fisher table that ``score`` wrote to --out is read back when
-    its key matches; magnitude scores cost less to compute than to check."""
+    estimate's inputs, on ``calib`` or the config's calibration set. A Fisher
+    table that ``score`` wrote to --out is read back when its key matches;
+    magnitude scores cost less to compute than to check."""
     with _stage("scoring"):
         if cfg.scoring == "magnitude":
             return scoring.magnitude_scores(model, model.spec.rope.scheme), None
         calib = cfg.build_calibration(model.spec.vocab) if calib is None else calib
         inputs = scoring.fisher_digest(model, calib, scoring.default_targets(model))
-        table = _cached_scores(Path(cfg.out), model, inputs) if reuse else None
-        if table is None:
-            table = scoring.pair_scores(scoring.estimate_fisher(model, calib),
-                                        model.spec.rope.scheme)
+        table = _cached_scores(Path(cfg.out), model, inputs) or scoring.pair_scores(
+            scoring.estimate_fisher(model, calib), model.spec.rope.scheme)
         return table, inputs
 
 
@@ -252,7 +244,7 @@ def _load_scores(path: Path, model) -> scoring.PairScoreTable:
     for name, got, want in (("head_dim", table.head_dim, spec.head_dim),
                             ("pairing", table.pairing, spec.rope.scheme.kind)):
         if got != want:
-            raise ValidationFailure(
+            raise ValueError(
                 f"{path}: scores have {name} {got!r}, the model has {want!r}")
     _check_keys(path, "score keys", set(table.keys()),
                 {(l, s, h) for l, s in scoring.default_targets(model)
@@ -265,13 +257,13 @@ def _load_plan(path: Path, model) -> budget.BudgetPlan:
     plan = budget.BudgetPlan.from_json(path.read_text())
     half = model.spec.head_dim // 2
     if plan.num_pairs != half:
-        raise ValidationFailure(
+        raise ValueError(
             f"{path}: the plan has num_pairs {plan.num_pairs}, the model has {half}")
     _check_keys(path, "plan groups", set(plan.groups()),
                 set(scoring.default_targets(model)))
     for (l, s), m in sorted(plan.pair_counts.items()):
         if not 1 <= m <= half:
-            raise ValidationFailure(
+            raise ValueError(
                 f"{path}: plan group {l}.{s} retains {m} pairs, outside [1, {half}]")
     return plan
 
@@ -279,7 +271,7 @@ def _load_plan(path: Path, model) -> budget.BudgetPlan:
 def _check_keys(path: Path, what: str, got: set, expected: set):
     for label, keys in (("missing", expected - got), ("unexpected", got - expected)):
         if keys:
-            raise ValidationFailure(f"{path}: {label} {what} " + ", ".join(
+            raise ValueError(f"{path}: {label} {what} " + ", ".join(
                 ".".join(map(str, key)) for key in sorted(keys)))
 
 
@@ -297,7 +289,7 @@ def _score_summary(table: scoring.PairScoreTable) -> dict:
 def cmd_score(cfg: RunConfig) -> int:
     """Write the pair scores, their summary and, for a Fisher table, the key
     under which the other commands read it back (see ``_cached_scores``)."""
-    table, inputs = _compute_scores(cfg, cfg.build_model(), reuse=False)
+    table, inputs = _compute_scores(cfg, cfg.build_model())
     text = table.to_json()
     out = cfg.out_dir()
     (out / SCORES).write_text(text)
@@ -323,17 +315,17 @@ def _compress(cfg: RunConfig, model, method: str, rho: float,
     computes its scores and allocates its plan; the other methods refuse both.
     """
     table = plan = None
-    if method in factorize.UNIFORM_METHODS:
-        for flag, path in (("--plan", plan_path), ("--scores", scores_path)):
-            if path:
-                raise ValidationFailure(f"{flag} would be ignored: method {method} "
-                                        "reads no scores or plan")
-    else:
+    if toymodel.MODES[method][0] == "rap":
         plan = _load_plan(Path(plan_path), model) if plan_path else None
         table = (_load_scores(Path(scores_path), model) if scores_path
                  else _compute_scores(cfg, model, calib=calib)[0])
         if plan is None:
             plan = budget.allocate(table, rho, cfg.budget)
+    else:
+        for flag, path in (("--plan", plan_path), ("--scores", scores_path)):
+            if path:
+                raise ValueError(f"{flag} would be ignored: method {method} "
+                                 "reads no scores or plan")
     plan = factorize.applied_plan(model.spec, method, rho, plan)
     with _stage("compression"):
         compressed = factorize.build_compressed(model, method, rho, scores=table,
@@ -364,19 +356,19 @@ def _check_student(path: Path, student, cfg: RunConfig, teacher) -> None:
     checks += [(f"spec.{key}", have[key], want[key], "the teacher") for key in sorted(want)]
     for name, got, expected, source in checks:
         if got != expected:
-            raise ValidationFailure(f"{path}: the checkpoint has {name} {got!r}, "
-                                    f"{source} has {expected!r}")
+            raise ValueError(f"{path}: the checkpoint has {name} {got!r}, "
+                             f"{source} has {expected!r}")
 
 
 def cmd_distill(cfg: RunConfig) -> int:
     teacher = cfg.build_model()
+    calib = cfg.build_calibration(teacher.spec.vocab)   # scores and training share it
     checkpoint = Path(cfg.out) / "compressed.model"
     if checkpoint.exists():
         student = toymodel.load_model(checkpoint)
         _check_student(checkpoint, student, cfg, teacher)
     else:
-        student, _, _ = _compress(cfg, teacher, cfg.method, cfg.rho)
-    calib = cfg.build_calibration(teacher.spec.vocab)
+        student, _, _ = _compress(cfg, teacher, cfg.method, cfg.rho, calib=calib)
     kd_cfg = cfg.kd_config()
     merged, trace, adapters_json = student, [], "{}"
     if kd_cfg.steps:
@@ -495,7 +487,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-    except ValueError as exc:  # ValidationFailure, JSON syntax and type errors
+    except ValueError as exc:  # bad settings, JSON syntax and type errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

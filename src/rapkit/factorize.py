@@ -20,8 +20,8 @@ once while a model built from it lives. The memo holds only weak references,
 so a factor dies with the last model that uses it, and its keys carry a
 SHA-256 digest of the weights factored, so a weight changed in place is
 factored again. ``METHODS`` names these and ``baseline``, from the CLI flag
-to the manifest a build writes (with each layer's ``toymodel.layer_entry``)
-and its checkpoint carries. Every rank comes from a budget plan (see
+to the manifest a build writes (``toymodel.model_manifest``) and its
+checkpoint carries. Every rank comes from a budget plan (see
 :func:`applied_plan`): a ratio converts to an integer pair count ``m`` per
 (layer, side) and latent widths are ``2m`` for every method, which keeps the
 measured FLOPs comparison across methods a pure reconstruction-overhead story.
@@ -39,11 +39,8 @@ import numpy as np
 from .budget import BudgetPlan, uniform_plan
 from .rope import RetainedIndex
 from .scoring import PairScoreTable
-from .toymodel import (METHODS, AttentionLayer, AttentionModel, LinearMap, ModelSpec,
-                       layer_entry)
-
-# the methods whose builds always take the uniform plan and read no scores
-UNIFORM_METHODS = ("baseline", "svd", "palu")
+from .toymodel import (METHODS, MODES, AttentionLayer, AttentionModel, LinearMap,
+                       ModelSpec, model_manifest)
 
 
 @dataclass
@@ -53,11 +50,6 @@ class HeadFactor:
     a: np.ndarray                          # (model_dim, rank) latent columns
     b: np.ndarray | None = None            # (rank, head_dim), dense B
     retained: RetainedIndex | None = None  # B as retained pairs
-    tail_energy: float = 0.0               # sum of squared discarded singular values
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[1]
 
     def dense(self) -> np.ndarray:
         """A·B at full head width; a rap B is expanded only here."""
@@ -73,8 +65,7 @@ def svd_factor(weight: np.ndarray, rank: int) -> HeadFactor:
         raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
     u, s, vt = np.linalg.svd(weight, full_matrices=False)
     root = np.sqrt(s[:rank])
-    return HeadFactor(u[:, :rank] * root[None, :], root[:, None] * vt[:rank, :],
-                      tail_energy=float(np.sum(s[rank:] ** 2)))
+    return HeadFactor(u[:, :rank] * root[None, :], root[:, None] * vt[:rank, :])
 
 
 def top_pairs(sigma: np.ndarray, m: int) -> tuple[int, ...]:
@@ -94,7 +85,7 @@ def applied_plan(spec: ModelSpec, method: str, rho: float,
     ``palu`` always take the uniform plan at ``rho`` (no adaptive budget, no
     whitening), as does a build given no plan; otherwise the given plan stands.
     """
-    if method in UNIFORM_METHODS or plan is None:
+    if MODES[method][0] != "rap" or plan is None:
         return uniform_plan(spec.head_dim // 2, spec.layers,
                             0.0 if method == "baseline" else rho)
     return plan
@@ -203,7 +194,7 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
         layers = [AttentionLayer(layer.proj_q, layer.k_map, layer.v_map, layer.proj_o)
                   for layer in model.layers]
         return AttentionModel(spec, model.embedding, layers,
-                              manifest={"method": "baseline", "rho": rho})
+                              model_manifest(spec, method, rho, layers))
 
     memo = _SHARED.setdefault(model, weakref.WeakValueDictionary())
     d = spec.head_dim
@@ -235,18 +226,8 @@ def build_compressed(model: AttentionModel, method: str, rho: float,
         layers.append(AttentionLayer(proj_q, k_map, v_map, proj_o, k_recon=k_recon,
                                      v_recon=v_recon, k_retained=k_retained))
 
-    manifest = {"method": method, "rho": rho,
-                "layers": [layer_entry(spec, layer) for layer in layers]}
-    if method == "rap":
-        manifest["retained_fraction_mean"] = float(np.mean(
-            [len(r) / (d // 2) for layer in layers for r in layer.k_retained]))
-        manifest["plan"] = {
-            "mode": plan.mode,
-            "groups": [{"layer": l, "side": s, "ratio": plan.ratios[(l, s)],
-                        "retained_pairs": plan.pair_counts[(l, s)]}
-                       for l, s in plan.groups()],
-        }
-    return AttentionModel(spec, model.embedding, layers, manifest)
+    return AttentionModel(spec, model.embedding, layers,
+                          model_manifest(spec, method, rho, layers, plan.mode, plan.ratios))
 
 
 def reconstructed_reference(model: AttentionModel, method: str, rho: float,

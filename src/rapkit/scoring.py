@@ -161,37 +161,31 @@ class PairScoreTable:
         return table
 
 
-def _scores_from_matrix_stat(stat: np.ndarray, scheme: PairingScheme, side: str,
-                             head_dim: int) -> list[np.ndarray]:
-    """Per-head pair sums of a non-negative per-entry statistic."""
-    if side == VALUE_SIDE:  # value columns are not rotated: adjacent pseudo-pairs
-        scheme = PairingScheme(ADJACENT, head_dim)
-    first, second = scheme.column_arrays()
-    col_sums = stat.sum(axis=0).reshape(-1, head_dim)
-    return list(col_sums[:, first] + col_sums[:, second])
-
-
-def pair_scores(fisher: FisherEstimate, scheme: PairingScheme) -> PairScoreTable:
-    """Aggregate Fisher mass over each pair's two columns (all rows)."""
+def _scores_from_matrix_stat(stats, scheme: PairingScheme) -> PairScoreTable:
+    """Per-head pair sums of each (layer, side)'s non-negative per-entry statistic."""
     table = PairScoreTable(head_dim=scheme.head_dim, pairing=scheme.kind)
-    for layer, side in fisher.targets():
-        stat = fisher.mean(layer, side)
+    # value columns are not rotated: adjacent pseudo-pairs
+    columns = {KEY_SIDE: scheme.column_arrays(),
+               VALUE_SIDE: PairingScheme(ADJACENT, scheme.head_dim).column_arrays()}
+    for (layer, side), stat in stats:
         if stat.shape[1] % scheme.head_dim != 0:
-            raise ValueError("fisher shape does not split into heads")
-        for h, values in enumerate(_scores_from_matrix_stat(stat, scheme, side,
-                                                            scheme.head_dim)):
+            raise ValueError("statistic does not split into heads")
+        first, second = columns[side]
+        col_sums = stat.sum(axis=0).reshape(-1, scheme.head_dim)
+        for h, values in enumerate(col_sums[:, first] + col_sums[:, second]):
             table.set(layer, side, h, values)
     return table
 
 
+def pair_scores(fisher: FisherEstimate, scheme: PairingScheme) -> PairScoreTable:
+    """Aggregate Fisher mass over each pair's two columns (all rows)."""
+    return _scores_from_matrix_stat(((key, fisher.mean(*key)) for key in fisher.targets()),
+                                    scheme)
+
+
 def magnitude_scores(model: AttentionModel, scheme: PairingScheme) -> PairScoreTable:
     """Ablation baseline: sigma_p = squared Frobenius mass of the pair columns."""
-    table = PairScoreTable(head_dim=scheme.head_dim, pairing=scheme.kind)
-    for layer in range(model.spec.layers):
-        for side, mat in ((KEY_SIDE, model.layers[layer].k_map.merged_weight()),
-                          (VALUE_SIDE, model.layers[layer].v_map.merged_weight())):
-            stat = mat * mat
-            for h, values in enumerate(_scores_from_matrix_stat(stat, scheme, side,
-                                                                scheme.head_dim)):
-                table.set(layer, side, h, values)
-    return table
+    return _scores_from_matrix_stat(
+        (((i, side), w * w) for i, layer in enumerate(model.layers)
+         for side, w in ((KEY_SIDE, layer.k_map.merged_weight()),
+                         (VALUE_SIDE, layer.v_map.merged_weight()))), scheme)

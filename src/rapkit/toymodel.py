@@ -57,9 +57,9 @@ Attention scores always scale by 1/sqrt(D) with the ORIGINAL head dimension,
 also after pruning; the latent paths then reproduce full-dimension references
 exactly instead of approximately.
 
-A ``rapkit-model-v2`` checkpoint carries the model's manifest (method, rho,
-each compressed layer's :func:`layer_entry`): ``load_model`` takes the array
-shapes from it and refuses a manifest that the arrays contradict.
+A ``rapkit-model-v2`` checkpoint carries the model's :func:`model_manifest`:
+``load_model`` takes the array shapes from it and refuses a manifest other
+than the one the arrays give.
 """
 
 from __future__ import annotations
@@ -560,9 +560,11 @@ def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
 
 
 # each method's key and value modes, as :func:`layer_entry` names them
-_MODES = {"baseline": ("full", "full"), "svd": ("svd", "svd"),
-          "palu": ("svd", "svd_absorbed"), "rap": ("rap", "svd_absorbed")}
-METHODS = tuple(_MODES)
+MODES = {"baseline": ("full", "full"), "svd": ("svd", "svd"),
+         "palu": ("svd", "svd_absorbed"), "rap": ("rap", "svd_absorbed")}
+METHODS = tuple(MODES)
+# the modes of a budget plan, as a rap manifest records them
+BUDGET_MODES = ("adaptive", "uniform")
 
 
 def layer_entry(spec: ModelSpec, layer: AttentionLayer) -> dict:
@@ -575,6 +577,24 @@ def layer_entry(spec: ModelSpec, layer: AttentionLayer) -> dict:
         k = {"mode": "svd", "rank": layer.k_map.weight.shape[1] // spec.kv_heads}
     return {"k": k, "v": {"mode": "svd" if layer.v_recon is not None else "svd_absorbed",
                           "rank": layer.v_map.weight.shape[1] // spec.kv_heads}}
+
+
+def model_manifest(spec: ModelSpec, method: str, rho: float, layers, mode=None,
+                   ratios=None) -> dict:
+    """A ``method`` model's manifest: each compressed layer's :func:`layer_entry`
+    and, for rap, the mean kept share of key pairs and the plan, whose ``mode``
+    and per-(layer, side) ``ratios`` alone are not read off the layers."""
+    manifest = {"method": method, "rho": rho}
+    if method != "baseline":
+        manifest["layers"] = [layer_entry(spec, layer) for layer in layers]
+    if method == "rap":
+        manifest["retained_fraction_mean"] = float(np.mean(
+            [len(r) / (spec.head_dim // 2) for layer in layers for r in layer.k_retained]))
+        manifest["plan"] = {"mode": mode, "groups": [
+            {"layer": i, "side": s, "ratio": ratios.get((i, s)), "retained_pairs":
+             len(e["k"]["retained_pairs"][0]) if s == "k" else e["v"]["rank"] // 2}
+            for i, e in enumerate(manifest["layers"]) for s in "kv"]}
+    return manifest
 
 
 def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
@@ -628,7 +648,7 @@ def _expected_arrays(top: str, spec: ModelSpec, manifest) -> tuple[dict, list]:
     if count != (None if method == "baseline" else spec.layers):
         raise ValueError(f"{name}.layers must hold the {spec.layers} layers of a "
                          f"compressed model only, got {count}")
-    k_mode, v_mode = _MODES[method]
+    k_mode, v_mode = MODES[method]
     shapes, retained = {"embedding": ((spec.vocab, dim), f"{top}.spec")}, []
     for i, entry in enumerate(entries or [{"k": {"rank": d}, "v": {"rank": d}}] * spec.layers):
         at = f"{name}.layers[{i}]"
@@ -670,10 +690,12 @@ def _check_header(path, header) -> tuple[ModelSpec, list]:
             raise ValueError(f"{top}.{key} is {header.get(key)!r}, only {want!r} is read")
     check_json_fields(top, header, {"spec": dict, "manifest": dict, "arrays": list})
     spec = spec_from_json(header["spec"], f"{top}.spec")
-    want, retained = _expected_arrays(top, spec, header["manifest"])
     for i, meta in enumerate(header["arrays"]):
         check_json_fields(f"{top}.arrays[{i}]", meta, {"name": str, "shape": list})
         _ints(f"{top}.arrays[{i}].shape", meta["shape"])
+    if 4 * spec.layers + 1 > len(header["arrays"]):   # a layer has 4 arrays or more
+        raise ValueError(f"{top}.spec.layers is {spec.layers}, more than the arrays hold")
+    want, retained = _expected_arrays(top, spec, header["manifest"])
     given = {meta["name"]: tuple(meta["shape"]) for meta in header["arrays"]}
     for name in sorted(want.keys() | given.keys()):
         shape, source = want.get(name, ("none", f"{top}.manifest"))
@@ -685,7 +707,7 @@ def _check_header(path, header) -> tuple[ModelSpec, list]:
 
 def load_model(path) -> AttentionModel:
     """The model :func:`save_model` wrote; a bad header, a manifest that is not
-    the arrays' :func:`layer_entry` or a short blob raise a ValueError."""
+    the arrays' :func:`model_manifest` or a short blob raise a ValueError."""
     raw = Path(path).read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline].decode("utf-8"))
@@ -703,9 +725,24 @@ def load_model(path) -> AttentionModel:
                              k_recon=arrays.get(f"L{i}.k_b"), v_recon=arrays.get(f"L{i}.v_b"),
                              k_retained=retained[i])
               for i in range(spec.layers)]
-    manifest = header["manifest"]
-    for i, entry in enumerate(manifest.get("layers", ())):
-        if entry != layer_entry(spec, layers[i]):
-            raise ValueError(f"{path}: header.manifest.layers[{i}] is {entry}, "
-                             f"the arrays give {layer_entry(spec, layers[i])}")
+    name, manifest, mode, ratios = f"{path}: header.manifest", header["manifest"], None, {}
+    if manifest["method"] == "rap":   # the arrays give every field but these
+        plan = check_json_fields(f"{name}.plan", manifest.get("plan"),
+                                 {"mode": str, "groups": list})
+        if plan["mode"] not in BUDGET_MODES:
+            raise ValueError(f"{name}.plan.mode is {plan['mode']!r}, not in {BUDGET_MODES}")
+        for j, group in enumerate(plan["groups"]):
+            at = f"{name}.plan.groups[{j}]"
+            check_json_fields(at, group, {"layer": int, "side": str, "ratio": float})
+            if not 0.0 <= group["ratio"] <= 1.0:
+                raise ValueError(f"{at}.ratio must be in [0, 1], got {group['ratio']!r}")
+            ratios[(group["layer"], group["side"])] = group["ratio"]
+        mode = plan["mode"]
+    want = model_manifest(spec, manifest["method"], manifest["rho"], layers, mode, ratios)
+    fields = [(f"layers[{i}]", e, want["layers"][i])
+              for i, e in enumerate(manifest.get("layers", ()))]
+    fields += [(k, manifest.get(k), want.get(k)) for k in sorted(manifest.keys() | want.keys())]
+    for key, got, expected in fields:   # each layer's entry first, then the whole
+        if got != expected:
+            raise ValueError(f"{name}.{key} is {got!r}, the arrays give {expected!r}")
     return AttentionModel(spec, arrays["embedding"], layers, manifest)

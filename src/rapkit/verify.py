@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import factorize
-from .rope import RetainedIndex, RopeConfig, rotate, rotate_indexed
-from .scoring import _scores_from_matrix_stat, estimate_fisher
-from .toymodel import AttentionModel, CalibrationSet, LinearMap, mean_loss
+from .recover import pretrain
+from .rope import PairingScheme, RetainedIndex, RopeConfig, rotate, rotate_indexed
+from .scoring import estimate_fisher, pair_scores
+from .toymodel import AttentionModel, CalibrationSet, LinearMap, ModelSpec, mean_loss
 
 
 def commutativity_deviation(a_cols: np.ndarray, retained: RetainedIndex,
@@ -166,8 +167,7 @@ def check_loss_bound(model: AttentionModel, calib: CalibrationSet, layer: int,
     pruned = tuple(sorted(set(int(p) for p in pruned_pairs)))
     if fisher is None:
         fisher = estimate_fisher(model, calib, targets=[(layer, "k")])
-    sigma = _scores_from_matrix_stat(fisher.mean(layer, "k"), model.spec.rope.scheme,
-                                     "k", model.spec.head_dim)[head]
+    sigma = pair_scores(fisher, model.spec.rope.scheme).get(layer, "k", head)
     bound = 0.5 * eps * eps * float(sigma[list(pruned)].sum()) if pruned else 0.0
 
     if pruned:
@@ -213,11 +213,6 @@ def toy_bound_regime_check(seed: int, eps: float = 0.05,
     Taylor expansion holds the other parameters fixed), prunes the
     lowest-score pair at scale ``eps`` and reports loss change vs bound.
     """
-    from .recover import pretrain
-    from .rope import PairingScheme
-    from .scoring import pair_scores
-    from .toymodel import AttentionModel, ModelSpec
-
     scheme = PairingScheme("adjacent", 4)
     spec = ModelSpec(layers=1, query_heads=2, kv_heads=1, head_dim=4, vocab=8,
                      rope=RopeConfig(theta_base=10000.0, scheme=scheme),
@@ -246,8 +241,6 @@ def quadratic_bound_case(seed: int, rows: int = 6, head_dim: int = 8,
     G^2 exactly. W0 has unit-magnitude entries, so the score mass of a pair
     equals the curvature quadratic form of removing it: the ratio is 1.
     """
-    from .rope import PairingScheme
-
     rng = np.random.default_rng(seed)
     scheme = PairingScheme(pairing, head_dim)
     curvature_root = rng.uniform(0.5, 2.0, size=(rows, head_dim))   # G

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
-from rapkit import budget, scoring
+from rapkit import budget, scoring, toymodel
 from rapkit.budget import allocate
-from rapkit.cli import RunConfig, ValidationFailure, build_parser, main
+from rapkit.cli import RunConfig, build_parser, main
 from rapkit.factorize import build_compressed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (AttentionModel, LinearMap, default_spec, forward_prefill,
@@ -280,10 +280,10 @@ def test_config_value_of_wrong_type_exits_one_naming_the_field(tmp_path, capsys)
 
 def test_sweep_ratios_share_the_rho_predicate():
     # build_compressed accepts [0, 1); validation must accept exactly that
-    with pytest.raises(ValidationFailure, match="ratios"):
+    with pytest.raises(ValueError, match="ratios"):
         RunConfig(ratios=(0.5, 1.0)).validate()
     RunConfig(ratios=(0.0, 0.5)).validate()
-    with pytest.raises(ValidationFailure, match="rho"):
+    with pytest.raises(ValueError, match="rho"):
         RunConfig(rho=1.0).validate()
 
 
@@ -464,6 +464,9 @@ MALFORMED_INPUTS = {
     # beyond float range, which writing budget.json's mean ratio would overflow on
     "plan_ratio_out_of_range":
         ("--plan", lambda p: p["groups"][0].update(ratio=10 ** 400), "ratio"),
+    # both reached manifest.json and budget.json before the plan checked them
+    "plan_mode_unknown": ("--plan", lambda p: p.update(mode="bogus"), "plan.mode"),
+    "plan_rho_out_of_range": ("--plan", lambda p: p.update(rho=7.5), "plan.rho"),
     "scores_head_dim_string": ("--scores", lambda s: s.update(head_dim="8"), "head_dim"),
     "scores_not_an_object": ("--scores", lambda s: s.update(scores=[]), "scores.scores"),
 }
@@ -528,6 +531,21 @@ DAMAGED_HEADERS = {
                      ("manifest.layers[0] is", "'mode': 'absorbed'")),
     "rho_out_of_range": (lambda h: h["manifest"].update(rho=1.5), "manifest.rho"),
     "method_unknown": (lambda h: h["manifest"].update(method="foo"), "manifest.method"),
+    "key_never_written": (lambda h: h["manifest"].update(bogus=1), "manifest.bogus"),
+    "fraction_not_the_arrays": (lambda h: h["manifest"].update(retained_fraction_mean=0.9),
+                                "manifest.retained_fraction_mean"),
+    "plan_mode_unknown": (lambda h: h["manifest"]["plan"].update(mode="bogus"),
+                          "manifest.plan.mode"),
+    "plan_mode_a_number": (lambda h: h["manifest"]["plan"].update(mode=5),
+                           "manifest.plan.mode"),
+    "plan_group_dropped": (lambda h: h["manifest"]["plan"]["groups"].pop(),
+                           "manifest.plan is"),
+    "plan_ratio_out_of_range": (lambda h: h["manifest"]["plan"]["groups"][1].update(ratio=1.5),
+                                "manifest.plan.groups[1].ratio"),
+    "plan_pairs_not_the_layers": (
+        lambda h: h["manifest"]["plan"]["groups"][0].update(retained_pairs=3),
+        ("manifest.plan is", "'retained_pairs': 3")),
+    "plan_dropped": (lambda h: h["manifest"].pop("plan"), "manifest.plan"),
 }
 
 
@@ -550,6 +568,25 @@ def test_damaged_checkpoint_header_exits_one_naming_the_field(case, tmp_path, ca
     names = name if isinstance(name, tuple) else (name,)
     assert err.startswith("error:") and str(path) in err, err
     assert all(n in err for n in names), err
+
+
+@pytest.mark.parametrize("layers", [10 ** 6, 10 ** 30])
+def test_a_layer_count_the_arrays_cannot_hold_exits_one(layers, tmp_path, capsys):
+    """Refused before any per-layer list is built: 10**30 overflowed the list
+    of default layer entries, and 10**6 would build a million of them."""
+    path = tmp_path / "baseline.model"
+    save_model(AttentionModel.build(make_spec()), path)
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    header["spec"]["layers"] = layers
+    path.write_bytes(json.dumps(header).encode() + raw[newline:])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"path": str(path)}}))
+    assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "header.spec.layers" in err, err
+    assert "Traceback" not in err
 
 
 def test_a_v1_checkpoint_exits_one_naming_its_format(tmp_path, capsys):
@@ -708,11 +745,20 @@ def test_commands_after_score_read_its_table_back(seed, tmp_path, monkeypatch):
         assert run([command, "--config", config, "--out", pipeline]) == 0
         assert calls == ["estimate_fisher"], command  # score's estimate only
         assert_same_artifacts(command, pipeline, fresh[command])
-    # distill builds its own student from the table when --out holds no checkpoint
+    # a second score reads its own table back and writes the same bytes
+    assert run(["score", "--config", config, "--out", pipeline]) == 0
+    assert calls == ["estimate_fisher"]
+    assert_same_artifacts("score", pipeline, fresh["score"])
+    # distill builds its own student from the table when --out holds no checkpoint,
+    # on the calibration set it trains on
     student = tmp_path / "student"
-    for command in ("score", "distill"):
-        assert run([command, "--config", config, "--out", student]) == 0
-    assert len(calls) == 2
+    assert run(["score", "--config", config, "--out", student]) == 0
+    windows = []
+    original = toymodel.markov_calibration
+    monkeypatch.setattr(toymodel, "markov_calibration",
+                        lambda *a, **k: windows.append(a) or original(*a, **k))
+    assert run(["distill", "--config", config, "--out", student]) == 0
+    assert len(calls) == 2 and len(windows) == 1
     assert_same_artifacts("distill", student, fresh["distill"])
 
 

@@ -150,7 +150,6 @@ def test_svd_error_matches_gram_matrix_oracle(rng):
     eigvals = np.sort(np.linalg.eigvalsh(w.T @ w))[::-1]
     expected = eigvals[2] + eigvals[3]
     assert err == pytest.approx(expected, abs=1e-8)
-    assert fact.tail_energy == pytest.approx(expected, abs=1e-8)
 
 
 def test_svd_error_non_increasing_in_rank(rng):

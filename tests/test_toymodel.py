@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, identity_model, make_spec
+from conftest import damaged, finite_difference, identity_model, make_spec
 from rapkit import toymodel
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
@@ -331,6 +331,39 @@ def test_load_model_checks_the_header_against_the_spec(tmp_path):
     for method in ("baseline", "svd", "palu"):
         save_model(build_compressed(model, method, 0.5), path)
         assert load_model(path).method == method
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory) -> dict[str, bytes]:
+    """The bytes of a small saved checkpoint of each method at rho 0.5."""
+    base = AttentionModel.build(make_spec(layers=2, query_heads=2, kv_heads=1, head_dim=4,
+                                          vocab=8, seed=5))
+    scores = magnitude_scores(base, base.spec.rope.scheme)
+    saved = {}
+    for method in METHODS:
+        path = tmp_path_factory.mktemp("saved") / f"{method}.model"
+        save_model(build_compressed(base, method, 0.5, scores=scores), path)
+        saved[method] = path.read_bytes()
+    return saved
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), method=st.sampled_from(METHODS))
+def test_a_header_with_one_damaged_field_gives_a_model_or_a_value_error(
+        data, method, saved_checkpoints, tmp_path_factory):
+    """Any single field of a saved header, at any depth, dropped or set to any
+    JSON value: the loader returns a model or raises a ValueError, never
+    another exception."""
+    raw = saved_checkpoints[method]
+    newline = raw.index(b"\n")
+    header = data.draw(damaged(json.loads(raw[:newline])))
+    path = tmp_path_factory.getbasetemp() / "damaged.model"
+    path.write_bytes(json.dumps(header).encode() + raw[newline:])
+    try:
+        model = load_model(path)
+    except ValueError:
+        return
+    assert isinstance(model, AttentionModel)
 
 
 @settings(max_examples=40, deadline=None)
