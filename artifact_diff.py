@@ -7,13 +7,19 @@ script runs these pipelines at seeds 7 and 42, each into its own ``--out``:
 * ``rap``: score prune distill report sweep verify;
 * ``baseline``, ``svd`` and ``palu``: prune distill, and distill alone (the
   student built by distill itself);
-* ``magnitude`` (rap with magnitude scores): score prune report verify.
+* ``magnitude`` (rap with magnitude scores): score prune report verify;
+* ``half_split-rap``: score prune distill report sweep verify, and
+  ``half_split-svd``: prune distill, both with a ``--config`` whose
+  ``model.spec`` is the default desk spec with half-split pairs, seeded by the
+  run's seed. These cover the rotation's real-arithmetic branch; the default
+  spec pairs columns adjacently.
 
-Each command's exit code is written to ``exit_codes.json`` in its pipeline's
-directory and compared with the artifacts; a command that exits non-zero is
-also named on stderr. Every file is listed as identical, different or missing
-on one side, and the script exits 1 unless every file is identical. From the
-root of a checkout:
+The configs are written as ``half_split-seed<seed>.json`` next to the
+pipelines' directories, and compared with them. Each command's exit code is
+written to ``exit_codes.json`` in its pipeline's directory and compared with
+the artifacts; a command that exits non-zero is also named on stderr. Every
+file is listed as identical, different or missing on one side, and the
+script exits 1 unless every file is identical. From the root of a checkout:
 
     python3 artifact_diff.py --parent ../parent --change .
 """
@@ -39,19 +45,33 @@ PIPELINES = {
        for method in ("baseline", "svd", "palu")},
     "magnitude": [(cmd, ("--scoring", "magnitude"))
                   for cmd in ("score", "prune", "report", "verify")],
+    "half_split-rap": [(cmd, ("--config", "{config}")) for cmd in ("score", "prune", "distill",
+                                                                  "report", "sweep", "verify")],
+    "half_split-svd": [(cmd, ("--config", "{config}", "--method", "svd"))
+                       for cmd in ("prune", "distill")],
 }
+
+
+def half_split_config(seed: int) -> str:
+    """A config whose model is the default desk spec with half-split pairs."""
+    spec = {"layers": 2, "query_heads": 4, "kv_heads": 2, "head_dim": 8, "vocab": 64,
+            "theta_base": 10000.0, "pairing": "half_split", "seed": seed}
+    return json.dumps({"model": {"spec": spec}}, indent=1) + "\n"
 
 
 def run_pipelines(tree: Path, workdir: Path) -> None:
     """Every pipeline at every seed on ``tree``'s sources, into ``workdir``."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    for seed in SEEDS:
+        (workdir / f"half_split-seed{seed}.json").write_text(half_split_config(seed))
     for name, commands in PIPELINES.items():
         for seed in SEEDS:
             out = f"{name}-seed{seed}"
             codes = []
             for cmd, flags in commands:
                 argv = [sys.executable, "-m", "rapkit", cmd, "--seed", str(seed),
-                        "--out", out, *flags]
+                        "--out", out,
+                        *(f.format(config=f"half_split-seed{seed}.json") for f in flags)]
                 done = subprocess.run(argv, cwd=workdir, env=env, check=False,
                                       capture_output=True, text=True)
                 codes.append([cmd, done.returncode])

@@ -11,6 +11,7 @@ floor of one pair per head, identical across the heads of a group.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,8 @@ class BudgetPlan:
                 raise ValueError(f"{name} repeats group {key[0]}.{key[1]}")
             if not 0.0 <= g["ratio"] <= 1.0:
                 raise ValueError(f"{name}.ratio must be in [0, 1], got {g['ratio']!r}")
+            if not -math.inf < g["raw_ratio"] < math.inf:
+                raise ValueError(f"{name}.raw_ratio must be finite, got {g['raw_ratio']!r}")
             ratios[key] = g["ratio"]
             raw[key] = g["raw_ratio"]
             counts[key] = g["retained_pairs"]

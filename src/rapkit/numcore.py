@@ -17,8 +17,10 @@ a transpose swaps the last two axes (so a matmul hands BLAS the transpose
 flag instead of copying), and so does a swapaxes of any two; a row slice (a
 view BLAS reads in place), a reshape where numpy can make one, and a row
 append (the cached rows of a buffer). The masked softmax writes its result
-over its input scores. The paired rotation reads the two columns of every
-pair as strided views of one reshape, and gathers no column.
+over its input scores, and a matmul can rotate its product over itself in
+the same node. The paired rotation gathers no column: adjacent pairs turn
+as complex numbers with the real formula's bits (see :func:`rotate_pairs`),
+half-split pairs as strided views of one reshape.
 
 In the backward pass a row slice adds its gradient into its part of one zero
 buffer per sliced node, which the pass owns; it does not build a full-size
@@ -68,32 +70,53 @@ def log_softmax_rows(z: Matrix) -> Matrix:
     return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
 
-def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool) -> Matrix:
+def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool,
+                 overwrite: bool = False) -> Matrix:
     """Apply independent 2x2 rotations to the column pairs of each row.
 
     ``x`` is (..., rows, width) and ``cos``/``sin`` have shape (rows, K, m).
     The columns of ``x`` are K equal groups of heads, each head m pairs wide,
     and every head of group k turns its pair j by the angle of
-    ``cos[:, k, j]``. A head couples columns (2j, 2j+1), or (j, j+m) when
-    ``half_split``; both halves of every pair are strided views of one
-    reshape, so no column is gathered.
+    ``cos[:, k, j]``: pair (a, b) becomes (a·cos − b·sin, a·sin + b·cos).
+
+    Half-split pairs (j, j+m) turn on strided views of one reshape. Adjacent
+    pairs (2j, 2j+1) turn as complex numbers z = a + ib of a contiguous copy
+    of ``x`` (none if it is one): ``x * cos`` (each angle over both columns
+    of its pair) plus ``z * (−0 + i·sin)``, two contiguous passes and an add
+    for six strided ones. That product's parts a·(−0) − b·sin and
+    a·sin + b·(−0) are −(b·sin) and a·sin rounded once, since a zero added
+    to a nonzero product leaves it as it is, and the add rounds once more,
+    as the real formula does. For finite inputs the bits are the formula's,
+    except that an exact zero can take the other sign when an input is −0
+    or a product underflows. (One multiply by cos + i·sin rounds its cross
+    terms: it differs by up to 8.9e-16.)
+
+    ``overwrite`` writes adjacent pairs over a contiguous float64 ``x``,
+    which must be fresh, such as a matmul's output nothing else reads.
     """
     n, groups, pairs = cos.shape
     if x.shape[-2] != n or x.shape[-1] % (2 * groups * pairs):
         raise ValueError(f"cannot rotate {x.shape} as {groups} groups of heads "
                          f"with {pairs} pairs for {n} rows")
-    # x as (..., rows, K, heads, m, 2) or (..., rows, K, heads, 2, m); a and b
-    # pick each pair's first and second column
-    if half_split:
-        shape, a, b = (groups, -1, 2, pairs), np.s_[..., 0, :], np.s_[..., 1, :]
-    else:
-        shape, a, b = (groups, -1, pairs, 2), np.s_[..., 0], np.s_[..., 1]
-    out = np.empty(x.shape)
-    xs, outs = x.reshape(x.shape[:-1] + shape), out.reshape(x.shape[:-1] + shape)
     cos, sin = cos[:, :, None], sin[:, :, None]   # broadcast over a group's heads
-    np.subtract(xs[a] * cos, xs[b] * sin, out=outs[a])
-    np.add(xs[a] * sin, xs[b] * cos, out=outs[b])
-    return out
+    if half_split:
+        # x as (..., rows, K, heads, 2, m): [..., 0, :] and [..., 1, :] pick
+        # each pair's first and second column
+        out = np.empty(x.shape)
+        shape = x.shape[:-1] + (groups, -1, 2, pairs)
+        xs, outs = x.reshape(shape), out.reshape(shape)
+        np.subtract(xs[..., 0, :] * cos, xs[..., 1, :] * sin, out=outs[..., 0, :])
+        np.add(xs[..., 0, :] * sin, xs[..., 1, :] * cos, out=outs[..., 1, :])
+        return out
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    xs = x.reshape(x.shape[:-1] + (groups, -1, 2 * pairs))   # (..., rows, K, heads, 2m)
+    turn = np.empty(sin.shape, np.complex128)
+    turn.real, turn.imag = -0.0, sin
+    turned = xs.view(np.complex128) * turn
+    out = np.multiply(xs, np.repeat(cos, 2, axis=-1), out=xs if overwrite else None)
+    z = out.view(np.complex128)
+    np.add(z, turned, out=z)
+    return out.reshape(x.shape)
 
 
 class Node:
@@ -176,16 +199,27 @@ class Tape:
 
     # -- primitives ----------------------------------------------------------
 
-    def matmul(self, a: Node, b: Node, tag: str | None = None) -> Node:
-        """``a @ b`` for two matrices, or for two stacks of one batch shape."""
+    def matmul(self, a: Node, b: Node, tag: str | None = None,
+               rotate: tuple[np.ndarray, np.ndarray, bool] | None = None) -> Node:
+        """``a @ b`` for two matrices, or for two stacks of one batch shape.
+
+        ``rotate = (cos, sin, half_split)`` turns the fresh product over
+        itself with :func:`rotate_pairs`: one node with the value and the
+        gradients of :meth:`rotate_pairs` after :meth:`matmul`, bit for bit.
+        """
         if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
         out = np.matmul(a.value, b.value)
         self._count(2 * out.size * a.value.shape[-1], tag)
+        if rotate is not None:
+            cos, sin, half_split = rotate
+            out = rotate_pairs(out, cos, sin, half_split, overwrite=True)
 
         def backward(g, acc):
+            if rotate is not None:
+                g = rotate_pairs(g, cos, -sin, half_split)
             acc(a, np.matmul(g, b.value.swapaxes(-1, -2)))
             acc(b, np.matmul(a.value.swapaxes(-1, -2), g))
 

@@ -8,10 +8,11 @@ A head is described by a :class:`RetainedIndex`, the original pair ids it
 keeps (:attr:`PairingScheme.full` keeps them all). Its columns appear in
 original column order, which preserves the pairing layout at the smaller
 width 2m. So a rotation needs no column index: :func:`numcore.rotate_pairs`
-turns the two halves of every pair as strided views of one reshape, with the
-angle columns of each head's ORIGINAL pair ids, which is what makes
-pair-aligned pruning commute with the rotation. ``rotate_indexed`` does this
-for one head. :meth:`PairingScheme.column_arrays` is the only code that turns
+turns the columns (2x, 2x+1) of adjacent pairs as one complex number, with
+the real formula's roundings, and half-split pairs as strided views of one
+reshape, with the angle columns of each head's ORIGINAL pair ids, which is
+what makes pair-aligned pruning commute with the rotation. ``rotate_indexed``
+does this for one head. :meth:`PairingScheme.column_arrays` is the only code that turns
 pair ids into columns, for ``RetainedIndex.rap_index`` and pair scores.
 """
 

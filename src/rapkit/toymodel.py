@@ -327,10 +327,10 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     queries = tape.reshape(heads(q_all), kv_heads, n * group, -1)   # a copy
     keys, values = heads(k_all), heads(v_all)
     if layer.k_mode == "svd":
-        # every step rebuilds and rotates all keys
+        # every step rebuilds all keys and rotates them while fresh, in one node
         recon = tape.leaf(layer.k_recon, f"L{idx}.k_b")
-        keys = tape.rotate_pairs(tape.matmul(keys, recon, tag="kv_proj"),
-                                 cos[:, None], sin[:, None], half_split)
+        keys = tape.matmul(keys, recon, tag="kv_proj",
+                           rotate=(cos[:, None], sin[:, None], half_split))
     if layer.v_recon is not None:
         values = tape.matmul(values, tape.leaf(layer.v_recon, f"L{idx}.v_b"), tag="kv_proj")
 

@@ -95,16 +95,25 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+# integers a count field must refuse: beyond a float, beyond a C long, and negative
+EXTREME_INTEGERS = st.sampled_from([10 ** 30, 2 ** 63]) | st.integers(max_value=-1)
+
+
 @st.composite
 def damaged(draw, document):
-    """``document`` with one field, at any depth, dropped or set to any JSON value."""
+    """``document`` with one field, at any depth, dropped or set to any JSON
+    value; an integer field gets an :data:`EXTREME_INTEGERS` value about half
+    the time."""
     document = json.loads(json.dumps(document))
     path = draw(st.sampled_from(list(_paths(document))))
     parent = document
     for key in path[:-1]:
         parent = parent[key]
+    old = parent[path[-1]]
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[path[-1]]
+    elif isinstance(old, int) and not isinstance(old, bool):
+        parent[path[-1]] = draw(EXTREME_INTEGERS | JSON_VALUES)
     else:
         parent[path[-1]] = draw(JSON_VALUES)
     return document

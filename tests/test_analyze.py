@@ -4,14 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import RAP_CASE, make_spec
-from rapkit.analyze import (CSV_COLUMNS, analytic_kv_projection,
+from rapkit.analyze import (CSV_COLUMNS, analytic_attention_params, analytic_kv_projection,
                             baseline_attention_params, baseline_kv_entries,
                             measure_forward, method_factors, reports_to_csv,
                             reports_to_json, sweep)
 from rapkit.factorize import METHODS, build_compressed
-from rapkit.scoring import estimate_fisher, pair_scores
+from rapkit.scoring import estimate_fisher, magnitude_scores, pair_scores
 from rapkit.toymodel import (AttentionModel, load_model, markov_calibration,
                              save_model)
 
@@ -116,6 +118,28 @@ def test_analytic_params_match_measured_at_integral_ranks(method):
     spec, model, table, compressed = toy_setup(rho=0.5, method=method)
     report = measure_forward(compressed, list(range(8)))
     assert report.params_attn == report.params_attn_analytic
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers=st.integers(1, 2), kv_heads=st.integers(1, 2), group=st.integers(1, 2),
+       pairs=st.integers(1, 6), pairing=st.sampled_from(["adjacent", "half_split"]),
+       method=st.sampled_from(METHODS), data=st.data())
+def test_attention_params_equal_the_closed_form_at_whole_pair_counts(
+        layers, kv_heads, group, pairs, pairing, method, data):
+    """Over spec shapes, both pairings and every method, at every rho where
+    (1 - rho) * D/2 is whole, the built model's attention parameter count is
+    the closed form's at 1 - rho."""
+    spec = make_spec(layers=layers, query_heads=kv_heads * group, kv_heads=kv_heads,
+                     head_dim=2 * pairs, vocab=16, pairing=pairing)
+    base = AttentionModel.build(spec)
+    # two roundings of each kept fraction; those where (1 - rho) * D/2 is whole
+    rhos = {rho for kept in range(1, pairs + 1)
+            for rho in (1 - kept / pairs, (pairs - kept) / pairs)
+            if ((1 - rho) * pairs).is_integer()}
+    rho = data.draw(st.sampled_from(sorted(rhos)), label="rho")
+    model = build_compressed(base, method, rho,
+                             scores=magnitude_scores(base, spec.rope.scheme))
+    assert model.attention_params() == analytic_attention_params(method, 1 - rho, spec)
 
 
 def test_rap_linear_scaling_within_one_pair_slack():

@@ -467,6 +467,11 @@ MALFORMED_INPUTS = {
     # both reached manifest.json and budget.json before the plan checked them
     "plan_mode_unknown": ("--plan", lambda p: p.update(mode="bogus"), "plan.mode"),
     "plan_rho_out_of_range": ("--plan", lambda p: p.update(rho=7.5), "plan.rho"),
+    # json reads NaN and Infinity; both reached budget.json before the check
+    "plan_raw_ratio_not_finite":
+        ("--plan", lambda p: (p["groups"][0].update(raw_ratio=float("nan")),
+                              p["groups"][1].update(raw_ratio=float("inf"))),
+         "plan.groups[0].raw_ratio"),
     "scores_head_dim_string": ("--scores", lambda s: s.update(head_dim="8"), "head_dim"),
     "scores_not_an_object": ("--scores", lambda s: s.update(scores=[]), "scores.scores"),
 }

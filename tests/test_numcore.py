@@ -1,10 +1,14 @@
 """Tape primitives against independent oracles (triple loops, central FD)."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_difference, tiny_spec
-from rapkit.numcore import Tape, as_matrix, grad, gradients, softmax_rows
+from conftest import finite_difference, pair_columns, tiny_spec
+from rapkit.numcore import Tape, as_matrix, grad, gradients, rotate_pairs, softmax_rows
+from rapkit.rope import PairingScheme, RopeConfig
 from rapkit.toymodel import AttentionModel, loss_forward
 
 
@@ -508,3 +512,106 @@ def test_leaf_dedup_by_name(rng):
     assert a is b
     with pytest.raises(ValueError):
         t.leaf(rng.normal(size=(2, 2)), "w")
+
+
+def plain_rotation(x, cos, sin, kind):
+    """(a·cos − b·sin, a·sin + b·cos) for every pair (a, b) of every head,
+    one column pair at a time in plain numpy; head h of K groups turns by
+    its group's angles."""
+    out = np.empty(x.shape)
+    rows, groups, pairs = cos.shape
+    heads = x.shape[-1] // (2 * pairs)
+    for h in range(heads):
+        k = h // (heads // groups)
+        for j in range(pairs):
+            a, b = (h * 2 * pairs + c for c in pair_columns(kind, j, 2 * pairs))
+            out[..., a] = x[..., a] * cos[:, k, j] - x[..., b] * sin[:, k, j]
+            out[..., b] = x[..., a] * sin[:, k, j] + x[..., b] * cos[:, k, j]
+    return out
+
+
+# entries with no -0 and no product that underflows to zero: a tiny entry is 0
+ENTRIES = st.floats(-1e6, 1e6).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=st.sampled_from([(), (2,), (2, 3)]), groups=st.integers(1, 3),
+       heads=st.integers(1, 2), pairs=st.integers(1, 4),
+       kind=st.sampled_from(["adjacent", "half_split"]),
+       layout=st.sampled_from(["contiguous", "fortran", "strided"]),
+       negate=st.booleans(), data=st.data())
+def test_rotate_pairs_is_the_plain_formula_bit_for_bit(stack, groups, heads, pairs, kind,
+                                                       layout, negate, data):
+    """Over stacks, group counts, both pairings and non-contiguous inputs,
+    with rows at position 0 (sin exactly 0), all-zero rows and negated
+    angles (the backward pass's), the kernel's bits are the plain formula's;
+    written over a fresh copy too."""
+    rows = data.draw(st.integers(1, 4), label="rows")
+    width = groups * heads * 2 * pairs
+    x = data.draw(hnp.arrays(np.float64, stack + (rows, width), elements=ENTRIES), label="x")
+    x[..., data.draw(st.integers(0, rows - 1), label="zero row"), :] = 0.0
+    positions = data.draw(st.lists(st.integers(0, 5000), min_size=rows * groups,
+                                   max_size=rows * groups), label="positions")
+    positions[0] = 0
+    cfg = RopeConfig(10000.0, PairingScheme(kind, 2 * pairs))
+    cos, sin = (t.reshape(rows, groups, pairs) for t in cfg.angle_tables(positions))
+    sin = -sin if negate else sin
+    if layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = np.repeat(x, 2, axis=-2)[..., ::2, :]
+    want = plain_rotation(x, cos, sin, kind)
+    got = rotate_pairs(x, cos, sin, kind == "half_split")
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    fresh = np.array(x, order="C")
+    got = rotate_pairs(fresh, cos, sin, kind == "half_split", overwrite=True)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert (got is fresh or np.shares_memory(got, fresh)) == (kind == "adjacent")
+
+
+def test_rotate_pairs_may_flip_the_sign_of_an_exact_zero():
+    """With a -0 entry or a product that underflows to zero, an exactly zero
+    result may take the other sign; every value still equals the formula's."""
+    # a -0 at position 0, and b·cos = -5e-324·0.43 underflowing to -0
+    cos, sin = np.array([[[1.0]], [[0.43]]]), np.array([[[0.0]], [[-0.9]]])
+    x = np.array([[-0.0, 1.0], [0.0, -5e-324]])
+    got, want = rotate_pairs(x, cos, sin, False), plain_rotation(x, cos, sin, "adjacent")
+    np.testing.assert_array_equal(got, want)
+    assert (np.signbit(got) != np.signbit(want)).tolist() == [[True, False], [False, True]]
+
+
+@pytest.mark.parametrize("half_split", [False, True])
+def test_a_rotated_matmul_is_the_matmul_then_rotation_bit_for_bit(half_split, rng):
+    """``matmul(..., rotate=...)``'s value, FLOPs and both gradients are
+    those of ``matmul`` followed by ``rotate_pairs``, bit for bit, in one node
+    instead of two; a non-recording tape gives the same value."""
+    h, t_len, rank, width = 2, 5, 3, 8
+    arrays = {"a": rng.normal(size=(h, t_len, rank)), "b": rng.normal(size=(h, rank, width))}
+    ang = rng.uniform(0, 50, size=(t_len, 1, width // 2))
+    cos, sin = np.cos(ang), np.sin(ang)
+    r = rng.normal(size=(t_len, h, width))
+
+    def loss(t, keys):
+        return t.sum_all(t.mul(t.swapaxes(keys, 0, 1), t.constant(r)))
+
+    results = []
+    for fused in (False, True):
+        t = Tape()
+        a, b = t.leaf(arrays["a"], "a"), t.leaf(arrays["b"], "b")
+        if fused:
+            keys = t.matmul(a, b, tag="kv", rotate=(cos, sin, half_split))
+        else:
+            keys = t.rotate_pairs(t.matmul(a, b, tag="kv"), cos, sin, half_split)
+        results.append((keys.value, *gradients(t, loss(t, keys), [a, b]),
+                        dict(t.flops_by_tag), len(t.nodes)))
+    (*composed, composed_nodes), (*fused, fused_nodes) = results
+    for want, got in zip(composed, fused):
+        if isinstance(want, dict):
+            assert got == want
+        else:
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert fused_nodes == composed_nodes - 1
+    quiet = Tape(record=False)
+    value = quiet.matmul(quiet.leaf(arrays["a"], "a"), quiet.leaf(arrays["b"], "b"),
+                         rotate=(cos, sin, half_split)).value
+    assert value.view(np.int64).tolist() == fused[0].view(np.int64).tolist()
