@@ -17,10 +17,16 @@ a transpose swaps the last two axes (so a matmul hands BLAS the transpose
 flag instead of copying), and so does a swapaxes of any two; a row slice (a
 view BLAS reads in place), a reshape where numpy can make one, and a row
 append (the cached rows of a buffer). The masked softmax writes its result
-over its input scores, and a matmul can rotate its product over itself in
-the same node. The paired rotation gathers no column: adjacent pairs turn
-as complex numbers with the real formula's bits (see :func:`rotate_pairs`),
-half-split pairs as strided views of one reshape.
+over its input scores, and a matmul, adapted or not, can rotate its product
+over itself in the same node; a plain one forms and turns it in row tiles
+of ``ROTATE_ROWS`` rows, each turned while it is still in cache.
+
+The rotation kernel :func:`turn_pairs` gathers no column and builds no
+table: it reads angle tables in the form :func:`pair_tables` gives, which a
+caller such as a KV cache builds once per position. Adjacent pairs turn as
+complex numbers with the real formula's bits, half-split pairs as strided
+views of one reshape. :func:`rotate_pairs` and :meth:`Tape.rotate_pairs`
+take plain cos/sin tables and build that form for their one call.
 
 In the backward pass a row slice adds its gradient into its part of one zero
 buffer per sliced node, which the pass owns; it does not build a full-size
@@ -70,53 +76,87 @@ def log_softmax_rows(z: Matrix) -> Matrix:
     return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
 
-def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool,
-                 overwrite: bool = False) -> Matrix:
+# rows of a rotated product that one tile forms and turns: a (4, 256, 64)
+# tile of rebuilt keys and its complex temporary take 1 MiB, so the tile is
+# still in a 2 MiB L2 when it turns
+ROTATE_ROWS = 256
+
+
+def pair_tables(cos: np.ndarray, sin: np.ndarray, half_split: bool) -> tuple:
+    """``(c, s, half_split)``: (rows, K, m) angle tables in the form
+    :func:`turn_pairs` reads, the ``rotate`` of :meth:`Tape.matmul`.
+
+    Half-split pairs keep ``cos`` and ``sin``. Adjacent pairs get ``cos``
+    over both columns of each pair, (rows, K, 2m), and the complex
+    −0 + i·``sin``. Tables sliced or gathered by rows stay in this form, so a
+    cache writes each position's row once.
+    """
+    if half_split:
+        return cos, sin, True
+    turn = np.empty(sin.shape, np.complex128)
+    turn.real, turn.imag = -0.0, sin
+    return np.repeat(cos, 2, axis=-1), turn, False
+
+
+def _reversed(rotate: tuple) -> tuple:
+    """The :func:`pair_tables` of the negated angles, which turn a gradient back."""
+    c, s, half_split = rotate
+    return c, -s if half_split else np.conj(s), half_split
+
+
+def turn_pairs(x: Matrix, rotate: tuple, overwrite: bool = False) -> Matrix:
     """Apply independent 2x2 rotations to the column pairs of each row.
 
-    ``x`` is (..., rows, width) and ``cos``/``sin`` have shape (rows, K, m).
-    The columns of ``x`` are K equal groups of heads, each head m pairs wide,
-    and every head of group k turns its pair j by the angle of
-    ``cos[:, k, j]``: pair (a, b) becomes (a·cos − b·sin, a·sin + b·cos).
+    ``x`` is (..., rows, width) and ``rotate`` is the :func:`pair_tables` of
+    (rows, K, m) angle tables. The columns of ``x`` are K equal groups of
+    heads, each head m pairs wide, and every head of group k turns its pair
+    j by the angle of ``cos[:, k, j]``: pair (a, b) becomes
+    (a·cos − b·sin, a·sin + b·cos).
 
     Half-split pairs (j, j+m) turn on strided views of one reshape. Adjacent
-    pairs (2j, 2j+1) turn as complex numbers z = a + ib of a contiguous copy
-    of ``x`` (none if it is one): ``x * cos`` (each angle over both columns
-    of its pair) plus ``z * (−0 + i·sin)``, two contiguous passes and an add
-    for six strided ones. That product's parts a·(−0) − b·sin and
-    a·sin + b·(−0) are −(b·sin) and a·sin rounded once, since a zero added
-    to a nonzero product leaves it as it is, and the add rounds once more,
-    as the real formula does. For finite inputs the bits are the formula's,
-    except that an exact zero can take the other sign when an input is −0
-    or a product underflows. (One multiply by cos + i·sin rounds its cross
-    terms: it differs by up to 8.9e-16.)
+    pairs (2j, 2j+1) turn as complex numbers z = a + ib: ``x * cos`` (each
+    angle over both columns of its pair) plus ``z * (−0 + i·sin)``, two
+    contiguous passes and an add for six strided ones. That product's parts
+    a·(−0) − b·sin and a·sin + b·(−0) are −(b·sin) and a·sin rounded once,
+    since a zero added to a nonzero product leaves it as it is, and the add
+    rounds once more, as the real formula does. For finite inputs the bits
+    are the formula's, except that an exact zero can take the other sign
+    when an input is −0 or a product underflows. (One multiply by
+    cos + i·sin rounds its cross terms: it differs by up to 8.9e-16.)
 
-    ``overwrite`` writes adjacent pairs over a contiguous float64 ``x``,
-    which must be fresh, such as a matmul's output nothing else reads.
+    Without ``overwrite`` the result is a fresh C-contiguous array. With it,
+    the pairs turn over ``x``, a float64 array with contiguous rows that
+    nothing else reads, such as a tile of a matmul's fresh output.
     """
-    n, groups, pairs = cos.shape
+    c, s, half_split = rotate
+    n, groups, pairs = s.shape
     if x.shape[-2] != n or x.shape[-1] % (2 * groups * pairs):
         raise ValueError(f"cannot rotate {x.shape} as {groups} groups of heads "
                          f"with {pairs} pairs for {n} rows")
-    cos, sin = cos[:, :, None], sin[:, :, None]   # broadcast over a group's heads
+    if not overwrite:
+        x = np.array(x, dtype=np.float64, order="C")
+    c, s = c[:, :, None], s[:, :, None]   # broadcast over a group's heads
     if half_split:
         # x as (..., rows, K, heads, 2, m): [..., 0, :] and [..., 1, :] pick
         # each pair's first and second column
-        out = np.empty(x.shape)
-        shape = x.shape[:-1] + (groups, -1, 2, pairs)
-        xs, outs = x.reshape(shape), out.reshape(shape)
-        np.subtract(xs[..., 0, :] * cos, xs[..., 1, :] * sin, out=outs[..., 0, :])
-        np.add(xs[..., 0, :] * sin, xs[..., 1, :] * cos, out=outs[..., 1, :])
-        return out
-    x = np.ascontiguousarray(x, dtype=np.float64)
+        xs = x.reshape(x.shape[:-1] + (groups, -1, 2, pairs))
+        a, b = xs[..., 0, :], xs[..., 1, :]
+        first = a * c - b * s
+        np.add(a * s, b * c, out=b)
+        a[...] = first
+        return x
     xs = x.reshape(x.shape[:-1] + (groups, -1, 2 * pairs))   # (..., rows, K, heads, 2m)
-    turn = np.empty(sin.shape, np.complex128)
-    turn.real, turn.imag = -0.0, sin
-    turned = xs.view(np.complex128) * turn
-    out = np.multiply(xs, np.repeat(cos, 2, axis=-1), out=xs if overwrite else None)
-    z = out.view(np.complex128)
-    np.add(z, turned, out=z)
-    return out.reshape(x.shape)
+    turned = xs.view(np.complex128) * s
+    xs *= c
+    z = xs.view(np.complex128)
+    z += turned
+    return x
+
+
+def rotate_pairs(x: Matrix, cos: np.ndarray, sin: np.ndarray, half_split: bool) -> Matrix:
+    """:func:`turn_pairs` of a fresh copy of ``x`` by plain (rows, K, m)
+    cos/sin tables, whose kernel form it builds for this one call."""
+    return turn_pairs(x, pair_tables(cos, sin, half_split))
 
 
 class Node:
@@ -200,33 +240,47 @@ class Tape:
     # -- primitives ----------------------------------------------------------
 
     def matmul(self, a: Node, b: Node, tag: str | None = None,
-               rotate: tuple[np.ndarray, np.ndarray, bool] | None = None) -> Node:
+               rotate: tuple | None = None) -> Node:
         """``a @ b`` for two matrices, or for two stacks of one batch shape.
 
-        ``rotate = (cos, sin, half_split)`` turns the fresh product over
-        itself with :func:`rotate_pairs`: one node with the value and the
-        gradients of :meth:`rotate_pairs` after :meth:`matmul`, bit for bit.
+        ``rotate``, a :func:`pair_tables`, turns the fresh product over itself
+        with :func:`turn_pairs`: one node with the value and the gradients of
+        :meth:`rotate_pairs` after :meth:`matmul`, bit for bit. The product
+        forms and turns in row tiles of ``ROTATE_ROWS`` rows, each turned
+        while it is still in cache. The last tile takes the rest of the
+        rows: OpenBLAS runs a tile of a few rows through another kernel
+        (gemv for one row), whose roundings can differ from the whole
+        product's, as they did for a tail of one row, and of 2 or 3 rows of
+        a 1024-deep product 256 columns wide.
         """
         if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
-        out = np.matmul(a.value, b.value)
+        if rotate is None:
+            out = np.matmul(a.value, b.value)
+        else:
+            c, s, half_split = rotate
+            out = np.empty(a.value.shape[:-1] + b.value.shape[-1:])
+            rows = out.shape[-2]
+            starts = range(0, max(rows - ROTATE_ROWS, 0) + 1, ROTATE_ROWS)
+            for r0, r1 in zip(starts, [*starts[1:], rows]):
+                tile = out[..., r0:r1, :]
+                np.matmul(a.value[..., r0:r1, :], b.value, out=tile)
+                turn_pairs(tile, (c[r0:r1], s[r0:r1], half_split), overwrite=True)
         self._count(2 * out.size * a.value.shape[-1], tag)
-        if rotate is not None:
-            cos, sin, half_split = rotate
-            out = rotate_pairs(out, cos, sin, half_split, overwrite=True)
 
         def backward(g, acc):
             if rotate is not None:
-                g = rotate_pairs(g, cos, -sin, half_split)
+                g = turn_pairs(g, _reversed(rotate))
             acc(a, np.matmul(g, b.value.swapaxes(-1, -2)))
             acc(b, np.matmul(a.value.swapaxes(-1, -2), g))
 
         return self._record(out, (a, b), backward)
 
     def adapted_matmul(self, x: Node, w: Node, down: Node, up: Node, scaling: float,
-                       mask: np.ndarray | None = None, tag: str | None = None) -> Node:
+                       mask: np.ndarray | None = None, tag: str | None = None,
+                       rotate: tuple | None = None) -> Node:
         """``x @ w + (((x * mask) @ down) @ up) * scaling``: a projection with a
         low-rank adapter, one node for what would be ten.
 
@@ -235,7 +289,8 @@ class Tape:
         :meth:`mul`, :meth:`scale` and :meth:`add`: ``x`` gets the adapter
         path's gradient first, then the base one, as that graph's reverse
         order adds them. A ``mask`` (say, a dropout mask) is a constant of
-        ``x``'s shape.
+        ``x``'s shape. ``rotate`` turns the sum over itself, as in
+        :meth:`matmul`, in one tile.
         """
         if (x.value.shape[-1] != w.value.shape[0] or w.value.shape[0] != down.value.shape[0]
                 or down.value.shape[1] != up.value.shape[0]
@@ -250,10 +305,14 @@ class Tape:
         delta *= scaling
         out = np.matmul(x.value, w.value)
         out += delta
+        if rotate is not None:
+            turn_pairs(out, rotate, overwrite=True)
         self._count(2 * (out.size + h.size) * x.value.shape[-1] + 2 * delta.size * h.shape[-1],
                     tag)
 
         def backward(g, acc):
+            if rotate is not None:
+                g = turn_pairs(g, _reversed(rotate))
             g_delta = g * scaling
             g_h = np.matmul(g_delta, up.value.swapaxes(-1, -2))
             acc(up, np.matmul(h.swapaxes(-1, -2), g_delta))

@@ -86,7 +86,8 @@ class LoraLinear(LinearMap):
         self.training = False
         self._mask_rng = rng
 
-    def apply(self, tape: Tape, x: Node, name: str, tag: str | None = None) -> Node:
+    def apply(self, tape: Tape, x: Node, name: str, tag: str | None = None,
+              rotate: tuple | None = None) -> Node:
         mask = None
         if self.training and self.dropout > 0.0:
             keep = (self._mask_rng.random(x.value.shape) >= self.dropout)
@@ -94,7 +95,7 @@ class LoraLinear(LinearMap):
         return tape.adapted_matmul(x, tape.leaf(self.weight, name),
                                    tape.leaf(self.down, f"{name}.lora_down"),
                                    tape.leaf(self.up, f"{name}.lora_up"),
-                                   self.scaling, mask, tag)
+                                   self.scaling, mask, tag, rotate)
 
     def merged_weight(self):
         return self.weight + self.scaling * (self.down @ self.up)

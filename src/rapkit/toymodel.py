@@ -10,8 +10,9 @@ positions [t, t+n) to the layer's cache and attends over the whole cache with
 a causal mask offset by t. Prefill is n = S on an empty cache, decode is
 n = 1, so decode reproduces the matching prefill row by construction.
 
-A layer rotates all its query heads in one call, and all its new keys in
-another (unless svd keys rotate after their rebuild). All kv heads then
+A layer rotates all its query heads inside their projection's node, and
+all its new keys inside theirs (svd keys rotate inside their rebuild's
+node instead, every cached key at every step). All kv heads then
 attend at once, each for its G query heads: the queries stack as (H_kv, n·G,
 qw), the keys and values as (H_kv, T, width) views of the cache, and one
 score matmul, one masked softmax and one value matmul run over the whole
@@ -33,8 +34,10 @@ needed and twice its capacity, copying the cached rows once; so a prefill of
 S rows fills buffers of S rows exactly, the first decode step doubles them,
 and T decode steps copy O(T) rows in total instead of O(T^2). The cache
 keeps the rotation angles of its positions in two more row buffers, grown
-alike, so a step computes the angles of its new rows only, also for the svd
-layers that rotate every cached key.
+alike and in the form the rotation kernel reads
+(:func:`numcore.pair_tables`), so a pass builds the tables of its new rows
+only, once for every layer, also for the svd layers that rotate every
+cached key.
 
 Without a caller tape, a forward pass runs on a non-recording tape: it counts
 FLOPs and keeps no autodiff record. That is why weights are checked once,
@@ -47,8 +50,8 @@ ones:
 * key path ``rap``: cache stores index-rotated retained-pair latents, queries
   go through the absorbed projection, no reconstruction ever happens;
 * key path ``svd``: cache stores unrotated latents, every attention step
-  reconstructs all cached keys to full width (the matmul is counted) and only
-  then rotates them;
+  reconstructs all cached keys to full width (the matmul is counted) and
+  rotates them, tile by tile, as they are rebuilt;
 * value path ``full`` / ``latent``: latent values either get reconstructed per
   step (``v_recon`` present) or flow straight into an absorbed output
   projection.
@@ -71,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numcore import Matrix, Node, Tape, as_matrix
+from .numcore import Matrix, Node, Tape, as_matrix, pair_tables
 from .rope import HALF_SPLIT, PairingScheme, RetainedIndex, RopeConfig
 
 # query rows a layer step attends at once (see the module docstring)
@@ -135,9 +138,10 @@ class LinearMap:
     def __init__(self, weight):
         self.weight = as_matrix(weight)
 
-    def apply(self, tape: Tape, x: Node, name: str, tag: str | None = None) -> Node:
+    def apply(self, tape: Tape, x: Node, name: str, tag: str | None = None,
+              rotate: tuple | None = None) -> Node:
         w = tape.leaf(self.weight, name)
-        return tape.matmul(x, w, tag=tag)
+        return tape.matmul(x, w, tag=tag, rotate=rotate)
 
     def merged_weight(self) -> Matrix:
         return self.weight
@@ -168,12 +172,17 @@ class AttentionLayer:
     v_recon: np.ndarray | None = None   # (H_kv, v_width, D), or one matrix per kv head
     k_retained: list[RetainedIndex] | None = None  # per kv head, rap mode
     pair_ids: np.ndarray | None = field(init=False, default=None)  # rap: (H_kv, m)
+    # rap: the columns of the kept pairs in a cache's cos table, (H_kv, 2m)
+    # for adjacent pairs (both of each pair's columns), else pair_ids
+    cos_ids: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.k_recon = _recon_stack(self.k_recon)
         self.v_recon = _recon_stack(self.v_recon)
         if self.k_retained is not None:
-            self.pair_ids = np.array([r.pairs for r in self.k_retained])
+            self.pair_ids = ids = np.array([r.pairs for r in self.k_retained])
+            self.cos_ids = (ids if self.k_retained[0].scheme.kind == HALF_SPLIT
+                            else (2 * ids[..., None] + [0, 1]).reshape(len(ids), -1))
 
     @property
     def k_mode(self) -> str:
@@ -227,28 +236,34 @@ class AttentionModel:
 
 
 def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:
-    """``buf`` if it holds ``rows`` rows, else a buffer of max(rows, twice its
-    capacity) rows holding a copy of its first t rows."""
+    """``buf`` if it holds ``rows`` rows, else a buffer of its dtype and
+    max(rows, twice its capacity) rows holding a copy of its first t rows."""
     if rows <= buf.shape[0]:
         return buf
-    out = np.empty((max(rows, 2 * buf.shape[0]), buf.shape[1]))
+    out = np.empty((max(rows, 2 * buf.shape[0]), buf.shape[1]), buf.dtype)
     out[:t] = buf[:t]
     return out
 
 
 class KvCache:
     """One key and one value row buffer per layer, each holding the layer's
-    kv heads side by side (H_kv·width columns), and the cos/sin angle rows
-    of every position; single-writer, grows on decode. Rows [0, length) are
-    cached, and each pass computes the angles of its new rows only."""
+    kv heads side by side (H_kv·width columns), and the angle tables of every
+    position; single-writer, grows on decode. Rows [0, length) are cached,
+    and each pass computes the angles of its new rows only.
+
+    ``cos`` and ``sin`` hold the angles in the form the rotation kernel reads
+    (:func:`numcore.pair_tables`): for adjacent pairs cos over both columns
+    of each pair and the complex −0 + i·sin, for half-split pairs the plain
+    rows. A pass writes its positions' rows once, for every layer to read.
+    """
 
     def __init__(self, model: AttentionModel):
         self.model = model
         self.k_bufs = [np.empty((0, layer.k_map.weight.shape[1])) for layer in model.layers]
         self.v_bufs = [np.empty((0, layer.v_map.weight.shape[1])) for layer in model.layers]
-        # the rotation angles of each cached position, one column per pair
-        self.cos = np.empty((0, model.spec.head_dim // 2))
-        self.sin = np.empty((0, model.spec.head_dim // 2))
+        empty = np.empty((0, model.spec.head_dim // 2))
+        self.cos, self.sin, self.half_split = pair_tables(
+            empty, empty, model.spec.rope.scheme.kind == HALF_SPLIT)
         self.length = 0
 
     def reserve(self, rows: int):
@@ -293,9 +308,9 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     """Append the rows of ``x`` to the layer's cache, then attend over all of it.
 
     The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
-    cached ones; ``cos``/``sin`` are the cache's angle rows [0, t+n), all of
-    which svd layers read, as they rotate every cached key. ``blocks`` are
-    the :func:`_query_blocks` of the n rows.
+    cached ones; ``cos``/``sin`` are the cache's angle table rows [0, t+n),
+    all of which svd layers read, as they rotate every cached key.
+    ``blocks`` are the :func:`_query_blocks` of the n rows.
 
     Each side's new rows join its buffer in one append. Query row i·G + j of
     a kv head's stack is token i, query head j of its group; each query
@@ -306,31 +321,30 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
     layer = model.layers[idx]
     t, n, group, kv_heads = cache.length, x.value.shape[0], spec.group_size, spec.kv_heads
     inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
-    half_split = spec.rope.scheme.kind == HALF_SPLIT
     # one angle row per kv head (rap heads keep their own pairs), or one for
-    # all heads; a group's query heads turn like its kv head's keys
-    cos_n, sin_n = cos[-n:, layer.pair_ids], sin[-n:, layer.pair_ids]
-
-    q_all = layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q")
-    k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj")
-    v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
-    q_all = tape.rotate_pairs(q_all, cos_n, sin_n, half_split)
-    if layer.k_mode != "svd":   # svd latents are cached unrotated
-        k_all = tape.rotate_pairs(k_all, cos_n, sin_n, half_split)
-    k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
-    v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
+    # all heads; a group's query heads turn like its kv head's keys, and both
+    # turn inside their projection
+    turn = (cos[-n:, layer.cos_ids], sin[-n:, layer.pair_ids], cache.half_split)
 
     def heads(a: Node) -> Node:
         """rows x (H_kv·w) as the (H_kv, rows, w) view of each kv head's columns"""
         return tape.swapaxes(tape.reshape(a, a.value.shape[0], kv_heads, -1), 0, 1)
 
-    queries = tape.reshape(heads(q_all), kv_heads, n * group, -1)   # a copy
+    # a copy; no name holds the projection past it
+    queries = tape.reshape(heads(layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q",
+                                                    rotate=turn)), kv_heads, n * group, -1)
+    # svd latents are cached unrotated
+    k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj",
+                              rotate=None if layer.k_mode == "svd" else turn)
+    v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
+    k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
+    v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
     keys, values = heads(k_all), heads(v_all)
     if layer.k_mode == "svd":
         # every step rebuilds all keys and rotates them while fresh, in one node
         recon = tape.leaf(layer.k_recon, f"L{idx}.k_b")
         keys = tape.matmul(keys, recon, tag="kv_proj",
-                           rotate=(cos[:, None], sin[:, None], half_split))
+                           rotate=(cos[:, None], sin[:, None], cache.half_split))
     if layer.v_recon is not None:
         values = tape.matmul(values, tape.leaf(layer.v_recon, f"L{idx}.v_b"), tag="kv_proj")
 
@@ -366,8 +380,8 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     spec = model.spec
     t, n = cache.length, len(toks)
     cache.reserve(t + n)
-    cache.cos[t:t + n], cache.sin[t:t + n] = spec.rope.angle_tables(
-        np.arange(t, t + n) % ((t + n) // windows))
+    cache.cos[t:t + n], cache.sin[t:t + n], _ = pair_tables(*spec.rope.angle_tables(
+        np.arange(t, t + n) % ((t + n) // windows)), cache.half_split)
     cos, sin = cache.cos[:t + n], cache.sin[:t + n]
     blocks = _query_blocks(n, windows)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, pair_columns, tiny_spec
-from rapkit.numcore import Tape, as_matrix, grad, gradients, rotate_pairs, softmax_rows
+from rapkit.numcore import (ROTATE_ROWS, Tape, as_matrix, grad, gradients, pair_tables,
+                            rotate_pairs, softmax_rows, turn_pairs)
 from rapkit.rope import PairingScheme, RopeConfig
 from rapkit.toymodel import AttentionModel, loss_forward
 
@@ -545,7 +546,7 @@ def test_rotate_pairs_is_the_plain_formula_bit_for_bit(stack, groups, heads, pai
     """Over stacks, group counts, both pairings and non-contiguous inputs,
     with rows at position 0 (sin exactly 0), all-zero rows and negated
     angles (the backward pass's), the kernel's bits are the plain formula's;
-    written over a fresh copy too."""
+    turned over a fresh copy by prebuilt tables too."""
     rows = data.draw(st.integers(1, 4), label="rows")
     width = groups * heads * 2 * pairs
     x = data.draw(hnp.arrays(np.float64, stack + (rows, width), elements=ENTRIES), label="x")
@@ -564,9 +565,9 @@ def test_rotate_pairs_is_the_plain_formula_bit_for_bit(stack, groups, heads, pai
     got = rotate_pairs(x, cos, sin, kind == "half_split")
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     fresh = np.array(x, order="C")
-    got = rotate_pairs(fresh, cos, sin, kind == "half_split", overwrite=True)
+    got = turn_pairs(fresh, pair_tables(cos, sin, kind == "half_split"), overwrite=True)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert (got is fresh or np.shares_memory(got, fresh)) == (kind == "adjacent")
+    assert got is fresh
 
 
 def test_rotate_pairs_may_flip_the_sign_of_an_exact_zero():
@@ -584,34 +585,55 @@ def test_rotate_pairs_may_flip_the_sign_of_an_exact_zero():
 def test_a_rotated_matmul_is_the_matmul_then_rotation_bit_for_bit(half_split, rng):
     """``matmul(..., rotate=...)``'s value, FLOPs and both gradients are
     those of ``matmul`` followed by ``rotate_pairs``, bit for bit, in one node
-    instead of two; a non-recording tape gives the same value."""
-    h, t_len, rank, width = 2, 5, 3, 8
-    arrays = {"a": rng.normal(size=(h, t_len, rank)), "b": rng.normal(size=(h, rank, width))}
-    ang = rng.uniform(0, 50, size=(t_len, 1, width // 2))
+    instead of two: for stacks of rebuilt keys and for 2-D projections of two
+    groups, of one row, one row tile, and two tiles and three rows. A
+    non-recording tape gives the same value and FLOPs."""
+    rank, width = 3, 8
+    for t_len in (1, ROTATE_ROWS, 2 * ROTATE_ROWS + 3):
+        for stack, groups in (((2,), 1), ((), 2)):
+            arrays = {"a": rng.normal(size=stack + (t_len, rank)),
+                      "b": rng.normal(size=stack + (rank, groups * width))}
+            ang = rng.uniform(0, 50, size=(t_len, groups, width // 2))
+            cos, sin = np.cos(ang), np.sin(ang)
+            r = rng.normal(size=stack + (t_len, groups * width))
+
+            results = []
+            for fused, record in ((False, True), (True, True), (True, False)):
+                t = Tape(record)
+                a, b = t.leaf(arrays["a"], "a"), t.leaf(arrays["b"], "b")
+                if fused:
+                    keys = t.matmul(a, b, tag="kv", rotate=pair_tables(cos, sin, half_split))
+                else:
+                    keys = t.rotate_pairs(t.matmul(a, b, tag="kv"), cos, sin, half_split)
+                grads = gradients(t, t.sum_all(t.mul(keys, t.constant(r))), [a, b]) if record \
+                    else []
+                results.append(([keys.value, *grads], dict(t.flops_by_tag), len(t.nodes)))
+            (composed, flops, nodes), (fused, fused_flops, fused_nodes), (quiet, quiet_flops, _) \
+                = results
+            for want, got in zip(composed, fused):
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert quiet[0].view(np.int64).tolist() == composed[0].view(np.int64).tolist()
+            assert fused_flops == quiet_flops == flops == {"kv": 2 * r.size * rank}
+            assert fused_nodes == nodes - 1
+
+
+@pytest.mark.parametrize("half_split", [False, True])
+def test_a_rotated_adapted_matmul_is_the_adapted_matmul_then_rotation(half_split, rng):
+    """``adapted_matmul(..., rotate=...)``: the value and the four gradients
+    of ``adapted_matmul`` followed by ``rotate_pairs``, bit for bit."""
+    arrays = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 8)),
+              "down": rng.normal(size=(4, 2)), "up": rng.normal(size=(2, 8))}
+    ang = rng.uniform(0, 50, size=(5, 2, 2))
     cos, sin = np.cos(ang), np.sin(ang)
-    r = rng.normal(size=(t_len, h, width))
-
-    def loss(t, keys):
-        return t.sum_all(t.mul(t.swapaxes(keys, 0, 1), t.constant(r)))
-
+    r = rng.normal(size=(5, 8))
     results = []
     for fused in (False, True):
         t = Tape()
-        a, b = t.leaf(arrays["a"], "a"), t.leaf(arrays["b"], "b")
+        lv = [t.leaf(a, name) for name, a in arrays.items()]
         if fused:
-            keys = t.matmul(a, b, tag="kv", rotate=(cos, sin, half_split))
+            y = t.adapted_matmul(*lv, 1.5, rotate=pair_tables(cos, sin, half_split))
         else:
-            keys = t.rotate_pairs(t.matmul(a, b, tag="kv"), cos, sin, half_split)
-        results.append((keys.value, *gradients(t, loss(t, keys), [a, b]),
-                        dict(t.flops_by_tag), len(t.nodes)))
-    (*composed, composed_nodes), (*fused, fused_nodes) = results
-    for want, got in zip(composed, fused):
-        if isinstance(want, dict):
-            assert got == want
-        else:
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert fused_nodes == composed_nodes - 1
-    quiet = Tape(record=False)
-    value = quiet.matmul(quiet.leaf(arrays["a"], "a"), quiet.leaf(arrays["b"], "b"),
-                         rotate=(cos, sin, half_split)).value
-    assert value.view(np.int64).tolist() == fused[0].view(np.int64).tolist()
+            y = t.rotate_pairs(t.adapted_matmul(*lv, 1.5), cos, sin, half_split)
+        results.append([y.value, *gradients(t, t.sum_all(t.mul(y, t.constant(r))), lv)])
+    for want, got in zip(*results):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

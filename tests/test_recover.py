@@ -254,8 +254,9 @@ def test_rank_one_adapter_explicit_outer_product(rng):
     np.testing.assert_allclose(lin.merged_weight(), expected, atol=1e-14)
 
 
-def _unfused_apply(self, tape, x, name, tag=None):
-    """An adapted projection composed of Tape primitives: ten nodes."""
+def _unfused_apply(self, tape, x, name, tag=None, rotate=None):
+    """An adapted projection composed of Tape primitives: ten nodes, and a
+    rotation node for a rotated one."""
     base = tape.leaf(self.weight, name)
     out = tape.matmul(x, base, tag=tag)
     x_in = x
@@ -266,7 +267,11 @@ def _unfused_apply(self, tape, x, name, tag=None):
     down = tape.leaf(self.down, f"{name}.lora_down")
     up = tape.leaf(self.up, f"{name}.lora_up")
     delta = tape.matmul(tape.matmul(x_in, down, tag=tag), up, tag=tag)
-    return tape.add(out, tape.scale(delta, self.scaling))
+    out = tape.add(out, tape.scale(delta, self.scaling))
+    if rotate is None:
+        return out
+    c, s, half_split = rotate   # the plain tables of pair_tables' form
+    return tape.rotate_pairs(out, *((c, s) if half_split else (c[..., ::2], s.imag)), half_split)
 
 
 @pytest.mark.parametrize("training", [True, False], ids=["dropout", "eval"])

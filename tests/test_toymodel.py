@@ -12,7 +12,7 @@ from conftest import damaged, finite_difference, identity_model, make_spec
 from rapkit import toymodel
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
-from rapkit.numcore import Tape, gradients
+from rapkit.numcore import Tape, gradients, pair_tables
 from rapkit.rope import PairingScheme, RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (QUERY_BLOCK, AttentionLayer, AttentionModel, LinearMap,
@@ -182,7 +182,7 @@ def test_loss_uniform_logits_is_log_vocab():
 
 
 def test_saturated_one_hot_cross_entropy_is_near_zero():
-    from rapkit.numcore import Tape, gradients
+    from rapkit.numcore import Tape, gradients, pair_tables
     t = Tape()
     logits = np.full((3, 6), -100.0)
     labels = [2, 0, 5]
@@ -397,8 +397,8 @@ def test_a_checkpoint_round_trip_keeps_manifest_and_logits(
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
-def _compressed(method, seed=33):
-    model = AttentionModel.build(make_spec(seed=seed))
+def _compressed(method, seed=33, pairing="adjacent"):
+    model = AttentionModel.build(make_spec(seed=seed, pairing=pairing))
     if method == "baseline":
         return model
     return build_compressed(model, method, 0.5,
@@ -449,26 +449,37 @@ def test_decode_across_cache_doublings(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_decode_steps_compute_the_angles_of_their_new_row_only(method, monkeypatch):
-    """The cache keeps the angle rows of its positions, so svd and palu keys,
-    which rotate at every step, need no table of every cached position; its
-    rows are those of one table of all positions, bit for bit."""
-    asked = []
+    """The cache keeps the angle tables of its positions in the rotation
+    kernel's form, so svd and palu keys, which rotate at every step, need no
+    table of every cached position. After 10 decode steps through doublings
+    its rows are those of one table of all positions, bit for bit and of the
+    same dtypes, for both pairings: adjacent pairs keep cos over both columns
+    of each pair and −0 + i·sin."""
     angle_tables = RopeConfig.angle_tables
+    for pairing in ("adjacent", "half_split"):
+        asked = []
 
-    def recording(self, positions):
-        asked.append([int(p) for p in positions])
-        return angle_tables(self, positions)
+        def recording(self, positions):
+            asked.append([int(p) for p in positions])
+            return angle_tables(self, positions)
 
-    model = _compressed(method)
-    monkeypatch.setattr(RopeConfig, "angle_tables", recording)
-    cache = forward_prefill(model, [4, 40, 11]).cache
-    for tok in range(10):
-        _, cache = forward_decode(model, cache, tok)
-    assert asked == [[0, 1, 2]] + [[t] for t in range(3, 13)]
-    assert cache.cos.shape[0] == cache.sin.shape[0] == 24
-    cos, sin = angle_tables(model.spec.rope, np.arange(13))
-    np.testing.assert_array_equal(cache.cos[:13], cos)
-    np.testing.assert_array_equal(cache.sin[:13], sin)
+        model = _compressed(method, pairing=pairing)
+        with monkeypatch.context() as patch:
+            patch.setattr(RopeConfig, "angle_tables", recording)
+            cache = forward_prefill(model, [4, 40, 11]).cache
+            for tok in range(10):
+                _, cache = forward_decode(model, cache, tok)
+        assert asked == [[0, 1, 2]] + [[t] for t in range(3, 13)]
+        cos, sin = angle_tables(model.spec.rope, np.arange(13))
+        want = pair_tables(cos, sin, pairing == "half_split")[:2]
+        for got, table in zip((cache.cos, cache.sin), want):
+            assert got.shape == (24,) + table.shape[1:] and got.dtype == table.dtype
+            assert got[:13].tobytes() == table.tobytes()
+        if pairing == "adjacent":
+            assert (cache.cos[:13, ::2] == cos).all() and (cache.cos[:13, 1::2] == cos).all()
+            assert np.signbit(cache.sin[:13].real).all() and (cache.sin[:13].imag == sin).all()
+        else:
+            assert cache.cos[:13].tobytes() == cos.tobytes()
 
 
 @pytest.mark.parametrize("method", METHODS)
