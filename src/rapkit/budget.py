@@ -11,20 +11,20 @@ floor of one pair per head, identical across the heads of a group.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rope import check
 from .scoring import PairScoreTable
-from .toymodel import BUDGET_MODES, check_json_fields
+from .toymodel import BUDGET_MODES, PLAN_GROUP_FIELDS, RATIO
 
 PROJECTION_TOL = 1e-9
 ADAPTIVE, UNIFORM = BUDGET_MODES
-# the JSON fields from_json reads; to_json's derived means are not read back
-_PLAN_FIELDS = {"rho": float, "mode": str, "num_pairs": int, "groups": list}
-_GROUP_FIELDS = {"layer": int, "side": str, "ratio": float, "raw_ratio": float,
-                 "retained_pairs": int}
+# the fields to_json writes; from_json does not read the derived means back
+PLAN_FIELDS = {"rho": (float, RATIO), "mode": (str, BUDGET_MODES), "num_pairs": int,
+               "groups": [{**PLAN_GROUP_FIELDS, "raw_ratio": float}],
+               "mean_ratio?": float, "mean_effective_ratio?": float, "rounding_error?": float}
 
 
 class InfeasibleBudget(ValueError):
@@ -113,23 +113,15 @@ class BudgetPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "BudgetPlan":
-        """The plan ``to_json`` wrote; a malformed field raises a ValueError naming it."""
-        data = check_json_fields("plan", json.loads(text), _PLAN_FIELDS)
-        if data["mode"] not in BUDGET_MODES:
-            raise ValueError(f"plan.mode is {data['mode']!r}, not in {BUDGET_MODES}")
-        if not 0.0 <= data["rho"] < 1.0:
-            raise ValueError(f"plan.rho must be in [0, 1), got {data['rho']!r}")
+        """The plan ``to_json`` wrote; a field that breaks ``PLAN_FIELDS`` raises
+        a ValueError naming it."""
+        data = json.loads(text)
+        check("plan", data, PLAN_FIELDS)
         ratios, raw, counts = {}, {}, {}
         for i, g in enumerate(data["groups"]):
-            name = f"plan.groups[{i}]"
-            check_json_fields(name, g, _GROUP_FIELDS)
             key = (g["layer"], g["side"])
             if key in ratios:
-                raise ValueError(f"{name} repeats group {key[0]}.{key[1]}")
-            if not 0.0 <= g["ratio"] <= 1.0:
-                raise ValueError(f"{name}.ratio must be in [0, 1], got {g['ratio']!r}")
-            if not -math.inf < g["raw_ratio"] < math.inf:
-                raise ValueError(f"{name}.raw_ratio must be finite, got {g['raw_ratio']!r}")
+                raise ValueError(f"plan.groups[{i}] repeats group {key[0]}.{key[1]}")
             ratios[key] = g["ratio"]
             raw[key] = g["raw_ratio"]
             counts[key] = g["retained_pairs"]
@@ -139,8 +131,7 @@ class BudgetPlan:
 
 def allocate(scores: PairScoreTable, rho: float, mode: str = ADAPTIVE) -> BudgetPlan:
     """Turn group scores and a global ratio into per-group ratios and counts."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"compression ratio must be in [0, 1), got {rho}")
+    check("rho", rho, (float, RATIO))
     groups = scores.groups()
     n = len(groups)
     if mode == UNIFORM:
@@ -167,8 +158,7 @@ def allocate(scores: PairScoreTable, rho: float, mode: str = ADAPTIVE) -> Budget
 
 def uniform_plan(num_pairs: int, layers: int, rho: float) -> BudgetPlan:
     """A plan with the same ratio everywhere, without needing a score table."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"compression ratio must be in [0, 1), got {rho}")
+    check("rho", rho, (float, RATIO))
     groups = [(l, s) for l in range(layers) for s in ("k", "v")]
     ratios = {g: rho for g in groups}
     return BudgetPlan(rho, UNIFORM, num_pairs, dict(ratios), dict(ratios))

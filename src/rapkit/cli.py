@@ -2,13 +2,13 @@
 
 Subcommands: score, prune, distill, report, verify, sweep. The fields of
 :class:`RunConfig` are the config file's settings under their own names, and
-``SETTINGS`` gives each one's JSON kind. The flags --method, --rho, --scoring,
---budget, --seed and --out are merged over the file's values, and the result is
-validated once, before any output directory is created. A command refuses a
-flag it would not read (``UNREAD_FLAGS``). prune, distill (when
---out holds no checkpoint) and verify build their compressed model through one
-step, ``_compress``. All artifacts are deterministic under a fixed seed
-(byte-identical across reruns).
+``CONFIG_FIELDS`` gives each one's JSON kind and range. The flags --method,
+--rho, --scoring, --budget, --seed and --out are merged over the file's
+values, and the result is validated once, before any output directory is
+created. A command refuses a flag it would not read (``UNREAD_FLAGS``).
+prune, distill (when --out holds no checkpoint) and verify build their
+compressed model through one step, ``_compress``. All artifacts are
+deterministic under a fixed seed (byte-identical across reruns).
 
 Fisher scores are estimated once per --out: score writes scores.json and,
 beside it, scores_key.json with two SHA-256 digests, one of everything the
@@ -30,13 +30,14 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import analyze, budget, factorize, recover, scoring, toymodel, verify
-from .toymodel import BUDGET_MODES, check_json_type
+from .rope import check
+from .toymodel import BUDGET_MODES, CALIBRATION_FIELDS, RATIO, SEED
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,17 +63,6 @@ UNREAD_FLAGS = {
 }
 
 
-def _is_ratio(value) -> bool:
-    """Compression ratios, for rho and sweeps alike, as build_compressed takes them."""
-    return 0.0 <= value < 1.0
-
-
-def _json_kinds(cls) -> dict[str, type]:
-    """Each field of the dataclass ``cls`` with the JSON kind of its default."""
-    return {f.name: type(f.default if f.default_factory is MISSING
-                         else f.default_factory()) for f in fields(cls)}
-
-
 @dataclass
 class RunConfig:
     """A run's settings, each the config file's key of the same name."""
@@ -92,75 +82,23 @@ class RunConfig:
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
         """The config file's settings with the flags given over them, validated."""
-        settings = {}
+        settings = dict(vars(cls()))   # the defaults
         if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ValueError(f"config file not found: {path}")
-            settings = json.loads(path.read_text())
-            check_json_type("config", settings, dict)
+            data = json.loads(Path(args.config).read_text())
+            check("config", data, dict)
+            settings.update(data)
         given = {key: getattr(args, key) for key in FLAGS
                  if getattr(args, key, None) is not None}
         for key, reason in UNREAD_FLAGS.get(getattr(args, "command", None), {}).items():
             if key in given:
                 raise ValueError(f"--{key} would be ignored: {reason}")
         settings.update(given)
-        unknown = [key for key in settings if key not in SETTINGS]
-        if isinstance(settings.get("model"), dict):  # else validate names its kind
-            unknown += [f"model.{key}" for key in settings["model"]
-                        if key not in MODEL_SETTINGS]
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = cls(**settings)
-        cfg.validate()
-        return cfg
+        _validate(settings)
+        return cls(**settings)
 
     def validate(self):
-        """Raise a ValueError naming the first setting of a wrong kind or value."""
-        for name, kind in SETTINGS.items():
-            check_json_type(name, getattr(self, name), kind)
-        for section, kinds in (("model", MODEL_SETTINGS),
-                               ("calibration", CALIBRATION_SETTINGS),
-                               ("kd", KD_SETTINGS)):
-            for key, value in getattr(self, section).items():
-                if key not in kinds:
-                    raise ValueError(f"unknown {section} setting {key!r}")
-                if value is not None or section != "model":  # a null model key is unset
-                    check_json_type(f"{section}.{key}", value, kinds[key])
-        for i, ratio in enumerate(self.ratios):
-            check_json_type(f"ratios[{i}]", ratio, float)
-        path, spec = self.model.get("path"), self.model.get("spec")
-        if path is not None and spec is not None:
-            raise ValueError("model.path and model.spec are both set; "
-                             "a checkpoint carries its own spec, give one")
-        if spec is not None:
-            try:
-                toymodel.spec_from_json(spec)
-            except ValueError as exc:
-                raise ValueError(f"bad model.spec: {exc}") from exc
-        if self.method not in factorize.METHODS:
-            raise ValueError(f"method must be one of {factorize.METHODS}")
-        if not _is_ratio(self.rho):
-            raise ValueError("rho must be in [0, 1)")
-        if self.scoring not in SCORING_MODES:
-            raise ValueError(f"scoring must be one of {SCORING_MODES}")
-        if self.budget not in BUDGET_MODES:
-            raise ValueError(f"budget must be one of {BUDGET_MODES}")
-        if path and not Path(path).exists():
-            raise ValueError(f"model file not found: {path}")
-        if not self.ratios or not all(_is_ratio(r) for r in self.ratios):
-            raise ValueError("sweep ratios must be a non-empty list in [0, 1)")
-        calibration = self.calibration_args()
-        for name, value, least in (("seed", self.seed, 0), ("seq_len", self.seq_len, 2),
-                                   ("calibration.count", calibration["count"], 1),
-                                   ("calibration.window", calibration["window"], 2),
-                                   ("calibration.seed", calibration["seed"], 0)):
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-        try:
-            self.kd_config()
-        except ValueError as exc:
-            raise ValueError(f"bad kd settings: {exc}") from exc
+        """Raise a ValueError naming every setting of a wrong kind or value."""
+        _validate(vars(self))
 
     def build_model(self) -> toymodel.AttentionModel:
         path, spec = self.model.get("path"), self.model.get("spec")
@@ -174,16 +112,10 @@ class RunConfig:
             return toymodel.AttentionModel.build(toymodel.spec_from_json(spec))
         return toymodel.AttentionModel.build(toymodel.default_spec(seed=self.seed))
 
-    def calibration_args(self) -> dict:
-        """``markov_calibration``'s count, window and seed: the calibration
-        settings over the defaults 16, 64 and the run's seed."""
-        return {"count": 16, "window": 64, "seed": self.seed, **self.calibration}
-
     def build_calibration(self, vocab: int) -> toymodel.CalibrationSet:
-        return toymodel.markov_calibration(vocab, **self.calibration_args())
-
-    def kd_config(self) -> recover.KdConfig:
-        return recover.KdConfig(seed=self.seed, **self.kd)
+        """The calibration settings over ``markov_calibration``'s defaults, and
+        the run's seed unless they set one."""
+        return toymodel.markov_calibration(vocab, **{"seed": self.seed, **self.calibration})
 
     def out_dir(self) -> Path:
         path = Path(self.out)
@@ -191,11 +123,36 @@ class RunConfig:
         return path
 
 
-SETTINGS = _json_kinds(RunConfig)
-MODEL_SETTINGS = {"path": str, "spec": dict}
-CALIBRATION_SETTINGS = dict.fromkeys(("count", "window", "seed"), int)
-# distillation's seed is the run's
-KD_SETTINGS = {k: kind for k, kind in _json_kinds(recover.KdConfig).items() if k != "seed"}
+# the config file's settings, each of them optional: RunConfig holds the defaults
+CONFIG_FIELDS = {
+    "method": (str, factorize.METHODS), "rho": (float, RATIO),
+    "scoring": (str, SCORING_MODES), "budget": (str, BUDGET_MODES), "seed": SEED,
+    "out": str, "seq_len": CALIBRATION_FIELDS["window"],   # the report's token window
+    "model": {"path?": str, "spec?": toymodel.SPEC_FIELDS},
+    "calibration": {f"{key}?": rule for key, rule in CALIBRATION_FIELDS.items()},
+    # distillation's seed is the run's
+    "kd": {f"{key}?": rule for key, rule in recover.KD_FIELDS.items() if key != "seed"},
+    "ratios": [(float, RATIO)],
+}
+
+
+def _validate(settings: dict):
+    """Raise a ValueError naming every setting that breaks ``CONFIG_FIELDS``,
+    or a model setting the run cannot use."""
+    if isinstance(settings["model"], dict):   # a null model key is unset
+        settings = {**settings, "model": {key: value for key, value in
+                                          settings["model"].items() if value is not None}}
+    check("", settings, CONFIG_FIELDS)
+    path, spec = settings["model"].get("path"), settings["model"].get("spec")
+    if path is not None and spec is not None:
+        raise ValueError("model.path and model.spec are both set; "
+                         "a checkpoint carries its own spec, give one")
+    if spec is not None:   # the checks across its fields
+        toymodel.spec_from_json(spec, "model.spec")
+    if path and not Path(path).exists():
+        raise ValueError(f"model file not found: {path}")
+    if not settings["ratios"]:
+        raise ValueError("ratios must not be empty")
 
 
 @contextlib.contextmanager
@@ -237,18 +194,29 @@ def _compute_scores(cfg: RunConfig, model, calib=None
         return table, inputs
 
 
+def _check_fit(path: Path, what: str, source: str, fields) -> None:
+    """Raise a ValueError naming ``path`` and the first of the (name, got,
+    expected) ``fields`` where ``what`` differs from ``source``; a set of keys
+    names the keys missing or unexpected."""
+    for name, got, expected in fields:
+        if isinstance(got, set):
+            for label, keys in (("missing", expected - got), ("unexpected", got - expected)):
+                if keys:
+                    raise ValueError(f"{path}: {label} {name} " + ", ".join(
+                        ".".join(map(str, key)) for key in sorted(keys)))
+        elif got != expected:
+            raise ValueError(f"{path}: {what} has {name} {got!r}, {source} has {expected!r}")
+
+
 def _load_scores(path: Path, model) -> scoring.PairScoreTable:
     """A score table from the score command, checked against ``model``."""
     table = scoring.PairScoreTable.from_json(path.read_text())
     spec = model.spec
-    for name, got, want in (("head_dim", table.head_dim, spec.head_dim),
-                            ("pairing", table.pairing, spec.rope.scheme.kind)):
-        if got != want:
-            raise ValueError(
-                f"{path}: scores have {name} {got!r}, the model has {want!r}")
-    _check_keys(path, "score keys", set(table.keys()),
-                {(l, s, h) for l, s in scoring.default_targets(model)
-                 for h in range(spec.kv_heads)})
+    _check_fit(path, "the table", "the model", [
+        ("head_dim", table.head_dim, spec.head_dim),
+        ("pairing", table.pairing, spec.rope.scheme.kind),
+        ("score keys", set(table.keys()), {(l, s, h) for l, s in scoring.default_targets(model)
+                                           for h in range(spec.kv_heads)})])
     return table
 
 
@@ -256,23 +224,14 @@ def _load_plan(path: Path, model) -> budget.BudgetPlan:
     """A budget plan JSON, checked against ``model`` as scores are."""
     plan = budget.BudgetPlan.from_json(path.read_text())
     half = model.spec.head_dim // 2
-    if plan.num_pairs != half:
-        raise ValueError(
-            f"{path}: the plan has num_pairs {plan.num_pairs}, the model has {half}")
-    _check_keys(path, "plan groups", set(plan.groups()),
-                set(scoring.default_targets(model)))
+    _check_fit(path, "the plan", "the model", [
+        ("num_pairs", plan.num_pairs, half),
+        ("plan groups", set(plan.groups()), set(scoring.default_targets(model)))])
     for (l, s), m in sorted(plan.pair_counts.items()):
         if not 1 <= m <= half:
             raise ValueError(
                 f"{path}: plan group {l}.{s} retains {m} pairs, outside [1, {half}]")
     return plan
-
-
-def _check_keys(path: Path, what: str, got: set, expected: set):
-    for label, keys in (("missing", expected - got), ("unexpected", got - expected)):
-        if keys:
-            raise ValueError(f"{path}: {label} {what} " + ", ".join(
-                ".".join(map(str, key)) for key in sorted(keys)))
 
 
 def _score_summary(table: scoring.PairScoreTable) -> dict:
@@ -351,13 +310,10 @@ def _check_student(path: Path, student, cfg: RunConfig, teacher) -> None:
     """A checkpoint found in --out must have the configured method and rho and
     the teacher's spec, as the prune of this config writes it."""
     have, want = toymodel.spec_to_json(student.spec), toymodel.spec_to_json(teacher.spec)
-    checks = [("method", student.method, cfg.method, "the config"),
-              ("rho", student.manifest["rho"], cfg.rho, "the config")]
-    checks += [(f"spec.{key}", have[key], want[key], "the teacher") for key in sorted(want)]
-    for name, got, expected, source in checks:
-        if got != expected:
-            raise ValueError(f"{path}: the checkpoint has {name} {got!r}, "
-                             f"{source} has {expected!r}")
+    _check_fit(path, "the checkpoint", "the config", [
+        ("method", student.method, cfg.method), ("rho", student.manifest["rho"], cfg.rho)])
+    _check_fit(path, "the checkpoint", "the teacher",
+               [(f"spec.{key}", have[key], want[key]) for key in sorted(want)])
 
 
 def cmd_distill(cfg: RunConfig) -> int:
@@ -369,7 +325,7 @@ def cmd_distill(cfg: RunConfig) -> int:
         _check_student(checkpoint, student, cfg, teacher)
     else:
         student, _, _ = _compress(cfg, teacher, cfg.method, cfg.rho, calib=calib)
-    kd_cfg = cfg.kd_config()
+    kd_cfg = recover.KdConfig(seed=cfg.seed, **cfg.kd)
     merged, trace, adapters_json = student, [], "{}"
     if kd_cfg.steps:
         try:
@@ -487,7 +443,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args)
-    except ValueError as exc:  # bad settings, JSON syntax and type errors
+    except (OSError, ValueError) as exc:  # an unreadable file, bad settings or JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

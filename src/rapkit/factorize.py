@@ -37,9 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from .budget import BudgetPlan, uniform_plan
-from .rope import RetainedIndex
+from .rope import RetainedIndex, check
 from .scoring import PairScoreTable
-from .toymodel import (METHODS, MODES, AttentionLayer, AttentionModel, LinearMap,
+from .toymodel import (METHODS, MODES, RATIO, AttentionLayer, AttentionModel, LinearMap,
                        ModelSpec, model_manifest)
 
 
@@ -112,8 +112,7 @@ def _checked(model: AttentionModel, method: str, rho: float,
     """The plan a build of ``method`` applies, once its arguments are checked."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"compression ratio must be in [0, 1), got {rho}")
+    check("rho", rho, (float, RATIO))
     if method == "rap" and scores is None:
         raise ValueError("rap needs pair scores to choose retained pairs")
     return applied_plan(model.spec, method, rho, plan)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numcore import Node, Tape, gradients, log_softmax_rows, softmax_rows
-from .toymodel import (AttentionModel, CalibrationSet, LinearMap, forward_prefill,
+from .rope import check
+from .toymodel import (SEED, AttentionModel, CalibrationSet, LinearMap, forward_prefill,
                        loss_forward)
 
 
@@ -48,28 +49,21 @@ class KdConfig:
     seed: int = 42
 
     def __post_init__(self):
-        # a non-finite or negative one of these would leave every weight
-        # non-finite, or ascend the loss, at the first steps
-        for name in ("alpha_ce", "alpha_kd", "lr"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
-        if not np.isfinite(self.lora_alpha):
-            raise ValueError(f"lora_alpha must be finite, got {self.lora_alpha}")
-        if self.lora_rank < 1:
-            raise ValueError("adapter rank must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        check("kd", vars(self), KD_FIELDS)
 
     @property
     def scaling(self) -> float:
         return self.lora_alpha / self.lora_rank
+
+
+# KdConfig's fields: a negative loss weight or learning rate, or a temperature
+# that is not positive, would make every weight non-finite, or ascend the
+# loss, at the first steps
+KD_FIELDS = {"alpha_ce": (float, "[0, inf)"), "alpha_kd": (float, "[0, inf)"),
+             "temperature": (float, "(0, inf)"), "lr": (float, "[0, inf)"),
+             "steps": (int, "[0, inf)"), "batch_size": (int, "[1, inf)"),
+             "lora_rank": (int, "[1, inf)"), "lora_alpha": float,
+             "dropout": (float, "[0, 1)"), "seed": SEED}
 
 
 class LoraLinear(LinearMap):

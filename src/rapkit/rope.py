@@ -14,11 +14,15 @@ reshape, with the angle columns of each head's ORIGINAL pair ids, which is
 what makes pair-aligned pruning commute with the rotation. ``rotate_indexed``
 does this for one head. :meth:`PairingScheme.column_arrays` is the only code that turns
 pair ids into columns, for ``RetainedIndex.rap_index`` and pair scores.
+
+Every input file is checked by :func:`check` against a table of its
+fields beside the code that writes it. The checker sits here, in the lowest
+module whose classes hold file fields (``ROPE_FIELDS``).
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +34,71 @@ ADJACENT = "adjacent"
 HALF_SPLIT = "half_split"
 
 
+# -- input fields ----------------------------------------------------------------
+
+
+def within(x, interval: str) -> bool:
+    """Whether ``x`` lies in ``interval``, written like "[0, 1)": a round
+    bracket leaves its end out, and an end may be inf."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return ((lo < x if interval[0] == "(" else lo <= x)
+            and (x < hi if interval[-1] == ")" else x <= hi))
+
+
+# each JSON kind by the type a rule names it with; a number is finite, an int
+# counts as one and a bool only as a boolean
+_JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
+               float: ("a finite number", (int, float)), dict: ("an object", dict),
+               list: ("a list", (list, tuple)), bool: ("a boolean", bool)}
+
+
+def _collect(name: str, value, rule, errors: list) -> None:
+    """Append to ``errors`` a message for each field of ``value`` that breaks
+    ``rule``, named by its path from ``name``. A rule is a JSON kind, a pair
+    (kind, range) whose range is an interval (see :func:`within`) or a tuple
+    of choices, a list ``[rule]`` of items of one rule, or a table: a dict of
+    field -> rule for an object that holds each of its fields, unless the
+    name ends in ``?``, and no other."""
+    kind, allowed = ((dict, rule) if isinstance(rule, dict) else
+                     (list, rule[0]) if isinstance(rule, list) else
+                     rule if isinstance(rule, tuple) else (rule, None))
+    label, accepted = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted) or (
+            kind is float and not abs(value) <= sys.float_info.max):
+        errors.append(f"{name} must be {label}, got {value!r}")
+    elif kind is dict and allowed is not None:
+        prefix = f"{name}." if name else ""
+        keys = {key.rstrip("?"): key for key in allowed}
+        for field, key in keys.items():
+            if field in value:
+                _collect(prefix + field, value[field], allowed[key], errors)
+            elif not key.endswith("?"):
+                errors.append(f"{prefix}{field} is missing")
+        for field in value:
+            if field not in keys:
+                errors.append(f"{prefix}{field} is unknown")
+    elif kind is list and allowed is not None:
+        for i, item in enumerate(value):
+            _collect(f"{name}[{i}]", item, allowed, errors)
+    elif isinstance(allowed, str) and not within(value, allowed):
+        errors.append(f"{name} must be in {allowed}, got {value!r}")
+    elif isinstance(allowed, tuple) and value not in allowed:
+        errors.append(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def check(name: str, value, rule) -> None:
+    """Raise a ValueError naming each field of ``value`` that breaks ``rule``."""
+    errors = []
+    _collect(name, value, rule, errors)
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+# the fields of a model spec that a pairing scheme and a rotation config hold
+ROPE_FIELDS = {"head_dim": (int, "[2, inf)"), "theta_base": (float, "(0, inf)"),
+               "pairing": (str, (ADJACENT, HALF_SPLIT))}
+
+
 @dataclass(frozen=True)
 class PairingScheme:
     """How the columns of a head are grouped into rotation pairs."""
@@ -38,10 +107,10 @@ class PairingScheme:
     head_dim: int
 
     def __post_init__(self):
-        if self.kind not in (ADJACENT, HALF_SPLIT):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
-        if self.head_dim <= 0 or self.head_dim % 2 != 0:
-            raise ValueError("head_dim must be a positive even number")
+        check("pairing", self.kind, ROPE_FIELDS["pairing"])
+        check("head_dim", self.head_dim, ROPE_FIELDS["head_dim"])
+        if self.head_dim % 2 != 0:
+            raise ValueError(f"head_dim must be even, got {self.head_dim}")
 
     @property
     def num_pairs(self) -> int:
@@ -69,12 +138,7 @@ class RopeConfig:
     scheme: PairingScheme
 
     def __post_init__(self):
-        try:
-            theta = float(self.theta_base)
-        except OverflowError:  # an integer beyond float range
-            theta = math.inf
-        if not 0 < theta < math.inf:
-            raise ValueError(f"theta_base must be finite and positive, got {theta!r}")
+        check("theta_base", self.theta_base, ROPE_FIELDS["theta_base"])
 
     @property
     def head_dim(self) -> int:
@@ -102,12 +166,11 @@ class RetainedIndex:
 
     def __post_init__(self):
         ps = self.pairs
-        if len(ps) == 0:
-            raise ValueError("at least one retained pair is required")
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise ValueError("retained pair ids must be strictly increasing")
-        if ps[0] < 0 or ps[-1] >= self.scheme.num_pairs:
-            raise ValueError("retained pair id out of range")
+        ids = f"[0, {self.scheme.num_pairs})"
+        if not ps or any(b <= a for a, b in zip(ps, ps[1:])) or not (
+                within(ps[0], ids) and within(ps[-1], ids)):
+            raise ValueError("retained pair ids must be one or more, strictly increasing, "
+                             f"in {ids}, got {list(ps)}")
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -13,18 +13,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numcore import gradients
-from .rope import ADJACENT, PairingScheme
-from .toymodel import (AttentionModel, CalibrationSet, check_json_fields,
-                       check_json_type, loss_forward, model_arrays, spec_to_json)
+from .rope import ADJACENT, ROPE_FIELDS, PairingScheme, check, within
+from .toymodel import AttentionModel, CalibrationSet, loss_forward, model_arrays, spec_to_json
 
 KEY_SIDE = "k"
 VALUE_SIDE = "v"
 SIDES = (KEY_SIDE, VALUE_SIDE)
+
+# the fields to_json writes; from_json does not read the totals back
+SCORES_FIELDS = {"head_dim": ROPE_FIELDS["head_dim"], "pairing": ROPE_FIELDS["pairing"],
+                 "scores": dict, "group_totals?": dict, "grand_total?": float}
+# a pair score, finite and non-negative
+PAIR_SCORE = "[0, inf)"
+# a key of ``scores``, only as to_json writes it: layer.side.head, the
+# numbers in ASCII digits without leading zeros
+_SCORE_KEY = re.compile(rf"(0|[1-9][0-9]*)\.({'|'.join(SIDES)})\.(0|[1-9][0-9]*)")
 
 
 def default_targets(model: AttentionModel) -> list[tuple[int, str]]:
@@ -102,8 +111,8 @@ class PairScoreTable:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.num_pairs,):
             raise ValueError("one score per pair required")
-        if not np.all(np.isfinite(values) & (values >= 0)):
-            raise ValueError("pair scores must be finite and non-negative")
+        if not (within(values.min(), PAIR_SCORE) and within(values.max(), PAIR_SCORE)):
+            raise ValueError(f"pair scores must be in {PAIR_SCORE}")
         self.scores[(layer, side, head)] = values
 
     def get(self, layer: int, side: str, head: int) -> np.ndarray:
@@ -139,24 +148,23 @@ class PairScoreTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PairScoreTable":
-        """The table ``to_json`` wrote; a malformed field raises a ValueError naming it."""
-        data = check_json_fields("scores", json.loads(text),
-                                 {"head_dim": int, "pairing": str, "scores": dict})
+        """The table ``to_json`` wrote; a field that breaks ``SCORES_FIELDS``, a
+        key ``to_json`` would not write or a row that breaks ``PAIR_SCORE``
+        raises a ValueError naming it."""
+        data = json.loads(text)
+        check("scores", data, SCORES_FIELDS)
         table = cls(head_dim=data["head_dim"], pairing=data["pairing"])
         for key, values in data["scores"].items():
             name = f"scores.scores[{key!r}]"
-            parts = key.split(".")
-            if len(parts) != 3 or not (parts[0].isdecimal() and parts[2].isdecimal()):
-                raise ValueError(f"{name}: a key must be layer.side.head")
-            head = (int(parts[0]), parts[1], int(parts[2]))
-            if head in table.scores:
-                raise ValueError(f"{name} repeats head {head}")
-            check_json_type(name, values, list)
-            for i, v in enumerate(values):
-                check_json_type(f"{name}[{i}]", v, float)
+            head = _SCORE_KEY.fullmatch(key)
+            if head is None:
+                raise ValueError(f"{name}: a key must be layer.side.head, as to_json "
+                                 f"writes it with sides {SIDES}")
+            check(name, values, [(float, PAIR_SCORE)])
             try:
-                table.set(*head, np.asarray(values, dtype=np.float64))
-            except (ValueError, OverflowError) as exc:
+                table.set(int(head[1]), head[2], int(head[3]),
+                          np.asarray(values, dtype=np.float64))
+            except ValueError as exc:   # a row of another length than num_pairs
                 raise ValueError(f"{name}: {exc}") from None
         return table
 

@@ -61,8 +61,9 @@ also after pruning; the latent paths then reproduce full-dimension references
 exactly instead of approximately.
 
 A ``rapkit-model-v2`` checkpoint carries the model's :func:`model_manifest`:
-``load_model`` takes the array shapes from it and refuses a manifest other
-than the one the arrays give.
+``load_model`` checks the header against ``HEADER_FIELDS``, takes the array
+shapes from the manifest and refuses a manifest other than the one the arrays
+give.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from pathlib import Path
 import numpy as np
 
 from .numcore import Matrix, Node, Tape, as_matrix, pair_tables
-from .rope import HALF_SPLIT, PairingScheme, RetainedIndex, RopeConfig
+from .rope import HALF_SPLIT, ROPE_FIELDS, PairingScheme, RetainedIndex, RopeConfig, check
 
 # query rows a layer step attends at once (see the module docstring)
 QUERY_BLOCK = 64
@@ -98,16 +99,11 @@ class ModelSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.layers < 1 or self.query_heads < 1 or self.kv_heads < 1:
-            raise ValueError("layers and head counts must be positive")
+        check("spec", spec_to_json(self), SPEC_FIELDS)
         if self.query_heads % self.kv_heads != 0:
             raise ValueError("query_heads must be divisible by kv_heads")
-        if self.head_dim % 2 != 0:
-            raise ValueError("head_dim must be even")
         if self.rope.scheme.head_dim != self.head_dim:
             raise ValueError("rope scheme head_dim must match model head_dim")
-        if self.vocab < 2:
-            raise ValueError("vocab must be at least 2")
 
     @property
     def model_dim(self) -> int:
@@ -476,6 +472,12 @@ class CalibrationSet:
         return iter(self.sequences)
 
 
+# a seed, as numpy's generators take it
+SEED = (int, "[0, inf)")
+# a calibration set's settings, as markov_calibration takes them
+CALIBRATION_FIELDS = {"count": (int, "[1, inf)"), "window": (int, "[2, inf)"), "seed": SEED}
+
+
 def markov_calibration(vocab: int, count: int = 16, window: int = 64,
                        seed: int = 42) -> CalibrationSet:
     """Token streams from a fixed-order Markov chain; deterministic per seed.
@@ -483,8 +485,8 @@ def markov_calibration(vocab: int, count: int = 16, window: int = 64,
     The transition rows are sparse-ish Dirichlet draws so the streams carry
     learnable structure (scores and distillation need non-degenerate signal).
     """
-    if count < 1 or window < 2:
-        raise ValueError("need at least one window of length >= 2")
+    check("calibration", {"count": count, "window": window, "seed": seed},
+          CALIBRATION_FIELDS)
     rng = np.random.default_rng(seed)
     transitions = rng.dirichlet(np.full(vocab, 0.25), size=vocab)
     # the cumulative rows end to end; bisect reads a row's floats in place
@@ -518,59 +520,32 @@ def spec_to_json(spec: ModelSpec) -> dict:
     }
 
 
-# the JSON kind a value of each Python type must have: ints count as
-# numbers, bools count only as booleans
-_JSON_KINDS = {str: ("a string", str), int: ("an integer", int),
-               float: ("a number", (int, float)), dict: ("an object", dict),
-               list: ("a list", (list, tuple)), bool: ("a boolean", bool)}
-
-
-def check_json_type(name: str, value, kind: type):
-    """Raise a ValueError naming ``name`` unless ``value`` has the JSON ``kind``."""
-    label, accepted = _JSON_KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name} must be {label}, got {value!r}")
-
-
-def check_json_fields(name: str, data, kinds: dict[str, type], optional=()) -> dict:
-    """``data`` as an object holding every field of ``kinds``, each of its kind."""
-    check_json_type(name, data, dict)
-    for key, kind in kinds.items():
-        if key in data:
-            check_json_type(f"{name}.{key}", data[key], kind)
-        elif key not in optional:
-            raise ValueError(f"{name}.{key} is missing")
-    return data
-
-
-_SPEC_FIELDS = {"layers": int, "query_heads": int, "kv_heads": int, "head_dim": int,
-                "vocab": int, "theta_base": float, "pairing": str, "seed": int}
+# the fields spec_to_json writes; ModelSpec checks itself through them
+SPEC_FIELDS = {"layers": (int, "[1, inf)"), "query_heads": (int, "[1, inf)"),
+               "kv_heads": (int, "[1, inf)"), "vocab": (int, "[2, inf)"), **ROPE_FIELDS,
+               "seed?": SEED}
 
 
 def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
     """The spec ``spec_to_json`` wrote; ``seed`` may be left out (42).
 
-    A missing, mistyped or unknown field raises a ValueError naming it as a
-    field of ``name``.
+    A field that breaks ``SPEC_FIELDS``, or a spec that fails a check across
+    its fields, raises a ValueError naming ``name``.
     """
-    for key in data:
-        if key not in _SPEC_FIELDS:
-            raise ValueError(f"unknown field {name}.{key}")
-    check_json_fields(name, data, _SPEC_FIELDS, optional=("seed",))
-    scheme = PairingScheme(data["pairing"], data["head_dim"])
+    check(name, data, SPEC_FIELDS)
     try:
-        rope = RopeConfig(theta_base=data["theta_base"], scheme=scheme)
-    except ValueError as exc:  # the message starts with the field's name
-        raise ValueError(f"{name}.{exc}") from None
-    return ModelSpec(
-        layers=data["layers"],
-        query_heads=data["query_heads"],
-        kv_heads=data["kv_heads"],
-        head_dim=data["head_dim"],
-        vocab=data["vocab"],
-        rope=rope,
-        seed=data.get("seed", 42),
-    )
+        return ModelSpec(
+            layers=data["layers"],
+            query_heads=data["query_heads"],
+            kv_heads=data["kv_heads"],
+            head_dim=data["head_dim"],
+            vocab=data["vocab"],
+            rope=RopeConfig(data["theta_base"],
+                            PairingScheme(data["pairing"], data["head_dim"])),
+            seed=data.get("seed", 42),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 # each method's key and value modes, as :func:`layer_entry` names them
@@ -579,6 +554,10 @@ MODES = {"baseline": ("full", "full"), "svd": ("svd", "svd"),
 METHODS = tuple(MODES)
 # the modes of a budget plan, as a rap manifest records them
 BUDGET_MODES = ("adaptive", "uniform")
+# a compression ratio, for rho and sweep ratios alike, as build_compressed takes it
+RATIO = "[0, 1)"
+# a plan group's ratio, which the budget projection clamps to [0, 1]
+GROUP_RATIO = "[0, 1]"
 
 
 def layer_entry(spec: ModelSpec, layer: AttentionLayer) -> dict:
@@ -625,6 +604,21 @@ def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
 
 FORMAT = "rapkit-model-v2"
 
+# the fields save_model writes. The loader reads a layer's widths (a rap
+# key's pair lists) and the plan's mode and ratios, and compares the whole
+# manifest with the model_manifest of the arrays it loaded.
+PLAN_GROUP_FIELDS = {"layer": int, "side": str, "ratio": (float, GROUP_RATIO),
+                     "retained_pairs": int}
+LAYER_FIELDS = {"k": {"mode": str, "rank?": int, "retained_pairs?": [[int]],
+                      "rap_index?": [[int]]},
+                "v": {"mode": str, "rank": int}}
+MANIFEST_FIELDS = {"method": (str, METHODS), "rho": (float, RATIO), "layers?": [LAYER_FIELDS],
+                   "retained_fraction_mean?": float,
+                   "plan?": {"mode": (str, BUDGET_MODES), "groups": [PLAN_GROUP_FIELDS]}}
+HEADER_FIELDS = {"format": (str, (FORMAT,)), "byte_order": (str, ("little",)),
+                 "dtype": (str, ("float64",)), "spec": SPEC_FIELDS,
+                 "manifest": MANIFEST_FIELDS, "arrays": [{"name": str, "shape": [int]}]}
+
 
 def save_model(model: AttentionModel, path) -> None:
     """One file: a JSON header line, then the little-endian float64 blob."""
@@ -639,48 +633,37 @@ def save_model(model: AttentionModel, path) -> None:
         fh.write(blob)
 
 
-def _ints(name: str, values) -> list:
-    check_json_type(name, values, list)
-    for j, value in enumerate(values):
-        check_json_type(f"{name}[{j}]", value, int)
-    return values
-
-
-def _expected_arrays(top: str, spec: ModelSpec, manifest) -> tuple[dict, list]:
+def _expected_arrays(top: str, spec: ModelSpec, manifest: dict) -> tuple[dict, list]:
     """Check a header's manifest against ``spec``; return each array's shape,
     in blob order, with the field its width comes from, and rap's pairs."""
     name, d, kv, heads, dim = (f"{top}.manifest", spec.head_dim, spec.kv_heads,
                                spec.query_heads, spec.model_dim)
-    check_json_fields(name, manifest, {"method": str, "rho": float, "layers": list},
-                      optional=("layers",))
-    method, rho, entries = manifest["method"], manifest["rho"], manifest.get("layers")
-    if method not in METHODS:
-        raise ValueError(f"{name}.method must be one of {METHODS}, got {method!r}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"{name}.rho must be in [0, 1), got {rho}")
+    method, entries = manifest["method"], manifest.get("layers")
     count = None if entries is None else len(entries)
     if count != (None if method == "baseline" else spec.layers):
         raise ValueError(f"{name}.layers must hold the {spec.layers} layers of a "
                          f"compressed model only, got {count}")
     k_mode, v_mode = MODES[method]
+    k_field = "retained_pairs" if k_mode == "rap" else "rank"
     shapes, retained = {"embedding": ((spec.vocab, dim), f"{top}.spec")}, []
     for i, entry in enumerate(entries or [{"k": {"rank": d}, "v": {"rank": d}}] * spec.layers):
         at = f"{name}.layers[{i}]"
-        k_from, v_from = (f"{at}.k.rank", f"{at}.v.rank") if entries else (f"{top}.spec",) * 2
-        check_json_fields(at, entry, {"k": dict, "v": dict})
-        v_width, pairs = check_json_fields(f"{at}.v", entry["v"], {"rank": int})["rank"], None
+        k_from, v_from = ((f"{at}.k.{k_field}", f"{at}.v.rank") if entries
+                          else (f"{top}.spec",) * 2)
+        if k_field not in entry["k"]:
+            raise ValueError(f"{k_from} is missing")
+        v_width, pairs = entry["v"]["rank"], None
         if k_mode == "rap":
-            k_from = f"{at}.k.retained_pairs"
-            ids = check_json_fields(f"{at}.k", entry["k"], {"retained_pairs": list})
-            ids = [_ints(f"{k_from}[{g}]", p) for g, p in enumerate(ids["retained_pairs"])]
-            if len(ids) != kv or len({len(p) for p in ids}) != 1 or not all(
-                    p and p == sorted(set(p)) and 0 <= p[0] and p[-1] < d // 2 for p in ids):
-                raise ValueError(f"{k_from} must hold {kv} lists of one length of "
-                                 f"increasing pair ids below {d // 2}, got {ids}")
-            pairs = [RetainedIndex(tuple(p), spec.rope.scheme) for p in ids]
+            ids = entry["k"]["retained_pairs"]
+            if len(ids) != kv or len({len(p) for p in ids}) != 1:
+                raise ValueError(f"{k_from} must hold {kv} lists of one length, got {ids}")
+            try:
+                pairs = [RetainedIndex(tuple(p), spec.rope.scheme) for p in ids]
+            except ValueError as exc:
+                raise ValueError(f"{k_from}: {exc}") from None
             k_width = 2 * len(ids[0])
         else:
-            k_width = check_json_fields(f"{at}.k", entry["k"], {"rank": int})["rank"]
+            k_width = entry["k"]["rank"]
         retained.append(pairs)
         shapes[f"L{i}.q"] = ((dim, heads * (k_width if k_mode == "rap" else d)), k_from)
         shapes[f"L{i}.k"] = ((dim, kv * k_width), k_from)
@@ -698,19 +681,14 @@ def _check_header(path, header) -> tuple[ModelSpec, list]:
     """The spec and retained pairs of a header whose every field fits them;
     failures raise a ValueError naming ``path`` and the field."""
     top = f"{path}: header"
-    check_json_type(top, header, dict)
-    for key, want in (("format", FORMAT), ("byte_order", "little"), ("dtype", "float64")):
-        if header.get(key) != want:
-            raise ValueError(f"{top}.{key} is {header.get(key)!r}, only {want!r} is read")
-    check_json_fields(top, header, {"spec": dict, "manifest": dict, "arrays": list})
+    check(top, header, HEADER_FIELDS)
     spec = spec_from_json(header["spec"], f"{top}.spec")
-    for i, meta in enumerate(header["arrays"]):
-        check_json_fields(f"{top}.arrays[{i}]", meta, {"name": str, "shape": list})
-        _ints(f"{top}.arrays[{i}].shape", meta["shape"])
     if 4 * spec.layers + 1 > len(header["arrays"]):   # a layer has 4 arrays or more
         raise ValueError(f"{top}.spec.layers is {spec.layers}, more than the arrays hold")
     want, retained = _expected_arrays(top, spec, header["manifest"])
     given = {meta["name"]: tuple(meta["shape"]) for meta in header["arrays"]}
+    if len(given) < len(header["arrays"]):   # the later entry would win
+        raise ValueError(f"{top}.arrays names an array more than once")
     for name in sorted(want.keys() | given.keys()):
         shape, source = want.get(name, ("none", f"{top}.manifest"))
         if shape != given.get(name):
@@ -722,11 +700,12 @@ def _check_header(path, header) -> tuple[ModelSpec, list]:
 def load_model(path) -> AttentionModel:
     """The model :func:`save_model` wrote; a bad header, a manifest that is not
     the arrays' :func:`model_manifest` or a short blob raise a ValueError."""
-    raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
+    head, _, blob = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ValueError(f"{path}: header is not a line of JSON: {exc}") from None
     spec, retained = _check_header(path, header)
-    blob = raw[newline + 1:]
     sizes = [int(np.prod(meta["shape"])) for meta in header["arrays"]]
     if len(blob) != 8 * sum(sizes):
         raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
@@ -739,20 +718,11 @@ def load_model(path) -> AttentionModel:
                              k_recon=arrays.get(f"L{i}.k_b"), v_recon=arrays.get(f"L{i}.v_b"),
                              k_retained=retained[i])
               for i in range(spec.layers)]
-    name, manifest, mode, ratios = f"{path}: header.manifest", header["manifest"], None, {}
-    if manifest["method"] == "rap":   # the arrays give every field but these
-        plan = check_json_fields(f"{name}.plan", manifest.get("plan"),
-                                 {"mode": str, "groups": list})
-        if plan["mode"] not in BUDGET_MODES:
-            raise ValueError(f"{name}.plan.mode is {plan['mode']!r}, not in {BUDGET_MODES}")
-        for j, group in enumerate(plan["groups"]):
-            at = f"{name}.plan.groups[{j}]"
-            check_json_fields(at, group, {"layer": int, "side": str, "ratio": float})
-            if not 0.0 <= group["ratio"] <= 1.0:
-                raise ValueError(f"{at}.ratio must be in [0, 1], got {group['ratio']!r}")
-            ratios[(group["layer"], group["side"])] = group["ratio"]
-        mode = plan["mode"]
-    want = model_manifest(spec, manifest["method"], manifest["rho"], layers, mode, ratios)
+    name, manifest = f"{path}: header.manifest", header["manifest"]
+    # the arrays give every field but a rap plan's mode and ratios
+    plan = manifest.get("plan", {"mode": None, "groups": []})
+    want = model_manifest(spec, manifest["method"], manifest["rho"], layers, plan["mode"],
+                          {(g["layer"], g["side"]): g["ratio"] for g in plan["groups"]})
     fields = [(f"layers[{i}]", e, want["layers"][i])
               for i, e in enumerate(manifest.get("layers", ()))]
     fields += [(k, manifest.get(k), want.get(k)) for k in sorted(manifest.keys() | want.keys())]

@@ -1,6 +1,8 @@
 """Command-line pipeline: determinism, artifacts, exit codes."""
 
+import copy
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
-from rapkit import budget, scoring, toymodel
+from rapkit import budget, cli, recover, scoring, toymodel
 from rapkit.budget import allocate
 from rapkit.cli import RunConfig, build_parser, main
 from rapkit.factorize import build_compressed
@@ -205,9 +207,13 @@ def test_divergent_distillation_exits_three(tmp_path):
     assert (out / "kd_trace.csv").exists()
 
 
-def test_validation_failures_exit_one(tmp_path):
+def test_validation_failures_exit_one(tmp_path, capsys):
     assert run(["prune", "--out", tmp_path / "x", "--rho", "1.5"]) == 1
     assert run(["score", "--config", tmp_path / "missing.json"]) == 1
+    # a directory given as the config file
+    assert run(["report", "--config", tmp_path, "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and f"{tmp_path}'" in err and "Traceback" not in err, err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": {"path": str(tmp_path / "nope.model")}}))
     assert run(["score", "--config", bad]) == 1
@@ -334,7 +340,7 @@ DEFAULT_SPEC_JSON = {"layers": 2, "query_heads": 4, "kv_heads": 2, "head_dim": 8
 
 def test_model_spec_fields_are_checked_by_name(tmp_path, capsys):
     config = tmp_path / "c.json"
-    for key, value, name in (("seed", "x", "spec.seed"),
+    for key, value, name in (("seed", "x", "spec.seed"), ("seed", -1, "spec.seed"),
                              ("pairing", None, "spec.pairing"),
                              ("layers", 2.0, "spec.layers"),
                              ("kv_heads", True, "spec.kv_heads"),
@@ -371,7 +377,7 @@ def test_theta_base_beyond_float_range_or_nan_exits_one(theta_base, tmp_path, ca
 def test_kd_enabled_and_unknown_calibration_keys_exit_one(tmp_path, capsys):
     """kd.steps 0 skips distillation; there is no separate kd.enabled switch."""
     config = tmp_path / "c.json"
-    for data, names in (({"kd": {"enabled": False}}, ("kd setting", "enabled")),
+    for data, names in (({"kd": {"enabled": False}}, ("kd.enabled",)),
                         ({"calibration": {"cnt": 4}}, ("calibration", "cnt"))):
         config.write_text(json.dumps(data))
         assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
@@ -433,23 +439,25 @@ def test_readme_example_config_loads_as_documented(tmp_path):
 
 @pytest.mark.parametrize("kd", [{"batch_size": 0}, {"steps": -5},
                                 {"lr": float("nan")}, {"lr": -0.05}, {"lr": float("inf")},
+                                {"lr": 10 ** 400},
                                 {"temperature": float("nan")},
                                 {"alpha_ce": float("nan")}, {"alpha_kd": float("inf")},
                                 {"lora_alpha": float("nan")}],
                          ids=["batch_size", "steps", "lr_nan", "lr_negative", "lr_inf",
-                              "temperature_nan", "alpha_ce_nan", "alpha_kd_inf",
-                              "lora_alpha_nan"])
+                              "lr_beyond_float", "temperature_nan", "alpha_ce_nan",
+                              "alpha_kd_inf", "lora_alpha_nan"])
 def test_bad_kd_sizes_exit_one_naming_the_field(kd, tmp_path, capsys):
     """A zero batch would divide by zero in the SGD loop, and negative steps
     would distill nothing and exit 0 with an empty trace. A non-finite
     learning rate, temperature, loss weight or adapter alpha would make every
     adapter non-finite at the first step, and a negative learning rate would
-    ascend the loss until it did."""
+    ascend the loss until it did. An integer beyond float range is no finite
+    number either."""
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"kd": kd}))
     assert run(["distill", "--config", config, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bad kd settings: ") and next(iter(kd)) in err, err
+    assert err.startswith(f"error: kd.{next(iter(kd))} "), err
     assert not (tmp_path / "o").exists()
 
 
@@ -474,6 +482,13 @@ MALFORMED_INPUTS = {
          "plan.groups[0].raw_ratio"),
     "scores_head_dim_string": ("--scores", lambda s: s.update(head_dim="8"), "head_dim"),
     "scores_not_an_object": ("--scores", lambda s: s.update(scores=[]), "scores.scores"),
+    # keys to_json never writes, which were read as layer 1
+    "scores_key_leading_zero":
+        ("--scores", lambda s: s["scores"].update({"01.k.0": s["scores"].pop("1.k.0")}),
+         "'01.k.0'"),
+    "scores_key_arabic_indic_digit":
+        ("--scores", lambda s: s["scores"].update({"\u0661.k.0": s["scores"].pop("1.k.0")}),
+         "'\u0661.k.0'"),
 }
 
 
@@ -491,6 +506,116 @@ def test_malformed_plan_or_scores_exits_one_naming_the_field(case, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err, err
     assert not (tmp_path / "o" / "compressed.model").exists()
+
+
+# a value of another JSON kind for a field of each kind
+WRONG_KIND = {str: 0, int: 0.5, float: "0", dict: [], list: {}}
+
+
+def field_rules(name: str, rule, document, keys=()):
+    """(path, keys into ``document``, rule) of every field ``rule`` holds below
+    ``name``: each field of a table, present in ``document`` or not, and the
+    first item of a list that ``document`` holds."""
+    if isinstance(rule, dict):
+        for key, field_rule in rule.items():
+            field = key.rstrip("?")
+            path = f"{name}.{field}" if name else field
+            yield path, keys + (field,), field_rule
+            if isinstance(document, dict) and field in document:
+                yield from field_rules(path, field_rule, document[field], keys + (field,))
+    elif isinstance(rule, list) and document:
+        yield f"{name}[0]", keys + (0,), rule[0]
+        yield from field_rules(f"{name}[0]", rule[0], document[0], keys + (0,))
+
+
+def breaking_values(rule) -> list:
+    """A value of the wrong JSON kind, and one just below the rule's lower
+    bound or outside its choices where it has them; all small."""
+    kind, allowed = (dict, None) if isinstance(rule, dict) else (
+        (list, None) if isinstance(rule, list) else rule if isinstance(rule, tuple)
+        else (rule, None))
+    values = [WRONG_KIND[kind]]
+    if isinstance(allowed, tuple):
+        values.append("none of the choices")
+    elif isinstance(allowed, str):
+        lo = float(allowed[1:].split(",")[0])
+        if allowed[0] == "(":
+            values.append(int(lo) if kind is int else lo)
+        else:
+            values.append(int(lo) - 1 if kind is int else math.nextafter(lo, -math.inf))
+    return values
+
+
+def table_cases(tmp_path: Path) -> dict:
+    """Per table: the name of its document, its rule, a document that obeys
+    it and a function that reads a document as the program reads the file."""
+    model = AttentionModel.build(make_spec())
+    table = magnitude_scores(model, model.spec.rope.scheme)
+    scores = json.loads(table.to_json())
+
+    def load_config(document):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(document))
+        RunConfig.load(build_parser().parse_args(["report", "--config", str(config)]))
+
+    def header_case(method):
+        path = tmp_path / f"{method}.model"
+        save_model(build_compressed(model, method, 0.5, scores=table), path)
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+
+        def load(header):
+            path.write_bytes(json.dumps(header).encode() + raw[newline:])
+            load_model(path)
+        return f"{path}: header", toymodel.HEADER_FIELDS, json.loads(raw[:newline]), load
+
+    config = {"method": "rap", "rho": 0.3, "scoring": "fisher", "budget": "adaptive",
+              "seed": 1, "out": str(tmp_path / "o"), "seq_len": 8,
+              "model": {"spec": spec_to_json(model.spec)},
+              "calibration": {"count": 2, "window": 4, "seed": 3},
+              "kd": {k: v for k, v in vars(recover.KdConfig()).items() if k != "seed"},
+              "ratios": [0.1, 0.5]}
+    return {
+        "config": ("", cli.CONFIG_FIELDS, config, load_config),
+        "kd": ("kd", recover.KD_FIELDS, vars(recover.KdConfig()),
+               lambda document: recover.KdConfig(**document)),
+        "calibration": ("calibration", toymodel.CALIBRATION_FIELDS,
+                        {"count": 2, "window": 4, "seed": 3},
+                        lambda document: toymodel.markov_calibration(8, **document)),
+        "spec": ("spec", toymodel.SPEC_FIELDS, spec_to_json(model.spec), spec_from_json),
+        "plan": ("plan", budget.PLAN_FIELDS, json.loads(allocate(table, 0.3).to_json()),
+                 lambda document: budget.BudgetPlan.from_json(json.dumps(document))),
+        "scores": ("scores", scoring.SCORES_FIELDS, scores,
+                   lambda document: scoring.PairScoreTable.from_json(json.dumps(document))),
+        "score_row": ("scores.scores['0.k.0']", [(float, scoring.PAIR_SCORE)],
+                      scores["scores"]["0.k.0"],
+                      lambda row: scoring.PairScoreTable.from_json(json.dumps(
+                          {**scores, "scores": {**scores["scores"], "0.k.0": row}}))),
+        "header_rap": header_case("rap"),
+        "header_svd": header_case("svd"),
+    }
+
+
+@pytest.mark.parametrize("case", ["config", "kd", "calibration", "spec", "plan", "scores",
+                                  "score_row", "header_rap", "header_svd"])
+def test_every_field_of_every_table_refuses_a_bad_value_by_name(case, tmp_path):
+    """Each field, at any depth, set to a value of another JSON kind, or just
+    past its lower bound or outside its choices: the reader raises a
+    ValueError naming the field's full path."""
+    name, rule, document, read = table_cases(tmp_path)[case]
+    read(copy.deepcopy(document))   # the document itself is read
+    fields = list(field_rules(name, rule, document))
+    assert fields
+    for path, keys, field_rule in fields:
+        for value in breaking_values(field_rule):
+            damaged = copy.deepcopy(document)
+            parent = damaged
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = value
+            with pytest.raises(ValueError) as caught:
+                read(damaged)
+            assert f"{path} must be" in str(caught.value), (path, value, str(caught.value))
 
 
 @pytest.mark.parametrize("method", ["baseline", "svd", "palu"])
@@ -551,6 +676,8 @@ DAMAGED_HEADERS = {
         lambda h: h["manifest"]["plan"]["groups"][0].update(retained_pairs=3),
         ("manifest.plan is", "'retained_pairs': 3")),
     "plan_dropped": (lambda h: h["manifest"].pop("plan"), "manifest.plan"),
+    "spec_seed_negative": (lambda h: h["spec"].update(seed=-1), "header.spec.seed"),
+    "array_listed_twice": (lambda h: h["arrays"].append(h["arrays"][1]), "header.arrays"),
 }
 
 

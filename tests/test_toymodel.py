@@ -289,6 +289,15 @@ def test_load_model_rejects_trailing_and_missing_bytes(tmp_path):
             load_model(bad)
 
 
+@pytest.mark.parametrize("data", [b"", b'{"format": "rapkit-model-v2"}', b"\xff\n"],
+                         ids=["empty", "no_newline", "not_utf8"])
+def test_a_file_without_a_json_header_line_is_refused_by_name(data, tmp_path):
+    path = tmp_path / "model.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"{path}: header"):
+        load_model(path)
+
+
 def _rewrite_header(path, target, edit):
     raw = path.read_bytes()
     newline = raw.index(b"\n")
@@ -321,7 +330,8 @@ def test_load_model_checks_the_header_against_the_spec(tmp_path):
              r"layers\[0\]\.k\.retained_pairs"),
             ("index.bin", lambda h: k_entry(h, 0)["rap_index"][0].reverse(),
              r"layers\[0\] is .*rap_index"),
-            ("extra.bin", lambda h: h["manifest"]["layers"][1].update(x=1), r"layers\[1\] is"),
+            ("extra.bin", lambda h: h["manifest"]["layers"][1].update(x=1),
+             r"layers\[1\]\.x is unknown"),
             ("q.bin", swap_shape("L0.q"), "L0.q"),
             ("embedding.bin", swap_shape("embedding"), "embedding")):
         bad = tmp_path / name
