@@ -16,8 +16,7 @@ from .factorize import (HeadFactor, build_compressed, reconstructed_reference,
 from .numcore import Matrix, Tape, grad, gradients
 from .recover import KdConfig, distill, kd_loss, merge_adapters, pretrain
 from .rope import PairingScheme, RetainedIndex, RopeConfig, rotate, rotate_indexed
-from .scoring import (FisherEstimate, PairScoreTable, estimate_fisher,
-                      magnitude_scores, pair_scores)
+from .scoring import PairScoreTable, estimate_fisher, magnitude_scores, pair_scores
 from .toymodel import (AttentionModel, CalibrationSet, KvCache, ModelSpec,
                        default_spec, forward_decode, forward_prefill, load_model,
                        loss_ce, markov_calibration, save_model)

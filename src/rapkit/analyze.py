@@ -87,9 +87,6 @@ class ResourceReport:
     flops_attn_measured: float
     flops_attn_total: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def baseline_attention_params(spec: ModelSpec) -> int:
     dim = spec.model_dim
@@ -179,7 +176,7 @@ def reports_to_csv(reports) -> str:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=1)
+    return json.dumps([asdict(r) for r in reports], sort_keys=True, indent=1)
 
 
 def sweep(model: AttentionModel, methods, ratios, tokens, scores=None,

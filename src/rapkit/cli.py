@@ -5,7 +5,8 @@ Subcommands: score, prune, distill, report, verify, sweep. The fields of
 ``CONFIG_FIELDS`` gives each one's JSON kind and range. The flags --method,
 --rho, --scoring, --budget, --seed and --out are merged over the file's
 values, and the result is validated once, before any output directory is
-created. A command refuses a flag it would not read (``UNREAD_FLAGS``).
+created. ``COMMANDS`` describes each command once: its help line, the flags
+only it takes and the flags it refuses because it would not read them.
 prune, distill (when --out holds no checkpoint) and verify build their
 compressed model through one step, ``_compress``. All artifacts are
 deterministic under a fixed seed (byte-identical across reruns).
@@ -17,7 +18,8 @@ the scores.json bytes. Each command that needs Fisher scores, score itself
 included, reads the table back when both digests match its own inputs and
 otherwise estimates; only score writes the table.
 
-Exit codes: 0 ok, 1 validation error, 2 check failure or infeasible budget,
+Exit codes, each given by ``main``'s one handler: 0 ok, 1 validation error
+(a flag argparse cannot read included), 2 check failure or infeasible budget,
 3 numeric divergence: every command runs with overflow, invalid and divide
 floating-point errors raised, and the message names the command and stage.
 """
@@ -51,15 +53,23 @@ SCORES_KEY = "scores_key.json"
 SCORING_MODES = ("fisher", "magnitude")
 # the settings a flag of the same name overrides
 FLAGS = ("method", "rho", "scoring", "budget", "seed", "out")
-# per command, the flags it never reads and why; a config file's keys of the
-# same names still serve the rest of the pipeline
-UNREAD_FLAGS = {
-    "score": dict.fromkeys(("rho", "method", "budget"),
-                           "score computes pair scores only"),
-    "report": {"rho": "report measures the config's ratios"},
-    "sweep": {"rho": "sweep measures the config's ratios",
-              "method": "sweep reports every method"},
-    "verify": {"method": "verify always prunes with rap"},
+# per command: its help line, the flags only it takes with their help, and
+# the flags it never reads with the reason it refuses them; a config file's
+# keys of the refused names still serve the rest of the pipeline
+COMMANDS = {
+    "score": ("compute pair importance scores", {},
+              dict.fromkeys(("rho", "method", "budget"), "score computes pair scores only")),
+    "prune": ("allocate budgets and build a compressed checkpoint",
+              {"scores": "scores JSON from the score command",
+               "plan": "budget plan JSON to apply as-is"}, {}),
+    "distill": ("recover accuracy with adapter distillation", {}, {}),
+    "report": ("resource report for the configured method", {},
+               {"rho": "report measures the config's ratios"}),
+    "verify": ("structural checks on a freshly pruned model", {},
+               {"method": "verify always prunes with rap"}),
+    "sweep": ("resource reports for every method and ratio", {},
+              {"rho": "sweep measures the config's ratios",
+               "method": "sweep reports every method"}),
 }
 
 
@@ -89,7 +99,7 @@ class RunConfig:
             settings.update(data)
         given = {key: getattr(args, key) for key in FLAGS
                  if getattr(args, key, None) is not None}
-        for key, reason in UNREAD_FLAGS.get(getattr(args, "command", None), {}).items():
+        for key, reason in COMMANDS[args.command][2].items():
             if key in given:
                 raise ValueError(f"--{key} would be ignored: {reason}")
         settings.update(given)
@@ -149,8 +159,6 @@ def _validate(settings: dict):
                          "a checkpoint carries its own spec, give one")
     if spec is not None:   # the checks across its fields
         toymodel.spec_from_json(spec, "model.spec")
-    if path and not Path(path).exists():
-        raise ValueError(f"model file not found: {path}")
     if not settings["ratios"]:
         raise ValueError("ratios must not be empty")
 
@@ -292,14 +300,14 @@ def _compress(cfg: RunConfig, model, method: str, rho: float,
     return compressed, plan, table
 
 
-def cmd_prune(cfg: RunConfig, scores_path: str | None = None,
-              plan_path: str | None = None) -> int:
-    compressed, plan, _ = _compress(cfg, cfg.build_model(), cfg.method, cfg.rho,
-                                    scores_path, plan_path)
+def cmd_prune(cfg: RunConfig, scores: str | None = None, plan: str | None = None) -> int:
+    """The compressed checkpoint, from the --scores and --plan paths if given."""
+    compressed, applied, _ = _compress(cfg, cfg.build_model(), cfg.method, cfg.rho,
+                                       scores, plan)
     out = cfg.out_dir()
     toymodel.save_model(compressed, out / "compressed.model")
     # budget.json records the plan the build follows
-    (out / "budget.json").write_text(plan.to_json())
+    (out / "budget.json").write_text(applied.to_json())
     (out / "manifest.json").write_text(
         json.dumps(compressed.manifest, sort_keys=True, indent=1))
     print(f"wrote {out / 'compressed.model'}")
@@ -328,14 +336,14 @@ def cmd_distill(cfg: RunConfig) -> int:
     kd_cfg = recover.KdConfig(seed=cfg.seed, **cfg.kd)
     merged, trace, adapters_json = student, [], "{}"
     if kd_cfg.steps:
-        try:
-            # training finds a non-finite weight itself and names the step
-            with np.errstate(all="ignore"):
-                trained, trace = recover.distill(teacher, student, calib, kd_cfg)
-        except recover.TrainingDiverged as exc:
-            (cfg.out_dir() / "kd_trace.csv").write_text(recover.trace_to_csv(exc.trace))
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIVERGENCE
+        with _stage("training"):
+            try:
+                # training finds a non-finite weight itself and names the step
+                with np.errstate(all="ignore"):
+                    trained, trace = recover.distill(teacher, student, calib, kd_cfg)
+            except recover.TrainingDiverged as exc:   # a FloatingPointError
+                (cfg.out_dir() / "kd_trace.csv").write_text(recover.trace_to_csv(exc.trace))
+                raise
         adapters_json = recover.adapters_to_json(trained)
         merged = recover.merge_adapters(trained)
     out = cfg.out_dir()
@@ -411,20 +419,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals reach ``main``'s handler, which exits 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache   # one parser serves every call of main in a process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rapkit",
         description="Pair-aligned KV-cache pruning laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("score", "compute pair importance scores"),
-        ("prune", "allocate budgets and build a compressed checkpoint"),
-        ("distill", "recover accuracy with adapter distillation"),
-        ("report", "resource report for the configured method"),
-        ("verify", "structural checks on a freshly pruned model"),
-        ("sweep", "resource reports for every method and ratio"),
-    ):
+    for name, (helptext, own, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--rho", type=float, help="KV-cache compression ratio")
@@ -433,48 +441,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", choices=BUDGET_MODES)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        if name == "prune":
-            p.add_argument("--scores", help="scores JSON from the score command")
-            p.add_argument("--plan", help="budget plan JSON to apply as-is")
+        for flag, flag_help in own.items():
+            p.add_argument(f"--{flag}", help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # looked up at each call, since a tracer may rebind the module's cmd_*
+    commands = {"score": cmd_score, "prune": cmd_prune, "distill": cmd_distill,
+                "report": cmd_report, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.load(args)
-    except (OSError, ValueError) as exc:  # an unreadable file, bad settings or JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         # an overflow or NaN raises a FloatingPointError; underflow, which exp
         # of masked scores makes, stays allowed
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if args.command == "score":
-                return cmd_score(cfg)
-            if args.command == "prune":
-                return cmd_prune(cfg, scores_path=getattr(args, "scores", None),
-                                 plan_path=getattr(args, "plan", None))
-            if args.command == "distill":
-                return cmd_distill(cfg)
-            if args.command == "report":
-                return cmd_report(cfg)
-            if args.command == "sweep":
-                return cmd_sweep(cfg)
-            if args.command == "verify":
-                return cmd_verify(cfg)
+            return commands[args.command](cfg, **{
+                flag: getattr(args, flag) for flag in COMMANDS[args.command][1]})
     except budget.InfeasibleBudget as exc:
         print(f"error: infeasible budget: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     except (OSError, ValueError) as exc:
-        # malformed or missing input artifacts are configuration errors
+        # malformed flags, settings or input files, or a file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:
         print(f"error: {args.command}: numeric divergence in {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -198,7 +198,7 @@ class TraceRow:
     total: float
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(FloatingPointError):
     """An update left a weight non-finite; distill adds its trace so far."""
 
     def __init__(self, step: int, name: str):

@@ -41,23 +41,11 @@ def default_targets(model: AttentionModel) -> list[tuple[int, str]]:
     return [(i, side) for i in range(model.spec.layers) for side in SIDES]
 
 
-@dataclass
-class FisherEstimate:
-    """Accumulated squared gradients per targeted projection."""
-
-    sums: dict[tuple[int, str], np.ndarray]
-    samples: int
-
-    def mean(self, layer: int, side: str) -> np.ndarray:
-        return self.sums[(layer, side)] / self.samples
-
-    def targets(self) -> list[tuple[int, str]]:
-        return sorted(self.sums.keys())
-
-
 def estimate_fisher(model: AttentionModel, calib: CalibrationSet,
-                    targets: list[tuple[int, str]] | None = None) -> FisherEstimate:
-    """Mean over calibration windows of squared CE-loss gradients.
+                    targets: list[tuple[int, str]] | None = None
+                    ) -> dict[tuple[int, str], np.ndarray]:
+    """Mean over calibration windows of squared CE-loss gradients, by
+    (layer, side) target in sorted order.
 
     Windows are processed in index order with a private tape each, so the
     estimate does not depend on scheduling.
@@ -76,7 +64,7 @@ def estimate_fisher(model: AttentionModel, calib: CalibrationSet,
                 sums[key] += sq
             else:
                 sums[key] = sq
-    return FisherEstimate(sums, calib.count)
+    return {key: sums[key] / calib.count for key in sorted(sums)}
 
 
 def fisher_digest(model: AttentionModel, calib: CalibrationSet,
@@ -185,10 +173,10 @@ def _scores_from_matrix_stat(stats, scheme: PairingScheme) -> PairScoreTable:
     return table
 
 
-def pair_scores(fisher: FisherEstimate, scheme: PairingScheme) -> PairScoreTable:
-    """Aggregate Fisher mass over each pair's two columns (all rows)."""
-    return _scores_from_matrix_stat(((key, fisher.mean(*key)) for key in fisher.targets()),
-                                    scheme)
+def pair_scores(fisher: dict, scheme: PairingScheme) -> PairScoreTable:
+    """Aggregate each (layer, side)'s Fisher mass over each pair's two columns
+    (all rows)."""
+    return _scores_from_matrix_stat(fisher.items(), scheme)
 
 
 def magnitude_scores(model: AttentionModel, scheme: PairingScheme) -> PairScoreTable:

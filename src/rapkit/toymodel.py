@@ -615,9 +615,11 @@ LAYER_FIELDS = {"k": {"mode": str, "rank?": int, "retained_pairs?": [[int]],
 MANIFEST_FIELDS = {"method": (str, METHODS), "rho": (float, RATIO), "layers?": [LAYER_FIELDS],
                    "retained_fraction_mean?": float,
                    "plan?": {"mode": (str, BUDGET_MODES), "groups": [PLAN_GROUP_FIELDS]}}
-HEADER_FIELDS = {"format": (str, (FORMAT,)), "byte_order": (str, ("little",)),
-                 "dtype": (str, ("float64",)), "spec": SPEC_FIELDS,
-                 "manifest": MANIFEST_FIELDS, "arrays": [{"name": str, "shape": [int]}]}
+# how the file is written, checked first: another format breaks the rest too
+ENCODING_FIELDS = {"format": (str, (FORMAT,)), "byte_order": (str, ("little",)),
+                   "dtype": (str, ("float64",))}
+HEADER_FIELDS = {**ENCODING_FIELDS, "spec": SPEC_FIELDS, "manifest": MANIFEST_FIELDS,
+                 "arrays": [{"name": str, "shape": [int]}]}
 
 
 def save_model(model: AttentionModel, path) -> None:
@@ -681,6 +683,9 @@ def _check_header(path, header) -> tuple[ModelSpec, list]:
     """The spec and retained pairs of a header whose every field fits them;
     failures raise a ValueError naming ``path`` and the field."""
     top = f"{path}: header"
+    check(top, header, dict)
+    check(top, {key: header[key] for key in ENCODING_FIELDS.keys() & header.keys()},
+          ENCODING_FIELDS)
     check(top, header, HEADER_FIELDS)
     spec = spec_from_json(header["spec"], f"{top}.spec")
     if 4 * spec.layers + 1 > len(header["arrays"]):   # a layer has 4 arrays or more

@@ -191,7 +191,7 @@ def test_distill_refuses_a_checkpoint_of_another_config(case, tmp_path, capsys):
     assert not (out / "recovered.model").exists()
 
 
-def test_divergent_distillation_exits_three(tmp_path):
+def test_divergent_distillation_exits_three(tmp_path, capsys):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -199,12 +199,27 @@ def test_divergent_distillation_exits_three(tmp_path):
         "kd": {"steps": 50, "lr": 1e18, "dropout": 0.0},
         "calibration": {"count": 4, "window": 16}}))
     assert run(["prune", "--config", config]) == 0
+    capsys.readouterr()
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run(["distill", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: distill: numeric divergence in training: weight "), err
     # the trace up to the divergence is still written
     assert (out / "kd_trace.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["prune", "--method", "foo"], ["prune", "--rho", "abc"],
+                                  ["prune", "--bogus"], []],
+                         ids=["method", "rho", "unknown", "no command"])
+def test_a_flag_argparse_cannot_read_exits_one(args, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(args + (["--out", out] if args else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "usage:" not in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_validation_failures_exit_one(tmp_path, capsys):
@@ -738,6 +753,8 @@ def test_a_v1_checkpoint_exits_one_naming_its_format(tmp_path, capsys):
     assert run(["report", "--config", config, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "'rapkit-model-v1'" in err, err
+    # the format alone, not each field the later format renamed
+    assert "; " not in err and err.count("\n") == 1, err
     assert not (tmp_path / "o").exists()
 
 

@@ -10,8 +10,7 @@ from conftest import (JSON_VALUES, damaged, finite_difference, make_spec, pair_c
                       scheme_pairs, tiny_spec)
 from rapkit.numcore import gradients
 from rapkit.rope import PairingScheme
-from rapkit.scoring import (FisherEstimate, PairScoreTable, estimate_fisher,
-                            magnitude_scores, pair_scores)
+from rapkit.scoring import PairScoreTable, estimate_fisher, magnitude_scores, pair_scores
 from rapkit.toymodel import (AttentionModel, CalibrationSet, LinearMap,
                              loss_forward, markov_calibration)
 
@@ -34,7 +33,7 @@ def test_dead_query_pair_gives_zero_fisher_for_key_pair(rng):
     model.layers[0].proj_q = LinearMap(w_q)
 
     fisher = estimate_fisher(model, small_calib(spec.vocab))
-    stat = fisher.mean(0, "k")
+    stat = fisher[(0, "k")]
     for g in range(spec.kv_heads):
         assert np.all(stat[:, g * d + a] == 0.0)
         assert np.all(stat[:, g * d + b] == 0.0)
@@ -55,7 +54,7 @@ def test_duplicated_heads_get_equal_fisher(rng):
     model.layers[0].proj_o = LinearMap(w_o)
 
     fisher = estimate_fisher(model, small_calib(spec.vocab))
-    stat = fisher.mean(0, "k")
+    stat = fisher[(0, "k")]
     np.testing.assert_array_equal(stat[:, :d], stat[:, d:2 * d])
     table = pair_scores(fisher, spec.rope.scheme)
     np.testing.assert_array_equal(table.get(0, "k", 0), table.get(0, "k", 1))
@@ -67,7 +66,7 @@ def test_fisher_matches_squared_fd_gradients(rng):
     model = AttentionModel.build(spec)
     calib = CalibrationSet(((1, 4, 2, 7), (3, 3, 0, 5), (6, 1, 2, 2)), seed=0)
     fisher = estimate_fisher(model, calib, targets=[(0, "k")])
-    got = fisher.mean(0, "k")
+    got = fisher[(0, "k")]
 
     arrays = {"wk": model.layers[0].k_map.weight.copy()}
     acc = np.zeros_like(arrays["wk"])
@@ -93,10 +92,8 @@ def test_empty_calibration_rejected():
 # -- pair aggregation -------------------------------------------------------------
 
 
-def manual_estimate(stat_by_target, samples=1):
-    sums = {key: np.asarray(v, dtype=float) * samples
-            for key, v in stat_by_target.items()}
-    return FisherEstimate(sums, samples)
+def manual_estimate(stat_by_target):
+    return {key: np.asarray(v, dtype=float) for key, v in stat_by_target.items()}
 
 
 def test_all_ones_fisher_gives_two_rowcount_per_pair():
@@ -151,10 +148,10 @@ def test_group_totals_conserve_fisher_mass(rng):
     for layer in range(spec.layers):
         for side in ("k", "v"):
             total = table.group_total(layer, side)
-            expected = fisher.mean(layer, side).sum()
+            expected = fisher[(layer, side)].sum()
             assert total == pytest.approx(expected, rel=1e-12)
     assert table.grand_total() == pytest.approx(
-        sum(fisher.mean(l, s).sum() for l in range(spec.layers)
+        sum(fisher[(l, s)].sum() for l in range(spec.layers)
             for s in ("k", "v")), rel=1e-12)
 
 
@@ -164,12 +161,13 @@ def test_estimate_is_deterministic_and_order_insensitive():
     calib = small_calib(spec.vocab, count=5)
     a = estimate_fisher(model, calib)
     b = estimate_fisher(model, calib)
-    for key in a.sums:
-        np.testing.assert_array_equal(a.sums[key], b.sums[key])
+    assert list(a) == list(b) == sorted(a)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])
     reordered = CalibrationSet(tuple(reversed(calib.sequences)), seed=calib.seed)
     c = estimate_fisher(model, reordered)
-    for key in a.sums:
-        np.testing.assert_allclose(a.sums[key], c.sums[key], rtol=1e-12, atol=0)
+    for key in a:
+        np.testing.assert_allclose(a[key], c[key], rtol=1e-12, atol=0)
 
 
 def test_loss_scaling_squares_scores_and_keeps_argsort():
