@@ -94,8 +94,8 @@ class RunConfig:
         """The config file's settings with the flags given over them, validated."""
         settings = dict(vars(cls()))   # the defaults
         if args.config:
-            data = json.loads(Path(args.config).read_text())
-            check("config", data, dict)
+            data = _read(args.config, json.loads)
+            check(f"{args.config}: config", data, dict)
             settings.update(data)
         given = {key: getattr(args, key) for key in FLAGS
                  if getattr(args, key, None) is not None}
@@ -144,6 +144,15 @@ CONFIG_FIELDS = {
     "kd": {f"{key}?": rule for key, rule in recover.KD_FIELDS.items() if key != "seed"},
     "ratios": [(float, RATIO)],
 }
+
+
+def _read(path, parse):
+    """``parse`` of the text of the file ``path``; a ValueError (not UTF-8, not
+    JSON, a field that breaks its table) names the path."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _validate(settings: dict):
@@ -218,7 +227,7 @@ def _check_fit(path: Path, what: str, source: str, fields) -> None:
 
 def _load_scores(path: Path, model) -> scoring.PairScoreTable:
     """A score table from the score command, checked against ``model``."""
-    table = scoring.PairScoreTable.from_json(path.read_text())
+    table = _read(path, scoring.PairScoreTable.from_json)
     spec = model.spec
     _check_fit(path, "the table", "the model", [
         ("head_dim", table.head_dim, spec.head_dim),
@@ -230,7 +239,7 @@ def _load_scores(path: Path, model) -> scoring.PairScoreTable:
 
 def _load_plan(path: Path, model) -> budget.BudgetPlan:
     """A budget plan JSON, checked against ``model`` as scores are."""
-    plan = budget.BudgetPlan.from_json(path.read_text())
+    plan = _read(path, budget.BudgetPlan.from_json)
     half = model.spec.head_dim // 2
     _check_fit(path, "the plan", "the model", [
         ("num_pairs", plan.num_pairs, half),

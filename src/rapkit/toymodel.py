@@ -142,9 +142,6 @@ class LinearMap:
     def merged_weight(self) -> Matrix:
         return self.weight
 
-    def param_count(self) -> int:
-        return int(self.weight.size)
-
 
 def _recon_stack(recon) -> np.ndarray | None:
     """A (H_kv, width, D) float64 stack; a ready one is kept, not copied."""
@@ -188,11 +185,6 @@ class AttentionLayer:
             return "svd"
         return "full"
 
-    def param_count(self) -> int:
-        n = (self.proj_q.param_count() + self.k_map.param_count()
-             + self.v_map.param_count() + self.proj_o.param_count())
-        return n + sum(int(r.size) for r in (self.k_recon, self.v_recon) if r is not None)
-
 
 class AttentionModel:
     """Toy LM, and the container of compressed variants; a model given no
@@ -224,11 +216,12 @@ class AttentionModel:
 
     # -- accounting ----------------------------------------------------------
 
-    def attention_params(self) -> int:
-        return sum(layer.param_count() for layer in self.layers)
-
     def total_params(self) -> int:
-        return self.attention_params() + int(self.embedding.size)
+        """The float64s :func:`save_model` writes; adapters are merged to be listed."""
+        return sum(int(a.size) for _, a in model_arrays(self))
+
+    def attention_params(self) -> int:
+        return self.total_params() - int(self.embedding.size)
 
 
 def _grown(buf: np.ndarray, t: int, rows: int) -> np.ndarray:

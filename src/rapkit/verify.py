@@ -30,10 +30,11 @@ from .toymodel import AttentionModel, CalibrationSet, LinearMap, ModelSpec, mean
 
 def commutativity_deviation(a_cols: np.ndarray, retained: RetainedIndex,
                             cfg: RopeConfig, x: np.ndarray,
-                            positions) -> float:
-    """max |rotate_indexed(xA) B - rotate(xA B)| with the dense expansion."""
+                            positions, b: np.ndarray | None = None) -> float:
+    """max |rotate_indexed(xA) B - rotate(xA B)|, B the expansion ``b`` or by
+    default ``retained``'s dense one."""
     latent = x @ a_cols
-    b = retained.expansion_matrix()
+    b = retained.expansion_matrix() if b is None else b
     lhs = rotate_indexed(latent, positions, cfg, retained) @ b
     rhs = rotate(latent @ b, positions, cfg)
     return float(np.max(np.abs(lhs - rhs)))
@@ -88,12 +89,7 @@ def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator,
     a_cols = weight[:, index]
     x = rng.normal(size=(rows, 2 * d))
     positions = rng.integers(1, 4096, size=rows).tolist()
-    latent = x @ a_cols
-    b = np.zeros((len(index), d))
-    b[np.arange(len(index)), index] = 1.0
-    lhs = rotate_indexed(latent, positions, cfg, retained) @ b
-    rhs = rotate(latent @ b, positions, cfg)
-    return float(np.max(np.abs(lhs - rhs)))
+    return commutativity_deviation(a_cols, retained, cfg, x, positions, b=np.eye(d)[index])
 
 
 # -- greedy optimality ----------------------------------------------------------

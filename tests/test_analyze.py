@@ -142,6 +142,20 @@ def test_attention_params_equal_the_closed_form_at_whole_pair_counts(
     assert model.attention_params() == analytic_attention_params(method, 1 - rho, spec)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_the_parameter_count_is_what_the_checkpoint_writes(method, tmp_path):
+    """The count report and sweep print is the number of float64s in the
+    checkpoint's blob, and the attention count is that less the embedding."""
+    base = AttentionModel.build(make_spec())
+    model = build_compressed(base, method, 0.5,
+                             scores=magnitude_scores(base, base.spec.rope.scheme))
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    data = path.read_bytes()
+    assert len(data) - (data.index(b"\n") + 1) == 8 * model.total_params()
+    assert model.attention_params() == model.total_params() - model.embedding.size
+
+
 def test_rap_linear_scaling_within_one_pair_slack():
     spec = make_spec(seed=42)
     slack = 1.0 / (spec.head_dim // 2)  # one pair per head

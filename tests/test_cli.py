@@ -519,8 +519,23 @@ def test_malformed_plan_or_scores_exits_one_naming_the_field(case, tmp_path, cap
     path.write_text(json.dumps(documents[flag]))
     assert run(["prune", "--out", tmp_path / "o", "--rho", "0.3", flag, path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err, err
+    assert err.startswith("error:") and name in err and str(path) in err, err
     assert not (tmp_path / "o" / "compressed.model").exists()
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1]"],
+                         ids=["not_json", "not_utf8", "not_an_object"])
+@pytest.mark.parametrize("flag", ["--config", "--scores", "--plan"])
+def test_an_input_file_that_cannot_be_read_exits_one_naming_it(flag, content, tmp_path,
+                                                               capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    assert run(["prune", "--out", out, flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # a value of another JSON kind for a field of each kind
