@@ -60,10 +60,10 @@ Attention scores always scale by 1/sqrt(D) with the ORIGINAL head dimension,
 also after pruning; the latent paths then reproduce full-dimension references
 exactly instead of approximately.
 
-A ``rapkit-model-v2`` checkpoint carries the model's :func:`model_manifest`:
-``load_model`` checks the header against ``HEADER_FIELDS``, takes the array
-shapes from the manifest and refuses a manifest other than the one the arrays
-give.
+A ``rapkit-model-v2`` checkpoint carries the model's :func:`model_manifest`
+and array list: ``load_model`` checks the header against ``HEADER_FIELDS``,
+takes each layer's widths from its ``L{i}.k`` and ``L{i}.v`` shapes, holds
+every shape to :func:`layer_shapes` and refuses a manifest the arrays do not give.
 """
 
 from __future__ import annotations
@@ -200,19 +200,12 @@ class AttentionModel:
     @classmethod
     def build(cls, spec: ModelSpec) -> "AttentionModel":
         rng = np.random.default_rng(spec.seed)
-        dim = spec.model_dim
-        kv_width = spec.kv_heads * spec.head_dim
-        std = 1.0 / np.sqrt(dim)
-        embedding = rng.normal(0.0, 1.0, size=(spec.vocab, dim))
-        layers = []
-        for _ in range(spec.layers):
-            layers.append(AttentionLayer(
-                proj_q=LinearMap(rng.normal(0.0, std, size=(dim, dim))),
-                k_map=LinearMap(rng.normal(0.0, std, size=(dim, kv_width))),
-                v_map=LinearMap(rng.normal(0.0, std, size=(dim, kv_width))),
-                proj_o=LinearMap(rng.normal(0.0, std, size=(dim, dim))),
-            ))
-        return cls(spec, embedding, layers)
+        std = 1.0 / np.sqrt(spec.model_dim)
+        embedding = rng.normal(0.0, 1.0, size=(spec.vocab, spec.model_dim))
+        shapes = layer_shapes(spec, "baseline", spec.head_dim, spec.head_dim)
+        return cls(spec, embedding, [
+            AttentionLayer(*(LinearMap(rng.normal(0.0, std, size=shapes[r])) for r in "qkvo"))
+            for _ in range(spec.layers)])
 
     # -- accounting ----------------------------------------------------------
 
@@ -595,11 +588,30 @@ def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
     return arrays
 
 
+def layer_shapes(spec: ModelSpec, method: str, k_width: int, v_width: int) -> dict:
+    """The shape of each array of a ``method`` layer by role, its keys and
+    values ``k_width`` and ``v_width`` wide per kv head (a baseline's are
+    ``head_dim``); rap queries are as narrow as its keys, B being absorbed.
+    The k and v shapes, which give a checkpoint's widths, come first."""
+    d, kv, heads, dim = spec.head_dim, spec.kv_heads, spec.query_heads, spec.model_dim
+    k_mode, v_mode = MODES[method]
+    if method == "baseline":
+        k_width = v_width = d
+    shapes = {"k": (dim, kv * k_width), "v": (dim, kv * v_width),
+              "q": (dim, heads * (k_width if k_mode == "rap" else d))}
+    if k_mode == "svd":   # keys rebuilt to full width
+        shapes["k_b"] = (kv, k_width, d)
+    if v_mode == "svd":
+        shapes["v_b"] = (kv, v_width, d)
+    shapes["o"] = (heads * (v_width if v_mode == "svd_absorbed" else d), dim)
+    return shapes
+
+
 FORMAT = "rapkit-model-v2"
 
-# the fields save_model writes. The loader reads a layer's widths (a rap
-# key's pair lists) and the plan's mode and ratios, and compares the whole
-# manifest with the model_manifest of the arrays it loaded.
+# the fields save_model writes. The loader takes every width from the
+# arrays, reads a rap key's pair lists and the plan's mode and ratios, and
+# compares the whole manifest with the model_manifest of the arrays it loaded.
 PLAN_GROUP_FIELDS = {"layer": int, "side": str, "ratio": (float, GROUP_RATIO),
                      "retained_pairs": int}
 LAYER_FIELDS = {"k": {"mode": str, "rank?": int, "retained_pairs?": [[int]],
@@ -612,7 +624,7 @@ MANIFEST_FIELDS = {"method": (str, METHODS), "rho": (float, RATIO), "layers?": [
 ENCODING_FIELDS = {"format": (str, (FORMAT,)), "byte_order": (str, ("little",)),
                    "dtype": (str, ("float64",))}
 HEADER_FIELDS = {**ENCODING_FIELDS, "spec": SPEC_FIELDS, "manifest": MANIFEST_FIELDS,
-                 "arrays": [{"name": str, "shape": [int]}]}
+                 "arrays": [{"name": str, "shape": [(int, "[0, inf)")]}]}
 
 
 def save_model(model: AttentionModel, path) -> None:
@@ -628,103 +640,77 @@ def save_model(model: AttentionModel, path) -> None:
         fh.write(blob)
 
 
-def _expected_arrays(top: str, spec: ModelSpec, manifest: dict) -> tuple[dict, list]:
-    """Check a header's manifest against ``spec``; return each array's shape,
-    in blob order, with the field its width comes from, and rap's pairs."""
-    name, d, kv, heads, dim = (f"{top}.manifest", spec.head_dim, spec.kv_heads,
-                               spec.query_heads, spec.model_dim)
-    method, entries = manifest["method"], manifest.get("layers")
-    count = None if entries is None else len(entries)
-    if count != (None if method == "baseline" else spec.layers):
-        raise ValueError(f"{name}.layers must hold the {spec.layers} layers of a "
-                         f"compressed model only, got {count}")
-    k_mode, v_mode = MODES[method]
-    k_field = "retained_pairs" if k_mode == "rap" else "rank"
-    shapes, retained = {"embedding": ((spec.vocab, dim), f"{top}.spec")}, []
-    for i, entry in enumerate(entries or [{"k": {"rank": d}, "v": {"rank": d}}] * spec.layers):
-        at = f"{name}.layers[{i}]"
-        k_from, v_from = ((f"{at}.k.{k_field}", f"{at}.v.rank") if entries
-                          else (f"{top}.spec",) * 2)
-        if k_field not in entry["k"]:
-            raise ValueError(f"{k_from} is missing")
-        v_width, pairs = entry["v"]["rank"], None
-        if k_mode == "rap":
-            ids = entry["k"]["retained_pairs"]
-            if len(ids) != kv or len({len(p) for p in ids}) != 1:
-                raise ValueError(f"{k_from} must hold {kv} lists of one length, got {ids}")
-            try:
-                pairs = [RetainedIndex(tuple(p), spec.rope.scheme) for p in ids]
-            except ValueError as exc:
-                raise ValueError(f"{k_from}: {exc}") from None
-            k_width = 2 * len(ids[0])
-        else:
-            k_width = entry["k"]["rank"]
-        retained.append(pairs)
-        shapes[f"L{i}.q"] = ((dim, heads * (k_width if k_mode == "rap" else d)), k_from)
-        shapes[f"L{i}.k"] = ((dim, kv * k_width), k_from)
-        if k_mode == "svd":
-            shapes[f"L{i}.k_b"] = ((kv, k_width, d), k_from)
-        shapes[f"L{i}.v"] = ((dim, kv * v_width), v_from)
-        if v_mode == "svd":
-            shapes[f"L{i}.v_b"] = ((kv, v_width, d), v_from)
-        shapes[f"L{i}.o"] = ((heads * (v_width if v_mode == "svd_absorbed" else d), dim),
-                             v_from)
-    return shapes, retained
-
-
-def _check_header(path, header) -> tuple[ModelSpec, list]:
-    """The spec and retained pairs of a header whose every field fits them;
-    failures raise a ValueError naming ``path`` and the field."""
+def load_model(path) -> AttentionModel:
+    """The model :func:`save_model` wrote, as its header's array list describes
+    it: widths from each layer's ``L{i}.k`` and ``L{i}.v``, every shape by
+    :func:`layer_shapes`. A bad header, a manifest other than the arrays'
+    :func:`model_manifest` or a short blob raise a ValueError naming ``path``,
+    the header's own refusals before the blob is split."""
+    head, _, blob = Path(path).read_bytes().partition(b"\n")
     top = f"{path}: header"
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ValueError(f"{top} is not a line of JSON: {exc}") from None
     check(top, header, dict)
     check(top, {key: header[key] for key in ENCODING_FIELDS.keys() & header.keys()},
           ENCODING_FIELDS)
     check(top, header, HEADER_FIELDS)
     spec = spec_from_json(header["spec"], f"{top}.spec")
-    if 4 * spec.layers + 1 > len(header["arrays"]):   # a layer has 4 arrays or more
+    manifest, metas = header["manifest"], header["arrays"]
+    method, entries = manifest["method"], manifest.get("layers")
+    if 4 * spec.layers + 1 > len(metas):   # a layer has 4 arrays or more
         raise ValueError(f"{top}.spec.layers is {spec.layers}, more than the arrays hold")
-    want, retained = _expected_arrays(top, spec, header["manifest"])
-    given = {meta["name"]: tuple(meta["shape"]) for meta in header["arrays"]}
-    if len(given) < len(header["arrays"]):   # the later entry would win
+    given = {meta["name"]: tuple(meta["shape"]) for meta in metas}
+    if len(given) < len(metas):   # the later entry would win
         raise ValueError(f"{top}.arrays names an array more than once")
-    for name in sorted(want.keys() | given.keys()):
-        shape, source = want.get(name, ("none", f"{top}.manifest"))
-        if shape != given.get(name):
-            raise ValueError(f"{path}: array {name} has shape "
-                             f"{given.get(name, 'none')}, {source} needs {shape}")
-    return spec, retained
-
-
-def load_model(path) -> AttentionModel:
-    """The model :func:`save_model` wrote; a bad header, a manifest that is not
-    the arrays' :func:`model_manifest` or a short blob raise a ValueError."""
-    head, _, blob = Path(path).read_bytes().partition(b"\n")
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise ValueError(f"{path}: header is not a line of JSON: {exc}") from None
-    spec, retained = _check_header(path, header)
-    sizes = [int(np.prod(meta["shape"])) for meta in header["arrays"]]
+    count = None if entries is None else len(entries)
+    if count != (None if method == "baseline" else spec.layers):
+        raise ValueError(f"{top}.manifest.layers must hold the {spec.layers} layers of a "
+                         f"compressed model only, got {count}")
+    need = {"embedding": (spec.vocab, spec.model_dim)}
+    for i in range(spec.layers):
+        # the last dimension per kv head; 0 for a shape that is missing or empty
+        widths = [(given.get(f"L{i}.{side}") or (0,))[-1] // spec.kv_heads for side in "kv"]
+        for role, shape in layer_shapes(spec, method, *widths).items():
+            need[f"L{i}.{role}"] = shape
+    if need.keys() != given.keys():
+        raise ValueError(f"{top}.arrays must name a {method} model's arrays: missing "
+                         f"{sorted(need.keys() - given)}, unknown {sorted(given.keys() - need)}")
+    for name, shape in need.items():
+        if given[name] != shape:
+            raise ValueError(f"{path}: array {name} has shape {given[name]}, "
+                             f"a {method} model of this spec needs {shape}")
+    retained = [None] * spec.layers
+    for i in range(spec.layers if method == "rap" else 0):
+        at = f"{top}.manifest.layers[{i}].k.retained_pairs"
+        ids = entries[i]["k"].get("retained_pairs")
+        width = given[f"L{i}.k"][1] // spec.kv_heads
+        if ids is None or [2 * len(p) for p in ids] != [width] * spec.kv_heads:
+            raise ValueError(f"{at} must hold {spec.kv_heads} lists, each of half the {width} "
+                             f"columns of a kv head in L{i}.k, got {ids}")
+        try:
+            retained[i] = [RetainedIndex(tuple(p), spec.rope.scheme) for p in ids]
+        except ValueError as exc:
+            raise ValueError(f"{at}: {exc}") from None
+    sizes = [np.prod(meta["shape"], dtype=object) for meta in metas]   # Python ints: int64 wraps
     if len(blob) != 8 * sum(sizes):
         raise ValueError(f"{path}: weight blob is {len(blob)} bytes, "
                          f"the header's arrays need {8 * sum(sizes)}")
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     arrays = {meta["name"]: a.reshape(meta["shape"]) for meta, a in
-              zip(header["arrays"], np.split(flat, np.cumsum(sizes)[:-1]))}
-    layers = [AttentionLayer(LinearMap(arrays[f"L{i}.q"]), LinearMap(arrays[f"L{i}.k"]),
-                             LinearMap(arrays[f"L{i}.v"]), LinearMap(arrays[f"L{i}.o"]),
+              zip(metas, np.split(flat, np.cumsum(sizes)[:-1]))}
+    layers = [AttentionLayer(*(LinearMap(arrays[f"L{i}.{role}"]) for role in "qkvo"),
                              k_recon=arrays.get(f"L{i}.k_b"), v_recon=arrays.get(f"L{i}.v_b"),
                              k_retained=retained[i])
               for i in range(spec.layers)]
-    name, manifest = f"{path}: header.manifest", header["manifest"]
     # the arrays give every field but a rap plan's mode and ratios
     plan = manifest.get("plan", {"mode": None, "groups": []})
-    want = model_manifest(spec, manifest["method"], manifest["rho"], layers, plan["mode"],
+    want = model_manifest(spec, method, manifest["rho"], layers, plan["mode"],
                           {(g["layer"], g["side"]): g["ratio"] for g in plan["groups"]})
-    fields = [(f"layers[{i}]", e, want["layers"][i])
-              for i, e in enumerate(manifest.get("layers", ()))]
+    fields = [(f"layers[{i}]", e, want["layers"][i]) for i, e in enumerate(entries or ())]
     fields += [(k, manifest.get(k), want.get(k)) for k in sorted(manifest.keys() | want.keys())]
     for key, got, expected in fields:   # each layer's entry first, then the whole
         if got != expected:
-            raise ValueError(f"{name}.{key} is {got!r}, the arrays give {expected!r}")
+            raise ValueError(f"{top}.manifest.{key} is {got!r}, the arrays give {expected!r}")
     return AttentionModel(spec, arrays["embedding"], layers, manifest)

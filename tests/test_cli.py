@@ -675,7 +675,8 @@ def layer_side(h, side, layer=0) -> dict:
 
 
 # one damage per checkpoint header field of a rap checkpoint (rho 0.5: two of
-# four pairs per kv head, value rank 4), and the names the error must give
+# four pairs per kv head, value rank 4; arrays[3] is L0.v), and the names the
+# error must give
 DAMAGED_HEADERS = {
     "rows_a_string": (lambda h: h["arrays"][0]["shape"].__setitem__(0, "2"),
                       "arrays[0].shape[0]"),
@@ -684,7 +685,7 @@ DAMAGED_HEADERS = {
     "arrays_of_numbers": (lambda h: h.update(arrays=[1, 2]), "arrays[0]"),
     "layer_count": (lambda h: h["manifest"]["layers"].pop(), "manifest.layers"),
     "rank_off_by_two": (lambda h: layer_side(h, "v", 1).update(rank=6),
-                        "manifest.layers[1].v.rank"),
+                        ("manifest.layers[1] is", "'rank': 6")),
     "pair_list_dropped": (lambda h: layer_side(h, "k")["retained_pairs"].pop(),
                           "manifest.layers[0].k.retained_pairs"),
     "mode_renamed": (lambda h: layer_side(h, "v").update(mode="absorbed"),
@@ -708,6 +709,12 @@ DAMAGED_HEADERS = {
     "plan_dropped": (lambda h: h["manifest"].pop("plan"), "manifest.plan"),
     "spec_seed_negative": (lambda h: h["spec"].update(seed=-1), "header.spec.seed"),
     "array_listed_twice": (lambda h: h["arrays"].append(h["arrays"][1]), "header.arrays"),
+    "array_renamed": (lambda h: h["arrays"][3].update(name="L0.x"),
+                      ("header.arrays", "'L0.v'", "'L0.x'")),
+    "dimension_negative": (lambda h: h["arrays"][3]["shape"].__setitem__(1, -8),
+                           ("header.arrays[3].shape[1]", "-8")),
+    "key_rebuild_added": (lambda h: h["arrays"].insert(3, {"name": "L0.k_b", "shape": [2, 4, 8]}),
+                          ("header.arrays", "'L0.k_b'")),
 }
 
 

@@ -17,7 +17,8 @@ from rapkit.rope import PairingScheme, RopeConfig, rotate, rotate_indexed
 from rapkit.scoring import magnitude_scores
 from rapkit.toymodel import (QUERY_BLOCK, AttentionLayer, AttentionModel, LinearMap,
                              forward_decode, forward_prefill, load_model,
-                             loss_ce, loss_forward, markov_calibration, save_model)
+                             loss_ce, loss_forward, markov_calibration, save_model,
+                             spec_to_json)
 
 
 def straight_line_logits(model: AttentionModel, tokens) -> np.ndarray:
@@ -289,6 +290,21 @@ def test_load_model_rejects_trailing_and_missing_bytes(tmp_path):
             load_model(bad)
 
 
+def test_a_header_whose_sizes_overflow_64_bits_is_refused_by_name(tmp_path):
+    """Every array of this spec holds 2**64 floats, which a 64-bit product
+    wraps to 0, the size of an empty blob."""
+    spec = make_spec(layers=1, query_heads=2 ** 16, kv_heads=2 ** 16, head_dim=2 ** 16,
+                     vocab=2 ** 32)
+    header = {"format": "rapkit-model-v2", "byte_order": "little", "dtype": "float64",
+              "spec": spec_to_json(spec), "manifest": {"method": "baseline", "rho": 0.0},
+              "arrays": [{"name": name, "shape": [2 ** 32, 2 ** 32]}
+                         for name in ("embedding", "L0.q", "L0.k", "L0.v", "L0.o")]}
+    path = tmp_path / "huge.model"
+    path.write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(ValueError, match=rf"{path}: weight blob is 0 bytes"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("data", [b"", b'{"format": "rapkit-model-v2"}', b"\xff\n"],
                          ids=["empty", "no_newline", "not_utf8"])
 def test_a_file_without_a_json_header_line_is_refused_by_name(data, tmp_path):
@@ -362,8 +378,8 @@ def saved_checkpoints(tmp_path_factory) -> dict[str, bytes]:
 def test_a_header_with_one_damaged_field_gives_a_model_or_a_value_error(
         data, method, saved_checkpoints, tmp_path_factory):
     """Any single field of a saved header, at any depth, dropped or set to any
-    JSON value: the loader returns a model or raises a ValueError, never
-    another exception."""
+    JSON value: the loader returns a model or raises a ValueError naming the
+    file, never another exception."""
     raw = saved_checkpoints[method]
     newline = raw.index(b"\n")
     header = data.draw(damaged(json.loads(raw[:newline])))
@@ -371,7 +387,8 @@ def test_a_header_with_one_damaged_field_gives_a_model_or_a_value_error(
     path.write_bytes(json.dumps(header).encode() + raw[newline:])
     try:
         model = load_model(path)
-    except ValueError:
+    except ValueError as exc:
+        assert str(path) in str(exc), exc
         return
     assert isinstance(model, AttentionModel)
 
