@@ -2,8 +2,8 @@
 """Summarise paired perfbench runs of two trees into one ``BENCH_<label>.json``.
 
 Run ``perfbench/run.py`` in a checkout of the parent tree and in the changed
-tree, alternating, with the same ``--seed`` for both runs of a pair. Each run
-leaves ``perfbench/out/result-<workload>-seed<seed>-trace0.json`` in its own
+tree, alternating, with the same ``--seed`` for both runs of a pair, as
+``bench_pairs.py`` does with the order balanced. Each run leaves ``perfbench/out/result-<workload>-seed<seed>-trace0.json`` in its own
 checkout. Then, from the root of a checkout:
 
     python3 bench_summary.py --label pr7 --parent ../parent --change .
@@ -11,7 +11,9 @@ checkout. Then, from the root of a checkout:
 For every workload and end-to-end metric the summary gives each side's
 median and quartiles over the seeds both sides ran, and the number of pairs
 in which the change did better. It also records the pair count, the seeds,
-each side's environment, git revision and failed operations. Metric
+which side ran first in each pair (``first``, as ``bench_pairs.py`` records
+it in the change's checkout; null where no order was recorded), each side's
+environment, git revision and failed operations. Metric
 directions and bounds come from ``BENCHMARK.json`` next to this script
 (lower is better, and no bound, when a metric is not listed there).
 
@@ -47,6 +49,16 @@ def records(checkout: Path) -> dict[tuple[str, int], dict]:
     for path in sorted((checkout / "perfbench" / "out").glob("result-*-trace0.json")):
         record = json.loads(path.read_text())
         found[(record["workload"], record["env"]["seed"])] = record
+    return found
+
+
+def first_sides(checkout: Path) -> dict[tuple[str, int], str]:
+    """The side that ran first in each pair, by (workload, seed), from the
+    order files ``bench_pairs.py`` leaves under ``checkout``."""
+    found = {}
+    for path in sorted((checkout / "perfbench" / "out").glob("order-*.json")):
+        entry = json.loads(path.read_text())
+        found[(entry["workload"], entry["seed"])] = entry["first"]
     return found
 
 
@@ -97,6 +109,7 @@ def verdict(values: dict[str, list], sign: float, bound: float | None) -> dict:
 
 def summarise(label: str, checkouts: dict[str, Path]) -> dict:
     found = {side: records(path) for side, path in checkouts.items()}
+    first = first_sides(checkouts["change"])
     entries = declared()
     workloads = {}
     for workload in sorted({w for w, _ in found["parent"]} | {w for w, _ in found["change"]}):
@@ -119,6 +132,7 @@ def summarise(label: str, checkouts: dict[str, Path]) -> dict:
         workloads[workload] = {
             "pairs": len(seeds),
             "seeds": seeds,
+            "first": [first.get((workload, s)) for s in seeds],
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "metrics": metrics,
         }

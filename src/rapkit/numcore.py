@@ -37,13 +37,26 @@ same values bit for bit and counts the same FLOPs, but keeps nothing: no
 node, no parent, no backward closure. Inference runs on it, so a forward pass
 that needs no gradient holds no intermediate past its last use.
 
-All reductions run in numpy's deterministic single-threaded order, so repeated
-runs over the same inputs are bitwise reproducible.
+Where the process may run on two CPUs, a large forward matmul or masked
+softmax (:data:`SPLIT_MADDS`, :data:`SPLIT_SCORES`) splits between the
+calling thread and one worker thread, started on first use. Each half, a
+stack's leading batch half or a matrix's row half (:func:`_product_parts`),
+writes its own slice of one output, the worker's in a copy of the caller's
+context, where numpy's error state lives. The caller returns, or raises,
+only once both halves are done, and only the caller records.
+
+All reductions run in numpy's deterministic single-threaded order. Each half
+of a split primitive still runs single-threaded, in the same order, so
+repeated runs over the same inputs, split or not, are bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import contextvars
+import os
+import threading
+from concurrent import futures
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,6 +93,106 @@ def log_softmax_rows(z: Matrix) -> Matrix:
 # tile of rebuilt keys and its complex temporary take 1 MiB, so the tile is
 # still in a 2 MiB L2 when it turns
 ROTATE_ROWS = 256
+
+# multiply-adds (out.size * inner) from which a product splits between two
+# threads. A half then takes at least 0.4 * 2**23, well above the ~10**6
+# under which OpenBLAS runs its small-matrix kernel, which rounds differently
+# (a (256, 768) @ (768, 32) value product in 32-row parts changed 7565 of its
+# 8192 entries, in 64-row parts none). A hand-off to the worker costs about
+# 25 µs, and more from a decode step: split at 2**22, the svd and palu
+# rebuilds of 785 cached keys and values (4 * 785 * 64 * 32 multiply-adds)
+# made those steps 6-8% slower, so they stay whole
+SPLIT_MADDS = 2 ** 23
+# scores from which a masked softmax splits: a (4, 256, 64) block, the first
+# query block of a medium prefill, takes about 0.4 ms in one thread
+SPLIT_SCORES = 2 ** 16
+
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_parts(run: Callable, parts: list[tuple]) -> None:
+    """``run(*part)`` for each of one or two parts: the first here, the
+    second on the worker thread, in a copy of this thread's context.
+
+    Returns once both have run. An error of this thread's part is raised
+    after the worker's part is done, and else the worker's error.
+    """
+    global _pool
+    if len(parts) == 1:
+        run(*parts[0])
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore")
+    theirs = _pool.submit(contextvars.copy_context().run, run, *parts[1])
+    try:
+        run(*parts[0])
+    finally:
+        futures.wait((theirs,))
+    theirs.result()
+
+
+def _product(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> None:
+    """``out[...] = a @ b``, turned by ``rotate`` in row tiles of
+    ``ROTATE_ROWS`` rows, the last tile taking the rest."""
+    if rotate is None:
+        np.matmul(a, b, out=out)
+        return
+    c, s, half_split = rotate
+    rows = out.shape[-2]
+    starts = range(0, max(rows - ROTATE_ROWS, 0) + 1, ROTATE_ROWS)
+    for r0, r1 in zip(starts, [*starts[1:], rows]):
+        tile = out[..., r0:r1, :]
+        np.matmul(a[..., r0:r1, :], b, out=tile)
+        turn_pairs(tile, (c[r0:r1], s[r0:r1], half_split), overwrite=True)
+
+
+def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> list[tuple]:
+    """The arguments of :func:`_product` for ``out``, whole or in two halves.
+
+    A product of at least ``SPLIT_MADDS`` multiply-adds splits on two CPUs.
+    A stack splits its leading batch axis: numpy calls BLAS once per matrix
+    either way, so every call stays as it is. A matrix splits its rows in
+    half, each half at least 2 rows (numpy and OpenBLAS run a one-row product
+    as a matrix-vector one), with the angle rows of a ``rotate``. A half
+    tiles its own rows, so tiles may move; where a tile is under half the
+    split size, near enough the small-matrix kernel's sizes, the split falls
+    between tiles instead, so that every tile stays as it is.
+    """
+    whole = [(a, b, out, rotate)]
+    rows, inner = out.shape[0], a.shape[-1]
+    if out.size * inner < SPLIT_MADDS or rows < 2 or _cpus() < 2:
+        return whole
+    h = rows // 2
+    if out.ndim > 2:
+        return [(a[p], b[p], out[p], rotate) for p in (np.s_[:h], np.s_[h:])]
+    if rows < 4:
+        return whole
+    if (rotate is not None and rows >= 2 * ROTATE_ROWS
+            and ROTATE_ROWS * out.shape[1] * inner < SPLIT_MADDS // 2):
+        h = rows // ROTATE_ROWS // 2 * ROTATE_ROWS
+    return [(a[p], b, out[p], None if rotate is None else (rotate[0][p], rotate[1][p], rotate[2]))
+            for p in (np.s_[:h], np.s_[h:])]
+
+
+def _softmax(out: Matrix, scale: float, mask: np.ndarray | None) -> None:
+    """``out`` becomes the softmax over its last axis of ``scale * out + mask``."""
+    np.multiply(out, scale, out=out)
+    if mask is not None:
+        n, c = mask.shape
+        stacked = out.reshape(out.shape[:-2] + (n, -1, out.shape[-1]))  # a view
+        stacked[..., out.shape[-1] - c:] += mask[:, None, :]
+    out -= np.max(out, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
 
 
 def pair_tables(cos: np.ndarray, sin: np.ndarray, half_split: bool) -> tuple:
@@ -252,22 +365,19 @@ class Tape:
         (gemv for one row), whose roundings can differ from the whole
         product's, as they did for a tail of one row, and of 2 or 3 rows of
         a 1024-deep product 256 columns wide.
+
+        A large product splits between two threads (:func:`_product_parts`)
+        to the same bits.
         """
         if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
-        if rotate is None:
-            out = np.matmul(a.value, b.value)
+        if rotate is None and a.value.size * b.value.shape[-1] < SPLIT_MADDS:
+            out = np.matmul(a.value, b.value)   # no call around a small product
         else:
-            c, s, half_split = rotate
             out = np.empty(a.value.shape[:-1] + b.value.shape[-1:])
-            rows = out.shape[-2]
-            starts = range(0, max(rows - ROTATE_ROWS, 0) + 1, ROTATE_ROWS)
-            for r0, r1 in zip(starts, [*starts[1:], rows]):
-                tile = out[..., r0:r1, :]
-                np.matmul(a.value[..., r0:r1, :], b.value, out=tile)
-                turn_pairs(tile, (c[r0:r1], s[r0:r1], half_split), overwrite=True)
+            _in_parts(_product, _product_parts(a.value, b.value, out, rotate))
         self._count(2 * out.size * a.value.shape[-1], tag)
 
         def backward(g, acc):
@@ -428,17 +538,15 @@ class Tape:
         mask row i covers rows [i·G, (i+1)·G) and their trailing c columns.
         ``scores`` must be a fresh array nothing else reads, such as a
         matmul's output (its backward reads only its inputs). The backward
-        pass needs only the output.
+        pass needs only the output. From ``SPLIT_SCORES`` scores, the halves
+        of a stack's leading batch axis run on two threads.
         """
         out = scores.value
-        np.multiply(out, scale, out=out)
-        if mask is not None:
-            n, c = mask.shape
-            stacked = out.reshape(out.shape[:-2] + (n, -1, out.shape[-1]))  # a view
-            stacked[..., out.shape[-1] - c:] += mask[:, None, :]
-        out -= np.max(out, axis=-1, keepdims=True)
-        np.exp(out, out=out)
-        out /= np.sum(out, axis=-1, keepdims=True)
+        parts = [(out, scale, mask)]
+        if out.ndim > 2 and out.shape[0] > 1 and out.size >= SPLIT_SCORES and _cpus() > 1:
+            h = out.shape[0] // 2    # rows are independent
+            parts = [(out[:h], scale, mask), (out[h:], scale, mask)]
+        _in_parts(_softmax, parts)
 
         def backward(g, acc):
             dot = np.sum(g * out, axis=-1, keepdims=True)

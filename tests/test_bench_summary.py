@@ -92,3 +92,57 @@ def test_each_metric_states_its_verdict_against_its_bound(case, tmp_path):
     assert m["worse_by"] == pytest.approx((medians[1] - medians[0]) / medians[0])
     assert m["spread"] == pytest.approx(max(
         (q["q3"] - q["q1"]) / q["median"] for q in (m["parent"], m["change"])))
+
+
+PAIRS_SCRIPT = SCRIPT.parent / "bench_pairs.py"
+
+# a stand-in for perfbench/run.py: notes its checkout in a shared log, then
+# writes a result record whose tpot is the checkout's
+STUB_RUN = """
+import argparse, json, pathlib
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+root = pathlib.Path.cwd()
+with open(root.parent / "runs.log", "a") as log:
+    log.write(f"{root.name} {args.seed} {args.seconds}\\n")
+record = {"workload": args.workload, "env": {"seed": int(args.seed)}, "failed": 0,
+          "end_to_end": {"tpot_ms.rap": {"value": 9.0 if root.name == "parent" else 5.0,
+                                         "unit": "ms"}}}
+out = root / "perfbench" / "out"
+(out / f"result-{args.workload}-seed{args.seed}-trace0.json").write_text(json.dumps(record))
+"""
+
+
+def test_pairs_alternate_which_side_runs_first_and_the_summary_records_it(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_SCRIPT)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+    assert pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--workload", "decode_short",
+                       "--first-seed", "40", "--pairs", "4", "--seconds", "0.5"]) == 0
+    assert (tmp_path / "runs.log").read_text().split("\n") == [
+        "parent 40 0.5", "change 40 0.5", "change 41 0.5", "parent 41 0.5",
+        "parent 42 0.5", "change 42 0.5", "change 43 0.5", "parent 43 0.5", ""]
+    out = tmp_path / "o.json"
+    assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                               "--change", str(tmp_path / "change"),
+                               "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["decode_short"]
+    assert entry["seeds"] == [40, 41, 42, 43]
+    assert entry["first"] == ["parent", "change", "parent", "change"]
+    assert entry["metrics"]["tpot_ms.rap"]["change_better_pairs"] == 4
+
+
+def test_pairs_run_without_bench_pairs_have_no_recorded_order(tmp_path):
+    for side in ("parent", "change"):
+        write_record(tmp_path / side, 3, tpot=9.0, rss=300.0)
+    out = tmp_path / "o.json"
+    assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                               "--change", str(tmp_path / "change"),
+                               "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["decode_short"]["first"] == [None]

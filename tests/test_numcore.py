@@ -1,16 +1,26 @@
 """Tape primitives against independent oracles (triple loops, central FD)."""
 
+import os
+import sys
+import threading
+import time
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, pair_columns, tiny_spec
+from conftest import finite_difference, make_spec, pair_columns, tiny_spec
+from rapkit import numcore
+from rapkit.factorize import build_compressed
 from rapkit.numcore import (ROTATE_ROWS, Tape, as_matrix, grad, gradients, pair_tables,
                             rotate_pairs, softmax_rows, turn_pairs)
 from rapkit.rope import PairingScheme, RopeConfig
-from rapkit.toymodel import AttentionModel, loss_forward
+from rapkit.scoring import magnitude_scores
+from rapkit.toymodel import (AttentionModel, _query_blocks, forward_decode, forward_prefill,
+                             loss_forward)
 
 
 def test_matmul_identity():
@@ -637,3 +647,232 @@ def test_a_rotated_adapted_matmul_is_the_adapted_matmul_then_rotation(half_split
         results.append([y.value, *gradients(t, t.sum_all(t.mul(y, t.constant(r))), lv)])
     for want, got in zip(*results):
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def _tables(rng, rows, groups, pairs, half_split):
+    ang = rng.uniform(0, 50, size=(rows, groups, pairs))
+    return pair_tables(np.cos(ang), np.sin(ang), half_split)
+
+
+def _heads(rng, rows, width=64, kv_heads=4):
+    """(kv_heads, rows, width) view of a cache buffer, as a layer reads it."""
+    return rng.normal(size=(rows, kv_heads * width)).reshape(rows, kv_heads, -1).swapaxes(0, 1)
+
+
+# the medium prefill's products above the split size (4 kv heads of 4 query
+# heads, head_dim 64, model dim 1024), and an svd key rebuild at 1100 keys:
+# name -> (a, b, rotate) of (rng, half_split)
+SPLIT_PRODUCTS = {
+    "o projection": lambda rng, hs: (rng.normal(size=(768, 1024)),
+                                     rng.normal(size=(1024, 1024)), None),
+    "lm head": lambda rng, hs: (rng.normal(size=(768, 1024)),
+                                rng.normal(size=(512, 1024)).T, None),
+    "q projection, three tiles": lambda rng, hs: (rng.normal(size=(768, 1024)),
+                                                  rng.normal(size=(1024, 1024)),
+                                                  _tables(rng, 768, 1, 32, hs)),
+    "rap q projection, three tiles": lambda rng, hs: (rng.normal(size=(768, 1024)),
+                                                      rng.normal(size=(1024, 512)),
+                                                      _tables(rng, 768, 4, 16, hs)),
+    "k projection, one tile": lambda rng, hs: (rng.normal(size=(200, 1024)),
+                                               rng.normal(size=(1024, 256)),
+                                               _tables(rng, 200, 1, 32, hs)),
+    # tiles of 256 x 128 x 32 multiply-adds: the split falls between tiles
+    "small tiles": lambda rng, hs: (rng.normal(size=(2048, 32)), rng.normal(size=(32, 128)),
+                                    _tables(rng, 2048, 1, 32, hs)),
+    "scores": lambda rng, hs: (rng.normal(size=(4, 256, 64)),
+                               _heads(rng, 768).swapaxes(1, 2), None),
+    "values": lambda rng, hs: (rng.uniform(size=(4, 256, 768)), _heads(rng, 768), None),
+    "svd key rebuild": lambda rng, hs: (_heads(rng, 1100, width=32),
+                                        rng.normal(size=(4, 32, 64)),
+                                        _tables(rng, 1100, 1, 32, hs)),
+}
+
+
+def split_and_serial(monkeypatch, run) -> list:
+    """``run()`` with its large primitives split between two threads, then
+    serial (split sizes of infinity); checks that the first run split."""
+    parts = []
+    real = numcore._in_parts
+
+    def counted(work, pieces):
+        parts.append(len(pieces))
+        real(work, pieces)
+
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(numcore, "_cpus", lambda: 2)
+        patch.setattr(numcore, "_in_parts", counted)
+        results.append(run())
+        assert 2 in parts
+        patch.setattr(numcore, "SPLIT_MADDS", float("inf"))
+        patch.setattr(numcore, "SPLIT_SCORES", float("inf"))
+        parts.clear()
+        results.append(run())
+        assert 2 not in parts
+    return results
+
+
+@pytest.mark.parametrize("case", SPLIT_PRODUCTS)
+def test_a_split_product_is_the_serial_one_bit_for_bit(case, monkeypatch):
+    """A product above the split size gives the serial path's value, FLOPs
+    and nodes, bit for bit, for both pairings."""
+    for half_split in (False, True):
+        a, b, rotate = SPLIT_PRODUCTS[case](np.random.default_rng(27), half_split)
+
+        def run():
+            t = Tape()
+            out = t.matmul(t.leaf(a, "a"), t.leaf(b, "b"), tag="p", rotate=rotate)
+            return out.value, dict(t.flops_by_tag), len(t.nodes)
+
+        (split, flops, nodes), (serial, serial_flops, serial_nodes) = \
+            split_and_serial(monkeypatch, run)
+        assert split.view(np.int64).tolist() == serial.view(np.int64).tolist()
+        assert flops == serial_flops == {"p": 2 * split.size * a.shape[-1]}
+        assert nodes == serial_nodes == 3
+
+
+def test_a_product_of_fewer_than_four_rows_stays_whole(monkeypatch):
+    """A one-row half would run as a matrix-vector product, whose bits differ."""
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    b = np.ones((1024, 4096))
+    for rows, parts in ((2, 1), (3, 1), (4, 2)):
+        a = np.ones((rows, 1024))
+        assert len(numcore._product_parts(a, b, np.empty((rows, 4096)), None)) == parts
+
+
+@pytest.mark.parametrize("n, windows", [(768, 1), (256, 2)],
+                         ids=["diagonal tile", "batch of windows"])
+def test_a_split_masked_softmax_is_the_serial_one_bit_for_bit(n, windows, monkeypatch):
+    """The last query block of a medium prefill: 4 kv heads of 64 rows of 4
+    query heads, with its diagonal-tile mask, or the full mask rows of a
+    batch of two windows."""
+    i0, i1, mask = _query_blocks(n, windows)[-1]
+    scores = np.random.default_rng(27).normal(size=(4, 4 * (i1 - i0), i1))
+
+    def run():
+        t = Tape()
+        out = t.masked_softmax(t.constant(scores.copy()), 0.125, mask)
+        return out.value, dict(t.flops_by_tag), len(t.nodes)
+
+    (split, flops, nodes), (serial, serial_flops, serial_nodes) = \
+        split_and_serial(monkeypatch, run)
+    assert split.view(np.int64).tolist() == serial.view(np.int64).tolist()
+    assert flops == serial_flops == {} and nodes == serial_nodes == 2
+
+
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+def test_the_worker_half_of_a_split_product_keeps_the_callers_error_state(mode,
+                                                                          monkeypatch):
+    """numpy's error state is a context variable: an overflow in the worker's
+    half raises under ``"raise"`` and stays silent under ``"ignore"``."""
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    a, b = np.ones((8, 1024)), np.full((1024, 1024), 1e10)
+    a[7] = 1e300
+    parts = numcore._product_parts(a, b, np.empty((8, 1024)), None)
+    assert [p[0].shape[0] for p in parts] == [4, 4] and parts[1][0][3, 0] == 1e300
+    t = Tape(record=False)
+    with np.errstate(over=mode), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if mode == "raise":
+            with pytest.raises(FloatingPointError, match="overflow"):
+                t.matmul(t.constant(a), t.constant(b))
+        else:
+            out = t.matmul(t.constant(a), t.constant(b)).value
+            assert np.isinf(out[7]).all() and np.isfinite(out[:7]).all()
+
+
+def test_a_split_raises_the_callers_error_only_once_the_worker_is_done():
+    done = []
+
+    def run(which):
+        if which == "mine":
+            raise ValueError("mine")
+        time.sleep(0.05)
+        done.append(which)
+
+    with pytest.raises(ValueError, match="mine"):
+        numcore._in_parts(run, [("mine",), ("theirs",)])
+    assert done == ["theirs"]
+
+
+def test_threads_splitting_at_once_share_one_worker_and_keep_the_bits(monkeypatch):
+    """Four threads start splitting products at once, with a short switch
+    interval: one worker pool is made, and every product has its bits."""
+    made = []
+    executor = numcore.futures.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    monkeypatch.setattr(numcore, "_pool", None)
+    monkeypatch.setattr(numcore.futures, "ThreadPoolExecutor", counted)
+    rng = np.random.default_rng(27)
+    a, b = rng.normal(size=(64, 1024)), rng.normal(size=(1024, 512))
+    want = (a @ b).view(np.int64).tolist()
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def work(got):
+        barrier.wait(timeout=10)
+        t = Tape(record=False)
+        for _ in range(10):
+            got.append(t.matmul(t.constant(a), t.constant(b)).value)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(got,)) for got in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(made) == 1
+    numcore._pool.shutdown()
+    assert all(len(got) == 10 for got in results)
+    assert all(out.view(np.int64).tolist() == want for got in results for out in got)
+
+
+def test_one_cpu_starts_no_thread_and_gives_the_same_logits(monkeypatch):
+    """A 768-token medium prefill on one CPU starts no thread, and on two it
+    splits, to the same logits."""
+    model = AttentionModel.build(make_spec(layers=4, query_heads=16, kv_heads=4,
+                                           head_dim=64, vocab=512))
+    tokens = np.random.default_rng(27).integers(0, 512, size=768).tolist()
+    logits = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        monkeypatch.setattr(numcore, "_pool", None)
+        threads = threading.active_count()
+        logits.append(forward_prefill(model, tokens).logits)
+        if len(cpus) == 1:
+            assert numcore._pool is None and threading.active_count() == threads
+    assert numcore._pool is not None
+    numcore._pool.shutdown()
+    assert logits[0].view(np.int64).tolist() == logits[1].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("method", ["svd", "palu"])
+def test_a_decode_step_at_785_keys_splits_nothing(method, monkeypatch):
+    """Split, the key and value rebuilds of a medium decode step at 785 keys
+    made it slower; they stay under the split size."""
+    spec = make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512)
+    base = AttentionModel.build(spec)
+    model = build_compressed(base, method, 0.5, scores=magnitude_scores(base, spec.rope.scheme))
+    cache = forward_prefill(model, list(range(512)) + list(range(272))).cache
+    parts = []
+    real = numcore._in_parts
+
+    def counted(work, pieces):
+        parts.append(len(pieces))
+        real(work, pieces)
+
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    monkeypatch.setattr(numcore, "_in_parts", counted)
+    forward_decode(model, cache, 7)
+    assert parts and set(parts) == {1}
