@@ -13,10 +13,9 @@ root of a checkout:
         --first-seed 101 --pairs 10
     python3 bench_summary.py --label split --parent ../parent --change .
 
-A run lasts ``--seconds``, by default ``run_seconds`` from ``BENCHMARK.json``
-next to this script. Its output goes to its checkout's
-``perfbench/out/run-<workload>-seed<seed>.log``. The exit code is non-zero
-when any run's was.
+A run lasts ``run_seconds`` from ``BENCHMARK.json`` next to this script. Its
+output goes to its checkout's ``perfbench/out/run-<workload>-seed<seed>.log``.
+The exit code is non-zero when any run's was.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
-
-
-def run_seconds() -> float:
-    path = HERE / "BENCHMARK.json"
-    return float(json.loads(path.read_text())["run_seconds"]) if path.is_file() else 20.0
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -60,10 +54,9 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True,
                         help="pair i runs with seed first-seed + i")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = args.seconds if args.seconds is not None else run_seconds()
+    seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
     status = 0
     for pair in range(args.pairs):
         seed = args.first_seed + pair

@@ -3,7 +3,8 @@
 
 Run ``perfbench/run.py`` in a checkout of the parent tree and in the changed
 tree, alternating, with the same ``--seed`` for both runs of a pair, as
-``bench_pairs.py`` does with the order balanced. Each run leaves ``perfbench/out/result-<workload>-seed<seed>-trace0.json`` in its own
+``bench_pairs.py`` does with the order balanced. Each run leaves
+``perfbench/out/result-<workload>-seed<seed>-trace0.json`` in its own
 checkout. Then, from the root of a checkout:
 
     python3 bench_summary.py --label pr7 --parent ../parent --change .

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent import futures
 from typing import Callable, Iterable, Sequence
 
@@ -104,11 +103,14 @@ ROTATE_ROWS = 256
 # made those steps 6-8% slower, so they stay whole
 SPLIT_MADDS = 2 ** 23
 # scores from which a masked softmax splits: a (4, 256, 64) block, the first
-# query block of a medium prefill, takes about 0.4 ms in one thread
+# query block of a medium prefill, takes about 0.4 ms in one thread. On 2
+# CPUs, splitting the softmax as well as the products made a 768-token
+# prefill 17-26% faster than splitting the products alone
 SPLIT_SCORES = 2 ** 16
 
-_pool: futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# the worker: ThreadPoolExecutor starts its thread on the first submit, so
+# a process that never splits starts none
+_pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore")
 
 
 def _cpus() -> int:
@@ -120,18 +122,15 @@ def _cpus() -> int:
 
 def _in_parts(run: Callable, parts: list[tuple]) -> None:
     """``run(*part)`` for each of one or two parts: the first here, the
-    second on the worker thread, in a copy of this thread's context.
+    second on the worker thread, in a copy of this thread's context, which
+    holds numpy's error state (a context variable from numpy 2.0 on).
 
     Returns once both have run. An error of this thread's part is raised
     after the worker's part is done, and else the worker's error.
     """
-    global _pool
     if len(parts) == 1:
         run(*parts[0])
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore")
     theirs = _pool.submit(contextvars.copy_context().run, run, *parts[1])
     try:
         run(*parts[0])
@@ -163,9 +162,9 @@ def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> l
     either way, so every call stays as it is. A matrix splits its rows in
     half, each half at least 2 rows (numpy and OpenBLAS run a one-row product
     as a matrix-vector one), with the angle rows of a ``rotate``. A half
-    tiles its own rows, so tiles may move; where a tile is under half the
-    split size, near enough the small-matrix kernel's sizes, the split falls
-    between tiles instead, so that every tile stays as it is.
+    tiles its own rows, so tiles may move; a rotated product whose tiles are
+    under half the split size, near enough the small-matrix kernel's sizes,
+    stays whole, so that every tile stays as it is.
     """
     whole = [(a, b, out, rotate)]
     rows, inner = out.shape[0], a.shape[-1]
@@ -174,11 +173,8 @@ def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> l
     h = rows // 2
     if out.ndim > 2:
         return [(a[p], b[p], out[p], rotate) for p in (np.s_[:h], np.s_[h:])]
-    if rows < 4:
-        return whole
-    if (rotate is not None and rows >= 2 * ROTATE_ROWS
-            and ROTATE_ROWS * out.shape[1] * inner < SPLIT_MADDS // 2):
-        h = rows // ROTATE_ROWS // 2 * ROTATE_ROWS
+    if rows < 4 or (rotate is not None and ROTATE_ROWS * out.shape[1] * inner < SPLIT_MADDS // 2):
+        return whole   # a product of such tiles has at least two
     return [(a[p], b, out[p], None if rotate is None else (rotate[0][p], rotate[1][p], rotate[2]))
             for p in (np.s_[:h], np.s_[h:])]
 

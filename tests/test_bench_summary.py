@@ -124,10 +124,10 @@ def test_pairs_alternate_which_side_runs_first_and_the_summary_records_it(tmp_pa
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
     assert pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                        str(tmp_path / "change"), "--workload", "decode_short",
-                       "--first-seed", "40", "--pairs", "4", "--seconds", "0.5"]) == 0
+                       "--first-seed", "40", "--pairs", "4"]) == 0
     assert (tmp_path / "runs.log").read_text().split("\n") == [
-        "parent 40 0.5", "change 40 0.5", "change 41 0.5", "parent 41 0.5",
-        "parent 42 0.5", "change 42 0.5", "change 43 0.5", "parent 43 0.5", ""]
+        "parent 40 20", "change 40 20", "change 41 20", "parent 41 20",
+        "parent 42 20", "change 42 20", "change 43 20", "parent 43 20", ""]
     out = tmp_path / "o.json"
     assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
                                "--change", str(tmp_path / "change"),

@@ -676,9 +676,6 @@ SPLIT_PRODUCTS = {
     "k projection, one tile": lambda rng, hs: (rng.normal(size=(200, 1024)),
                                                rng.normal(size=(1024, 256)),
                                                _tables(rng, 200, 1, 32, hs)),
-    # tiles of 256 x 128 x 32 multiply-adds: the split falls between tiles
-    "small tiles": lambda rng, hs: (rng.normal(size=(2048, 32)), rng.normal(size=(32, 128)),
-                                    _tables(rng, 2048, 1, 32, hs)),
     "scores": lambda rng, hs: (rng.normal(size=(4, 256, 64)),
                                _heads(rng, 768).swapaxes(1, 2), None),
     "values": lambda rng, hs: (rng.uniform(size=(4, 256, 768)), _heads(rng, 768), None),
@@ -740,6 +737,18 @@ def test_a_product_of_fewer_than_four_rows_stays_whole(monkeypatch):
         assert len(numcore._product_parts(a, b, np.empty((rows, 4096)), None)) == parts
 
 
+def test_a_rotated_product_of_small_tiles_stays_whole(monkeypatch):
+    """Row halves would move the boundaries of tiles of 256 x 128 x 32
+    multiply-adds, near the small-matrix kernel's sizes; one tile splits."""
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    rng = np.random.default_rng(27)
+    for rows, cols, inner, parts in ((2048, 128, 32, 1), (1024, 256, 32, 1),
+                                     (511, 512, 64, 2), (768, 1024, 1024, 2)):
+        a, b = np.empty((rows, inner)), np.empty((inner, cols))
+        rotate = _tables(rng, rows, 1, cols // 2, False)
+        assert len(numcore._product_parts(a, b, np.empty((rows, cols)), rotate)) == parts
+
+
 @pytest.mark.parametrize("n, windows", [(768, 1), (256, 2)],
                          ids=["diagonal tile", "batch of windows"])
 def test_a_split_masked_softmax_is_the_serial_one_bit_for_bit(n, windows, monkeypatch):
@@ -796,18 +805,9 @@ def test_a_split_raises_the_callers_error_only_once_the_worker_is_done():
 
 
 def test_threads_splitting_at_once_share_one_worker_and_keep_the_bits(monkeypatch):
-    """Four threads start splitting products at once, with a short switch
-    interval: one worker pool is made, and every product has its bits."""
-    made = []
-    executor = numcore.futures.ThreadPoolExecutor
-
-    def counted(*args, **kwargs):
-        made.append(1)
-        return executor(*args, **kwargs)
-
+    """Four threads split products at once, with a short switch interval,
+    on one worker: every product has its bits."""
     monkeypatch.setattr(numcore, "_cpus", lambda: 2)
-    monkeypatch.setattr(numcore, "_pool", None)
-    monkeypatch.setattr(numcore.futures, "ThreadPoolExecutor", counted)
     rng = np.random.default_rng(27)
     a, b = rng.normal(size=(64, 1024)), rng.normal(size=(1024, 512))
     want = (a @ b).view(np.int64).tolist()
@@ -831,29 +831,26 @@ def test_threads_splitting_at_once_share_one_worker_and_keep_the_bits(monkeypatc
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(made) == 1
-    numcore._pool.shutdown()
     assert all(len(got) == 10 for got in results)
     assert all(out.view(np.int64).tolist() == want for got in results for out in got)
 
 
 def test_one_cpu_starts_no_thread_and_gives_the_same_logits(monkeypatch):
     """A 768-token medium prefill on one CPU starts no thread, and on two it
-    splits, to the same logits."""
+    starts the worker and splits, to the same logits."""
     model = AttentionModel.build(make_spec(layers=4, query_heads=16, kv_heads=4,
                                            head_dim=64, vocab=512))
     tokens = np.random.default_rng(27).integers(0, 512, size=768).tolist()
+    pool = numcore.futures.ThreadPoolExecutor(max_workers=1)   # no thread yet
+    monkeypatch.setattr(numcore, "_pool", pool)
     logits = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
-        monkeypatch.setattr(numcore, "_pool", None)
         threads = threading.active_count()
         logits.append(forward_prefill(model, tokens).logits)
-        if len(cpus) == 1:
-            assert numcore._pool is None and threading.active_count() == threads
-    assert numcore._pool is not None
-    numcore._pool.shutdown()
+        assert threading.active_count() == threads + (len(cpus) == 2)
+    pool.shutdown()
     assert logits[0].view(np.int64).tolist() == logits[1].view(np.int64).tolist()
 
 
