@@ -28,6 +28,12 @@ Each metric also gets a verdict against its bound:
   ``ok`` otherwise;
 * ``gain_met``: the change is better in at least nine pairs of ten and its
   median beats the parent's by more than the parent's interquartile range.
+
+Its ``paired`` entry holds what running second cannot tilt when the order
+is balanced: the median of the per-pair change/parent ratios over the pairs
+the change ran first (``change_first``) and over those the parent ran first
+(``change_second``), and the ``mean`` of the two; null where a group has no
+pair, as where no order was recorded.
 """
 
 from __future__ import annotations
@@ -77,10 +83,8 @@ def revision(checkout: Path) -> dict:
 
 def declared() -> dict[str, dict]:
     """Each end-to-end metric's entry in ``BENCHMARK.json``, by name."""
-    path = HERE / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
+    return {m["name"]: m for m in
+            json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def quartiles(values) -> dict:
@@ -108,6 +112,18 @@ def verdict(values: dict[str, list], sign: float, bound: float | None) -> dict:
             "worse_by": worse_by, "status": status, "gain_met": gain_met}
 
 
+def paired(values: dict[str, list], first: list) -> dict:
+    """The medians of the change/parent ratios of the pairs each side ran
+    first in, by ``first``, and their mean; None for a group without pairs."""
+    ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+    medians = {}
+    for key, side in (("change_first", "change"), ("change_second", "parent")):
+        group = [r for r, f in zip(ratios, first) if f == side]
+        medians[key] = float(np.median(group)) if group else None
+    known = [m for m in medians.values() if m is not None]
+    return {**medians, "mean": float(np.mean(known)) if len(known) == 2 else None}
+
+
 def summarise(label: str, checkouts: dict[str, Path]) -> dict:
     found = {side: records(path) for side, path in checkouts.items()}
     first = first_sides(checkouts["change"])
@@ -119,6 +135,7 @@ def summarise(label: str, checkouts: dict[str, Path]) -> dict:
         if not seeds:
             continue
         runs = {side: [found[side][(workload, s)] for s in seeds] for side in SIDES}
+        order = [first.get((workload, s)) for s in seeds]
         metrics = {}
         for name in sorted(runs["parent"][0]["end_to_end"]):
             values = {side: [r["end_to_end"][name]["value"] for r in runs[side]]
@@ -129,11 +146,12 @@ def summarise(label: str, checkouts: dict[str, Path]) -> dict:
                 "unit": runs["parent"][0]["end_to_end"][name]["unit"],
                 "better": "higher" if sign < 0 else "lower",
                 **verdict(values, sign, entry.get("bound")),
+                "paired": paired(values, order),
             }
         workloads[workload] = {
             "pairs": len(seeds),
             "seeds": seeds,
-            "first": [first.get((workload, s)) for s in seeds],
+            "first": order,
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "metrics": metrics,
         }
@@ -162,12 +180,14 @@ def main(argv=None) -> int:
     for workload, entry in summary["workloads"].items():
         print(f"{workload}: {entry['pairs']} pairs, failed {entry['failed']}")
         for name, m in entry["metrics"].items():
+            mean = m["paired"]["mean"]
             print(f"  {name:<18} parent {m['parent']['median']:>10.4g} "
                   f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  "
                   f"change {m['change']['median']:>10.4g}  "
                   f"better in {m['change_better_pairs']}/{entry['pairs']}  "
                   f"worse by {m['worse_by']:+.1%}  spread {m['spread']:.1%}  "
-                  f"bound {m['bound']}  {m['status']}  gain met {m['gain_met']}")
+                  f"bound {m['bound']}  {m['status']}  gain met {m['gain_met']}  "
+                  f"paired mean {'-' if mean is None else f'{mean:.4f}'}")
     print(f"wrote {out}")
     return 0
 

@@ -35,14 +35,13 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def project_to_mean(values: np.ndarray, target_mean: float,
-                    tol: float = PROJECTION_TOL, max_rounds: int = 10_000) -> np.ndarray:
+def project_to_mean(values: np.ndarray, target_mean: float) -> np.ndarray:
     """Clamp to [0,1] and nudge free entries until the mean hits the target."""
     v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
     n = v.size
-    for _ in range(max_rounds):
+    for _ in range(10_000):
         err = target_mean - v.mean()
-        if abs(err) <= tol:
+        if abs(err) <= PROJECTION_TOL:
             return v
         free = (v < 1.0) if err > 0 else (v > 0.0)
         count = int(free.sum())

@@ -39,8 +39,8 @@ import numpy as np
 from .budget import BudgetPlan, uniform_plan
 from .rope import RetainedIndex, check
 from .scoring import PairScoreTable
-from .toymodel import (METHODS, MODES, RATIO, AttentionLayer, AttentionModel, LinearMap,
-                       ModelSpec, model_manifest)
+from .toymodel import (METHODS, RATIO, AttentionLayer, AttentionModel, LinearMap, ModelSpec,
+                       model_manifest)
 
 
 @dataclass
@@ -85,7 +85,7 @@ def applied_plan(spec: ModelSpec, method: str, rho: float,
     ``palu`` always take the uniform plan at ``rho`` (no adaptive budget, no
     whitening), as does a build given no plan; otherwise the given plan stands.
     """
-    if MODES[method][0] != "rap" or plan is None:
+    if method != "rap" or plan is None:
         return uniform_plan(spec.head_dim // 2, spec.layers,
                             0.0 if method == "baseline" else rho)
     return plan

@@ -23,8 +23,8 @@ import numpy as np
 
 from .numcore import Node, Tape, gradients, log_softmax_rows, softmax_rows
 from .rope import check
-from .toymodel import (SEED, AttentionModel, CalibrationSet, LinearMap, forward_prefill,
-                       loss_forward)
+from .toymodel import (ROLES, SEED, AttentionModel, CalibrationSet, LinearMap,
+                       forward_prefill, held, loss_forward)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,10 @@ class LoraLinear(LinearMap):
         return self.weight + self.scaling * (self.down @ self.up)
 
 
-# layer attribute -> the short role in weight names ("L0.q", "L0.k.lora_up")
-_ROLE_NAMES = {"proj_q": "q", "k_map": "k", "v_map": "v", "proj_o": "o"}
-
-
 def _replace_maps(model: AttentionModel, make) -> AttentionModel:
     """Copy of ``model`` whose four projections per layer are ``make(old map)``."""
-    layers = [replace(layer, **{r: make(getattr(layer, r)) for r in _ROLE_NAMES})
+    layers = [replace(layer, **{ROLES[r]: make(m) for r, m in held(layer)
+                                if isinstance(m, LinearMap)})
               for layer in model.layers]
     return AttentionModel(model.spec, model.embedding, layers, model.manifest)
 
@@ -121,10 +118,9 @@ def merge_adapters(model: AttentionModel) -> AttentionModel:
 def _adapters(model: AttentionModel):
     """(weight name, adapter) of every projection that carries one."""
     for i, layer in enumerate(model.layers):
-        for role, short in _ROLE_NAMES.items():
-            m = getattr(layer, role)
+        for role, m in held(layer):
             if isinstance(m, LoraLinear):
-                yield f"L{i}.{short}", m
+                yield f"L{i}.{role}", m
 
 
 def set_training(model: AttentionModel, training: bool):
@@ -310,9 +306,8 @@ def pretrain(model: AttentionModel, calib: CalibrationSet, steps: int = 150,
     trained.embedding = model.embedding.copy()
 
     weights = {"embedding": trained.embedding}
-    weights.update((f"L{i}.{short}", getattr(layer, role).weight)
-                   for i, layer in enumerate(trained.layers)
-                   for role, short in _ROLE_NAMES.items())
+    weights.update((f"L{i}.{role}", m.weight) for i, layer in enumerate(trained.layers)
+                   for role, m in held(layer) if isinstance(m, LinearMap))
 
     names = sorted(weights) if only is None else sorted(only)
     if any(n not in weights for n in names):

@@ -44,17 +44,19 @@ FLOPs and keeps no autodiff record. That is why weights are checked once,
 when a model is built or loaded, and not at every pass.
 
 Each layer can run with full-dimension keys/values or with latent (compressed)
-ones:
+ones, and the arrays it holds (``ROLES``) say which:
 
-* key path ``full``: cache stores rotated full-width keys;
-* key path ``rap``: cache stores index-rotated retained-pair latents, queries
-  go through the absorbed projection, no reconstruction ever happens;
-* key path ``svd``: cache stores unrotated latents, every attention step
-  reconstructs all cached keys to full width (the matmul is counted) and
-  rotates them, tile by tile, as they are rebuilt;
-* value path ``full`` / ``latent``: latent values either get reconstructed per
-  step (``v_recon`` present) or flow straight into an absorbed output
-  projection.
+* full keys: cache stores rotated full-width keys;
+* rap keys (``k_retained``): cache stores index-rotated retained-pair latents,
+  queries go through the absorbed projection, no reconstruction ever happens;
+* svd and palu keys (``k_recon``): cache stores unrotated latents, every
+  attention step reconstructs all cached keys to full width (the matmul is
+  counted) and rotates them, tile by tile, as they are rebuilt;
+* values: latent values either get reconstructed per step (``v_recon``
+  present) or flow straight into an absorbed output projection.
+
+The mode strings ``rap``, ``svd`` and ``svd_absorbed`` live only in
+:func:`layer_entry`'s manifest entries.
 
 Attention scores always scale by 1/sqrt(D) with the ORIGINAL head dimension,
 also after pruning; the latent paths then reproduce full-dimension references
@@ -177,14 +179,6 @@ class AttentionLayer:
             self.cos_ids = (ids if self.k_retained[0].scheme.kind == HALF_SPLIT
                             else (2 * ids[..., None] + [0, 1]).reshape(len(ids), -1))
 
-    @property
-    def k_mode(self) -> str:
-        if self.k_retained is not None:
-            return "rap"
-        if self.k_recon is not None:
-            return "svd"
-        return "full"
-
 
 class AttentionModel:
     """Toy LM, and the container of compressed variants; a model given no
@@ -203,8 +197,10 @@ class AttentionModel:
         std = 1.0 / np.sqrt(spec.model_dim)
         embedding = rng.normal(0.0, 1.0, size=(spec.vocab, spec.model_dim))
         shapes = layer_shapes(spec, "baseline", spec.head_dim, spec.head_dim)
+        # drawn in checkpoint order: q, k, v, o
         return cls(spec, embedding, [
-            AttentionLayer(*(LinearMap(rng.normal(0.0, std, size=shapes[r])) for r in "qkvo"))
+            AttentionLayer(**{f: LinearMap(rng.normal(0.0, std, size=shapes[r]))
+                              for r, f in ROLES.items() if r in shapes})
             for _ in range(spec.layers)])
 
     # -- accounting ----------------------------------------------------------
@@ -317,12 +313,12 @@ def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
                                                     rotate=turn)), kv_heads, n * group, -1)
     # svd latents are cached unrotated
     k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj",
-                              rotate=None if layer.k_mode == "svd" else turn)
+                              rotate=None if layer.k_recon is not None else turn)
     v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
     k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
     v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
     keys, values = heads(k_all), heads(v_all)
-    if layer.k_mode == "svd":
+    if layer.k_recon is not None:
         # every step rebuilds all keys and rotates them while fresh, in one node
         recon = tape.leaf(layer.k_recon, f"L{idx}.k_b")
         keys = tape.matmul(keys, recon, tag="kv_proj",
@@ -534,10 +530,7 @@ def spec_from_json(data: dict, name: str = "spec") -> ModelSpec:
         raise ValueError(f"{name}: {exc}") from None
 
 
-# each method's key and value modes, as :func:`layer_entry` names them
-MODES = {"baseline": ("full", "full"), "svd": ("svd", "svd"),
-         "palu": ("svd", "svd_absorbed"), "rap": ("rap", "svd_absorbed")}
-METHODS = tuple(MODES)
+METHODS = ("baseline", "svd", "palu", "rap")
 # the modes of a budget plan, as a rap manifest records them
 BUDGET_MODES = ("adaptive", "uniform")
 # a compression ratio, for rho and sweep ratios alike, as build_compressed takes it
@@ -576,16 +569,23 @@ def model_manifest(spec: ModelSpec, method: str, rho: float, layers, mode=None,
     return manifest
 
 
+# each array of a layer by its role in weight names ("L0.k_b", "L0.q.lora_up"),
+# in checkpoint order, and the AttentionLayer field that holds it: a LinearMap,
+# or a reconstruction stack that only svd and palu keys and svd values hold
+ROLES = {"q": "proj_q", "k": "k_map", "k_b": "k_recon", "v": "v_map", "v_b": "v_recon",
+         "o": "proj_o"}
+
+
+def held(layer: AttentionLayer) -> list[tuple[str, LinearMap | np.ndarray]]:
+    """(role, field) of every array ``layer`` holds, in checkpoint order."""
+    return [(r, getattr(layer, f)) for r, f in ROLES.items() if getattr(layer, f) is not None]
+
+
 def model_arrays(model: AttentionModel) -> list[tuple[str, np.ndarray]]:
     """Every parameter array of ``model`` by name, in checkpoint order."""
-    arrays = [("embedding", model.embedding)]
-    for i, layer in enumerate(model.layers):
-        for role, a in (("q", layer.proj_q.merged_weight()), ("k", layer.k_map.merged_weight()),
-                        ("k_b", layer.k_recon), ("v", layer.v_map.merged_weight()),
-                        ("v_b", layer.v_recon), ("o", layer.proj_o.merged_weight())):
-            if a is not None:
-                arrays.append((f"L{i}.{role}", a))
-    return arrays
+    return [("embedding", model.embedding)] + [
+        (f"L{i}.{r}", a.merged_weight() if isinstance(a, LinearMap) else a)
+        for i, layer in enumerate(model.layers) for r, a in held(layer)]
 
 
 def layer_shapes(spec: ModelSpec, method: str, k_width: int, v_width: int) -> dict:
@@ -594,16 +594,15 @@ def layer_shapes(spec: ModelSpec, method: str, k_width: int, v_width: int) -> di
     ``head_dim``); rap queries are as narrow as its keys, B being absorbed.
     The k and v shapes, which give a checkpoint's widths, come first."""
     d, kv, heads, dim = spec.head_dim, spec.kv_heads, spec.query_heads, spec.model_dim
-    k_mode, v_mode = MODES[method]
     if method == "baseline":
         k_width = v_width = d
     shapes = {"k": (dim, kv * k_width), "v": (dim, kv * v_width),
-              "q": (dim, heads * (k_width if k_mode == "rap" else d))}
-    if k_mode == "svd":   # keys rebuilt to full width
+              "q": (dim, heads * (k_width if method == "rap" else d))}
+    if method in ("svd", "palu"):   # keys rebuilt to full width
         shapes["k_b"] = (kv, k_width, d)
-    if v_mode == "svd":
+    if method == "svd":   # values rebuilt too; the others' B_v is absorbed in o
         shapes["v_b"] = (kv, v_width, d)
-    shapes["o"] = (heads * (v_width if v_mode == "svd_absorbed" else d), dim)
+    shapes["o"] = (heads * (d if method == "svd" else v_width), dim)
     return shapes
 
 
@@ -700,10 +699,12 @@ def load_model(path) -> AttentionModel:
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     arrays = {meta["name"]: a.reshape(meta["shape"]) for meta, a in
               zip(metas, np.split(flat, np.cumsum(sizes)[:-1]))}
-    layers = [AttentionLayer(*(LinearMap(arrays[f"L{i}.{role}"]) for role in "qkvo"),
-                             k_recon=arrays.get(f"L{i}.k_b"), v_recon=arrays.get(f"L{i}.v_b"),
-                             k_retained=retained[i])
-              for i in range(spec.layers)]
+    layers = []
+    for i in range(spec.layers):
+        # a projection is one matrix, a reconstruction stack one per kv head
+        found = {f: arrays.get(f"L{i}.{r}") for r, f in ROLES.items()}
+        layers.append(AttentionLayer(**{f: a if a is None or a.ndim == 3 else LinearMap(a)
+                                        for f, a in found.items()}, k_retained=retained[i]))
     # the arrays give every field but a rap plan's mode and ratios
     plan = manifest.get("plan", {"mode": None, "groups": []})
     want = model_manifest(spec, method, manifest["rho"], layers, plan["mode"],

@@ -44,29 +44,24 @@ def check_commutativity(model: AttentionModel, trials: int = 8,
                         seed: int = 0) -> float:
     """Max deviation over every installed retained-pair key head."""
     rng = np.random.default_rng(seed)
-    cfg = model.spec.rope
-    dim = model.spec.model_dim
+    spec = model.spec
+    rap = [layer for layer in model.layers if layer.k_retained is not None]
+    if not rap:
+        raise ValueError("model has no retained-pair key factorization")
     worst = 0.0
-    found = False
-    for layer in model.layers:
-        if layer.k_mode != "rap":
-            continue
-        found = True
-        kw = layer.k_map.weight.shape[1] // model.spec.kv_heads
+    for layer in rap:
+        kw = layer.k_map.weight.shape[1] // spec.kv_heads
         for g, retained in enumerate(layer.k_retained):
             a_cols = layer.k_map.weight[:, g * kw:(g + 1) * kw]
             for _ in range(trials):
-                x = rng.normal(size=(6, dim))
+                x = rng.normal(size=(6, spec.model_dim))
                 positions = rng.integers(0, 4096, size=6).tolist()
                 worst = max(worst, commutativity_deviation(
-                    a_cols, retained, cfg, x, positions))
-    if not found:
-        raise ValueError("model has no retained-pair key factorization")
+                    a_cols, retained, spec.rope, x, positions))
     return worst
 
 
-def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator,
-                         rows: int = 8) -> float:
+def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator) -> float:
     """Diagnostic: break one pair's alignment and measure the blow-up.
 
     Keeps m-1 whole pairs plus one half-pair column stolen from a pruned
@@ -87,8 +82,8 @@ def misaligned_deviation(cfg: RopeConfig, rng: np.random.Generator,
     index[-1] = RetainedIndex((stolen_pair,), cfg.scheme).rap_index[0]
     weight = rng.normal(size=(2 * d, d))
     a_cols = weight[:, index]
-    x = rng.normal(size=(rows, 2 * d))
-    positions = rng.integers(1, 4096, size=rows).tolist()
+    x = rng.normal(size=(8, 2 * d))
+    positions = rng.integers(1, 4096, size=8).tolist()
     return commutativity_deviation(a_cols, retained, cfg, x, positions, b=np.eye(d)[index])
 
 
@@ -226,18 +221,19 @@ def toy_bound_regime_check(seed: int, eps: float = 0.05,
                             fisher=fisher, slack=slack)
 
 
-def quadratic_bound_case(seed: int, rows: int = 6, head_dim: int = 8,
-                         pairing: str = "adjacent", prune_count: int = 2,
+def quadratic_bound_case(seed: int, pairing: str = "adjacent",
                          eps: float = 1.0) -> BoundReport:
     """Synthetic case where every approximation behind the bound is exact.
 
     The reference loss is 0.5 * ||G o (W - W0)||_F^2 evaluated from its
-    minimum W0 (no first-order term). Score samples are linear losses with
+    minimum W0 (no first-order term), W a 6 x 8 weight of which two of the
+    four pairs are pruned. Score samples are linear losses with
     Rademacher sign patterns, whose squared gradients equal the curvature
     G^2 exactly. W0 has unit-magnitude entries, so the score mass of a pair
     equals the curvature quadratic form of removing it: the ratio is 1.
     """
     rng = np.random.default_rng(seed)
+    rows, head_dim, prune_count = 6, 8, 2
     scheme = PairingScheme(pairing, head_dim)
     curvature_root = rng.uniform(0.5, 2.0, size=(rows, head_dim))   # G
     w0 = rng.choice([-1.0, 1.0], size=(rows, head_dim))

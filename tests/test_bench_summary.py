@@ -94,6 +94,39 @@ def test_each_metric_states_its_verdict_against_its_bound(case, tmp_path):
         (q["q3"] - q["q1"]) / q["median"] for q in (m["parent"], m["change"])))
 
 
+PAIRED_CASES = {
+    # name: (the side that ran first in each pair, the expected paired entry)
+    "balanced": (["change", "parent"] * 3,
+                 {"change_first": 0.9, "change_second": 1.1, "mean": 1.0}),
+    "change always first": (["change"] * 4,
+                            {"change_first": 0.9, "change_second": None, "mean": None}),
+    "no recorded order": ([None] * 4,
+                          {"change_first": None, "change_second": None, "mean": None}),
+}
+
+
+@pytest.mark.parametrize("case", PAIRED_CASES)
+def test_the_paired_ratio_is_taken_apart_by_which_side_ran_first(case, tmp_path):
+    """Change-first pairs at 0.9 of the parent and change-second pairs at 1.1
+    average to 1.0: the position bias cancels in the mean."""
+    firsts, expected = PAIRED_CASES[case]
+    out = tmp_path / "change" / "perfbench" / "out"
+    for seed, first in enumerate(firsts):
+        write_record(tmp_path / "parent", seed, tpot=10.0, rss=300.0)
+        write_record(tmp_path / "change", seed, tpot=9.0 if first == "change" else 11.0,
+                     rss=300.0)
+        if first is not None:
+            (out / f"order-decode_short-seed{seed}.json").write_text(json.dumps(
+                {"workload": "decode_short", "seed": seed, "first": first}))
+    summary = tmp_path / "o.json"
+    assert load_script().main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                               "--change", str(tmp_path / "change"),
+                               "--out", str(summary)]) == 0
+    m = json.loads(summary.read_text())["workloads"]["decode_short"]["metrics"]["tpot_ms.rap"]
+    assert m["paired"] == {key: pytest.approx(value) if value else None
+                           for key, value in expected.items()}
+
+
 PAIRS_SCRIPT = SCRIPT.parent / "bench_pairs.py"
 
 # a stand-in for perfbench/run.py: notes its checkout in a shared log, then

@@ -424,6 +424,25 @@ def test_a_checkpoint_round_trip_keeps_manifest_and_logits(
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_checkpoint_lists_each_layers_arrays_in_role_order(method, pairing, tmp_path):
+    """The header names the embedding, then each layer's arrays of
+    layer_shapes in the order q, k, k_b, v, v_b, o. The loader compares the
+    names as a set, so a reordered role table would still load."""
+    model = _compressed(method, pairing=pairing)
+    spec = model.spec
+    save_model(model, tmp_path / "m.model")
+    header = json.loads((tmp_path / "m.model").read_bytes().partition(b"\n")[0])
+    want = [("embedding", [spec.vocab, spec.model_dim])]
+    for i, layer in enumerate(model.layers):
+        widths = [m.weight.shape[1] // spec.kv_heads for m in (layer.k_map, layer.v_map)]
+        shapes = toymodel.layer_shapes(spec, method, *widths)
+        want += [(f"L{i}.{role}", list(shapes[role]))
+                 for role in ("q", "k", "k_b", "v", "v_b", "o") if role in shapes]
+    assert [(a["name"], a["shape"]) for a in header["arrays"]] == want
+
+
 def _compressed(method, seed=33, pairing="adjacent"):
     model = AttentionModel.build(make_spec(seed=seed, pairing=pairing))
     if method == "baseline":
