@@ -38,12 +38,15 @@ node, no parent, no backward closure. Inference runs on it, so a forward pass
 that needs no gradient holds no intermediate past its last use.
 
 Where the process may run on two CPUs, a large forward matmul or masked
-softmax (:data:`SPLIT_MADDS`, :data:`SPLIT_SCORES`) splits between the
-calling thread and one worker thread, started on first use. Each half, a
-stack's leading batch half or a matrix's row half (:func:`_product_parts`),
-writes its own slice of one output, the worker's in a copy of the caller's
-context, where numpy's error state lives. The caller returns, or raises,
-only once both halves are done, and only the caller records.
+softmax (:data:`SPLIT_MADDS`, :data:`SPLIT_SCORES`), and a one-row matmul
+over a large weight (:data:`SPLIT_WEIGHTS`, a decode step's matrix-vector
+product), splits between the calling thread and one worker thread, started
+on first use. Each half, a stack's leading batch half, a matrix's row half
+or a row's column half (:func:`_product_parts`), writes its own slice of one
+output, the worker's in a copy of the caller's context, where numpy's error
+state lives. The caller returns, or raises, only once both halves are done,
+and only the caller records; a row split by columns turns, if it rotates,
+in the caller once joined.
 
 All reductions run in numpy's deterministic single-threaded order. Each half
 of a split primitive still runs single-threaded, in the same order, so
@@ -97,11 +100,18 @@ ROTATE_ROWS = 256
 # threads. A half then takes at least 0.4 * 2**23, well above the ~10**6
 # under which OpenBLAS runs its small-matrix kernel, which rounds differently
 # (a (256, 768) @ (768, 32) value product in 32-row parts changed 7565 of its
-# 8192 entries, in 64-row parts none). A hand-off to the worker costs about
-# 25 µs, and more from a decode step: split at 2**22, the svd and palu
+# 8192 entries, in 64-row parts none). An empty hand-off to the worker costs
+# 44-60 µs back to back and 110-115 µs after 1 ms idle (medians of 2000),
+# and more from a decode step: split at 2**22, the svd and palu
 # rebuilds of 785 cached keys and values (4 * 785 * 64 * 32 multiply-adds)
 # made those steps 6-8% slower, so they stay whole
 SPLIT_MADDS = 2 ** 23
+# float64s (8 MiB) of the weight of a one-row product, a decode step's
+# matrix-vector product, from which it splits into two column halves. Such a
+# product streams its weight once, and its hand-off does not pay below 8 MiB:
+# over 12 weights 1024 deep in turn (1 BLAS thread, medians of 360 calls),
+# 8 MiB split took 0.71-0.87 of its whole time, 4 MiB 1.7-1.9 times it
+SPLIT_WEIGHTS = 2 ** 20
 # scores from which a masked softmax splits: a (4, 256, 64) block, the first
 # query block of a medium prefill, takes about 0.4 ms in one thread. On 2
 # CPUs, splitting the softmax as well as the products made a 768-token
@@ -165,9 +175,19 @@ def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> l
     tiles its own rows, so tiles may move; a rotated product whose tiles are
     under half the split size, near enough the small-matrix kernel's sizes,
     stays whole, so that every tile stays as it is.
+
+    A one-row matrix product whose weight holds at least ``SPLIT_WEIGHTS``
+    floats splits its columns instead, at a multiple of 8, and its halves
+    carry no ``rotate``: the caller turns the joined row. A split at a column
+    that is not a multiple of 4 changed the bits of up to 4 of 1024 outputs.
     """
     whole = [(a, b, out, rotate)]
     rows, inner = out.shape[0], a.shape[-1]
+    if out.ndim == 2 and rows == 1:
+        if b.size < SPLIT_WEIGHTS or _cpus() < 2:
+            return whole
+        h = out.shape[1] // 16 * 8
+        return [(a, b[:, p], out[:, p], None) for p in (np.s_[:h], np.s_[h:])]
     if out.size * inner < SPLIT_MADDS or rows < 2 or _cpus() < 2:
         return whole
     h = rows // 2
@@ -362,18 +382,24 @@ class Tape:
         product's, as they did for a tail of one row, and of 2 or 3 rows of
         a 1024-deep product 256 columns wide.
 
-        A large product splits between two threads (:func:`_product_parts`)
-        to the same bits.
+        A large product, or a one-row product over a large weight, splits
+        between two threads (:func:`_product_parts`) to the same bits.
         """
         if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
-        if rotate is None and a.value.size * b.value.shape[-1] < SPLIT_MADDS:
+        # a one-row product's multiply-adds are its weight's size
+        gemv = a.value.ndim == 2 and a.value.shape[0] == 1
+        madds = a.value.size * b.value.shape[-1]
+        if rotate is None and madds < (SPLIT_WEIGHTS if gemv else SPLIT_MADDS):
             out = np.matmul(a.value, b.value)   # no call around a small product
         else:
             out = np.empty(a.value.shape[:-1] + b.value.shape[-1:])
-            _in_parts(_product, _product_parts(a.value, b.value, out, rotate))
+            parts = _product_parts(a.value, b.value, out, rotate)
+            _in_parts(_product, parts)
+            if gemv and len(parts) == 2 and rotate is not None:   # column halves, joined
+                turn_pairs(out, rotate, overwrite=True)
         self._count(2 * out.size * a.value.shape[-1], tag)
 
         def backward(g, acc):

@@ -281,43 +281,53 @@ def _query_blocks(n: int, windows: int) -> list[tuple[int, int, np.ndarray | Non
             for i0, i1 in edges]
 
 
-def _layer_step(model: AttentionModel, tape: Tape, x: Node, idx: int,
-                cos, sin, blocks, cache: KvCache) -> Node:
-    """Append the rows of ``x`` to the layer's cache, then attend over all of it.
+def _heads(tape: Tape, a: Node, kv_heads: int) -> Node:
+    """rows x (H_kv·w) as the (H_kv, rows, w) view of each kv head's columns"""
+    return tape.swapaxes(tape.reshape(a, a.value.shape[0], kv_heads, -1), 0, 1)
 
-    The n rows of ``x`` sit at positions [t, t+n) after the t = cache.length
-    cached ones; ``cos``/``sin`` are the cache's angle table rows [0, t+n),
-    all of which svd layers read, as they rotate every cached key.
-    ``blocks`` are the :func:`_query_blocks` of the n rows.
 
-    Each side's new rows join its buffer in one append. Query row i·G + j of
-    a kv head's stack is token i, query head j of its group; each query
-    block makes one score matmul, one masked softmax and one value matmul
-    over all kv heads.
+def _projections(model: AttentionModel, tape: Tape, x: Node, idx: int,
+                 cos, sin, cache: KvCache) -> tuple[Node, Node, Node]:
+    """Layer ``idx``'s queries of the n rows of ``x``, as an (H_kv, n·G, qw)
+    stack whose row i·G + j of a kv head is token i, query head j of its
+    group, and its keys and values, the cache's rows [0, t+n) once each
+    side's new rows at positions [t, t+n) join its buffer in one append.
+    The new rows take the last n rows of the angle tables ``cos``/``sin``.
     """
-    spec = model.spec
-    layer = model.layers[idx]
-    t, n, group, kv_heads = cache.length, x.value.shape[0], spec.group_size, spec.kv_heads
-    inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
+    spec, layer, t, n = model.spec, model.layers[idx], cache.length, x.value.shape[0]
     # one angle row per kv head (rap heads keep their own pairs), or one for
     # all heads; a group's query heads turn like its kv head's keys, and both
     # turn inside their projection
     turn = (cos[-n:, layer.cos_ids], sin[-n:, layer.pair_ids], cache.half_split)
-
-    def heads(a: Node) -> Node:
-        """rows x (H_kv·w) as the (H_kv, rows, w) view of each kv head's columns"""
-        return tape.swapaxes(tape.reshape(a, a.value.shape[0], kv_heads, -1), 0, 1)
-
     # a copy; no name holds the projection past it
-    queries = tape.reshape(heads(layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q",
-                                                    rotate=turn)), kv_heads, n * group, -1)
+    queries = tape.reshape(_heads(tape, layer.proj_q.apply(tape, x, f"L{idx}.q", tag="attn_q",
+                                                           rotate=turn), spec.kv_heads),
+                           spec.kv_heads, n * spec.group_size, -1)
     # svd latents are cached unrotated
-    k_all = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj",
+    k_new = layer.k_map.apply(tape, x, f"L{idx}.k", tag="kv_proj",
                               rotate=None if layer.k_recon is not None else turn)
-    v_all = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
-    k_all = tape.append_rows(cache.k_bufs[idx], t, k_all)
-    v_all = tape.append_rows(cache.v_bufs[idx], t, v_all)
-    keys, values = heads(k_all), heads(v_all)
+    v_new = layer.v_map.apply(tape, x, f"L{idx}.v", tag="kv_proj")
+    return (queries, tape.append_rows(cache.k_bufs[idx], t, k_new),
+            tape.append_rows(cache.v_bufs[idx], t, v_new))
+
+
+def _layer_step(model: AttentionModel, tape: Tape, queries: Node, k_all: Node, v_all: Node,
+                idx: int, cos, sin, blocks, cache: KvCache) -> Node:
+    """Layer ``idx``'s output for its :func:`_projections`: attention over
+    the whole cache.
+
+    ``cos``/``sin`` are the cache's angle table rows [0, t+n), all of which
+    svd layers read, as they rotate every cached key. ``blocks`` are the
+    :func:`_query_blocks` of the n new rows. Each query block makes one
+    score matmul, one masked softmax and one value matmul over all kv heads.
+    """
+    spec = model.spec
+    layer = model.layers[idx]
+    t, group, kv_heads = cache.length, spec.group_size, spec.kv_heads
+    n = queries.value.shape[1] // group
+    inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
+
+    keys, values = _heads(tape, k_all, kv_heads), _heads(tape, v_all, kv_heads)
     if layer.k_recon is not None:
         # every step rebuilds all keys and rotates them while fresh, in one node
         recon = tape.leaf(layer.k_recon, f"L{idx}.k_b")
@@ -366,7 +376,9 @@ def _forward(model: AttentionModel, cache: KvCache, toks: list[int], tape: Tape,
     emb = tape.leaf(model.embedding, "embedding")
     x = tape.gather_rows(emb, toks)
     for idx in range(spec.layers):
-        x = _layer_step(model, tape, x, idx, cos, sin, blocks, cache)
+        queries, keys, values = _projections(model, tape, x, idx, cos, sin, cache)
+        del x   # only the projections read a layer's input
+        x = _layer_step(model, tape, queries, keys, values, idx, cos, sin, blocks, cache)
     cache.length = t + n
     return tape.matmul(x, tape.transpose(emb), tag="lm_head")
 

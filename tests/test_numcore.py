@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, make_spec, pair_columns, tiny_spec
+from conftest import RAP_CASE, finite_difference, make_spec, pair_columns, tiny_spec
 from rapkit import numcore
 from rapkit.factorize import build_compressed
 from rapkit.numcore import (ROTATE_ROWS, Tape, as_matrix, grad, gradients, pair_tables,
@@ -835,41 +835,135 @@ def test_threads_splitting_at_once_share_one_worker_and_keep_the_bits(monkeypatc
     assert all(out.view(np.int64).tolist() == want for got in results for out in got)
 
 
+
+
+def _medium(method: str, pairing: str = "adjacent") -> AttentionModel:
+    base = AttentionModel.build(make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64,
+                                          vocab=512, pairing=pairing))
+    return base if method == "baseline" else build_compressed(
+        base, method, 0.5, scores=magnitude_scores(base, base.spec.rope.scheme))
+
+
 def test_one_cpu_starts_no_thread_and_gives_the_same_logits(monkeypatch):
-    """A 768-token medium prefill on one CPU starts no thread, and on two it
-    starts the worker and splits, to the same logits."""
-    model = AttentionModel.build(make_spec(layers=4, query_heads=16, kv_heads=4,
-                                           head_dim=64, vocab=512))
-    tokens = np.random.default_rng(27).integers(0, 512, size=768).tolist()
+    """A 768-token medium prefill and 16 decode steps on one CPU start no
+    thread and split nothing, and on two they start the worker and split, to
+    the same logits."""
+    model = _medium("baseline")
+    tokens = np.random.default_rng(27).integers(0, 512, size=784).tolist()
     pool = numcore.futures.ThreadPoolExecutor(max_workers=1)   # no thread yet
     monkeypatch.setattr(numcore, "_pool", pool)
-    logits = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
-                            raising=False)
-        threads = threading.active_count()
-        logits.append(forward_prefill(model, tokens).logits)
-        assert threading.active_count() == threads + (len(cpus) == 2)
-    pool.shutdown()
-    assert logits[0].view(np.int64).tolist() == logits[1].view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("method", ["svd", "palu"])
-def test_a_decode_step_at_785_keys_splits_nothing(method, monkeypatch):
-    """Split, the key and value rebuilds of a medium decode step at 785 keys
-    made it slower; they stay under the split size."""
-    spec = make_spec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512)
-    base = AttentionModel.build(spec)
-    model = build_compressed(base, method, 0.5, scores=magnitude_scores(base, spec.rope.scheme))
-    cache = forward_prefill(model, list(range(512)) + list(range(272))).cache
-    parts = []
     real = numcore._in_parts
+    parts = []
 
     def counted(work, pieces):
         parts.append(len(pieces))
         real(work, pieces)
 
-    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
     monkeypatch.setattr(numcore, "_in_parts", counted)
-    forward_decode(model, cache, 7)
-    assert parts and set(parts) == {1}
+    logits = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        threads = threading.active_count()
+        parts.clear()
+        result = forward_prefill(model, tokens[:768])
+        logits.append([result.logits])
+        logits[-1] += [forward_decode(model, result.cache, tok)[0] for tok in tokens[768:]]
+        assert threading.active_count() == threads + (len(cpus) == 2)
+        assert (2 in parts) == (len(cpus) == 2)
+    pool.shutdown()
+    assert [x.view(np.int64).tolist() for x in logits[0]] == \
+        [x.view(np.int64).tolist() for x in logits[1]]
+
+
+def _decode_products(model: AttentionModel, cache, monkeypatch) -> list[list]:
+    """[weight name, parts, a, b, rotate] of each matmul of one decode step
+    on two CPUs (``a`` a copy of the left operand's value, ``b`` the right
+    one's value as it is), and ["softmax", parts, None, None, None] of each
+    masked softmax that may split."""
+    steps = []
+    real_matmul, real_parts = Tape.matmul, numcore._in_parts
+
+    def matmul(tape, a, b, tag=None, rotate=None):
+        steps.append([b.name, 1, a.value.copy(), b.value, rotate])
+        return real_matmul(tape, a, b, tag, rotate)
+
+    def in_parts(work, pieces):
+        if work is numcore._softmax:
+            steps.append(["softmax", 1, None, None, None])
+        steps[-1][1] = len(pieces)
+        real_parts(work, pieces)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numcore, "_cpus", lambda: 2)
+        patch.setattr(Tape, "matmul", matmul)
+        patch.setattr(numcore, "_in_parts", in_parts)
+        forward_decode(model, cache, 7)
+    return steps
+
+
+def _one_row_product(a, b, rotate):
+    """Value, FLOPs and node count of ``a @ b`` on a recording tape."""
+    t = Tape()
+    out = t.matmul(t.leaf(a, "a"), t.leaf(b, "b"), tag="p", rotate=rotate)
+    return out.value, dict(t.flops_by_tag), len(t.nodes)
+
+
+@pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu", RAP_CASE])
+def test_each_one_row_decode_product_splits_by_columns_to_the_serial_bits(method, pairing,
+                                                                         monkeypatch):
+    """Each one-row product of a medium decode step, and one over a
+    transposed view of a 1024 x 1024 weight, gives the serial path's value,
+    FLOPs and nodes on a recording tape, bit for bit. Those over 8 MiB
+    weights split into two column halves at a multiple of 8: the rotated q
+    and the o projections of baseline and svd and the q projection of palu.
+    rap's 4 MiB q and o weights and the lm heads stay whole."""
+    model = _medium(method, pairing)
+    steps = _decode_products(model, forward_prefill(model, list(range(16))).cache, monkeypatch)
+    gemvs = [(name, a, b, rotate) for name, _, a, b, rotate in steps
+             if a is not None and a.ndim == 2 and a.shape[0] == 1]
+    assert len(gemvs) == 4 * 4 + 1   # q, k, v and o of each layer, the lm head
+    rng = np.random.default_rng(29)
+    gemvs.append(("transposed", rng.normal(size=(1, 1024)), rng.normal(size=(1024, 1024)).T,
+                  None))
+    real, widths, split_names = numcore._in_parts, [], []
+
+    def counted(work, pieces):
+        widths.append([piece[2].shape[1] for piece in pieces])
+        real(work, pieces)
+
+    for name, a, b, rotate in gemvs:
+        widths.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(numcore, "_in_parts", counted)
+            patch.setattr(numcore, "_cpus", lambda: 2)
+            split, flops, nodes = _one_row_product(a, b, rotate)
+            patch.setattr(numcore, "_cpus", lambda: 1)
+            patch.setattr(numcore, "SPLIT_WEIGHTS", float("inf"))
+            serial, serial_flops, serial_nodes = _one_row_product(a, b, rotate)
+        if widths and len(widths[0]) == 2:
+            split_names.append(name)
+            assert widths[0][0] % 8 == 0 and sum(widths[0]) == b.shape[1]
+        assert split.view(np.int64).tolist() == serial.view(np.int64).tolist()
+        assert flops == serial_flops == {"p": 2 * b.size}
+        assert nodes == serial_nodes == 3
+    roles = {"baseline": "qo", "svd": "qo", "palu": "q", "rap": ""}[method]
+    assert split_names == [f"L{i}.{r}" for i in range(4) for r in roles] + ["transposed"]
+
+
+@pytest.mark.parametrize("method", ["baseline", "svd", "palu", RAP_CASE])
+def test_a_decode_step_at_785_keys_splits_only_its_8_mib_gemvs(method, monkeypatch):
+    """A medium decode step at 785 keys splits the q and o projections of
+    baseline and svd and the q projection of palu, each into two parts. The
+    svd and palu key and value rebuilds stay whole (split, they made a step
+    slower), and so does every product of rap, whose weights are 4 MiB."""
+    model = _medium(method)
+    cache = forward_prefill(model, list(range(512)) + list(range(272))).cache
+    steps = [(name, parts) for name, parts, *_ in _decode_products(model, cache, monkeypatch)]
+    roles = {"baseline": "qo", "svd": "qo", "palu": "q", "rap": ""}[method]
+    assert sorted(name for name, parts in steps if parts != 1) == \
+        sorted(f"L{i}.{r}" for i in range(4) for r in roles)
+    assert {parts for _, parts in steps} <= {1, 2}
+    rebuilds = [parts for name, parts in steps if name and name.endswith(("k_b", "v_b"))]
+    assert rebuilds == [1] * {"baseline": 0, "svd": 8, "palu": 4, "rap": 0}[method]
