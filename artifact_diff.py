@@ -14,6 +14,11 @@ script runs these pipelines at seeds 7 and 42, each into its own ``--out``:
   run's seed. These cover the rotation's real-arithmetic branch; the default
   spec pairs columns adjacently.
 
+Last, a child process on that tree's ``src``, with BLAS pinned to one
+thread, writes ``medium_logits.json``: the SHA-256 of each method's logits
+on perfbench's medium model at rho 0.5 with the uniform plan, over a
+768-token prefill and over 16 decode steps after it, one digest each.
+
 The configs are written as ``half_split-seed<seed>.json`` next to the
 pipelines' directories, and compared with them. Each command's exit code is
 written to ``exit_codes.json`` in its pipeline's directory and compared with
@@ -59,8 +64,38 @@ def half_split_config(seed: int) -> str:
     return json.dumps({"model": {"spec": spec}}, indent=1) + "\n"
 
 
+# the file of medium logit digests, and the child that writes it to argv[1]
+DIGEST = "medium_logits.json"
+DIGEST_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from rapkit import budget, factorize, rope, scoring, toymodel
+scheme = rope.PairingScheme("adjacent", 64)
+spec = toymodel.ModelSpec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512,
+                          rope=rope.RopeConfig(10000.0, scheme), seed=42)
+base = toymodel.AttentionModel.build(spec)
+scores = scoring.magnitude_scores(base, scheme)
+plan = budget.uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
+tokens = list(toymodel.markov_calibration(spec.vocab, count=1, window=784, seed=42).sequences[0])
+digests = {}
+for method in toymodel.METHODS:
+    model = factorize.build_compressed(base, method, 0.5, scores=scores, plan=plan)
+    result = toymodel.forward_prefill(model, tokens[:768])
+    steps = [toymodel.forward_decode(model, result.cache, tok)[0] for tok in tokens[768:]]
+    digests[method] = {name: hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+                       for name, logits in (("prefill", result.logits),
+                                            ("decode", np.vstack(steps)))}
+with open(sys.argv[1], "w") as fh:
+    json.dump(digests, fh, indent=1)
+    fh.write("\\n")
+"""
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS")
+
+
 def run_pipelines(tree: Path, workdir: Path) -> None:
-    """Every pipeline at every seed on ``tree``'s sources, into ``workdir``."""
+    """Every pipeline at every seed on ``tree``'s sources, into ``workdir``,
+    then the medium logit digests."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     for seed in SEEDS:
         (workdir / f"half_split-seed{seed}.json").write_text(half_split_config(seed))
@@ -79,6 +114,10 @@ def run_pipelines(tree: Path, workdir: Path) -> None:
                     print(f"{tree}: {out}: {cmd} exited {done.returncode}", file=sys.stderr)
             (workdir / out).mkdir(exist_ok=True)
             (workdir / out / "exit_codes.json").write_text(json.dumps(codes) + "\n")
+    done = subprocess.run([sys.executable, "-c", DIGEST_CHILD, DIGEST], cwd=workdir, check=False,
+                          env={**env, **dict.fromkeys(BLAS_THREADS, "1")})
+    if done.returncode:
+        print(f"{tree}: {DIGEST} exited {done.returncode}", file=sys.stderr)
 
 
 def compare(parent: Path, change: Path) -> dict[str, str]:

@@ -5,21 +5,22 @@ batch axes: a primitive works on the last two axes and broadcasts over the
 rest. A :class:`Tape` records a fixed set of primitives so that the gradient
 of any recorded scalar with respect to any registered leaf can be replayed:
 matmul, a low-rank adapted matmul, add, scale, elementwise multiply,
-transpose, swapaxes, reshape, row slices, row gathers, concat along any axis,
-row softmax and log-softmax, masked softmax, paired rotation, row appends,
-cross entropy and sum. Every matmul run on a tape adds
+transpose, swapaxes, reshape, row slices, row gathers, row softmax and
+log-softmax, attention in query blocks, paired rotation, row appends, cross
+entropy and sum. Every matmul run on a tape adds
 ``2 * batch * rows * cols * inner`` to the tape's FLOPs counter, broken down
 by an optional tag, so the counter holds only the matmuls that ran; the one
-node of an adapted matmul counts its three.
+node of an adapted matmul counts its three, an attention node its score and
+value matmuls.
 
 Most primitives return a fresh C-contiguous array. The exceptions are views:
 a transpose swaps the last two axes (so a matmul hands BLAS the transpose
 flag instead of copying), and so does a swapaxes of any two; a row slice (a
 view BLAS reads in place), a reshape where numpy can make one, and a row
-append (the cached rows of a buffer). The masked softmax writes its result
-over its input scores, and a matmul, adapted or not, can rotate its product
-over itself in the same node; a plain one forms and turns it in row tiles
-of ``ROTATE_ROWS`` rows, each turned while it is still in cache.
+append (the cached rows of a buffer). An attention node writes each
+block's softmax over its scores, and a matmul, adapted or not, can rotate
+its product over itself in the same node; a plain one forms and turns it in
+row tiles of ``ROTATE_ROWS`` rows, each turned while it is still in cache.
 
 The rotation kernel :func:`turn_pairs` gathers no column and builds no
 table: it reads angle tables in the form :func:`pair_tables` gives, which a
@@ -37,16 +38,16 @@ same values bit for bit and counts the same FLOPs, but keeps nothing: no
 node, no parent, no backward closure. Inference runs on it, so a forward pass
 that needs no gradient holds no intermediate past its last use.
 
-Where the process may run on two CPUs, a large forward matmul or masked
-softmax (:data:`SPLIT_MADDS`, :data:`SPLIT_SCORES`), and a one-row matmul
-over a large weight (:data:`SPLIT_WEIGHTS`, a decode step's matrix-vector
-product), splits between the calling thread and one worker thread, started
-on first use. Each half, a stack's leading batch half, a matrix's row half
-or a row's column half (:func:`_product_parts`), writes its own slice of one
-output, the worker's in a copy of the caller's context, where numpy's error
-state lives. The caller returns, or raises, only once both halves are done,
-and only the caller records; a row split by columns turns, if it rotates,
-in the caller once joined.
+Where the process may run on two CPUs, a large forward matmul
+(:data:`SPLIT_MADDS`), a one-row matmul over a large weight
+(:data:`SPLIT_WEIGHTS`) and an attention over many scores
+(:data:`SPLIT_SCORES`) split between the calling thread and one worker
+thread, started on first use. Each half (a stack's batch half, a matrix's
+row half, a row's column half, half of the kv heads) writes its own slice of
+one output, the worker's in a copy of the caller's context, where numpy's
+error state lives. The caller returns, or raises, only once both halves are
+done, and only the caller records; a row split by columns turns, if it
+rotates, in the caller once joined.
 
 All reductions run in numpy's deterministic single-threaded order. Each half
 of a split primitive still runs single-threaded, in the same order, so
@@ -112,10 +113,12 @@ SPLIT_MADDS = 2 ** 23
 # over 12 weights 1024 deep in turn (1 BLAS thread, medians of 360 calls),
 # 8 MiB split took 0.71-0.87 of its whole time, 4 MiB 1.7-1.9 times it
 SPLIT_WEIGHTS = 2 ** 20
-# scores from which a masked softmax splits: a (4, 256, 64) block, the first
-# query block of a medium prefill, takes about 0.4 ms in one thread. On 2
-# CPUs, splitting the softmax as well as the products made a 768-token
-# prefill 17-26% faster than splitting the products alone
+# scores of an attention from which each kv head runs its blocks in turn,
+# a block's scores (at most 1.5 MiB) still in a 2 MiB L2 for its softmax and
+# value matmul, the kv heads in halves on two threads: a 768-token medium rap
+# layer took 20-25 ms, not 30-37 ms in 6 MiB stacked blocks (medians of 30,
+# 1 BLAS thread; 26-32 and 39-46 ms 64 wide, 39-43 and 45-57 ms on one CPU).
+# Decode steps (4 * 4 * 785 scores) and desk passes run each block stacked
 SPLIT_SCORES = 2 ** 16
 
 # the worker: ThreadPoolExecutor starts its thread on the first submit, so
@@ -200,7 +203,8 @@ def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> l
 
 
 def _softmax(out: Matrix, scale: float, mask: np.ndarray | None) -> None:
-    """``out`` becomes the softmax over its last axis of ``scale * out + mask``."""
+    """``out`` becomes the softmax over its last axis of ``scale * out + mask``:
+    (n, c) mask row i covers rows [i·G, (i+1)·G) and their last c columns."""
     np.multiply(out, scale, out=out)
     if mask is not None:
         n, c = mask.shape
@@ -209,6 +213,18 @@ def _softmax(out: Matrix, scale: float, mask: np.ndarray | None) -> None:
     out -= np.max(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=-1, keepdims=True)
+
+
+def _attend(q: Matrix, k: Matrix, v: Matrix, out: Matrix, probs: list | None, scale: float,
+            spans: list[tuple], heads: list[slice]) -> None:
+    """Each block's scores, softmax (into ``probs`` if given) and value
+    product into ``out``, for each slice of kv heads in ``heads`` in turn."""
+    for h in heads:
+        for b, (rows, keys, mask) in enumerate(spans):
+            s = np.matmul(q[h][rows], k[h, :keys].swapaxes(-1, -2),
+                          out=None if probs is None else probs[b][h])
+            _softmax(s, scale, mask)
+            np.matmul(s, v[h, :keys], out=out[h][rows])
 
 
 def pair_tables(cos: np.ndarray, sin: np.ndarray, half_split: bool) -> tuple:
@@ -530,18 +546,6 @@ class Tape:
 
         return self._record(out, (a,), backward)
 
-    def concat(self, parts: Sequence[Node], axis: int) -> Node:
-        """``parts`` joined along ``axis``."""
-        parts = list(parts)
-        out = np.concatenate([p.value for p in parts], axis=axis)
-        edges = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
-
-        def backward(g, acc):
-            for p, part in zip(parts, np.split(g, edges, axis=axis)):
-                acc(p, part)
-
-        return self._record(out, tuple(parts), backward)
-
     def row_softmax(self, a: Node) -> Node:
         out = softmax_rows(a.value)
 
@@ -551,30 +555,52 @@ class Tape:
 
         return self._record(out, (a,), backward)
 
-    def masked_softmax(self, scores: Node, scale: float,
-                       mask: np.ndarray | None = None) -> Node:
-        """Softmax over the last axis of ``scale * scores + mask``, written
-        over ``scores.value``.
+    def attention(self, queries: Node, keys: Node, values: Node, scale: float,
+                  blocks: Sequence[tuple], tags: tuple = (None, None)) -> Node:
+        """Softmax attention in query blocks, one node: ``queries`` is
+        (H_kv, n·G, qw), ``keys`` and ``values`` (H_kv, t+n, w). Block
+        ``(i0, i1, mask)`` scores query rows [i0·G, i1·G) against keys
+        [0, t+i1), writes their :func:`_softmax` over them and their product
+        with values [0, t+i1) into its rows of the (H_kv, n·G, vw) output.
+        Score and value FLOPs count under ``tags``.
 
-        An (n, c) constant ``mask`` serves n·G score rows of every matrix:
-        mask row i covers rows [i·G, (i+1)·G) and their trailing c columns.
-        ``scores`` must be a fresh array nothing else reads, such as a
-        matmul's output (its backward reads only its inputs). The backward
-        pass needs only the output. From ``SPLIT_SCORES`` scores, the halves
-        of a stack's leading batch axis run on two threads.
+        From ``SPLIT_SCORES`` scores in all, each kv head runs its blocks in
+        turn, the kv heads in halves on two threads on two CPUs; below, each
+        block makes three calls stacked over the heads. numpy calls BLAS once
+        per matrix either way, to the same bits. Value and gradients are those
+        of row slices, transposes, matmuls and a softmax per block joined by
+        rows, bit for bit if the queries are not the keys or values: with
+        several blocks a gradient adds up from zeros in reverse block order,
+        with one it is kept as it is.
         """
-        out = scores.value
-        parts = [(out, scale, mask)]
-        if out.ndim > 2 and out.shape[0] > 1 and out.size >= SPLIT_SCORES and _cpus() > 1:
-            h = out.shape[0] // 2    # rows are independent
-            parts = [(out[:h], scale, mask), (out[h:], scale, mask)]
-        _in_parts(_softmax, parts)
+        q, k, v, n = queries.value, keys.value, values.value, blocks[-1][1]
+        heads, group, t = k.shape[-3], q.shape[-2] // n, k.shape[-2] - n
+        spans = [(np.s_[..., i0 * group:i1 * group, :], t + i1, mask) for i0, i1, mask in blocks]
+        sizes = [(heads, (i1 - i0) * group, t + i1) for i0, i1, _ in blocks]
+        probs = [np.empty(size) for size in sizes] if self.record else None
+        out = np.empty(q.shape[:-1] + v.shape[-1:])
+        scores = sum(b * r * c for b, r, c in sizes)
+        parts = [(q, k, v, out, probs, scale, spans, [np.s_[:]])]
+        if heads > 1 and scores >= SPLIT_SCORES:
+            h = heads // 2 if _cpus() > 1 else heads
+            parts = [(*parts[0][:-1], [np.s_[i:i + 1] for i in part])
+                     for part in (range(h), range(h, heads)) if part]
+        _in_parts(_attend, parts)
+        self._count(2 * scores * q.shape[-1], tags[0])
+        self._count(2 * scores * v.shape[-1], tags[1])
 
         def backward(g, acc):
-            dot = np.sum(g * out, axis=-1, keepdims=True)
-            acc(scores, out * (g - dot) * scale)
+            whole = len(spans) == 1   # no row slice: the first gradient kept
+            for (rows, keys_seen, _), p in zip(reversed(spans), reversed(probs)):
+                g_b, k_b, v_b = g[rows], k[..., :keys_seen, :], v[..., :keys_seen, :]
+                seen = None if whole else np.s_[..., :keys_seen, :]
+                g_p = np.matmul(g_b, v_b.swapaxes(-1, -2))
+                acc(values, np.matmul(p.swapaxes(-1, -2), g_b), seen)
+                g_s = p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * scale
+                acc(keys, np.matmul(q[rows].swapaxes(-1, -2), g_s).swapaxes(-1, -2), seen)
+                acc(queries, np.matmul(g_s, k_b), None if whole else rows)
 
-        return self._record(out, (scores,), backward)
+        return self._record(out, (queries, keys, values), backward)
 
     def row_log_softmax(self, a: Node) -> Node:
         out = log_softmax_rows(a.value)

@@ -12,19 +12,20 @@ n = 1, so decode reproduces the matching prefill row by construction.
 
 A layer rotates all its query heads inside their projection's node, and
 all its new keys inside theirs (svd keys rotate inside their rebuild's
-node instead, every cached key at every step). All kv heads then
-attend at once, each for its G query heads: the queries stack as (H_kv, n·G,
-qw), the keys and values as (H_kv, T, width) views of the cache, and one
-score matmul, one masked softmax and one value matmul run over the whole
-stack, so a step records as many nodes whatever H_kv is. FLOPs count
-exactly what per-head matmuls would.
+node instead, every cached key at every step). All kv heads then attend,
+each for its G query heads, in one :meth:`numcore.Tape.attention` node: the
+queries stack as (H_kv, n·G, qw), the keys and values as (H_kv, T, width)
+views of the cache, so a step records as many nodes whatever H_kv is. A long
+prefill runs it kv head by kv head, on two threads where it can, a decode
+step stacked. FLOPs count exactly what per-head matmuls would.
 
 The n new rows attend in query blocks of at most ``QUERY_BLOCK`` (64) rows.
 Block [i0, i1) scores only the keys it can see, [0, t+i1), so the masked
 upper part of a long prefill is neither computed nor counted. In one window
 every key before t+i0 is visible, so the mask is only the block's diagonal
-tile; a batch of windows keeps the block's full mask rows. A decode step,
-and any pass of at most 64 rows, is one block over every key.
+tile, a slice of one causal tile; a batch of windows keeps the block's full
+mask rows. A decode step, and any pass of at most 64 rows, is one block over
+every key.
 
 Each layer caches its keys in one row buffer and its values in another, the
 kv heads side by side (H_kv·width columns), read as an (H_kv, T, width)
@@ -274,10 +275,13 @@ def _causal_mask(n: int, windows: int = 1) -> np.ndarray:
 def _query_blocks(n: int, windows: int) -> list[tuple[int, int, np.ndarray | None]]:
     """(i0, i1, mask) of each query block of n new rows: the mask covers the
     trailing columns of the block's scores, the (i1-i0)² diagonal tile in one
-    window, all i1 columns for a batch of windows (which start at t = 0)."""
-    mask = _causal_mask(n, windows) if n > 1 else None
+    window (a slice of one causal tile), all i1 columns for a batch of
+    windows (which start at t = 0)."""
+    if n == 1:
+        return [(0, 1, None)]
+    mask = _causal_mask(min(n, QUERY_BLOCK)) if windows == 1 else _causal_mask(n, windows)
     edges = [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
-    return [(i0, i1, None if mask is None else mask[i0:i1, i0 if windows == 1 else 0:i1])
+    return [(i0, i1, mask[:i1 - i0, :i1 - i0] if windows == 1 else mask[i0:i1, :i1])
             for i0, i1 in edges]
 
 
@@ -318,14 +322,11 @@ def _layer_step(model: AttentionModel, tape: Tape, queries: Node, k_all: Node, v
 
     ``cos``/``sin`` are the cache's angle table rows [0, t+n), all of which
     svd layers read, as they rotate every cached key. ``blocks`` are the
-    :func:`_query_blocks` of the n new rows. Each query block makes one
-    score matmul, one masked softmax and one value matmul over all kv heads.
+    :func:`_query_blocks` of the n new rows, which one attention node runs.
     """
     spec = model.spec
     layer = model.layers[idx]
-    t, group, kv_heads = cache.length, spec.group_size, spec.kv_heads
-    n = queries.value.shape[1] // group
-    inv_sqrt_d = 1.0 / np.sqrt(spec.head_dim)
+    kv_heads, n = spec.kv_heads, queries.value.shape[1] // spec.group_size
 
     keys, values = _heads(tape, k_all, kv_heads), _heads(tape, v_all, kv_heads)
     if layer.k_recon is not None:
@@ -336,17 +337,8 @@ def _layer_step(model: AttentionModel, tape: Tape, queries: Node, k_all: Node, v
     if layer.v_recon is not None:
         values = tape.matmul(values, tape.leaf(layer.v_recon, f"L{idx}.v_b"), tag="kv_proj")
 
-    parts = []
-    for i0, i1, mask in blocks:
-        q_b, k_b, v_b = queries, keys, values
-        if len(blocks) > 1:   # the block sees keys [0, t+i1) only
-            q_b = tape.rows(queries, i0 * group, i1 * group)
-            k_b, v_b = tape.rows(keys, 0, t + i1), tape.rows(values, 0, t + i1)
-        scores = tape.matmul(q_b, tape.transpose(k_b), tag="attn_score")
-        probs = tape.masked_softmax(scores, inv_sqrt_d, mask)
-        parts.append(tape.matmul(probs, v_b, tag="attn_value"))
-
-    out = parts[0] if len(parts) == 1 else tape.concat(parts, axis=1)
+    out = tape.attention(queries, keys, values, 1.0 / np.sqrt(spec.head_dim), blocks,
+                         tags=("attn_score", "attn_value"))
     # (H_kv, n·G, vw) -> (n, H_q·vw): token rows, query heads side by side
     merged = tape.reshape(tape.swapaxes(tape.reshape(out, kv_heads, n, -1), 0, 1), n, -1)
     return layer.proj_o.apply(tape, merged, f"L{idx}.o", tag="attn_o")

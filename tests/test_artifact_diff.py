@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 from rapkit.toymodel import default_spec, spec_from_json
@@ -59,7 +60,8 @@ def test_half_split_pipelines_run_on_a_half_split_config(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
-        calls.append(argv[argv.index("rapkit") + 1:])
+        if "rapkit" in argv:   # not the medium logit digests
+            calls.append(argv[argv.index("rapkit") + 1:])
         return subprocess.CompletedProcess(argv, 0)
 
     monkeypatch.setattr(script.subprocess, "run", fake_run)
@@ -78,3 +80,45 @@ def test_half_split_pipelines_run_on_a_half_split_config(tmp_path, monkeypatch):
                 assert argv[argv.index("--config") + 1] == f"half_split-seed{seed}.json"
                 assert argv[argv.index("--seed") + 1] == str(seed)
                 assert ("--method" in argv) == (name == "half_split-svd")
+
+
+def test_the_medium_logit_digests_are_written_last_and_compared(tmp_path, monkeypatch, capsys):
+    """After the pipelines, a child on the tree's ``src`` with BLAS pinned to
+    one thread writes the digest file into the work directory, where it is
+    compared with the artifacts."""
+    script = load_script()
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        calls.append((argv, cwd, env))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    script.run_pipelines(tmp_path / "tree", tmp_path)
+    argv, cwd, env = calls[-1]
+    assert argv == [sys.executable, "-c", script.DIGEST_CHILD, "medium_logits.json"]
+    assert cwd == tmp_path and env["PYTHONPATH"] == str((tmp_path / "tree").resolve() / "src")
+    assert all(env[name] == "1" for name in script.BLAS_THREADS)
+    assert sum("rapkit" not in argv for argv, _, _ in calls) == 1
+    monkeypatch.undo()
+
+    trees = {tmp_path / "a": b"{1}", tmp_path / "b": b"{2}"}
+    monkeypatch.setattr(script, "run_pipelines", lambda tree, workdir: write_files(
+        workdir, {"rap-seed7/scores.json": b"{}", script.DIGEST: trees[tree]}))
+    assert script.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b")]) == 1
+    assert "different         medium_logits.json" in capsys.readouterr().out
+
+
+def test_the_digest_child_writes_both_digests_of_every_method(tmp_path):
+    """The child run on this tree's ``src``: each medium method's prefill
+    and decode logits as SHA-256 digests, 64 hex digits each."""
+    script = load_script()
+    env = {"PYTHONPATH": str(SCRIPT.parent / "src"), **dict.fromkeys(script.BLAS_THREADS, "1")}
+    subprocess.run([sys.executable, "-c", script.DIGEST_CHILD, script.DIGEST], cwd=tmp_path,
+                   env=env, check=True)
+    digests = json.loads((tmp_path / script.DIGEST).read_text())
+    assert list(digests) == ["baseline", "svd", "palu", "rap"]
+    for method in digests.values():
+        assert list(method) == ["prefill", "decode"]
+        assert all(len(d) == 64 and int(d, 16) >= 0 for d in method.values())
+    assert len({d for method in digests.values() for d in method.values()}) == 8

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RAP_CASE, finite_difference, make_spec, pair_columns, tiny_spec
-from rapkit import numcore
+from rapkit import numcore, toymodel
 from rapkit.factorize import build_compressed
-from rapkit.numcore import (ROTATE_ROWS, Tape, as_matrix, grad, gradients, pair_tables,
+from rapkit.numcore import (ROTATE_ROWS, Node, Tape, as_matrix, grad, gradients, pair_tables,
                             rotate_pairs, softmax_rows, turn_pairs)
 from rapkit.rope import PairingScheme, RopeConfig
 from rapkit.scoring import magnitude_scores
@@ -197,32 +197,46 @@ def test_fd_reshape(rng):
     assert stack.value.shape == (2, 3, 2) and np.shares_memory(stack.value, a.value)
 
 
-def test_fd_masked_softmax_over_stacked_rows(rng):
-    """Two stacked rows per token (G=2) share their token's causal mask row;
-    the scale is not 1, and the result overwrites the score matrix."""
+def _attention_reference(q, k, v, scale, blocks):
+    """Each block's softmax(scale * q k^T + mask) v, head by head, with
+    :func:`softmax_rows` over the full mask rows of the keys it sees."""
+    n = blocks[-1][1]
+    group, t = q.shape[1] // n, k.shape[1] - n
+    out = np.zeros(q.shape[:-1] + v.shape[-1:])
+    for i0, i1, mask in blocks:
+        rows, keys = slice(i0 * group, i1 * group), t + i1
+        full = np.zeros((i1 - i0, keys))
+        if mask is not None:
+            full[:, keys - mask.shape[1]:] = mask
+        for h in range(q.shape[0]):
+            z = q[h, rows] @ k[h, :keys].T * scale + np.repeat(full, group, axis=0)
+            out[h, rows] = softmax_rows(z) @ v[h, :keys]
+    return out
+
+
+def test_fd_attention_over_stacked_rows(rng):
+    """One block of 3 new rows after 2 cached keys: two stacked rows per
+    token (G=2) share their token's causal mask row over the trailing
+    columns, and the scale is not 1."""
     n, group, t_len, width = 3, 2, 5, 4
-    arrays = {"q": rng.normal(size=(n * group, width)),
-              "k": rng.normal(size=(width, t_len))}
-    mask = np.where(np.arange(t_len)[None, :] > np.arange(2, 2 + n)[:, None],
-                    -np.inf, 0.0)
-    r = rng.normal(size=(n * group, t_len))
-    scale = 0.37
+    arrays = {"q": rng.normal(size=(2, n * group, width)),
+              "k": rng.normal(size=(2, t_len, width)), "v": rng.normal(size=(2, t_len, 3))}
+    mask = np.where(np.arange(n)[None, :] > np.arange(n)[:, None], -np.inf, 0.0)
+    r = rng.normal(size=(2, n * group, 3))
+    scale, blocks = 0.37, [(0, n, mask)]
 
     def build(t, lv):
-        probs = t.masked_softmax(t.matmul(lv["q"], lv["k"]), scale, mask)
-        return t.sum_all(t.mul(probs, t.constant(r)))
+        out = t.attention(lv["q"], lv["k"], lv["v"], scale, blocks)
+        return t.sum_all(t.mul(out, t.constant(r)))
 
     _fd_check(build, arrays)
     t = Tape()
-    scores = t.matmul(t.leaf(arrays["q"], "q"), t.leaf(arrays["k"], "k"))
-    expected = softmax_rows(scores.value * scale + np.repeat(mask, group, axis=0))
-    probs = t.masked_softmax(scores, scale, mask)
-    np.testing.assert_array_equal(probs.value, expected)
-    assert probs.value is scores.value
-    assert np.all(probs.value[np.repeat(mask, group, axis=0) == -np.inf] == 0.0)
-    raw = arrays["q"] @ arrays["k"]
-    unmasked = t.masked_softmax(t.constant(raw.copy()), scale)
-    np.testing.assert_array_equal(unmasked.value, softmax_rows(raw * scale))
+    out = t.attention(*(t.leaf(arrays[x], x) for x in "qkv"), scale, blocks)
+    np.testing.assert_allclose(out.value, _attention_reference(
+        arrays["q"], arrays["k"], arrays["v"], scale, blocks), rtol=0, atol=1e-15)
+    unmasked = t.attention(*(t.leaf(arrays[x], x) for x in "qkv"), scale, [(0, n, None)])
+    np.testing.assert_allclose(unmasked.value, _attention_reference(
+        arrays["q"], arrays["k"], arrays["v"], scale, [(0, n, None)]), rtol=0, atol=1e-15)
 
 
 def test_fd_gathers_with_repeats(rng):
@@ -274,21 +288,28 @@ def test_swapaxes_is_a_view_and_rows_slice_every_matrix(rng):
             t.rows(a, lo, hi)
 
 
-def test_fd_concat_cols(rng):
-    """Side by side (axis 1), stacked (axis 0), and along the rows of every
-    matrix of a 3-D stack (axis 1)."""
-    arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
-    r = rng.normal(size=(3, 6))
-    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=1),
-                                            t.constant(r))), arrays)
-    arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(4, 3))}
-    r = rng.normal(size=(6, 3))
-    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=0),
-                                            t.constant(r))), arrays)
-    arrays = {"a": rng.normal(size=(2, 1, 3)), "b": rng.normal(size=(2, 3, 3))}
-    r = rng.normal(size=(2, 4, 3))
-    _fd_check(lambda t, lv: t.sum_all(t.mul(t.concat([lv["a"], lv["b"]], axis=1),
-                                            t.constant(r))), arrays)
+def test_fd_attention_over_query_blocks(rng):
+    """Three query blocks of one pass, their rows joined: diagonal tiles of
+    one window after a cached key, and the full mask rows of two windows."""
+    group, width = 2, 3
+    for n, windows, t_len in ((5, 1, 6), (6, 2, 6)):
+        arrays = {"q": rng.normal(size=(2, n * group, width)),
+                  "k": rng.normal(size=(2, t_len, width)), "v": rng.normal(size=(2, t_len, 2))}
+        r = rng.normal(size=(2, n * group, 2))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toymodel, "QUERY_BLOCK", 2)
+            blocks = _query_blocks(n, windows)
+        assert len(blocks) == 3
+
+        def build(t, lv):
+            out = t.attention(lv["q"], lv["k"], lv["v"], 0.6, blocks)
+            return t.sum_all(t.mul(out, t.constant(r)))
+
+        _fd_check(build, arrays)
+        t = Tape()
+        out = t.attention(*(t.leaf(arrays[x], x) for x in "qkv"), 0.6, blocks)
+        np.testing.assert_allclose(out.value, _attention_reference(
+            arrays["q"], arrays["k"], arrays["v"], 0.6, blocks), rtol=0, atol=1e-15)
 
 
 def test_fd_rows(rng):
@@ -344,9 +365,9 @@ def test_fd_rotate_pairs(rng):
 
 
 def test_primitives_over_stacks_match_each_matrix_bit_for_bit(rng):
-    """A stack runs matmul, transpose, rows, masked softmax and rotation on
-    each of its matrices as the 2-D primitive would, to the same bits, and
-    its matmul FLOPs are the sum over the stack."""
+    """A stack runs rows, attention and rotation on each of its matrices as
+    a stack of one would, to the same bits, and its attention FLOPs are the
+    sum over the stack."""
     h, n, group, t_len, width = 3, 4, 2, 6, 8
     q, k = rng.normal(size=(h, n * group, width)), rng.normal(size=(h, t_len, width))
     mask = np.where(np.arange(2)[None, :] > np.arange(2)[:, None], -np.inf, 0.0)
@@ -355,24 +376,25 @@ def test_primitives_over_stacks_match_each_matrix_bit_for_bit(rng):
 
     def attend(t, qn, kn):
         rows = t.rows(qn, 2 * group, 4 * group)
-        probs = t.masked_softmax(t.matmul(rows, t.transpose(kn), tag="s"), 0.3, mask)
-        return t.matmul(probs, kn, tag="v"), t.rotate_pairs(qn, cos, sin, True)
+        out = t.attention(rows, kn, kn, 0.3, [(0, 2, mask)], tags=("s", "v"))
+        return out, t.rotate_pairs(qn, cos, sin, True)
 
     t = Tape()
     stacked = attend(t, t.leaf(q, "q"), t.leaf(k, "k"))
     flops = dict(t.flops_by_tag)
     for i in range(h):
         t = Tape()
-        for got, want in zip(stacked, attend(t, t.leaf(q[i], "q"), t.leaf(k[i], "k"))):
-            np.testing.assert_array_equal(got.value[i], want.value)
+        for got, want in zip(stacked, attend(t, t.leaf(q[i:i + 1], "q"), t.leaf(k[i:i + 1], "k"))):
+            np.testing.assert_array_equal(got.value[i], want.value[0])
         assert {tag: h * f for tag, f in t.flops_by_tag.items()} == flops
     assert flops == {"s": 2 * h * 2 * group * t_len * width,
                      "v": 2 * h * 2 * group * width * t_len}
 
 
 def test_fd_primitives_over_stacks(rng):
-    """Gradients through stacked matmul, swapaxes, reshape, rows, masked
-    softmax (a mask over the trailing columns only) and rotation, vs FD."""
+    """Gradients through stacked swapaxes, reshape, rows, attention (a mask
+    over the trailing columns only, keys that are also the values) and
+    rotation, vs FD; values of the identity read off the probabilities."""
     h, n, group, t_len, width = 2, 3, 2, 5, 4
     arrays = {"q": rng.normal(size=(h, n, group * width)),
               "k": rng.normal(size=(h, t_len, width))}
@@ -386,20 +408,21 @@ def test_fd_primitives_over_stacks(rng):
         q = t.reshape(lv["q"], h, n * group, width)
         q = t.rotate_pairs(q, cos, sin, False)
         q = t.rows(q, group, n * group)
-        scores = t.matmul(q, t.transpose(lv["k"]))
-        probs = t.masked_softmax(scores, 0.7, mask)
-        out = t.reshape(t.matmul(probs, lv["k"]), h, n - 1, -1)
+        out = t.reshape(t.attention(q, lv["k"], lv["k"], 0.7, [(0, n - 1, mask)]), h, n - 1, -1)
         return t.sum_all(t.mul(t.swapaxes(out, 0, 1), t.constant(r)))
 
     _fd_check(build, arrays)
-    raw = arrays["q"].reshape(h, n * group, width)[:, group:] @ arrays["k"].swapaxes(1, 2)
-    probs = Tape().masked_softmax(Tape().constant(raw.copy()), 0.7, mask)
+    q = arrays["q"].reshape(h, n * group, width)[:, group:]
+    t = Tape()
+    out = t.attention(t.constant(q), t.constant(arrays["k"]), t.constant(np.eye(t_len)[None]
+                                                                        .repeat(h, 0)),
+                      0.7, [(0, n - 1, mask)])
     full = np.zeros((n - 1, t_len))
     full[:, -2:] = mask
-    want = np.exp(raw * 0.7 + np.repeat(full, group, axis=0))
-    np.testing.assert_allclose(probs.value, want / want.sum(axis=-1, keepdims=True),
+    want = np.exp(q @ arrays["k"].swapaxes(1, 2) * 0.7 + np.repeat(full, group, axis=0))
+    np.testing.assert_allclose(out.value, want / want.sum(axis=-1, keepdims=True),
                                rtol=0, atol=1e-15)
-    assert np.all(probs.value[:, :group, -1] == 0) and np.all(probs.value[:, group:, -1] > 0)
+    assert np.all(out.value[:, :group, -1] == 0) and np.all(out.value[:, group:, -1] > 0)
 
 
 def test_matmul_over_stacks_checks_the_batch_shape(rng):
@@ -749,24 +772,147 @@ def test_a_rotated_product_of_small_tiles_stays_whole(monkeypatch):
         assert len(numcore._product_parts(a, b, np.empty((rows, cols)), rotate)) == parts
 
 
+def _kv_stack(t: Tape, buffer: Node, heads: int) -> Node:
+    """A (T, H_kv·w) row buffer leaf as the (H_kv, T, w) view a layer reads."""
+    return t.swapaxes(t.reshape(buffer, buffer.value.shape[0], heads, -1), 0, 1)
+
+
+def _attention_pass(arrays, heads, scale, blocks, r, attend):
+    """``attend(t, q, k, v)`` of a (H_kv, n·G, w) query stack and (T, H_kv·w)
+    key and value buffers on a recording tape, and the loss sum(out * r).
+    Gives the output, the FLOPs by tag, and the int64 views and the strides
+    of the gradients of the queries and of the key and value views."""
+    t = Tape()
+    q = t.leaf(arrays["q"], "q")
+    k, v = (_kv_stack(t, t.leaf(arrays[x], x), heads) for x in "kv")
+    out = attend(t, q, k, v, scale, blocks)
+    table = t.backward_from(t.sum_all(t.mul(out, t.constant(r))))
+    grads = [(np.ascontiguousarray(table[node.idx]).view(np.int64), table[node.idx].strides)
+             for node in (q, k, v)]
+    return out.value.view(np.int64).copy(), dict(t.flops_by_tag), grads
+
+
+def _composite_attention(t, q, k, v, scale, blocks):
+    """The per-block composition the attention node stands for: row slices
+    (with several blocks), a transpose, a score matmul, a masked softmax
+    node written over the scores, a value matmul, and the blocks' rows
+    joined."""
+    n = blocks[-1][1]
+    group, t0 = q.value.shape[1] // n, k.value.shape[1] - n
+
+    def masked_softmax(scores, mask):
+        out = scores.value
+        np.multiply(out, scale, out=out)
+        if mask is not None:
+            stacked = out.reshape(out.shape[:-2] + (mask.shape[0], -1, out.shape[-1]))
+            stacked[..., out.shape[-1] - mask.shape[1]:] += mask[:, None, :]
+        out -= np.max(out, axis=-1, keepdims=True)
+        np.exp(out, out=out)
+        out /= np.sum(out, axis=-1, keepdims=True)
+
+        def backward(g, acc):
+            dot = np.sum(g * out, axis=-1, keepdims=True)
+            acc(scores, out * (g - dot) * scale)
+
+        return t._record(out, (scores,), backward)
+
+    parts = []
+    for i0, i1, mask in blocks:
+        q_b, k_b, v_b = q, k, v
+        if len(blocks) > 1:
+            q_b = t.rows(q, i0 * group, i1 * group)
+            k_b, v_b = t.rows(k, 0, t0 + i1), t.rows(v, 0, t0 + i1)
+        probs = masked_softmax(t.matmul(q_b, t.transpose(k_b), tag="s"), mask)
+        parts.append(t.matmul(probs, v_b, tag="v"))
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate([p.value for p in parts], axis=1)
+    edges = np.cumsum([p.value.shape[1] for p in parts])[:-1]
+
+    def backward(g, acc):
+        for p, part in zip(parts, np.split(g, edges, axis=1)):
+            acc(p, part)
+
+    return t._record(out, tuple(parts), backward)
+
+
+def _node_attention(t, q, k, v, scale, blocks):
+    return t.attention(q, k, v, scale, blocks, tags=("s", "v"))
+
+
+ATTENTION_CASES = {   # n new rows, windows, cached keys t
+    "one block": (40, 1, 0),
+    "three diagonal tiles": (130, 1, 0),
+    "batch of two windows": (130, 2, 0),
+    "decode row": (1, 1, 37),
+}
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_the_attention_node_is_its_per_block_composition_bit_for_bit(case, heads, monkeypatch):
+    """The node's value, FLOPs and the gradients of its queries, keys and
+    values are those of the composition it replaces, bit for bit: split
+    between two threads by kv heads, per kv head on one thread, and as the
+    stacked calls below the split size. Each gradient has the composition's
+    layout: with one block its matmul's own array (the keys' a swapped
+    view), with several a buffer summed from zeros."""
+    n, windows, t0 = ATTENTION_CASES[case]
+    group, width, v_width = 2, 8, 6
+    rng = np.random.default_rng(30 + n + heads)
+    arrays = {"q": rng.normal(size=(heads, n * group, width)),
+              "k": rng.normal(size=(t0 + n, heads * width)),
+              "v": rng.normal(size=(t0 + n, heads * v_width))}
+    r = rng.normal(size=(heads, n * group, v_width))
+    blocks = _query_blocks(n, windows)
+    want = _attention_pass(arrays, heads, 0.35, blocks, r, _composite_attention)
+    assert want[2][1][1][-2:] == ((8, 8 * (t0 + n)) if len(blocks) == 1 else (8 * width, 8))
+    real, counted = numcore._in_parts, []
+
+    def in_parts(work, pieces):
+        counted.append([piece[-1] for piece in pieces])
+        real(work, pieces)
+
+    monkeypatch.setattr(numcore, "_in_parts", in_parts)
+    one = [np.s_[i:i + 1] for i in range(heads)]
+    for cpus, split_at, heads_by_part in (
+            (2, 1, [one[:heads // 2], one[heads // 2:]] if heads > 1 else [[np.s_[:]]]),
+            (1, 1, [one] if heads > 1 else [[np.s_[:]]]),
+            (2, float("inf"), [[np.s_[:]]])):
+        monkeypatch.setattr(numcore, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(numcore, "SPLIT_SCORES", split_at)
+        counted.clear()
+        got = _attention_pass(arrays, heads, 0.35, blocks, r, _node_attention)
+        assert counted == [heads_by_part]
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1] == want[1]
+        for (g, strides), (w, want_strides) in zip(got[2], want[2]):
+            assert g.tolist() == w.tolist() and strides == want_strides
+
+
 @pytest.mark.parametrize("n, windows", [(768, 1), (256, 2)],
-                         ids=["diagonal tile", "batch of windows"])
-def test_a_split_masked_softmax_is_the_serial_one_bit_for_bit(n, windows, monkeypatch):
-    """The last query block of a medium prefill: 4 kv heads of 64 rows of 4
-    query heads, with its diagonal-tile mask, or the full mask rows of a
-    batch of two windows."""
-    i0, i1, mask = _query_blocks(n, windows)[-1]
-    scores = np.random.default_rng(27).normal(size=(4, 4 * (i1 - i0), i1))
+                         ids=["diagonal tiles", "batch of windows"])
+def test_a_split_attention_is_the_serial_one_bit_for_bit(n, windows, monkeypatch):
+    """A medium rap layer's attention over a 768-token prefill (the last
+    block 64 rows of 4 query heads of 4 kv heads over 768 keys, 32 wide)
+    and over a batch of two windows, split by kv heads between two threads,
+    against the stacked calls on one: value, FLOPs, nodes, and the gradients
+    of queries, keys and values."""
+    rng = np.random.default_rng(27)
+    arrays = {"q": rng.normal(size=(4, 4 * n, 32)), "k": rng.normal(size=(n, 4 * 32)),
+              "v": rng.normal(size=(n, 4 * 32))}
+    r, blocks = rng.normal(size=(4, 4 * n, 32)), _query_blocks(n, windows)
 
     def run():
-        t = Tape()
-        out = t.masked_softmax(t.constant(scores.copy()), 0.125, mask)
-        return out.value, dict(t.flops_by_tag), len(t.nodes)
+        return _attention_pass(arrays, 4, 0.125, blocks, r, _node_attention)
 
-    (split, flops, nodes), (serial, serial_flops, serial_nodes) = \
+    (split, flops, grads), (serial, serial_flops, serial_grads) = \
         split_and_serial(monkeypatch, run)
-    assert split.view(np.int64).tolist() == serial.view(np.int64).tolist()
-    assert flops == serial_flops == {} and nodes == serial_nodes == 2
+    assert split.tolist() == serial.tolist()
+    scores = 4 * 4 * sum((i1 - i0) * i1 for i0, i1, _ in blocks)
+    assert flops == serial_flops == {"s": 2 * scores * 32, "v": 2 * scores * 32}
+    for (g, _), (w, _) in zip(grads, serial_grads):
+        assert g.tolist() == w.tolist()
 
 
 @pytest.mark.parametrize("mode", ["raise", "ignore"])
@@ -879,8 +1025,8 @@ def test_one_cpu_starts_no_thread_and_gives_the_same_logits(monkeypatch):
 def _decode_products(model: AttentionModel, cache, monkeypatch) -> list[list]:
     """[weight name, parts, a, b, rotate] of each matmul of one decode step
     on two CPUs (``a`` a copy of the left operand's value, ``b`` the right
-    one's value as it is), and ["softmax", parts, None, None, None] of each
-    masked softmax that may split."""
+    one's value as it is), and ["attention", parts, None, None, None] of
+    each layer's attention node."""
     steps = []
     real_matmul, real_parts = Tape.matmul, numcore._in_parts
 
@@ -889,8 +1035,8 @@ def _decode_products(model: AttentionModel, cache, monkeypatch) -> list[list]:
         return real_matmul(tape, a, b, tag, rotate)
 
     def in_parts(work, pieces):
-        if work is numcore._softmax:
-            steps.append(["softmax", 1, None, None, None])
+        if work is numcore._attend:
+            steps.append(["attention", 1, None, None, None])
         steps[-1][1] = len(pieces)
         real_parts(work, pieces)
 
@@ -957,7 +1103,9 @@ def test_a_decode_step_at_785_keys_splits_only_its_8_mib_gemvs(method, monkeypat
     """A medium decode step at 785 keys splits the q and o projections of
     baseline and svd and the q projection of palu, each into two parts. The
     svd and palu key and value rebuilds stay whole (split, they made a step
-    slower), and so does every product of rap, whose weights are 4 MiB."""
+    slower), and so does every product of rap, whose weights are 4 MiB.
+    Each layer's attention node runs its one block stacked, in one part, and
+    a recorded step holds the benchmark's decode node count."""
     model = _medium(method)
     cache = forward_prefill(model, list(range(512)) + list(range(272))).cache
     steps = [(name, parts) for name, parts, *_ in _decode_products(model, cache, monkeypatch)]
@@ -965,5 +1113,9 @@ def test_a_decode_step_at_785_keys_splits_only_its_8_mib_gemvs(method, monkeypat
     assert sorted(name for name, parts in steps if parts != 1) == \
         sorted(f"L{i}.{r}" for i in range(4) for r in roles)
     assert {parts for _, parts in steps} <= {1, 2}
+    assert [parts for name, parts in steps if name == "attention"] == [1] * 4
     rebuilds = [parts for name, parts in steps if name and name.endswith(("k_b", "v_b"))]
     assert rebuilds == [1] * {"baseline": 0, "svd": 8, "palu": 4, "rap": 0}[method]
+    tape = Tape()
+    forward_decode(model, cache, 7, tape=tape)
+    assert len(tape.nodes) == {"baseline": 88, "svd": 104, "palu": 96, "rap": 88}[method]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import damaged, finite_difference, identity_model, make_spec
-from rapkit import toymodel
+from rapkit import numcore, toymodel
 from rapkit.analyze import baseline_kv_entries
 from rapkit.factorize import METHODS, build_compressed, reconstructed_reference
 from rapkit.numcore import Tape, gradients, pair_tables
@@ -141,18 +141,19 @@ def test_decode_rejects_foreign_cache():
 
 def captured_probs(model: AttentionModel, tokens) -> list[list[np.ndarray]]:
     """Each layer's attention probabilities of a prefill, one (n, n) matrix per
-    query head in head order, read off the masked softmax of every query
-    block; the keys a block does not see stay 0."""
+    query head in head order, read off the softmax of every query block in
+    each layer's attention node, which runs its blocks' stacked calls in
+    turn below the split size; the keys a block does not see stay 0."""
     spec, n, outs = model.spec, len(tokens), []
-    softmax = Tape.masked_softmax
+    softmax = numcore._softmax
 
-    def capture(tape, *args):
-        node = softmax(tape, *args)
-        outs.append(node.value.copy())   # (H_kv, rows·G, keys) of one block
-        return node
+    def capture(out, *args):
+        softmax(out, *args)
+        outs.append(out.copy())   # (H_kv, rows·G, keys) of one block
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Tape, "masked_softmax", capture)
+        patch.setattr(numcore, "_softmax", capture)
+        patch.setattr(numcore, "SPLIT_SCORES", float("inf"))
         forward_prefill(model, tokens)
     per_layer, group = len(outs) // spec.layers, spec.group_size
     layers = []
@@ -641,6 +642,22 @@ def test_single_window_blocks_mask_only_their_diagonal_tile():
         np.testing.assert_array_equal(mask, full[i0:i1, :i1])
     assert np.any(windowed[1][2][:, :64] == -np.inf)
     assert toymodel._query_blocks(1, 1) == [(0, 1, None)]
+
+
+def test_query_block_masks_are_the_full_masks_slices_bit_for_bit():
+    """One window's masks come from one causal tile, sliced for every block,
+    the short last one included; they equal the slices of the full n×n
+    mask that the blocks took before, as do a batch's full mask rows."""
+    for n, windows in ((2, 1), (63, 1), (64, 1), (65, 1), (130, 1), (768, 1),
+                       (2, 2), (130, 2), (192, 3)):
+        full = toymodel._causal_mask(n, windows)
+        blocks = toymodel._query_blocks(n, windows)
+        assert [(i0, i1) for i0, i1, _ in blocks] == \
+            [(i0, min(i0 + QUERY_BLOCK, n)) for i0 in range(0, n, QUERY_BLOCK)]
+        for i0, i1, mask in blocks:
+            want = full[i0:i1, i0 if windows == 1 else 0:i1]
+            assert mask.shape == want.shape
+            assert mask.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("pairing", ["adjacent", "half_split"])
