@@ -17,7 +17,10 @@ script runs these pipelines at seeds 7 and 42, each into its own ``--out``:
 Last, a child process on that tree's ``src``, with BLAS pinned to one
 thread, writes ``medium_logits.json``: the SHA-256 of each method's logits
 on perfbench's medium model at rho 0.5 with the uniform plan, over a
-768-token prefill and over 16 decode steps after it, one digest each.
+768-token prefill and over 16 decode steps after it, one digest each. The
+same model with half-split pairs gives a second digest of each, under
+``half_split-<method>``, so that the check also covers a half-split rotation
+of column halves joined in the caller.
 
 The configs are written as ``half_split-seed<seed>.json`` next to the
 pipelines' directories, and compared with them. Each command's exit code is
@@ -70,21 +73,23 @@ DIGEST_CHILD = """
 import hashlib, json, sys
 import numpy as np
 from rapkit import budget, factorize, rope, scoring, toymodel
-scheme = rope.PairingScheme("adjacent", 64)
-spec = toymodel.ModelSpec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512,
-                          rope=rope.RopeConfig(10000.0, scheme), seed=42)
-base = toymodel.AttentionModel.build(spec)
-scores = scoring.magnitude_scores(base, scheme)
-plan = budget.uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
-tokens = list(toymodel.markov_calibration(spec.vocab, count=1, window=784, seed=42).sequences[0])
 digests = {}
-for method in toymodel.METHODS:
-    model = factorize.build_compressed(base, method, 0.5, scores=scores, plan=plan)
-    result = toymodel.forward_prefill(model, tokens[:768])
-    steps = [toymodel.forward_decode(model, result.cache, tok)[0] for tok in tokens[768:]]
-    digests[method] = {name: hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
-                       for name, logits in (("prefill", result.logits),
-                                            ("decode", np.vstack(steps)))}
+for pairing, prefix in (("adjacent", ""), ("half_split", "half_split-")):
+    scheme = rope.PairingScheme(pairing, 64)
+    spec = toymodel.ModelSpec(layers=4, query_heads=16, kv_heads=4, head_dim=64, vocab=512,
+                              rope=rope.RopeConfig(10000.0, scheme), seed=42)
+    base = toymodel.AttentionModel.build(spec)
+    scores = scoring.magnitude_scores(base, scheme)
+    plan = budget.uniform_plan(spec.head_dim // 2, spec.layers, 0.5)
+    calibration = toymodel.markov_calibration(spec.vocab, count=1, window=784, seed=42)
+    tokens = list(calibration.sequences[0])
+    for method in toymodel.METHODS:
+        model = factorize.build_compressed(base, method, 0.5, scores=scores, plan=plan)
+        result = toymodel.forward_prefill(model, tokens[:768])
+        steps = [toymodel.forward_decode(model, result.cache, tok)[0] for tok in tokens[768:]]
+        digests[prefix + method] = {
+            name: hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+            for name, logits in (("prefill", result.logits), ("decode", np.vstack(steps)))}
 with open(sys.argv[1], "w") as fh:
     json.dump(digests, fh, indent=1)
     fh.write("\\n")

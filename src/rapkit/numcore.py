@@ -38,16 +38,12 @@ same values bit for bit and counts the same FLOPs, but keeps nothing: no
 node, no parent, no backward closure. Inference runs on it, so a forward pass
 that needs no gradient holds no intermediate past its last use.
 
-Where the process may run on two CPUs, a large forward matmul
-(:data:`SPLIT_MADDS`), a one-row matmul over a large weight
-(:data:`SPLIT_WEIGHTS`) and an attention over many scores
-(:data:`SPLIT_SCORES`) split between the calling thread and one worker
-thread, started on first use. Each half (a stack's batch half, a matrix's
-row half, a row's column half, half of the kv heads) writes its own slice of
-one output, the worker's in a copy of the caller's context, where numpy's
-error state lives. The caller returns, or raises, only once both halves are
-done, and only the caller records; a row split by columns turns, if it
-rotates, in the caller once joined.
+A large forward matmul or attention may split between the calling thread
+and one worker thread, started on first use, by the one rule of
+:func:`_halves`. Each half writes its own slice of one output, the worker's
+in a copy of the caller's context, where numpy's error state lives. The
+caller returns, or raises, only once both halves are done, and only the
+caller records.
 
 All reductions run in numpy's deterministic single-threaded order. Each half
 of a split primitive still runs single-threaded, in the same order, so
@@ -98,14 +94,14 @@ def log_softmax_rows(z: Matrix) -> Matrix:
 ROTATE_ROWS = 256
 
 # multiply-adds (out.size * inner) from which a product splits between two
-# threads. A half then takes at least 0.4 * 2**23, well above the ~10**6
-# under which OpenBLAS runs its small-matrix kernel, which rounds differently
-# (a (256, 768) @ (768, 32) value product in 32-row parts changed 7565 of its
-# 8192 entries, in 64-row parts none). An empty hand-off to the worker costs
-# 44-60 µs back to back and 110-115 µs after 1 ms idle (medians of 2000),
-# and more from a decode step: split at 2**22, the svd and palu
-# rebuilds of 785 cached keys and values (4 * 785 * 64 * 32 multiply-adds)
-# made those steps 6-8% slower, so they stay whole
+# threads. A half then takes at least 2/7 of 2**23 (2 of 7 rows, cut at an even
+# row), well above the ~10**6 under which OpenBLAS runs its small-matrix
+# kernel, which rounds differently (a (256, 768) @ (768, 32) value product in
+# 32-row parts changed 7565 of its 8192 entries, in 64-row parts none). An
+# empty hand-off to the worker costs 44-60 µs back to back and 110-115 µs after
+# 1 ms idle (medians of 2000), and more from a decode step: split at 2**22, the
+# svd and palu rebuilds of 785 cached keys and values (4 * 785 * 64 * 32
+# multiply-adds) made those steps 6-8% slower, so they stay whole
 SPLIT_MADDS = 2 ** 23
 # float64s (8 MiB) of the weight of a one-row product, a decode step's
 # matrix-vector product, from which it splits into two column halves. Such a
@@ -167,39 +163,44 @@ def _product(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> None:
         turn_pairs(tile, (c[r0:r1], s[r0:r1], half_split), overwrite=True)
 
 
-def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> list[tuple]:
-    """The arguments of :func:`_product` for ``out``, whole or in two halves.
+def _halves(work: int, least: int, n: int, size: int) -> list[slice]:
+    """The one split rule: ``[:]``, all ``n`` items, or on two CPUs from
+    ``least`` work, two halves for the caller and the worker thread, cut at
+    the multiple of ``size`` at or under n/2, neither under ``size``."""
+    cut = n // 2 // size * size
+    split = work >= least and cut >= size and _cpus() > 1
+    return [np.s_[:cut], np.s_[cut:]] if split else [np.s_[:]]
 
-    A product of at least ``SPLIT_MADDS`` multiply-adds splits on two CPUs.
-    A stack splits its leading batch axis: numpy calls BLAS once per matrix
-    either way, so every call stays as it is. A matrix splits its rows in
-    half, each half at least 2 rows (numpy and OpenBLAS run a one-row product
-    as a matrix-vector one), with the angle rows of a ``rotate``. A half
-    tiles its own rows, so tiles may move; a rotated product whose tiles are
-    under half the split size, near enough the small-matrix kernel's sizes,
-    stays whole, so that every tile stays as it is.
+
+def _product_parts(a: Matrix, b: Matrix, out: Matrix, rotate: tuple | None) -> list[tuple]:
+    """The arguments of :func:`_product` for ``out``: whole, or its :func:`_halves`.
+
+    From ``SPLIT_MADDS`` multiply-adds, a stack splits its leading batch
+    axis: numpy calls BLAS once per matrix either way, so every call stays
+    as it is. A matrix splits its rows, each half at least 2 rows (numpy and
+    OpenBLAS run a one-row product as a matrix-vector one), with the angle
+    rows of a ``rotate``. A half tiles its own rows, so tiles may move; a
+    rotated product whose tiles are under half the split size, near enough
+    the small-matrix kernel's sizes, stays whole, so that every tile stays
+    as it is.
 
     A one-row matrix product whose weight holds at least ``SPLIT_WEIGHTS``
     floats splits its columns instead, at a multiple of 8, and its halves
     carry no ``rotate``: the caller turns the joined row. A split at a column
     that is not a multiple of 4 changed the bits of up to 4 of 1024 outputs.
     """
-    whole = [(a, b, out, rotate)]
-    rows, inner = out.shape[0], a.shape[-1]
+    rows, madds = out.shape[0], out.size * a.shape[-1]
     if out.ndim == 2 and rows == 1:
-        if b.size < SPLIT_WEIGHTS or _cpus() < 2:
-            return whole
-        h = out.shape[1] // 16 * 8
-        return [(a, b[:, p], out[:, p], None) for p in (np.s_[:h], np.s_[h:])]
-    if out.size * inner < SPLIT_MADDS or rows < 2 or _cpus() < 2:
-        return whole
-    h = rows // 2
-    if out.ndim > 2:
-        return [(a[p], b[p], out[p], rotate) for p in (np.s_[:h], np.s_[h:])]
-    if rows < 4 or (rotate is not None and ROTATE_ROWS * out.shape[1] * inner < SPLIT_MADDS // 2):
-        return whole   # a product of such tiles has at least two
-    return [(a[p], b, out[p], None if rotate is None else (rotate[0][p], rotate[1][p], rotate[2]))
-            for p in (np.s_[:h], np.s_[h:])]
+        parts = [(a, b[:, p], out[:, p], None)
+                 for p in _halves(b.size, SPLIT_WEIGHTS, out.shape[1], 8)]
+    elif out.ndim > 2:
+        parts = [(a[p], b[p], out[p], rotate) for p in _halves(madds, SPLIT_MADDS, rows, 1)]
+    else:   # by rows: a product of small rotated tiles has at least two
+        small = rotate is not None and ROTATE_ROWS * out.shape[1] * a.shape[-1] < SPLIT_MADDS // 2
+        parts = [(a[p], b, out[p],
+                  None if rotate is None else (rotate[0][p], rotate[1][p], rotate[2]))
+                 for p in _halves(0 if small else madds, SPLIT_MADDS, rows, 2)]
+    return parts if len(parts) == 2 else [(a, b, out, rotate)]
 
 
 def _softmax(out: Matrix, scale: float, mask: np.ndarray | None) -> None:
@@ -317,13 +318,6 @@ class Node:
         self.grad_enabled = grad_enabled
         self.name = name
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node(idx={self.idx}, shape={self.value.shape}, name={self.name})"
-
 
 class Tape:
     """Single-writer record of primitive operations.
@@ -398,23 +392,21 @@ class Tape:
         product's, as they did for a tail of one row, and of 2 or 3 rows of
         a 1024-deep product 256 columns wide.
 
-        A large product, or a one-row product over a large weight, splits
-        between two threads (:func:`_product_parts`) to the same bits.
+        A large product splits by :func:`_product_parts`, to the same bits.
         """
         if a.value.shape[:-2] != b.value.shape[:-2] or a.value.shape[-1] != b.value.shape[-2]:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
         # a one-row product's multiply-adds are its weight's size
-        gemv = a.value.ndim == 2 and a.value.shape[0] == 1
-        madds = a.value.size * b.value.shape[-1]
-        if rotate is None and madds < (SPLIT_WEIGHTS if gemv else SPLIT_MADDS):
+        split_at = SPLIT_WEIGHTS if a.value.ndim == 2 and a.value.shape[0] == 1 else SPLIT_MADDS
+        if rotate is None and a.value.size * b.value.shape[-1] < split_at:
             out = np.matmul(a.value, b.value)   # no call around a small product
         else:
             out = np.empty(a.value.shape[:-1] + b.value.shape[-1:])
             parts = _product_parts(a.value, b.value, out, rotate)
             _in_parts(_product, parts)
-            if gemv and len(parts) == 2 and rotate is not None:   # column halves, joined
+            if rotate is not None and parts[0][3] is None:   # column halves: turn the joined row
                 turn_pairs(out, rotate, overwrite=True)
         self._count(2 * out.size * a.value.shape[-1], tag)
 
@@ -565,13 +557,13 @@ class Tape:
         Score and value FLOPs count under ``tags``.
 
         From ``SPLIT_SCORES`` scores in all, each kv head runs its blocks in
-        turn, the kv heads in halves on two threads on two CPUs; below, each
-        block makes three calls stacked over the heads. numpy calls BLAS once
-        per matrix either way, to the same bits. Value and gradients are those
-        of row slices, transposes, matmuls and a softmax per block joined by
-        rows, bit for bit if the queries are not the keys or values: with
-        several blocks a gradient adds up from zeros in reverse block order,
-        with one it is kept as it is.
+        turn, the kv heads split by :func:`_halves`; below, each block makes
+        three calls stacked over the heads. numpy calls BLAS once per matrix
+        either way, to the same bits. Value and gradients are those of row
+        slices, transposes, matmuls and a softmax per block joined by rows,
+        bit for bit if the queries are not the keys or values: with several
+        blocks a gradient adds up from zeros in reverse block order, with one
+        it is kept as it is.
         """
         q, k, v, n = queries.value, keys.value, values.value, blocks[-1][1]
         heads, group, t = k.shape[-3], q.shape[-2] // n, k.shape[-2] - n
@@ -580,12 +572,10 @@ class Tape:
         probs = [np.empty(size) for size in sizes] if self.record else None
         out = np.empty(q.shape[:-1] + v.shape[-1:])
         scores = sum(b * r * c for b, r, c in sizes)
-        parts = [(q, k, v, out, probs, scale, spans, [np.s_[:]])]
-        if heads > 1 and scores >= SPLIT_SCORES:
-            h = heads // 2 if _cpus() > 1 else heads
-            parts = [(*parts[0][:-1], [np.s_[i:i + 1] for i in part])
-                     for part in (range(h), range(h, heads)) if part]
-        _in_parts(_attend, parts)
+        tiled = heads > 1 and scores >= SPLIT_SCORES   # each kv head's blocks in turn
+        _in_parts(_attend, [(q, k, v, out, probs, scale, spans,
+                             [np.s_[i:i + 1] for i in range(heads)[half]] if tiled else [np.s_[:]])
+                            for half in _halves(scores, SPLIT_SCORES, heads, 1)])
         self._count(2 * scores * q.shape[-1], tags[0])
         self._count(2 * scores * v.shape[-1], tags[1])
 

@@ -111,14 +111,16 @@ def test_the_medium_logit_digests_are_written_last_and_compared(tmp_path, monkey
 
 def test_the_digest_child_writes_both_digests_of_every_method(tmp_path):
     """The child run on this tree's ``src``: each medium method's prefill
-    and decode logits as SHA-256 digests, 64 hex digits each."""
+    and decode logits as SHA-256 digests, 64 hex digits each, with adjacent
+    pairs and then with half-split pairs."""
     script = load_script()
     env = {"PYTHONPATH": str(SCRIPT.parent / "src"), **dict.fromkeys(script.BLAS_THREADS, "1")}
     subprocess.run([sys.executable, "-c", script.DIGEST_CHILD, script.DIGEST], cwd=tmp_path,
                    env=env, check=True)
     digests = json.loads((tmp_path / script.DIGEST).read_text())
-    assert list(digests) == ["baseline", "svd", "palu", "rap"]
+    methods = ["baseline", "svd", "palu", "rap"]
+    assert list(digests) == methods + [f"half_split-{method}" for method in methods]
     for method in digests.values():
         assert list(method) == ["prefill", "decode"]
         assert all(len(d) == 64 and int(d, 16) >= 0 for d in method.values())
-    assert len({d for method in digests.values() for d in method.values()}) == 8
+    assert len({d for method in digests.values() for d in method.values()}) == 16

@@ -772,6 +772,61 @@ def test_a_rotated_product_of_small_tiles_stays_whole(monkeypatch):
         assert len(numcore._product_parts(a, b, np.empty((rows, cols)), rotate)) == parts
 
 
+def test_a_one_row_product_narrower_than_16_columns_stays_whole(monkeypatch):
+    """A one-row product over a weight of at least ``SPLIT_WEIGHTS`` floats
+    splits by columns only where each half is at least 8 wide: narrower than
+    16 columns it stays whole, with its ``rotate``, and no half is empty."""
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    rng = np.random.default_rng(31)
+    for cols, widths in ((8, [8]), (15, [15]), (16, [8, 8]), (24, [8, 16])):
+        inner = -(-numcore.SPLIT_WEIGHTS // cols)
+        a, b = np.zeros((1, inner)), np.zeros((inner, cols))
+        rotate = _tables(rng, 1, 1, cols // 2, False) if cols % 2 == 0 else None
+        parts = numcore._product_parts(a, b, np.empty((1, cols)), rotate)
+        assert [part[2].shape[1] for part in parts] == widths
+        if len(parts) == 1:
+            assert parts[0][1] is b and parts[0][3] is rotate
+
+
+def test_each_split_size_splits_at_its_boundary_and_stays_whole_below(monkeypatch):
+    """On two CPUs a product of exactly ``SPLIT_MADDS`` multiply-adds (the k
+    and v projection of a 64-token medium prefill) splits by rows and one of
+    63 rows stays a bare call; a one-row product over exactly
+    ``SPLIT_WEIGHTS`` floats splits by columns and one over 1024 x 1016
+    stays bare; an attention of exactly ``SPLIT_SCORES`` scores runs per kv
+    head in two halves and one of fewer runs stacked, in one part."""
+    real, split = numcore._in_parts, []
+
+    def in_parts(work, pieces):
+        if work is numcore._product:
+            split.append([piece[2].shape for piece in pieces])
+        else:
+            split.append([piece[-1] for piece in pieces])
+        real(work, pieces)
+
+    # each case below is at its split size, or just under it
+    assert 64 * 1024 * 128 == numcore.SPLIT_MADDS and 1024 * 1024 == numcore.SPLIT_WEIGHTS
+    assert 4 * (4 * 16) * (240 + 16) == numcore.SPLIT_SCORES
+    monkeypatch.setattr(numcore, "_cpus", lambda: 2)
+    monkeypatch.setattr(numcore, "_in_parts", in_parts)
+    t = Tape(record=False)
+    for a, b, want in (((64, 1024), (1024, 128), [[(32, 128), (32, 128)]]),
+                       ((63, 1024), (1024, 128), []),
+                       ((1, 1024), (1024, 1024), [[(1, 512), (1, 512)]]),
+                       ((1, 1024), (1024, 1016), [])):
+        split.clear()
+        t.matmul(t.constant(np.ones(a)), t.constant(np.ones(b)))
+        assert split == want, (a, b)
+    rng = np.random.default_rng(31)
+    one = [np.s_[i:i + 1] for i in range(4)]
+    for cached, want in ((240, [[one[:2], one[2:]]]), (239, [[[np.s_[:]]]])):
+        q = rng.normal(size=(4, 4 * 16, 8))   # 16 rows of 4 query heads per kv head
+        k, v = rng.normal(size=(2, 4, cached + 16, 8))
+        split.clear()
+        t.attention(t.constant(q), t.constant(k), t.constant(v), 0.35, [(0, 16, None)])
+        assert split == want, cached
+
+
 def _kv_stack(t: Tape, buffer: Node, heads: int) -> Node:
     """A (T, H_kv·w) row buffer leaf as the (H_kv, T, w) view a layer reads."""
     return t.swapaxes(t.reshape(buffer, buffer.value.shape[0], heads, -1), 0, 1)
